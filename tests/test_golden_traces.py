@@ -1,0 +1,186 @@
+"""Seeded driver traces pinned against a stored file.
+
+Each case replays a small seeded run and compares its status, its
+diagnostics and every ``TraceRecord`` field except ``elapsed_sec``
+with ``data/golden_traces.json``; floats are stored as ``float.hex`` so
+the comparison is bit-exact.  Together the cases take every branch of
+the drivers' step-size and model policies: relaxed and strict
+domination, the exact subsolver, a custom ``model_factory``, the
+logistic oracles, the fixed base after warm-ups of 8, 6 and 0
+iterations, an explicit base, a run stopped inside the warm-up, the
+three ``run_pqna`` Hessian modes, and a backtracking failure.
+
+The file pins the numpy, scipy and BLAS builds it was generated with:
+a change of numerical backend (a compiled kernel, another BLAS) moves
+the last bits of the traces.  Such a change regenerates the file
+openly, with a note in CHANGES.md, by running
+
+    PYTHONPATH=src python tests/test_golden_traces.py
+
+A refactor of the drivers must leave the file unchanged.
+"""
+
+import json
+import os
+from dataclasses import fields
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from proxqn.dataset import Dataset, synthesize_quadratic
+from proxqn.hessian import DiagLowRank, HessianModel
+from proxqn.optimizers import (
+    OptimizerConfig,
+    TraceRecord,
+    run_apga,
+    run_apqna,
+    run_apqna_fh,
+    run_pga,
+    run_pqna,
+)
+from proxqn.problem import CompositeProblem, logistic_problem, quadratic_problem
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                           "golden_traces.json")
+COMPARED = [f.name for f in fields(TraceRecord) if f.name != "elapsed_sec"]
+
+
+def _quad(n=20, seed=5, lam=0.02):
+    return quadratic_problem(synthesize_quadratic(n, 0.3, 6.0, seed), lam)
+
+
+def _logistic():
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((60, 15)) * (rng.random((60, 15)) < 0.4)
+    labels = np.where(rng.standard_normal(60) > 0, 1.0, -1.0)
+    return logistic_problem(Dataset(sp.csr_matrix(dense), labels), 1e-3)
+
+
+def _broken():
+    """Finite only at the origin, so every step is rejected."""
+    def value(w):
+        return 0.0 if not np.any(w) else float("inf")
+    return CompositeProblem(n=3, lam=0.0, f_value=value,
+                            f_grad=lambda w: np.ones(3),
+                            value_and_grad=lambda w: (value(w), np.ones(3)))
+
+
+_AXIS_CORES = [
+    DiagLowRank(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]])),
+    DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]])),
+]
+
+
+def _alternating(k, pairs):
+    return HessianModel.lbfgs(_AXIS_CORES[k % 2])
+
+
+def _cfg(**kw):
+    kw.setdefault("tol_rel", 1e-6)
+    kw.setdefault("max_outer", 80)
+    return OptimizerConfig(**kw)
+
+
+CASES = {
+    "pga": lambda: run_pga(_quad(), _cfg(seed=1)),
+    "apga": lambda: run_apga(_quad(), _cfg(seed=1)),
+    "pqna-lbfgs": lambda: run_pqna(
+        _quad(), _cfg(seed=2, diagnostics=True, eig_iterations=50), "lbfgs"),
+    "pqna-fixed": lambda: run_pqna(_quad(), _cfg(seed=2), "fixed"),
+    "pqna-zero": lambda: run_pqna(_quad(), _cfg(seed=2), "zero"),
+    "apqna-relaxed": lambda: run_apqna(_quad(seed=14), _cfg(seed=2)),
+    "apqna-relaxed-x0": lambda: run_apqna(
+        _quad(seed=14), _cfg(seed=3, max_outer=40),
+        x0=np.linspace(-1.0, 1.0, 20)),
+    "apqna-strict": lambda: run_apqna(
+        _quad(n=8, seed=15, lam=0.05), _cfg(seed=4, domination="strict")),
+    "apqna-strict-exact": lambda: run_apqna(
+        _quad(n=8, seed=16, lam=0.05),
+        _cfg(seed=5, domination="strict", subsolver="exact", max_outer=40)),
+    "apqna-alternating": lambda: run_apqna(
+        quadratic_problem(synthesize_quadratic(2, 0.2, 0.9, seed=3), 0.01),
+        _cfg(seed=1, domination="strict", tol_rel=1e-30, max_outer=30),
+        model_factory=_alternating),
+    "apqna-logistic": lambda: run_apqna(_logistic(), _cfg(seed=6)),
+    "apqna-fh-logistic": lambda: run_apqna_fh(_logistic(), _cfg(seed=6)),
+    "apqna-fh-warmup8": lambda: run_apqna_fh(
+        _quad(seed=18), _cfg(seed=6, tol_rel=1e-3, max_outer=120)),
+    "apqna-fh-warmup6": lambda: run_apqna_fh(
+        _quad(n=25, seed=20, lam=0.01),
+        _cfg(seed=8, warmup_kbar=6, diagnostics=True, eig_iterations=50)),
+    "apqna-fh-warmup0": lambda: run_apqna_fh(
+        _quad(seed=22), _cfg(seed=9, warmup_kbar=0)),
+    "apqna-fh-base": lambda: run_apqna_fh(
+        _quad(n=30, seed=19, lam=0.0),
+        _cfg(seed=7, warmup_kbar=0, diagnostics=True, eig_iterations=50),
+        base=DiagLowRank(1.0, 30)),
+    "apqna-fh-inside-warmup": lambda: run_apqna_fh(
+        _quad(seed=18), _cfg(seed=6, max_outer=5)),
+    "apqna-fh-backtrack-failure": lambda: run_apqna_fh(
+        _broken(), _cfg(warmup_kbar=0, backtrack_cap=5),
+        base=DiagLowRank(1.0, 3)),
+    "apqna-backtrack-failure": lambda: run_apqna(
+        _broken(), _cfg(backtrack_cap=5)),
+}
+
+
+def _atom(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return float(v).hex()
+    return str(v)
+
+
+def _row(values) -> str:
+    return " ".join(_atom(v) for v in values)
+
+
+def _diagnostic(value):
+    if isinstance(value, list):
+        return [_row(entry) for entry in value]
+    if isinstance(value, tuple):
+        return _row(value)
+    return _atom(value)
+
+
+def encode(trace) -> dict:
+    return {
+        "status": trace.status,
+        "diagnostics": {key: _diagnostic(value)
+                        for key, value in trace.diagnostics.items()},
+        "records": [_row(getattr(r, name) for name in COMPARED)
+                    for r in trace.records],
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_matches_golden(case, golden):
+    got = encode(CASES[case]())
+    want = golden[case]
+    assert got["status"] == want["status"]
+    assert len(got["records"]) == len(want["records"])
+    for i, (a, b) in enumerate(zip(got["records"], want["records"])):
+        assert a == b, f"row {i} ({' '.join(COMPARED)}) differs"
+    assert got["diagnostics"] == want["diagnostics"]
+
+
+def test_golden_file_has_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    out = {case: encode(CASES[case]()) for case in sorted(CASES)}
+    with open(GOLDEN_PATH, "w", encoding="ascii") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
