@@ -21,7 +21,6 @@ from .hessian import (
     compile_compact,
     enforce_domination,
     estimate_extreme_eigenvalues,
-    lbfgs_update,
     model_value,
 )
 from .optimizers import (
@@ -36,7 +35,6 @@ from .optimizers import (
     run_apqna_fh,
     run_pga,
     run_pqna,
-    sufficient_decrease_holds,
     t_next,
     theoretical_linear_rate,
 )
@@ -54,7 +52,6 @@ from .problem import (
 from .subsolver import (
     SubproblemBudget,
     budget_for_iteration,
-    cd_coordinate_step,
     cd_minimize,
     exact_solve_oracle,
     phi_constant,

@@ -15,39 +15,13 @@ import numpy as np
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_minimize(fun, lo: float, hi: float, tol: float = 1e-12,
-                            max_iter: int = 300) -> float:
-    """Minimizer of a unimodal function on [lo, hi] by golden-section search.
-
-    Accuracy is limited by the rounding noise of ``fun`` near the
-    minimum (about sqrt(eps * |f*| / curvature)); use the piecewise-
-    quadratic variant below when that floor matters.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if abs(b - a) < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def _golden_section_by_comparison(delta, lo: float, hi: float,
                                   tol: float = 1e-13,
                                   max_iter: int = 400) -> float:
     """Golden section driven by a sign oracle delta(z1, z2) ~ f(z2) - f(z1).
 
     Comparing differences instead of absolute values removes the
-    |f|-proportional rounding floor of the plain method.
+    |f|-proportional rounding floor of comparing f values.
     """
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
@@ -91,15 +65,6 @@ def coordinate_step_reference(a: float, b: float, u_j: float,
     radius = (abs(b) + lam) / a + abs(u_j) + 1.0
     return _golden_section_by_comparison(
         _piecewise_quadratic_delta(a, b, u_j, lam), -radius, radius)
-
-
-def coordinate_objective(a: float, b: float, u_j: float, lam: float):
-    """Plain evaluator of the 1-D coordinate objective (for value checks)."""
-
-    def psi(z: float) -> float:
-        return 0.5 * a * z * z + b * z + lam * abs(u_j + z)
-
-    return psi
 
 
 def prox_scalar_reference(v: float, tau: float) -> float:

@@ -29,6 +29,14 @@ class Dataset:
             raise ValueError("labels length must equal the number of rows")
         if not np.all(np.abs(labels) == 1.0):
             raise ValueError("labels must be -1 or +1")
+        bad = np.flatnonzero(~np.isfinite(matrix.data))
+        if bad.size:
+            i = bad[0]
+            row = int(np.searchsorted(matrix.indptr, i, side="right")) - 1
+            raise ValueError(
+                f"non-finite feature value {matrix.data[i]} at row {row}, "
+                f"column {matrix.indices[i]}"
+            )
         self._X = matrix
         self._y = labels
         self._y.setflags(write=False)

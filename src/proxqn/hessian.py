@@ -117,12 +117,6 @@ class CorrectionPairs:
         return np.array(self._s).T, np.array(self._y).T
 
 
-def lbfgs_update(pairs: CorrectionPairs, s: np.ndarray, y: np.ndarray) -> CorrectionPairs:
-    """Functional wrapper over :meth:`CorrectionPairs.update`."""
-    pairs.update(s, y)
-    return pairs
-
-
 def compile_compact(pairs: CorrectionPairs) -> DiagLowRank:
     """Compact L-BFGS B-matrix from the stored pairs.
 
@@ -238,14 +232,6 @@ class HessianModel:
             self.scale * self.core.qw,
             self.scale * self.core._diag,
         )
-
-
-def apply(model: HessianModel, v: np.ndarray) -> np.ndarray:
-    return model.apply(v)
-
-
-def diag_element(model: HessianModel, j: int) -> float:
-    return model.diag_element(j)
 
 
 def model_value(

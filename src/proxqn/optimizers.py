@@ -1,19 +1,24 @@
 """Drivers for the proximal gradient and proximal quasi-Newton methods.
 
-Five algorithms share the same trace format and termination rule
-(relative inf-norm of the min-norm subgradient):
+Six algorithms, the entries of ``ALGORITHMS``, share the same trace
+format and termination rule (relative inf-norm of the min-norm
+subgradient):
 
-* ``run_pga``       basic proximal gradient with backtracking over mu
-* ``run_apga``      FISTA with a nonincreasing step size
-* ``run_pqna``      inexact proximal quasi-Newton, H = G + I/(2 mu),
-                    relaxed sufficient decrease, coordinate-descent inner
-                    solver with an iteration-count budget
-* ``run_apqna``     accelerated variant with variable L-BFGS Hessians,
-                    either enforcing sigma_k H_k <= sigma_{k-1} H_{k-1}
-                    (strict) or setting theta = 1 and skipping it (relaxed)
-* ``run_apqna_fh``  accelerated variant with a frozen base matrix,
-                    H_k = (1/sigma_k) H, where the domination condition
-                    holds automatically
+* ``pga``          basic proximal gradient with backtracking over mu
+* ``apga``         FISTA with a nonincreasing step size
+* ``pqna-lbfgs``   inexact proximal quasi-Newton, H = G + I/(2 mu),
+                   relaxed sufficient decrease, coordinate-descent inner
+                   solver with an iteration-count budget
+* ``pqna-fh``      the same with G frozen after a warm-up
+* ``apqna-lbfgs``  accelerated variant with variable L-BFGS Hessians,
+                   either enforcing sigma_k H_k <= sigma_{k-1} H_{k-1}
+                   (strict) or setting theta = 1 and skipping it (relaxed)
+* ``apqna-fh``     accelerated variant with a frozen base matrix,
+                   H_k = (1/sigma_k) H, where the domination condition
+                   holds automatically
+
+The two accelerated drivers run one FISTA loop and differ only in the
+policy that picks sigma_k H_k: variable models or a fixed base.
 
 The monotone drivers (pga, pqna) never increase F; the accelerated ones
 need not be monotone.  All randomness flows through one seeded PCG64
@@ -166,12 +171,6 @@ class Trace:
 
     def final(self) -> TraceRecord:
         return self.records[-1]
-
-
-def sufficient_decrease_holds(f_new: float, f_old: float, q_val: float,
-                              eta: float) -> bool:
-    """Relaxed acceptance: F_new - F_old <= eta * (Q - F_old)."""
-    return f_new - f_old <= eta * (q_val - f_old)
 
 
 def t_next(t_k: float, theta_k: float) -> float:
@@ -347,66 +346,92 @@ def _shifted_model(core: DiagLowRank | None, shift: float, n: int) -> HessianMod
     return HessianModel.lbfgs(core, diag_shift=shift)
 
 
+@dataclass
+class _QnState:
+    """Iterate of the quasi-Newton loop: the start point of every
+    quasi-Newton driver, advanced in place by ``_pqna_engine`` and handed
+    from apqna-fh's warm-up to its accelerated phase."""
+
+    x: np.ndarray
+    fsm: float
+    fval: float
+    grad: np.ndarray
+    pairs: CorrectionPairs
+    mu: float
+    last_k: int = 0
+    frozen: DiagLowRank | None = None
+
+
+def _first_row(problem: CompositeProblem, config: OptimizerConfig,
+               algorithm: str, step_scalar: float,
+               x0: np.ndarray | None) -> tuple[Trace, float, float, _QnState]:
+    """Trace holding row 0 (already converged if x0 is stationary), the
+    clock start, the initial subgradient norm and the state at x0."""
+    t0 = time.perf_counter()
+    x = _start_point(problem, x0)
+    fsm, grad = problem.value_and_grad(x)
+    fval = fsm + l1_value(x, problem.lam)
+    norm0 = _subgrad_inf(grad, x, problem.lam)
+    trace = Trace(algorithm=algorithm)
+    trace.records.append(TraceRecord(0, fval, norm0, 0, 0, step_scalar, 1.0,
+                                     time.perf_counter() - t0))
+    if norm0 == 0.0:
+        trace.status = CONVERGED
+    pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
+    return trace, t0, norm0, _QnState(x, fsm, fval, grad, pairs, config.mu_init)
+
+
 def _pqna_engine(problem, config, hessian_mode, trace, t0, norm0, rng,
-                 state, max_outer):
+                 state: _QnState, max_outer):
     """Iterations of the inexact proximal quasi-Newton loop.
 
-    Mutates ``trace`` and ``state`` (x, fsm, fval, grad, pairs, mu,
-    last_k) in place; returns a final status or None if ``max_outer``
-    was reached without convergence or failure.
+    Mutates ``trace`` and ``state`` in place; returns a final status or
+    None if ``max_outer`` was reached without convergence or failure.
     """
     lam = problem.lam
-    x = state["x"]
-    fsm = state["fsm"]
-    fval = state["fval"]
-    grad = state["grad"]
-    pairs = state["pairs"]
-    mu = state["mu"]
-    frozen = state.get("frozen")
-    for k in range(state["last_k"] + 1, max_outer + 1):
+    for k in range(state.last_k + 1, max_outer + 1):
         if hessian_mode == "zero":
             core = None
         elif hessian_mode == "fixed" and k > config.warmup_kbar:
-            if frozen is None:
-                frozen = compile_compact(pairs)
-                state["frozen"] = frozen
-            core = frozen
+            if state.frozen is None:
+                state.frozen = compile_compact(state.pairs)
+            core = state.frozen
         else:
-            core = compile_compact(pairs)
+            core = compile_compact(state.pairs)
         r = budget_for_iteration(k, config.budget)
         backtracks = 0
         inner = 0
         while True:
-            model = _shifted_model(core, 1.0 / (2.0 * mu), problem.n)
-            u, steps = _subsolve(model, grad, x, lam, r, config, rng)
+            model = _shifted_model(core, 1.0 / (2.0 * state.mu), problem.n)
+            u, steps = _subsolve(model, state.grad, state.x, lam, r, config, rng)
             inner += steps
-            qval = model_value(model, u, x, fsm, grad, l1_value(u, lam))
+            qval = model_value(model, u, state.x, state.fsm, state.grad,
+                               l1_value(u, lam))
             u_f = problem.f_value(u)
             u_fval = u_f + l1_value(u, lam)
-            if _accepts(u_fval, fval, qval, config.eta, monotone=True):
+            if _accepts(u_fval, state.fval, qval, config.eta, monotone=True):
                 break
-            mu *= config.beta
+            state.mu *= config.beta
             backtracks += 1
             if backtracks > config.backtrack_cap:
                 return BACKTRACK_FAILURE
         new_grad = problem.f_grad(u)
         if hessian_mode == "lbfgs" or (hessian_mode == "fixed"
                                        and k <= config.warmup_kbar):
-            pairs.update(u - x, new_grad - grad)
-        x, fsm, fval, grad = u, u_f, u_fval, new_grad
-        norm = _subgrad_inf(grad, x, lam)
-        trace.records.append(TraceRecord(k, fval, norm, backtracks, inner, mu,
-                                         1.0, time.perf_counter() - t0))
+            state.pairs.update(u - state.x, new_grad - state.grad)
+        state.x, state.fsm, state.fval, state.grad = u, u_f, u_fval, new_grad
+        state.last_k = k
+        norm = _subgrad_inf(new_grad, u, lam)
+        trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
+                                         state.mu, 1.0, time.perf_counter() - t0))
         if config.diagnostics:
             m_est, big_m_est = estimate_extreme_eigenvalues(
                 model, iterations=config.eig_iterations, seed=config.seed + k)
             trace.diagnostics.setdefault("eig_bounds", []).append(
                 (k, m_est, big_m_est))
-        state.update(x=x, fsm=fsm, fval=fval, grad=grad, mu=mu, last_k=k)
         if norm <= config.tol_rel * norm0:
             return CONVERGED
-        mu = min(mu / config.beta, config.mu_cap)
-        state["mu"] = mu
+        state.mu = min(state.mu / config.beta, config.mu_cap)
     return None
 
 
@@ -424,24 +449,12 @@ def run_pqna(problem: CompositeProblem, config: OptimizerConfig,
     """
     if hessian_mode not in ("lbfgs", "fixed", "zero"):
         raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
-    t0 = time.perf_counter()
-    lam = problem.lam
-    x = _start_point(problem, x0)
-    fsm, grad = problem.value_and_grad(x)
-    fval = fsm + l1_value(x, lam)
-    norm0 = _subgrad_inf(grad, x, lam)
     name = {"lbfgs": "pqna-lbfgs", "fixed": "pqna-fh", "zero": "pqna-zero"}
-    trace = Trace(algorithm=name[hessian_mode])
-    trace.records.append(TraceRecord(0, fval, norm0, 0, 0, config.mu_init, 1.0,
-                                     time.perf_counter() - t0))
-    if norm0 == 0.0:
-        trace.status = CONVERGED
+    trace, t0, norm0, state = _first_row(problem, config, name[hessian_mode],
+                                         config.mu_init, x0)
+    if trace.status == CONVERGED:
         return trace
     rng = np.random.default_rng(config.seed)
-    state = dict(
-        x=x, fsm=fsm, fval=fval, grad=grad, mu=config.mu_init, last_k=0,
-        pairs=CorrectionPairs(problem.n, config.memory, config.curvature_eps),
-    )
     status = _pqna_engine(problem, config, hessian_mode, trace, t0, norm0,
                           rng, state, config.max_outer)
     trace.status = status if status is not None else MAX_ITER
@@ -455,222 +468,135 @@ def _cached_value_grad(problem, y, cache):
     return cache[key]
 
 
-def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
-              domination_mode: str | None = None,
-              x0: np.ndarray | None = None,
-              model_factory=None) -> Trace:
-    """Accelerated proximal quasi-Newton with per-iteration L-BFGS models.
+def _checked_sigma(sigma: float, k: int) -> float:
+    if sigma < SIGMA_UNDERFLOW:
+        raise SigmaUnderflowError(f"sigma={sigma:.3e} at iteration {k}")
+    return sigma
 
-    Backtracking multiplies H_k by 1/beta.  In strict mode sigma_k is
-    then shrunk to the largest value keeping sigma_k H_k dominated by
-    sigma_{k-1} H_{k-1} (dense generalized eigensolve, small n only)
-    and the momentum bookkeeping (theta, t_k, y_k) is recomputed, which
-    re-evaluates the gradient at the new y_k.  Relaxed mode fixes
-    theta = 1 and skips the domination entirely.
 
-    ``model_factory(k, pairs) -> HessianModel`` overrides the compact
-    L-BFGS construction of the iteration-k model (used to study
-    adversarial Hessian sequences such as alternating axis scalings).
+def _lbfgs_model(k: int, pairs: CorrectionPairs) -> HessianModel:
+    return HessianModel.lbfgs(compile_compact(pairs))
+
+
+class _VariableModels:
+    """sigma/model policy of apqna-lbfgs.
+
+    H_k comes from ``model_factory(k, pairs)`` each iteration and a
+    backtrack multiplies it by 1/beta.  Strict mode then caps sigma_k
+    so that sigma_k H_k <= sigma_{k-1} H_{k-1} (dense generalized
+    eigensolve); relaxed mode keeps theta = 1 and the momentum point.
     """
-    mode = domination_mode or config.domination
-    if mode not in ("strict", "relaxed"):
-        raise ValueError("domination_mode must be 'strict' or 'relaxed'")
-    t0 = time.perf_counter()
-    lam = problem.lam
-    x = _start_point(problem, x0)
-    fsm, grad = problem.value_and_grad(x)
-    fval = fsm + l1_value(x, lam)
-    norm0 = _subgrad_inf(grad, x, lam)
-    sigma = config.sigma_init
-    trace = Trace(algorithm="apqna-lbfgs")
-    trace.records.append(TraceRecord(0, fval, norm0, 0, 0, sigma, 1.0,
-                                     time.perf_counter() - t0))
-    if norm0 == 0.0:
-        trace.status = CONVERGED
-        return trace
-    rng = np.random.default_rng(config.seed)
-    pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
 
+    lemma6_bound = None
+
+    def __init__(self, config: OptimizerConfig, pairs: CorrectionPairs,
+                 grad: np.ndarray, model_factory):
+        self.config = config
+        self.strict = config.domination == "strict"
+        self.pairs = pairs
+        self.factory = model_factory
+        self.current = model_factory(1, pairs)
+        self.accepted = self.current
+        self.grad_prev = grad
+
+    def model(self, sigma: float) -> HessianModel:
+        return self.current
+
+    def backtrack(self, sigma: float, sigma_prev: float) -> float | None:
+        self.current = self.current.rescaled(1.0 / self.config.beta)
+        if not self.strict:
+            return None
+        feasible = enforce_domination(self.current, sigma_prev, self.accepted,
+                                      self.config.dense_limit)
+        return min(sigma, feasible)
+
+    def advance(self, k: int, sigma: float, x: np.ndarray, x_prev: np.ndarray,
+                grad_x: np.ndarray) -> tuple[float, float]:
+        self.pairs.update(x - x_prev, grad_x - self.grad_prev)
+        self.grad_prev = grad_x
+        self.accepted = self.current
+        self.current = self.factory(k + 1, self.pairs)
+        sigma_next = self.config.sigma_growth * sigma
+        if not self.strict:
+            return sigma_next, 1.0
+        feasible = enforce_domination(self.current, sigma, self.accepted,
+                                      self.config.dense_limit)
+        sigma_next = _checked_sigma(min(sigma_next, feasible), k + 1)
+        return sigma_next, sigma / sigma_next
+
+
+class _FixedBase:
+    """sigma/model policy of apqna-fh: H_k = (1/sigma_k) base, so
+    sigma_k H_k = base for every k and the domination condition holds
+    with equality; a backtrack multiplies sigma by beta."""
+
+    def __init__(self, config: OptimizerConfig, base: DiagLowRank,
+                 lemma6_bound: float | None):
+        self.config = config
+        self.base = base
+        self.lemma6_bound = lemma6_bound
+
+    def model(self, sigma: float) -> HessianModel:
+        return HessianModel.scaled_fixed(sigma, self.base)
+
+    def backtrack(self, sigma: float, sigma_prev: float) -> float:
+        return sigma * self.config.beta
+
+    def advance(self, k: int, sigma: float, x: np.ndarray, x_prev: np.ndarray,
+                grad_x: np.ndarray) -> tuple[float, float]:
+        sigma_next = self.config.sigma_growth * sigma
+        return sigma_next, sigma / sigma_next
+
+
+def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
+                trace: Trace, t0: float, norm0: float,
+                rng: np.random.Generator, state: _QnState) -> Trace:
+    """The accelerated proximal quasi-Newton loop, from ``state``.
+
+    Owns the FISTA clock (t_k, y_k, x_{k-1}, x_{k-2}), backtracking and
+    the Lemma 5, Lemma 6 and AS1 diagnostics; ``policy`` decides the
+    model for the current sigma (``model``), sigma after a rejected
+    step, or None to keep the momentum point (``backtrack``), and
+    (sigma_{k+1}, theta_k) after an accepted one (``advance``).  A
+    changed sigma recomputes theta, t_k and y_k, re-evaluating the
+    gradient at the new y_k unless that point was already visited.
+    """
+    lam = problem.lam
     # Accelerated clock: t_0 = 0 and x_{-1} = x_0 make the generic
     # recomputation formulas produce t_1 = 1 and y_1 = x_0.
     t_km1, t_k = 0.0, 1.0
-    x_km2 = x.copy()
-    x_km1 = x.copy()
-    grad_prev = grad
-    sigma_prev = config.sigma_init
-    if model_factory is None:
-        model_factory = lambda k, pairs: HessianModel.lbfgs(compile_compact(pairs))
-    model = model_factory(1, pairs)
-    model_prev = model
+    x_km2 = state.x.copy()
+    x_km1 = state.x.copy()
+    sigma = sigma_prev = config.sigma_init
     theta_used = 1.0
-    y = x.copy()
-    fy, gy = fsm, grad
+    y = state.x.copy()
+    fy, gy = state.fsm, state.grad
     sum_sqrt_sigma = 0.0
     prev_sigma_t2 = None
+    model = policy.model(sigma)
     trace.diagnostics["initial_model"] = (sigma, model.variant, model.core.delta,
                                           model.p)
-    for k in range(1, config.max_outer + 1):
+    for k in range(state.last_k + 1, config.max_outer + 1):
         r = budget_for_iteration(k, config.budget)
         backtracks = 0
         inner = 0
         grad_cache = {y.tobytes(): (fy, gy)}
         while True:
+            model = policy.model(sigma)
             u, steps = _subsolve(model, gy, y, lam, r, config, rng)
             inner += steps
             qval = model_value(model, u, y, fy, gy, l1_value(u, lam))
-            u_f = problem.f_value(u)
-            u_fval = u_f + l1_value(u, lam)
+            u_fval = problem.f_value(u) + l1_value(u, lam)
             if _accepts(u_fval, fy + l1_value(y, lam), qval, 1.0):
                 break
             backtracks += 1
             if backtracks > config.backtrack_cap:
                 trace.status = BACKTRACK_FAILURE
                 return trace
-            model = model.rescaled(1.0 / config.beta)
-            if mode == "strict":
-                feasible = enforce_domination(model, sigma_prev, model_prev,
-                                              config.dense_limit)
-                sigma = min(sigma, feasible)
-                if sigma < SIGMA_UNDERFLOW:
-                    raise SigmaUnderflowError(
-                        f"sigma={sigma:.3e} at iteration {k}")
-                theta_used = sigma_prev / sigma
-                t_k = t_next(t_km1, theta_used)
-                y = momentum_point(x_km1, x_km2, t_km1, t_k)
-                fy, gy = _cached_value_grad(problem, y, grad_cache)
-        x = u
-        grad_x = problem.f_grad(x)
-        norm = _subgrad_inf(grad_x, x, lam)
-        trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
-                                         sigma, t_k, time.perf_counter() - t0))
-        sum_sqrt_sigma += math.sqrt(sigma)
-        sigma_t2 = sigma * t_k * t_k
-        trace.diagnostics.setdefault("lemma5", []).append(
-            (k, sigma_t2 - (sum_sqrt_sigma / 2.0) ** 2))
-        if prev_sigma_t2 is not None:
-            premise = theta_used <= sigma_prev / sigma * (1.0 + 1e-12)
-            trace.diagnostics.setdefault("as1", []).append(
-                (k, prev_sigma_t2, sigma * t_k * (t_k - 1.0), premise))
-        if norm <= config.tol_rel * norm0:
-            trace.status = CONVERGED
-            return trace
-        pairs.update(x - x_km1, grad_x - grad_prev)
-        model_prev = model
-        sigma_prev = sigma
-        prev_sigma_t2 = sigma_t2
-        next_model = model_factory(k + 1, pairs)
-        sigma_next = config.sigma_growth * sigma
-        if mode == "strict":
-            feasible = enforce_domination(next_model, sigma, model,
-                                          config.dense_limit)
-            sigma_next = min(sigma_next, feasible)
-            if sigma_next < SIGMA_UNDERFLOW:
-                raise SigmaUnderflowError(
-                    f"sigma={sigma_next:.3e} at iteration {k + 1}")
-            theta_used = sigma / sigma_next
-        else:
-            theta_used = 1.0
-        t_new = t_next(t_k, theta_used)
-        y = momentum_point(x, x_km1, t_k, t_new)
-        fy, gy = problem.value_and_grad(y)
-        x_km2, x_km1 = x_km1, x
-        t_km1, t_k = t_k, t_new
-        grad_prev = grad_x
-        model = next_model
-        sigma = sigma_next
-    return trace
-
-
-def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
-                 base: DiagLowRank | None = None,
-                 x0: np.ndarray | None = None) -> Trace:
-    """Accelerated proximal quasi-Newton with a frozen base matrix.
-
-    Without an explicit ``base`` the first warmup_kbar iterations run
-    the L-BFGS quasi-Newton loop to collect correction pairs; the
-    compact matrix built from them is then frozen and the accelerated
-    phase continues from the warm iterate with H_k = (1/sigma_k) base.
-    sigma backtracks by beta (recomputing theta, t_k, y_k) and regrows
-    by sigma_growth after each acceptance; sigma_k H_k = base for all k,
-    so the domination condition holds with equality.
-
-    Passing ``base`` (e.g. the identity for the sigma_1 = 1, H_1 = I
-    setting of the accelerated-rate guarantee) skips the warmup.
-    """
-    t0 = time.perf_counter()
-    lam = problem.lam
-    x = _start_point(problem, x0)
-    fsm, grad = problem.value_and_grad(x)
-    fval = fsm + l1_value(x, lam)
-    norm0 = _subgrad_inf(grad, x, lam)
-    trace = Trace(algorithm="apqna-fh")
-    trace.records.append(TraceRecord(0, fval, norm0, 0, 0, config.sigma_init,
-                                     1.0, time.perf_counter() - t0))
-    if norm0 == 0.0:
-        trace.status = CONVERGED
-        return trace
-    rng = np.random.default_rng(config.seed)
-
-    k_start = 1
-    if base is None:
-        state = dict(
-            x=x, fsm=fsm, fval=fval, grad=grad, mu=config.mu_init, last_k=0,
-            pairs=CorrectionPairs(problem.n, config.memory,
-                                  config.curvature_eps),
-        )
-        if config.warmup_kbar > 0:
-            status = _pqna_engine(problem, config, "lbfgs", trace, t0, norm0,
-                                  rng, state,
-                                  min(config.warmup_kbar, config.max_outer))
-            if status is not None:
-                trace.status = status
-                return trace
-            x, fsm, fval, grad = (state["x"], state["fsm"], state["fval"],
-                                  state["grad"])
-            k_start = state["last_k"] + 1
-        base = compile_compact(state["pairs"])
-    trace.diagnostics["warmup_end"] = k_start - 1
-
-    lemma6_bound = None
-    if config.diagnostics and problem.lipschitz:
-        m_est, _ = estimate_extreme_eigenvalues(
-            HessianModel.lbfgs(base), iterations=config.eig_iterations,
-            seed=config.seed)
-        lemma6_bound = config.beta * m_est / problem.lipschitz
-
-    t_km1, t_k = 0.0, 1.0
-    x_km2 = x.copy()
-    x_km1 = x.copy()
-    sigma = config.sigma_init
-    sigma_prev = config.sigma_init
-    theta_used = 1.0
-    y = x.copy()
-    fy, gy = fsm, grad
-    sum_sqrt_sigma = 0.0
-    prev_sigma_t2 = None
-    trace.diagnostics["initial_model"] = (sigma, "scaled_fixed", base.delta,
-                                          base.p)
-    for k in range(k_start, config.max_outer + 1):
-        r = budget_for_iteration(k, config.budget)
-        backtracks = 0
-        inner = 0
-        grad_cache = {y.tobytes(): (fy, gy)}
-        while True:
-            model = HessianModel.scaled_fixed(sigma, base)
-            u, steps = _subsolve(model, gy, y, lam, r, config, rng)
-            inner += steps
-            qval = model_value(model, u, y, fy, gy, l1_value(u, lam))
-            u_f = problem.f_value(u)
-            u_fval = u_f + l1_value(u, lam)
-            if _accepts(u_fval, fy + l1_value(y, lam), qval, 1.0):
-                break
-            backtracks += 1
-            if backtracks > config.backtrack_cap:
-                trace.status = BACKTRACK_FAILURE
-                return trace
-            sigma *= config.beta
-            if sigma < SIGMA_UNDERFLOW:
-                raise SigmaUnderflowError(f"sigma={sigma:.3e} at iteration {k}")
+            shrunk = policy.backtrack(sigma, sigma_prev)
+            if shrunk is None:
+                continue
+            sigma = _checked_sigma(shrunk, k)
             theta_used = sigma_prev / sigma
             t_k = t_next(t_km1, theta_used)
             y = momentum_point(x_km1, x_km2, t_km1, t_k)
@@ -684,9 +610,9 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
         sigma_t2 = sigma * t_k * t_k
         trace.diagnostics.setdefault("lemma5", []).append(
             (k, sigma_t2 - (sum_sqrt_sigma / 2.0) ** 2))
-        if lemma6_bound is not None:
+        if policy.lemma6_bound is not None:
             trace.diagnostics.setdefault("lemma6", []).append(
-                (k, sigma - lemma6_bound))
+                (k, sigma - policy.lemma6_bound))
         if prev_sigma_t2 is not None:
             premise = theta_used <= sigma_prev / sigma * (1.0 + 1e-12)
             trace.diagnostics.setdefault("as1", []).append(
@@ -696,16 +622,81 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
             return trace
         sigma_prev = sigma
         prev_sigma_t2 = sigma_t2
-        sigma_next = config.sigma_growth * sigma
-        theta_used = sigma / sigma_next
+        sigma, theta_used = policy.advance(k, sigma, x, x_km1, grad_x)
         t_new = t_next(t_k, theta_used)
         y = momentum_point(x, x_km1, t_k, t_new)
         fy, gy = problem.value_and_grad(y)
         x_km2, x_km1 = x_km1, x
         t_km1, t_k = t_k, t_new
-        sigma = sigma_next
-        fsm, fval, grad = u_f, u_fval, grad_x
     return trace
+
+
+def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
+              x0: np.ndarray | None = None,
+              model_factory=None) -> Trace:
+    """Accelerated proximal quasi-Newton with per-iteration L-BFGS models.
+
+    Backtracking multiplies H_k by 1/beta.  With ``config.domination``
+    strict, sigma_k is then shrunk to the largest value keeping
+    sigma_k H_k dominated by sigma_{k-1} H_{k-1} (dense generalized
+    eigensolve, small n only) and the momentum bookkeeping (theta, t_k,
+    y_k) is recomputed, which re-evaluates the gradient at the new y_k.
+    Relaxed mode fixes theta = 1 and skips the domination entirely.
+
+    ``model_factory(k, pairs) -> HessianModel`` overrides the compact
+    L-BFGS construction of the iteration-k model (used to study
+    adversarial Hessian sequences such as alternating axis scalings).
+    """
+    trace, t0, norm0, state = _first_row(problem, config, "apqna-lbfgs",
+                                         config.sigma_init, x0)
+    if trace.status == CONVERGED:
+        return trace
+    rng = np.random.default_rng(config.seed)
+    policy = _VariableModels(config, state.pairs, state.grad,
+                             model_factory or _lbfgs_model)
+    return _accelerate(problem, config, policy, trace, t0, norm0, rng, state)
+
+
+def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
+                 x0: np.ndarray | None = None,
+                 base: DiagLowRank | None = None) -> Trace:
+    """Accelerated proximal quasi-Newton with a frozen base matrix.
+
+    Without an explicit ``base`` the first warmup_kbar iterations run
+    the L-BFGS quasi-Newton loop to collect correction pairs; the
+    compact matrix built from them is then frozen and the accelerated
+    phase continues from the warm iterate with H_k = (1/sigma_k) base.
+    sigma backtracks by beta (recomputing theta, t_k, y_k) and regrows
+    by sigma_growth after each acceptance; sigma_k H_k = base for all k,
+    so the domination condition holds with equality.
+
+    Passing ``base`` (e.g. the identity for the sigma_1 = 1, H_1 = I
+    setting of the accelerated-rate guarantee) skips the warmup.
+    """
+    trace, t0, norm0, state = _first_row(problem, config, "apqna-fh",
+                                         config.sigma_init, x0)
+    if trace.status == CONVERGED:
+        return trace
+    rng = np.random.default_rng(config.seed)
+    if base is None:
+        if config.warmup_kbar > 0:
+            status = _pqna_engine(problem, config, "lbfgs", trace, t0, norm0,
+                                  rng, state,
+                                  min(config.warmup_kbar, config.max_outer))
+            if status is not None:
+                trace.status = status
+                return trace
+        base = compile_compact(state.pairs)
+    trace.diagnostics["warmup_end"] = state.last_k
+
+    lemma6_bound = None
+    if config.diagnostics and problem.lipschitz:
+        m_est, _ = estimate_extreme_eigenvalues(
+            HessianModel.lbfgs(base), iterations=config.eig_iterations,
+            seed=config.seed)
+        lemma6_bound = config.beta * m_est / problem.lipschitz
+    return _accelerate(problem, config, _FixedBase(config, base, lemma6_bound),
+                       trace, t0, norm0, rng, state)
 
 
 ALGORITHMS: dict[str, Callable] = {

@@ -103,12 +103,6 @@ class CdWorkspace:
         self.qcache = np.zeros(q.shape[1])
         self.model = model
 
-    def smooth_component(self, j: int) -> float:
-        b = self.grad_v[j] + self.eff_delta * self.d[j]
-        if self.qcache.shape[0]:
-            b += self.qw_scaled[j] @ self.qcache
-        return float(b)
-
     def step(self, j: int) -> float:
         """Exact minimization over coordinate j; returns the move z*."""
         a = self.diag[j]
@@ -146,13 +140,6 @@ class CdWorkspace:
         """Inf-norm gap between the cache and a direct recomputation."""
         direct = self.grad_v + self.model.apply(self.u - self.v)
         return float(np.max(np.abs(self.smooth_gradient() - direct)))
-
-
-def cd_coordinate_step(model: HessianModel, lam: float,
-                       workspace: CdWorkspace, j: int) -> float:
-    """One exact coordinate step; returns the updated u_j."""
-    workspace.step(j)
-    return float(workspace.u[j])
 
 
 def cd_minimize(

@@ -42,6 +42,16 @@ def test_run_validation_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_rejects_non_finite_dataset(tmp_path, capfd):
+    path = tmp_path / "bad.svm"
+    path.write_text("+1 1:0.5 2:nan\n-1 1:1.0\n+1 2:2.0\n")
+    code = main(["run", "--algorithm", "pqna-lbfgs", "--dataset", str(path)])
+    captured = capfd.readouterr()
+    assert code == 1
+    assert "non-finite feature value nan" in captured.err
+    assert "DLASCL" not in captured.out + captured.err
+
+
 def test_compare_spec_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "results"
     spec = tmp_path / "exp.ini"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxqn.dataset import (
+    Dataset,
     DatasetFormatError,
     dataset_stats,
     read_libsvm,
@@ -66,6 +68,16 @@ class TestReadLibsvm:
     def test_n_features_override_too_small(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="below max index"):
             read_libsvm(write_lines(tmp_path, ["+1 5:1.0"]), n_features=3)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = write_lines(tmp_path, ["+1 1:0.5", f"-1 1:1.0 3:{value}"])
+        with pytest.raises(ValueError, match=f"non-finite feature value {value} "
+                                             "at row 1, column 2"):
+            read_libsvm(path)
+        matrix = sp.csr_matrix(np.array([[0.5, 0.0], [float(value), 1.0]]))
+        with pytest.raises(ValueError, match="non-finite .* row 1, column 0"):
+            Dataset(matrix, np.array([1.0, -1.0]))
 
     def test_line_permutation_permutes_rows(self, tmp_path):
         lines = ["+1 1:0.5 3:2.0", "-1 2:1.5", "+1 1:3.0"]

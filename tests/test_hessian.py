@@ -12,7 +12,6 @@ from proxqn.hessian import (
     compile_compact,
     enforce_domination,
     estimate_extreme_eigenvalues,
-    lbfgs_update,
     model_value,
 )
 
@@ -41,7 +40,7 @@ class TestCorrectionPairs:
     def test_ring_eviction(self):
         pairs = CorrectionPairs(2, memory=2)
         for c in (1.0, 2.0, 3.0):
-            lbfgs_update(pairs, np.array([c, 0.0]), np.array([c, 0.0]))
+            pairs.update(np.array([c, 0.0]), np.array([c, 0.0]))
         assert len(pairs) == 2
         s_mat, _ = pairs.pairs()
         np.testing.assert_allclose(s_mat[0], [2.0, 3.0])

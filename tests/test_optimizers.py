@@ -6,10 +6,12 @@ import pytest
 from proxqn.dataset import SyntheticQuadratic, synthesize_quadratic
 from proxqn.hessian import DiagLowRank
 from proxqn.optimizers import (
+    ALGORITHMS,
     BACKTRACK_FAILURE,
     CONVERGED,
     OptimizerConfig,
     SigmaUnderflowError,
+    _accepts,
     check_termination,
     momentum_point,
     run_apga,
@@ -17,11 +19,10 @@ from proxqn.optimizers import (
     run_apqna_fh,
     run_pga,
     run_pqna,
-    sufficient_decrease_holds,
     t_next,
     theoretical_linear_rate,
 )
-from proxqn.problem import CompositeProblem, quadratic_problem
+from proxqn.problem import CompositeProblem, l1_value, quadratic_problem
 
 from conftest import identity_quadratic
 
@@ -64,13 +65,13 @@ def reference_min(problem, tol=1e-12):
 
 class TestScalarOps:
     def test_sufficient_decrease_equality_boundary(self):
-        assert sufficient_decrease_holds(0.8, 1.0, 0.8, 1.0)
+        assert _accepts(0.8, 1.0, 0.8, 1.0)
 
     def test_sufficient_decrease_exact_fraction(self):
-        assert sufficient_decrease_holds(0.9, 1.0, 0.8, 0.5)
+        assert _accepts(0.9, 1.0, 0.8, 0.5)
 
     def test_sufficient_decrease_fails_below_fraction(self):
-        assert not sufficient_decrease_holds(0.95, 1.0, 0.8, 0.5)
+        assert not _accepts(0.95, 1.0, 0.8, 0.5)
 
     def test_t_next_golden_ratio(self):
         assert t_next(1.0, 1.0) == pytest.approx(GOLDEN, abs=1e-12)
@@ -410,11 +411,19 @@ class TestTraceContracts:
         prob = quad_problem(seed=23)
         fstar = reference_min(prob)
         cfg = OptimizerConfig(tol_rel=1e-6, max_outer=30000, seed=1)
-        from proxqn.optimizers import ALGORITHMS
         for name, fn in ALGORITHMS.items():
             trace = fn(prob, cfg)
             assert trace.status == CONVERGED, name
             assert trace.final().fval - fstar <= 1e-4, name
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_positional_x0_is_the_start_point(name):
+    prob = quad_problem(seed=24)
+    x0 = np.linspace(-0.5, 0.5, prob.n)
+    trace = ALGORITHMS[name](prob, OptimizerConfig(max_outer=3), x0)
+    assert trace.records[0].fval == pytest.approx(
+        prob.f_value(x0) + l1_value(x0, prob.lam), rel=1e-14)
 
 
 class TestConfigValidation:

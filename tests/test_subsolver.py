@@ -10,7 +10,6 @@ from proxqn.subsolver import (
     CdWorkspace,
     SubproblemBudget,
     budget_for_iteration,
-    cd_coordinate_step,
     cd_minimize,
     exact_solve_oracle,
     phi_constant,
@@ -86,7 +85,8 @@ class TestCoordinateStep:
     def test_already_optimal(self):
         model = HessianModel.scaled_identity(1.0, 2)
         ws = CdWorkspace(model, np.zeros(2), np.zeros(2), 1.0)
-        assert cd_coordinate_step(model, 1.0, ws, 0) == 0.0
+        assert ws.step(0) == 0.0
+        assert ws.u[0] == 0.0
 
     def test_derived_step_matches_golden_section(self):
         # a=2, b=-4, u_j=0, lam=1
