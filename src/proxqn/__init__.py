@@ -28,7 +28,6 @@ from .optimizers import (
     OptimizerConfig,
     Trace,
     TraceRecord,
-    check_termination,
     momentum_point,
     run_apga,
     run_apqna,
@@ -47,7 +46,6 @@ from .problem import (
     min_norm_subgradient,
     prox_l1_scaled_identity,
     quadratic_problem,
-    soft_threshold,
 )
 from .subsolver import (
     SubproblemBudget,

@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .harness import (
+    SETTINGS,
     ExperimentSpec,
     build_config,
     build_problem,
@@ -42,30 +43,17 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
                    help="l1 weight (default 1e-3)")
 
 
-_CONFIG_FLAGS = [
-    ("--eta", float), ("--beta", float), ("--tol", float),
-    ("--max-iters", int), ("--sigma-growth", float), ("--sigma-init", float),
-    ("--warmup", int), ("--mu-init", float), ("--memory", int),
-    ("--curvature-eps", float), ("--inner-cap", int),
-    ("--inner-divisor", float), ("--inner-floor", int), ("--seed", int),
-]
-
-
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    for flag, typ in _CONFIG_FLAGS:
-        p.add_argument(flag, type=typ, default=None)
-    p.add_argument("--domination", choices=["strict", "relaxed"], default=None)
-    p.add_argument("--subsolver", choices=["cd", "exact"], default=None)
+    # Values stay strings: build_config converts and OptimizerConfig
+    # validates them, exactly as for a spec file.
+    for key, (_, _, typ) in SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       metavar=typ.__name__.upper())
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    out = {}
-    for flag, _ in _CONFIG_FLAGS + [("--domination", str), ("--subsolver", str)]:
-        key = flag.lstrip("-").replace("-", "_")
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = str(val)
-    return out
+    return {key: getattr(args, key) for key in SETTINGS
+            if getattr(args, key) is not None}
 
 
 def _spec_from_args(args: argparse.Namespace, algorithms: list[str]) -> ExperimentSpec:
@@ -117,6 +105,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     try:
         report, _ = run_experiment(spec)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -46,10 +46,10 @@ from .problem import (
     min_norm_subgradient,
     prox_l1_scaled_identity,
     quadratic_problem,
-    soft_threshold,
 )
 from .subsolver import (
     CdWorkspace,
+    SubproblemBudget,
     cd_minimize,
     exact_solve_oracle,
     phi_constant,
@@ -77,17 +77,22 @@ def read_trace_csv(path: str, algorithm: str = "") -> Trace:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            trace.records.append(TraceRecord(
-                k=int(parts[0]), fval=float(parts[1]),
-                subgrad_inf=float(parts[2]), backtracks=int(parts[3]),
-                inner_iters=int(parts[4]), step_scalar=float(parts[5]),
-                t_k=float(parts[6]), elapsed_sec=float(parts[7]),
-            ))
+            try:
+                if len(parts) != 8:
+                    raise ValueError(f"{len(parts)} fields, expected 8")
+                trace.records.append(TraceRecord(
+                    k=int(parts[0]), fval=float(parts[1]),
+                    subgrad_inf=float(parts[2]), backtracks=int(parts[3]),
+                    inner_iters=int(parts[4]), step_scalar=float(parts[5]),
+                    t_k=float(parts[6]), elapsed_sec=float(parts[7]),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not trace.records:
         raise ValueError(f"{path}: empty trace")
     return trace
@@ -97,30 +102,30 @@ def read_trace_csv(path: str, algorithm: str = "") -> Trace:
 # Experiment specification
 
 
-_CONFIG_KEYS = {
-    "beta": ("beta", float),
-    "eta": ("eta", float),
-    "tol": ("tol_rel", float),
-    "max_iters": ("max_outer", int),
-    "sigma_growth": ("sigma_growth", float),
-    "sigma_init": ("sigma_init", float),
-    "mu_init": ("mu_init", float),
-    "mu_cap": ("mu_cap", float),
-    "warmup": ("warmup_kbar", int),
-    "backtrack_cap": ("backtrack_cap", int),
-    "memory": ("memory", int),
-    "curvature_eps": ("curvature_eps", float),
-    "seed": ("seed", int),
-    "domination": ("domination", str),
-    "dense_limit": ("dense_limit", int),
-    "subsolver": ("subsolver", str),
-    "exact_tol": ("exact_tol", float),
-}
-_BUDGET_KEYS = {
-    "inner_cap": ("cap", int),
-    "inner_divisor": ("divisor", float),
-    "inner_floor": ("floor", int),
-    "step_eps": ("step_eps", float),
+# Every setting a spec file or a ``proxqn run`` flag can change: the key
+# (the flag is --key with "-" for "_") -> (owner, field, type).
+SETTINGS = {
+    "beta": (OptimizerConfig, "beta", float),
+    "eta": (OptimizerConfig, "eta", float),
+    "tol": (OptimizerConfig, "tol_rel", float),
+    "max_iters": (OptimizerConfig, "max_outer", int),
+    "sigma_growth": (OptimizerConfig, "sigma_growth", float),
+    "sigma_init": (OptimizerConfig, "sigma_init", float),
+    "mu_init": (OptimizerConfig, "mu_init", float),
+    "mu_cap": (OptimizerConfig, "mu_cap", float),
+    "warmup": (OptimizerConfig, "warmup_kbar", int),
+    "backtrack_cap": (OptimizerConfig, "backtrack_cap", int),
+    "memory": (OptimizerConfig, "memory", int),
+    "curvature_eps": (OptimizerConfig, "curvature_eps", float),
+    "seed": (OptimizerConfig, "seed", int),
+    "domination": (OptimizerConfig, "domination", str),
+    "dense_limit": (OptimizerConfig, "dense_limit", int),
+    "subsolver": (OptimizerConfig, "subsolver", str),
+    "exact_tol": (OptimizerConfig, "exact_tol", float),
+    "inner_cap": (SubproblemBudget, "cap", int),
+    "inner_divisor": (SubproblemBudget, "divisor", float),
+    "inner_floor": (SubproblemBudget, "floor", int),
+    "step_eps": (SubproblemBudget, "step_eps", float),
 }
 
 
@@ -128,21 +133,20 @@ def build_config(overrides: dict[str, str],
                  base: OptimizerConfig | None = None) -> OptimizerConfig:
     """Apply flat key=value overrides (CLI/spec-file names) to a config."""
     cfg = base or OptimizerConfig()
-    kwargs = {}
-    budget_kwargs = {}
+    kwargs = {OptimizerConfig: {}, SubproblemBudget: {}}
     for key, raw in overrides.items():
         key = key.replace("-", "_")
-        if key in _CONFIG_KEYS:
-            name, typ = _CONFIG_KEYS[key]
-            kwargs[name] = typ(raw)
-        elif key in _BUDGET_KEYS:
-            name, typ = _BUDGET_KEYS[key]
-            budget_kwargs[name] = typ(raw)
-        else:
+        if key not in SETTINGS:
             raise ValueError(f"unknown configuration key {key!r}")
-    if budget_kwargs:
-        kwargs["budget"] = replace(cfg.budget, **budget_kwargs)
-    return replace(cfg, **kwargs) if kwargs else cfg
+        owner, name, typ = SETTINGS[key]
+        try:
+            kwargs[owner][name] = typ(raw)
+        except ValueError:
+            raise ValueError(f"{key} = {raw!r} is not {typ.__name__}") from None
+    if kwargs[SubproblemBudget]:
+        kwargs[OptimizerConfig]["budget"] = replace(cfg.budget,
+                                                    **kwargs[SubproblemBudget])
+    return replace(cfg, **kwargs[OptimizerConfig])
 
 
 @dataclass
@@ -169,8 +173,21 @@ class ExperimentSpec:
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset/synthetic must be given")
         if self.checkpoints is not None:
+            if any(c < 0 for c in self.checkpoints):
+                raise ValueError(f"checkpoints must be nonnegative: {self.checkpoints}")
             if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
+        build_config(self.common)
+        for alg in dict.fromkeys([*self.algorithms, *self.overrides]):
+            try:
+                self.config(alg)
+            except ValueError as exc:
+                raise ValueError(f"[{alg}] {exc}") from None
+
+    def config(self, algorithm: str) -> OptimizerConfig:
+        """The [experiment] settings, then the algorithm's own section."""
+        return build_config(self.overrides.get(algorithm, {}),
+                            build_config(self.common))
 
 
 def _parse_synthetic(text: str) -> dict:
@@ -317,10 +334,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[ComparisonReport, dict[str, Tr
     os.makedirs(spec.output_dir, exist_ok=True)
     traces: dict[str, Trace] = {}
     for alg in spec.algorithms:
-        cfg = build_config(spec.common)
-        cfg = build_config(spec.overrides.get(alg, {}), cfg)
         try:
-            trace = ALGORITHMS[alg](problem, cfg)
+            trace = ALGORITHMS[alg](problem, spec.config(alg))
         except Exception as exc:
             raise RuntimeError(f"{alg}: {exc}") from exc
         if trace.status == "backtrack_failure":
@@ -503,8 +518,8 @@ def _check_soft_threshold_golden(level, rng):
     for _ in range(cases):
         v = float(rng.standard_normal() * 3)
         tau = float(abs(rng.standard_normal()))
-        ref = _oracles.prox_scalar_reference(v, tau)
-        worst = max(worst, abs(soft_threshold(v, tau) - ref))
+        closed = float(prox_l1_scaled_identity(np.array([v]), 1.0, tau)[0])
+        worst = max(worst, abs(closed - _oracles.prox_scalar_reference(v, tau)))
     return worst <= 1e-8, f"max |closed form - golden section| = {worst:.2e}"
 
 
@@ -516,7 +531,9 @@ def _check_coordinate_step_golden(level, rng):
         b = float(rng.standard_normal() * 2)
         u_j = float(rng.standard_normal())
         lam = float(abs(rng.standard_normal()))
-        z_closed = soft_threshold(u_j - b / a, lam / a) - u_j
+        ws = CdWorkspace(HessianModel.scaled_identity(a, 1), np.array([b]),
+                         np.array([u_j]), lam)
+        z_closed = ws.step(0)
         z_ref = _oracles.coordinate_step_reference(a, b, u_j, lam)
         worst = max(worst, abs(z_closed - z_ref))
     return worst <= 1e-8, f"max coordinate-step deviation {worst:.2e}"
@@ -595,8 +612,8 @@ def _check_compact_vs_dense(level, rng):
         j = int(rng.integers(n))
         e = np.zeros(n)
         e[j] = 1.0
-        if abs(model.diag_element(j) - float(e @ model.apply(e))) > 1e-10:
-            return False, "diag_element inconsistent with apply"
+        if abs(model.cd_parts()[3][j] - float(e @ model.apply(e))) > 1e-10:
+            return False, "subsolver diagonal inconsistent with apply"
     return worst <= 1e-8, f"max matvec relative error {worst:.2e}"
 
 
@@ -635,9 +652,9 @@ def _check_cd_vs_exact(level, rng):
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n)
         lam = 0.2
-        ustar = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
+        ustar, _ = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
         qstar = model_value(model, ustar, v, 0.0, grad_v, l1_value(ustar, lam))
-        u = cd_minimize(model, grad_v, v, lam, 5000, seed=seed)
+        u, _ = cd_minimize(model, grad_v, v, lam, 5000, seed=seed)
         q = model_value(model, u, v, 0.0, grad_v, l1_value(u, lam))
         worst = max(worst, q - qstar)
     return worst <= 1e-6, f"max Q gap after 5000 steps {worst:.2e}"
@@ -658,13 +675,13 @@ def _check_cd_rate(level, rng):
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n)
         lam = 0.2
-        ustar = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
+        ustar, _ = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
         qstar = model_value(model, ustar, v, 0.0, grad_v, l1_value(ustar, lam))
         q0 = model_value(model, v, v, 0.0, grad_v, l1_value(v, lam))
         for r in rs:
             ratios = []
             for seed in range(n_seeds):
-                u = cd_minimize(model, grad_v, v, lam, r, seed=seed)
+                u, _ = cd_minimize(model, grad_v, v, lam, r, seed=seed)
                 q = model_value(model, u, v, 0.0, grad_v, l1_value(u, lam))
                 ratios.append((q - qstar) / (q0 - qstar))
             mean = float(np.mean(ratios))

@@ -58,9 +58,6 @@ class DiagLowRank:
         qd = self.q.T @ d
         return float(self.delta * (d @ d) + qd @ self.w @ qd)
 
-    def diag(self) -> np.ndarray:
-        return self._diag.copy()
-
     def dense(self) -> np.ndarray:
         a = self.delta * np.eye(self.n)
         if self.p:
@@ -212,14 +209,6 @@ class HessianModel:
 
     def quad_form(self, d: np.ndarray) -> float:
         return self.scale * self.core.quad_form(d)
-
-    def diag(self) -> np.ndarray:
-        return self.scale * self.core.diag()
-
-    def diag_element(self, j: int) -> float:
-        if not 0 <= j < self.n:
-            raise IndexError(f"coordinate {j} out of range [0, {self.n})")
-        return float(self.scale * self.core._diag[j])
 
     def dense(self) -> np.ndarray:
         return self.scale * self.core.dense()

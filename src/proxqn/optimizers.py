@@ -134,6 +134,12 @@ class OptimizerConfig:
             raise ValueError("subsolver must be 'cd' or 'exact'")
         if self.warmup_kbar < 0 or self.max_outer < 1:
             raise ValueError("iteration counts must be positive")
+        if self.memory < 1:
+            raise ValueError("memory must be at least 1")
+        if self.tol_rel < 0 or self.curvature_eps < 0 or self.backtrack_cap < 0:
+            raise ValueError("tol, curvature_eps and backtrack_cap must be nonnegative")
+        if self.mu_cap <= 0 or self.exact_tol <= 0:
+            raise ValueError("mu_cap and exact_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -192,15 +198,6 @@ def momentum_point(x_k: np.ndarray, x_km1: np.ndarray, t_k: float,
     return x_k + ((t_k - 1.0) / t_kp1) * (x_k - x_km1)
 
 
-def check_termination(problem: CompositeProblem, x_k: np.ndarray,
-                      initial_subgrad_norm: float, tol_rel: float,
-                      grad: np.ndarray | None = None) -> bool:
-    """Relative min-norm-subgradient stopping rule."""
-    if initial_subgrad_norm <= 0:
-        raise ValueError("initial subgradient norm must be positive")
-    return problem.subgradient_norm(x_k, grad) <= tol_rel * initial_subgrad_norm
-
-
 def theoretical_linear_rate(gamma: float, big_m: float, eta: float) -> float:
     """rho = 1 - eta*gamma/(gamma + M), the strongly convex contraction."""
     if gamma <= 0 or big_m <= 0:
@@ -242,10 +239,9 @@ def _subsolve(model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
     if model.p == 0:
         return solve_scaled_identity(model, grad_v, v, lam), 0
     if config.subsolver == "exact":
-        return exact_solve_oracle(model, grad_v, v, lam, config.exact_tol,
-                                  return_steps=True)
+        return exact_solve_oracle(model, grad_v, v, lam, config.exact_tol)
     return cd_minimize(model, grad_v, v, lam, r, rng,
-                       step_eps=config.budget.step_eps, return_steps=True)
+                       step_eps=config.budget.step_eps)
 
 
 def run_pga(problem: CompositeProblem, config: OptimizerConfig,
@@ -461,13 +457,6 @@ def run_pqna(problem: CompositeProblem, config: OptimizerConfig,
     return trace
 
 
-def _cached_value_grad(problem, y, cache):
-    key = y.tobytes()
-    if key not in cache:
-        cache[key] = problem.value_and_grad(y)
-    return cache[key]
-
-
 def _checked_sigma(sigma: float, k: int) -> float:
     if sigma < SIGMA_UNDERFLOW:
         raise SigmaUnderflowError(f"sigma={sigma:.3e} at iteration {k}")
@@ -559,7 +548,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
     step, or None to keep the momentum point (``backtrack``), and
     (sigma_{k+1}, theta_k) after an accepted one (``advance``).  A
     changed sigma recomputes theta, t_k and y_k, re-evaluating the
-    gradient at the new y_k unless that point was already visited.
+    gradient at y_k unless it did not move.
     """
     lam = problem.lam
     # Accelerated clock: t_0 = 0 and x_{-1} = x_0 make the generic
@@ -580,7 +569,6 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
         r = budget_for_iteration(k, config.budget)
         backtracks = 0
         inner = 0
-        grad_cache = {y.tobytes(): (fy, gy)}
         while True:
             model = policy.model(sigma)
             u, steps = _subsolve(model, gy, y, lam, r, config, rng)
@@ -599,8 +587,12 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
             sigma = _checked_sigma(shrunk, k)
             theta_used = sigma_prev / sigma
             t_k = t_next(t_km1, theta_used)
-            y = momentum_point(x_km1, x_km2, t_km1, t_k)
-            fy, gy = _cached_value_grad(problem, y, grad_cache)
+            y_new = momentum_point(x_km1, x_km2, t_km1, t_k)
+            # sigma only shrinks here, so y_k can only repeat the last y.
+            # Bytewise, so that -0.0 and 0.0 count as different points.
+            if y_new.tobytes() != y.tobytes():
+                y = y_new
+                fy, gy = problem.value_and_grad(y)
         x = u
         grad_x = problem.f_grad(x)
         norm = _subgrad_inf(grad_x, x, lam)

@@ -67,18 +67,8 @@ def l1_value(w: np.ndarray, lam: float) -> float:
     return float(lam * np.sum(np.abs(w)))
 
 
-def soft_threshold(v: float, tau: float) -> float:
-    """sign(v) * max(|v| - tau, 0): minimizer of 0.5(u-v)^2 + tau|u|."""
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
-    if v > tau:
-        return v - tau
-    if v < -tau:
-        return v + tau
-    return 0.0
-
-
 def soft_threshold_vec(v: np.ndarray, tau: float) -> np.ndarray:
+    """sign(v) * max(|v| - tau, 0): minimizer of 0.5||u-v||^2 + tau||u||_1."""
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
@@ -86,6 +76,8 @@ def prox_l1_scaled_identity(v: np.ndarray, mu: float, lam: float) -> np.ndarray:
     """Exact minimizer of lam*||u||_1 + (1/(2 mu))||u - v||^2."""
     if mu <= 0:
         raise ValueError("step must be positive")
+    if lam < 0:
+        raise ValueError("threshold must be nonnegative")
     return soft_threshold_vec(np.asarray(v, dtype=np.float64), mu * lam)
 
 
@@ -126,17 +118,6 @@ class CompositeProblem:
     gamma: float = 0.0
     lipschitz: float | None = None
     name: str = "composite"
-
-    def g_value(self, w: np.ndarray) -> float:
-        return l1_value(w, self.lam)
-
-    def full_value(self, w: np.ndarray) -> float:
-        return self.f_value(w) + self.g_value(w)
-
-    def subgradient_norm(self, w: np.ndarray, grad: np.ndarray | None = None) -> float:
-        if grad is None:
-            grad = self.f_grad(w)
-        return float(np.max(np.abs(min_norm_subgradient(grad, w, self.lam))))
 
 
 def logistic_problem(dataset: Dataset, lam: float) -> CompositeProblem:

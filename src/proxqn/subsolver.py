@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hessian import HessianModel
-from .problem import min_norm_subgradient
+from .problem import min_norm_subgradient, soft_threshold_vec
 
 # Sentinel for the diverging inner-iteration bound as alpha_n -> 1.
 INNER_BOUND_MAX = 10**9
@@ -150,10 +150,9 @@ def cd_minimize(
     r: int,
     seed: int | np.random.Generator = 0,
     step_eps: float = 1e-16,
-    validate_cache_every: int = 0,
-    return_steps: bool = False,
-):
-    """Randomized coordinate descent, r steps from u_0 = v.
+) -> tuple[np.ndarray, int]:
+    """Randomized coordinate descent, r steps from u_0 = v; returns the
+    iterate and the number of steps taken.
 
     Coordinates are drawn uniformly from a seeded PCG64 generator
     (numpy's default_rng) using unbiased bounded sampling, so traces are
@@ -173,19 +172,13 @@ def cd_minimize(
         for j in indices:
             z = ws.step(int(j))
             taken += 1
-            if validate_cache_every and taken % validate_cache_every == 0:
-                err = ws.cache_error()
-                if err > 1e-10:
-                    raise AssertionError(f"gradient cache drifted: {err:.3e}")
             if abs(z) < step_eps:
                 tiny += 1
                 if tiny >= n:
                     break
             else:
                 tiny = 0
-    if return_steps:
-        return ws.u, taken
-    return ws.u
+    return ws.u, taken
 
 
 def exact_solve_oracle(
@@ -195,11 +188,11 @@ def exact_solve_oracle(
     lam: float,
     tol: float,
     max_steps: int = 10**7,
-    return_steps: bool = False,
-):
+) -> tuple[np.ndarray, int]:
     """Cyclic coordinate descent until the subproblem's min-norm
-    subgradient has inf-norm at most tol.  Ground truth for epsilon-
-    minimizer checks; raises past ``max_steps`` coordinate steps.
+    subgradient has inf-norm at most tol; returns the iterate and the
+    number of steps taken.  Ground truth for epsilon-minimizer checks;
+    raises past ``max_steps`` coordinate steps.
 
     A sweep whose largest move falls below the 1e-16 step floor cannot
     improve the certificate any further in double precision, so the
@@ -216,14 +209,14 @@ def exact_solve_oracle(
             min_norm_subgradient(ws.smooth_gradient(), ws.u, lam)
         )))
         if norm <= tol:
-            return (ws.u, steps) if return_steps else ws.u
+            return ws.u, steps
         floor = 1e-16 * (1.0 + float(np.max(np.abs(ws.u))))
         biggest = 0.0
         for j in range(n):
             biggest = max(biggest, abs(ws.step(j)))
         steps += n
         if biggest <= floor:
-            return (ws.u, steps) if return_steps else ws.u
+            return ws.u, steps
         if steps > max_steps:
             raise RuntimeError(
                 f"exact subproblem solve exceeded {max_steps} coordinate steps"
@@ -238,5 +231,4 @@ def solve_scaled_identity(
     if model.p != 0:
         raise ValueError("closed form requires a pure diagonal model")
     c = model.scale * model.core.delta
-    w = v - grad_v / c
-    return np.sign(w) * np.maximum(np.abs(w) - lam / c, 0.0)
+    return soft_threshold_vec(v - grad_v / c, lam / c)

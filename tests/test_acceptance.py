@@ -160,13 +160,13 @@ def test_criterion_4_cd_contraction_rate():
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n)
         lam = 0.2
-        ustar = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
+        ustar, _ = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
         qstar = model_value(model, ustar, v, 0.0, grad_v, l1_value(ustar, lam))
         q0 = model_value(model, v, v, 0.0, grad_v, l1_value(v, lam))
         for r in (20, 100, 500):
             total = 0.0
             for cd_seed in range(200):
-                u = cd_minimize(model, grad_v, v, lam, r, seed=cd_seed)
+                u, _ = cd_minimize(model, grad_v, v, lam, r, seed=cd_seed)
                 q = model_value(model, u, v, 0.0, grad_v, l1_value(u, lam))
                 total += (q - qstar) / (q0 - qstar)
             mean = total / 200.0

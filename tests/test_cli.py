@@ -122,3 +122,80 @@ def test_verify_fast_exits_zero(capsys):
     assert main(["verify", "--level", "fast"]) == 0
     out = capsys.readouterr().out
     assert "OK" in out and "PASS" in out
+
+
+def test_run_takes_every_setting_as_a_flag(capsys):
+    # The exact-subsolver solve of the quadratic-exact benchmark workload.
+    code = main(["run", "--algorithm", "pqna-lbfgs",
+                 "--synthetic", "n=15,gamma=0.1,L=10,seed=0",
+                 "--eta", "1", "--subsolver", "exact", "--exact-tol", "1e-10",
+                 "--tol", "1e-5", "--dense-limit", "100", "--mu-cap", "1e6",
+                 "--backtrack-cap", "60", "--step-eps", "1e-16"])
+    assert code == 0
+    assert "status=converged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--domination", "loose", "domination"),
+    ("--memory", "0", "memory"),
+    ("--tol", "-1", "tol"),
+    ("--mu-cap", "0", "mu_cap"),
+    ("--backtrack-cap", "-1", "backtrack_cap"),
+    ("--curvature-eps", "-1", "curvature_eps"),
+    ("--exact-tol", "0", "exact_tol"),
+])
+def test_run_bad_setting_value_exits_one(capsys, flag, value, named):
+    code = main(["run", "--algorithm", "pqna-lbfgs", "--subsolver", "exact",
+                 "--synthetic", "n=10", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("experiment, section, named", [
+    ("tol_rel = 1e-6", "", "tol_rel"),
+    ("", "[pga]\ndomination = loose\n", "domination"),
+    ("", "[pga]\nmax_iters = lots\n", "max_iters"),
+    ("", "[pqna-fh]\nwarmup = -1\n", "pqna-fh"),
+], ids=["unknown-key", "bad-choice", "bad-number", "unused-section"])
+def test_compare_rejects_bad_settings_before_running(tmp_path, capsys,
+                                                     experiment, section, named):
+    out_dir = tmp_path / "results"
+    spec = tmp_path / "exp.ini"
+    spec.write_text(f"""
+[experiment]
+synthetic = n=10 gamma=0.3 L=5 seed=1
+algorithms = apga, pga
+output_dir = {out_dir}
+{experiment}
+
+{section}""")
+    assert main(["compare", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out_dir.exists()
+
+
+def test_compare_rejects_negative_checkpoint(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    spec = tmp_path / "exp.ini"
+    spec.write_text(f"""
+[experiment]
+synthetic = n=10 gamma=0.3 L=5 seed=1
+algorithms = pga
+output_dir = {out_dir}
+""")
+    assert main(["compare", str(spec), "--checkpoints=-3,5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-3" in err
+    assert not out_dir.exists()
+
+
+def test_diagnose_truncated_trace(tmp_path, capsys):
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(
+        "k,fval,subgrad_inf,backtracks,inner_iters,step_scalar,t_k,elapsed_sec\n"
+        "0,1.5,0.3,0,0,1,1,0.001\n"
+        "1,1.2,0.1\n")
+    assert main(["diagnose", str(trace_path), "--fstar", "1.0"]) == 1
+    assert f"{trace_path}:3" in capsys.readouterr().err

@@ -57,6 +57,16 @@ class TestTraceCsv:
             read_trace_csv(str(path))
 
 
+    @pytest.mark.parametrize("row", ["1,2.0,0.5", "1,2,0.5,0,0,1,1,0.1,9",
+                                     "1,abc,0.5,0,0,1,1,0.1"],
+                             ids=["short", "long", "not-a-number"])
+    def test_bad_row_names_the_line(self, tmp_path, row):
+        path = tmp_path / "short.csv"
+        path.write_text(f"{TRACE_HEADER}\n0,3.0,1.0,0,0,1,1,0.0\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"{path}:4: "):
+            read_trace_csv(str(path))
+
+
 class TestBuildConfig:
     def test_maps_cli_names(self):
         cfg = build_config({"tol": "1e-7", "max_iters": "500", "warmup": "3",

@@ -14,6 +14,7 @@ from proxqn.hessian import (
     estimate_extreme_eigenvalues,
     model_value,
 )
+from proxqn.subsolver import CdWorkspace
 
 
 def admissible_pairs(rng, n, count, memory=10, scale=0.3):
@@ -129,32 +130,35 @@ class TestModelOps:
         np.testing.assert_allclose(model.apply(v), dense @ v,
                                    rtol=1e-10, atol=1e-10)
 
+    # cd_parts()[3] is the diagonal the coordinate-descent step divides by.
     def test_diag_element_cases(self):
         ident = HessianModel.scaled_identity(1.0, 4)
-        assert ident.diag_element(2) == 1.0
+        assert ident.cd_parts()[3][2] == 1.0
         scaled = HessianModel.scaled_identity(4.0, 4)
-        assert scaled.diag_element(0) == 4.0
+        assert scaled.cd_parts()[3][0] == 4.0
         rng = np.random.default_rng(5)
         pairs = admissible_pairs(rng, 12, 5)
         model = HessianModel.lbfgs(compile_compact(pairs))
         dense = model.dense()
+        diag = model.cd_parts()[3]
         for j in range(12):
-            assert model.diag_element(j) == pytest.approx(dense[j, j], rel=1e-10)
+            assert diag[j] == pytest.approx(dense[j, j], rel=1e-10)
 
     def test_diag_element_consistent_with_apply(self):
         rng = np.random.default_rng(6)
         pairs = admissible_pairs(rng, 10, 4)
         model = HessianModel.lbfgs(compile_compact(pairs))
+        diag = model.cd_parts()[3]
         for j in range(10):
             e = np.zeros(10)
             e[j] = 1.0
-            assert model.diag_element(j) == pytest.approx(
-                float(e @ model.apply(e)), abs=1e-12)
+            assert diag[j] == pytest.approx(float(e @ model.apply(e)), abs=1e-12)
 
     def test_diag_element_range_check(self):
         model = HessianModel.scaled_identity(1.0, 3)
+        ws = CdWorkspace(model, np.zeros(3), np.zeros(3), 0.1)
         with pytest.raises(IndexError):
-            model.diag_element(3)
+            ws.step(3)
 
     def test_model_value_at_center(self):
         model = HessianModel.scaled_identity(2.0, 3)

@@ -12,7 +12,7 @@ from proxqn.optimizers import (
     OptimizerConfig,
     SigmaUnderflowError,
     _accepts,
-    check_termination,
+    _subgrad_inf,
     momentum_point,
     run_apga,
     run_apqna,
@@ -119,31 +119,28 @@ class TestScalarOps:
 
 
 class TestTermination:
+    """The drivers stop once _subgrad_inf(grad, x, lam) <= tol_rel * norm0."""
+
     def test_exact_minimizer(self):
         quad = synthesize_quadratic(10, 0.5, 4.0, 1)
         prob = quadratic_problem(quad, 0.0)
         xstar = np.linalg.solve(quad.dense(), quad.b)
-        assert check_termination(prob, xstar, 1.0, 1e-5)
+        assert _subgrad_inf(prob.f_grad(xstar), xstar, prob.lam) <= 1e-5
 
     def test_start_point_not_converged(self):
         prob = quad_problem()
         x0 = np.zeros(prob.n)
-        norm0 = prob.subgradient_norm(x0)
-        assert not check_termination(prob, x0, norm0, 1e-5)
+        norm0 = _subgrad_inf(prob.f_grad(x0), x0, prob.lam)
+        assert norm0 > 0.0
 
     def test_tiny_perturbation_converges(self):
         quad = synthesize_quadratic(10, 0.5, 4.0, 2)
         prob = quadratic_problem(quad, 0.0)
         xstar = np.linalg.solve(quad.dense(), quad.b)
-        norm0 = prob.subgradient_norm(np.zeros(10))
+        norm0 = _subgrad_inf(prob.f_grad(np.zeros(10)), np.zeros(10), prob.lam)
         x = xstar.copy()
         x[0] += 1e-9
-        assert check_termination(prob, x, norm0, 1e-5)
-
-    def test_requires_positive_reference(self):
-        prob = quad_problem()
-        with pytest.raises(ValueError):
-            check_termination(prob, np.zeros(prob.n), 0.0, 1e-5)
+        assert _subgrad_inf(prob.f_grad(x), x, prob.lam) <= 1e-5 * norm0
 
 
 class TestPga:
@@ -424,6 +421,17 @@ def test_positional_x0_is_the_start_point(name):
     trace = ALGORITHMS[name](prob, OptimizerConfig(max_outer=3), x0)
     assert trace.records[0].fval == pytest.approx(
         prob.f_value(x0) + l1_value(x0, prob.lam), rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_stationary_start_returns_row_zero(name):
+    # x0 = 0 is the minimizer once lam >= ||b||_inf: the subgradient is zero.
+    quad = synthesize_quadratic(12, 0.3, 6.0, 3)
+    prob = quadratic_problem(quad, float(np.max(np.abs(quad.b))))
+    trace = ALGORITHMS[name](prob, OptimizerConfig(), np.zeros(prob.n))
+    assert trace.status == CONVERGED
+    assert [r.k for r in trace.records] == [0]
+    assert trace.records[0].subgrad_inf == 0.0
 
 
 class TestConfigValidation:

@@ -12,7 +12,6 @@ from proxqn.problem import (
     logistic_value_and_gradient,
     min_norm_subgradient,
     prox_l1_scaled_identity,
-    soft_threshold,
 )
 
 from conftest import make_dataset
@@ -93,13 +92,13 @@ class TestL1AndProx:
         assert l1_value(np.array([4.0, -7.0]), 0.0) == 0.0
 
     def test_soft_threshold_cases(self):
-        assert soft_threshold(0.0, 1.0) == 0.0
-        assert soft_threshold(3.0, 1.0) == pytest.approx(2.0)
-        assert soft_threshold(-0.4, 1.0) == 0.0
+        np.testing.assert_array_equal(
+            prox_l1_scaled_identity(np.array([0.0, 3.0, -0.4, -3.0]), 1.0, 1.0),
+            [0.0, 2.0, 0.0, -2.0])
 
     def test_soft_threshold_rejects_negative_tau(self):
         with pytest.raises(ValueError):
-            soft_threshold(1.0, -0.1)
+            prox_l1_scaled_identity(np.array([1.0]), 1.0, -0.1)
 
     def test_soft_threshold_matches_golden_section(self):
         rng = np.random.default_rng(1)
@@ -107,8 +106,8 @@ class TestL1AndProx:
         for _ in range(1000):
             v = float(rng.standard_normal() * 3)
             tau = float(abs(rng.standard_normal()))
-            worst = max(worst, abs(soft_threshold(v, tau)
-                                   - prox_scalar_reference(v, tau)))
+            closed = float(prox_l1_scaled_identity(np.array([v]), 1.0, tau)[0])
+            worst = max(worst, abs(closed - prox_scalar_reference(v, tau)))
         assert worst <= 1e-8
 
     def test_prox_identity_when_lambda_zero(self):

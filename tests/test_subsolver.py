@@ -4,7 +4,7 @@ import scipy.linalg
 
 from proxqn._oracles import coordinate_step_reference
 from proxqn.hessian import DiagLowRank, HessianModel, compile_compact, model_value
-from proxqn.problem import l1_value, min_norm_subgradient, soft_threshold
+from proxqn.problem import l1_value, min_norm_subgradient
 from proxqn.subsolver import (
     INNER_BOUND_MAX,
     CdWorkspace,
@@ -27,6 +27,13 @@ def compact_model(seed, n=20, n_pairs=6):
 
 def qval(model, u, v, grad_v, lam):
     return model_value(model, u, v, 0.0, grad_v, l1_value(u, lam))
+
+
+def coordinate_step(a, b, u_j, lam):
+    """The move CdWorkspace.step makes on psi(z) = 0.5 a z^2 + b z + lam |u_j + z|."""
+    ws = CdWorkspace(HessianModel.scaled_identity(a, 1), np.array([b]),
+                     np.array([u_j]), lam)
+    return ws.step(0)
 
 
 class TestBudget:
@@ -91,13 +98,12 @@ class TestCoordinateStep:
     def test_derived_step_matches_golden_section(self):
         # a=2, b=-4, u_j=0, lam=1
         ref = coordinate_step_reference(2.0, -4.0, 0.0, 1.0)
-        closed = soft_threshold(0.0 - (-4.0) / 2.0, 1.0 / 2.0) - 0.0
+        closed = coordinate_step(2.0, -4.0, 0.0, 1.0)
         assert closed == pytest.approx(ref, abs=1e-8)
         assert closed == pytest.approx(1.5, abs=1e-8)
 
     def test_dead_zone(self):
-        closed = soft_threshold(0.0 - 0.5 / 1.0, 1.0 / 1.0) - 0.0
-        assert closed == 0.0
+        assert coordinate_step(1.0, 0.5, 0.0, 1.0) == 0.0
 
     def test_closed_form_vs_golden_section_sweep(self):
         rng = np.random.default_rng(3)
@@ -107,7 +113,7 @@ class TestCoordinateStep:
             b = float(rng.standard_normal() * 2)
             u_j = float(rng.standard_normal())
             lam = float(abs(rng.standard_normal()))
-            closed = soft_threshold(u_j - b / a, lam / a) - u_j
+            closed = coordinate_step(a, b, u_j, lam)
             worst = max(worst, abs(closed - coordinate_step_reference(a, b, u_j, lam)))
         assert worst <= 1e-8
 
@@ -125,12 +131,12 @@ class TestCdMinimize:
     def test_zero_steps_returns_start(self):
         model = compact_model(0)
         v = np.ones(20)
-        u = cd_minimize(model, np.zeros(20), v, 0.1, 0, seed=0)
+        u, _ = cd_minimize(model, np.zeros(20), v, 0.1, 0, seed=0)
         np.testing.assert_array_equal(u, v)
 
     def test_single_newton_step_in_1d(self):
         model = HessianModel.scaled_identity(1.0, 1)
-        u = cd_minimize(model, np.array([3.0]), np.array([1.0]), 0.0, 1, seed=0)
+        u, _ = cd_minimize(model, np.array([3.0]), np.array([1.0]), 0.0, 1, seed=0)
         assert u[0] == pytest.approx(-2.0)
 
     def test_model_value_nonincreasing(self):
@@ -155,9 +161,9 @@ class TestCdMinimize:
             grad_v = rng.standard_normal(20)
             v = rng.standard_normal(20)
             lam = 0.2
-            ustar = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
+            ustar, _ = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
             qstar = qval(model, ustar, v, grad_v, lam)
-            u = cd_minimize(model, grad_v, v, lam, 5000, seed=seed)
+            u, _ = cd_minimize(model, grad_v, v, lam, 5000, seed=seed)
             worst = max(worst, qval(model, u, v, grad_v, lam) - qstar)
         assert worst <= 1e-6
 
@@ -166,36 +172,33 @@ class TestCdMinimize:
         rng = np.random.default_rng(5)
         grad_v = rng.standard_normal(20)
         v = rng.standard_normal(20)
-        a = cd_minimize(model, grad_v, v, 0.1, 500, seed=99)
-        b = cd_minimize(model, grad_v, v, 0.1, 500, seed=99)
+        a, _ = cd_minimize(model, grad_v, v, 0.1, 500, seed=99)
+        b, _ = cd_minimize(model, grad_v, v, 0.1, 500, seed=99)
         np.testing.assert_array_equal(a, b)
-        c = cd_minimize(model, grad_v, v, 0.1, 500, seed=100)
+        c, _ = cd_minimize(model, grad_v, v, 0.1, 500, seed=100)
         assert not np.array_equal(a, c)
 
     def test_early_exit_at_optimum(self):
         model = compact_model(6)
         v = np.zeros(20)
         # grad 0 and lam 0: v is already the minimizer, every step is tiny
-        _, steps = cd_minimize(model, np.zeros(20), v, 0.0, 10_000, seed=0,
-                               return_steps=True)
+        _, steps = cd_minimize(model, np.zeros(20), v, 0.0, 10_000, seed=0)
         assert steps <= 20
 
     def test_cache_consistency_over_long_run(self):
-        model = compact_model(7)
-        rng = np.random.default_rng(8)
-        grad_v = rng.standard_normal(20)
-        v = rng.standard_normal(20)
-        ws = CdWorkspace(model, grad_v, v, 0.15)
-        idx = rng.integers(0, 20, size=10_000)
-        for j in idx:
-            ws.step(int(j))
-        assert ws.cache_error() <= 1e-10
-
-    def test_validate_cache_flag(self):
-        model = compact_model(9)
-        rng = np.random.default_rng(9)
-        cd_minimize(model, rng.standard_normal(20), rng.standard_normal(20),
-                    0.1, 2000, seed=0, validate_cache_every=100)
+        # (model seed, data seed, lam, steps), checked every 100 steps
+        for model_seed, data_seed, lam, steps in ((7, 8, 0.15, 10_000),
+                                                  (9, 9, 0.1, 2000)):
+            model = compact_model(model_seed)
+            rng = np.random.default_rng(data_seed)
+            grad_v = rng.standard_normal(20)
+            v = rng.standard_normal(20)
+            ws = CdWorkspace(model, grad_v, v, lam)
+            idx = rng.integers(0, 20, size=steps)
+            for taken, j in enumerate(idx, 1):
+                ws.step(int(j))
+                if taken % 100 == 0:
+                    assert ws.cache_error() <= 1e-10, (model_seed, taken)
 
 
 class TestExactSolveOracle:
@@ -204,21 +207,21 @@ class TestExactSolveOracle:
         rng = np.random.default_rng(21)
         grad_v = rng.standard_normal(20)
         v = rng.standard_normal(20)
-        u = exact_solve_oracle(model, grad_v, v, 0.0, 1e-12)
+        u, _ = exact_solve_oracle(model, grad_v, v, 0.0, 1e-12)
         ref = v + np.linalg.solve(model.dense(), -grad_v)
         np.testing.assert_allclose(u, ref, atol=1e-9)
 
     def test_zero_gradient_is_fixed_point(self):
         model = compact_model(22)
         v = np.zeros(20)
-        u = exact_solve_oracle(model, np.zeros(20), v, 0.5, 1e-12)
+        u, _ = exact_solve_oracle(model, np.zeros(20), v, 0.5, 1e-12)
         np.testing.assert_allclose(u, v, atol=1e-12)
 
     def test_diagonal_closed_form(self):
         core = DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[1.0]]))
         model = HessianModel.lbfgs(core)  # diag(1, 2)
-        u = exact_solve_oracle(model, np.array([1.0, 1.0]), np.zeros(2),
-                               0.5, 1e-13)
+        u, _ = exact_solve_oracle(model, np.array([1.0, 1.0]), np.zeros(2),
+                                  0.5, 1e-13)
         np.testing.assert_allclose(u, [-0.5, -0.25], atol=1e-12)
 
     def test_subgradient_certificate(self):
@@ -226,7 +229,7 @@ class TestExactSolveOracle:
         rng = np.random.default_rng(23)
         grad_v = rng.standard_normal(20)
         v = rng.standard_normal(20)
-        u = exact_solve_oracle(model, grad_v, v, 0.3, 1e-11)
+        u, _ = exact_solve_oracle(model, grad_v, v, 0.3, 1e-11)
         smooth = grad_v + model.apply(u - v)
         assert np.max(np.abs(min_norm_subgradient(smooth, u, 0.3))) <= 1e-11
 
@@ -249,12 +252,12 @@ class TestContractionRate:
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n)
         lam = 0.2
-        ustar = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
+        ustar, _ = exact_solve_oracle(model, grad_v, v, lam, 1e-12)
         qstar = qval(model, ustar, v, grad_v, lam)
         q0 = qval(model, v, v, grad_v, lam)
         for r in (20, 100):
             ratios = [
-                (qval(model, cd_minimize(model, grad_v, v, lam, r, seed=s),
+                (qval(model, cd_minimize(model, grad_v, v, lam, r, seed=s)[0],
                       v, grad_v, lam) - qstar) / (q0 - qstar)
                 for s in range(200)
             ]
@@ -268,7 +271,7 @@ class TestScaledIdentityShortcut:
         grad_v = rng.standard_normal(8)
         v = rng.standard_normal(8)
         u = solve_scaled_identity(model, grad_v, v, 0.3)
-        ref = exact_solve_oracle(model, grad_v, v, 0.3, 1e-13)
+        ref, _ = exact_solve_oracle(model, grad_v, v, 0.3, 1e-13)
         np.testing.assert_allclose(u, ref, atol=1e-12)
 
     def test_rejects_low_rank_models(self):
