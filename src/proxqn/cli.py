@@ -24,6 +24,7 @@ from .harness import (
     verify_suite,
 )
 from .optimizers import ALGORITHMS
+from .subsolver import cd_backend
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -118,6 +119,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_suite(args.level)
+    print(f"coordinate-descent backend: {cd_backend()}")
     print(report.to_text(), end="")
     return EXIT_OK if report.passed else EXIT_VERIFY
 

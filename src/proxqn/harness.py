@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _oracles
+from . import _oracles, subsolver
 from .dataset import read_libsvm, synthesize_quadratic
 from .hessian import (
     CorrectionPairs,
@@ -50,9 +50,12 @@ from .problem import (
 from .subsolver import (
     CdWorkspace,
     SubproblemBudget,
+    cd_backend,
     cd_minimize,
+    exact_loop,
     exact_solve_oracle,
     phi_constant,
+    random_loop,
 )
 
 TRACE_HEADER = "k,fval,subgrad_inf,backtracks,inner_iters,step_scalar,t_k,elapsed_sec"
@@ -660,6 +663,36 @@ def _check_cd_vs_exact(level, rng):
     return worst <= 1e-6, f"max Q gap after 5000 steps {worst:.2e}"
 
 
+def _check_cd_kernel(level, rng):
+    kernel = subsolver.KERNEL
+    if kernel is None:
+        return True, f"backend {cd_backend()}: no kernel to compare"
+    cases = 200 if level == "full" else 50
+    widest = 0
+    for _ in range(cases):
+        n = int(rng.integers(2, 41))
+        core, _ = _random_compact_model(rng, n, int(rng.integers(0, 13)))
+        model = HessianModel.scaled_fixed(float(rng.uniform(0.2, 5.0)), core)
+        widest = max(widest, model.p)
+        grad_v = rng.standard_normal(n)
+        v = rng.standard_normal(n) * (rng.random(n) < 0.7)
+        lam = float(rng.uniform(0.0, 0.5))
+        indices = rng.integers(0, n, size=500)
+        results = []
+        for random_steps, sweeps in ((kernel.random, kernel.exact),
+                                     (random_loop, exact_loop)):
+            a = CdWorkspace(model, grad_v, v, lam)
+            b = CdWorkspace(model, grad_v, v, lam)
+            results.append((random_steps(a, indices, 1e-16),
+                            sweeps(b, 1e-10, 10**6),
+                            *(x.tobytes() for ws in (a, b)
+                              for x in (ws.u, ws.d, ws.qcache))))
+        if results[0] != results[1]:
+            return False, f"n={n}, p={model.p}: kernel and Python step differ"
+    return True, (f"{cases} instances (n <= 40, p <= {widest}): iterates, "
+                  f"caches and step counts bit-identical")
+
+
 def _check_cd_rate(level, rng):
     import scipy.linalg
     n = 20
@@ -850,6 +883,7 @@ _CHECKS = [
     ("compact_lbfgs_vs_dense_bfgs", _check_compact_vs_dense, ("fast", "full")),
     ("cd_model_decrease_and_cache", _check_cd_monotone, ("fast", "full")),
     ("cd_vs_exact_subproblem_oracle", _check_cd_vs_exact, ("fast", "full")),
+    ("cd_kernel_vs_python_step", _check_cd_kernel, ("fast", "full")),
     ("cd_contraction_vs_phi_rate", _check_cd_rate, ("fast", "full")),
     ("eigenvalue_estimator_vs_dense", _check_eig_estimator, ("fast", "full")),
     ("domination_scaling_and_pathology", _check_domination, ("fast", "full")),

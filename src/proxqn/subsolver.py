@@ -5,6 +5,12 @@ for diagonal-plus-low-rank H.  Each coordinate step is exact (1-D soft
 threshold) and costs O(p) thanks to an incrementally maintained gradient
 cache.  Also houses the inner-iteration budget rules and the cyclic
 solver used as ground truth in tests.
+
+The step loops of :func:`cd_minimize` and :func:`exact_solve_oracle`
+run in the compiled kernel of :mod:`proxqn._cdkernel`, built when this
+module is imported; without a C compiler or numpy's BLAS symbols they
+run in Python.  Both backends give bit-identical results, and
+:meth:`CdWorkspace.step` stays the reference they are checked against.
 """
 
 from __future__ import annotations
@@ -15,11 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _cdkernel
 from .hessian import HessianModel
 from .problem import min_norm_subgradient, soft_threshold_vec
 
 # Sentinel for the diverging inner-iteration bound as alpha_n -> 1.
 INNER_BOUND_MAX = 10**9
+
+# The compiled loops (a ``_cdkernel.Kernel``), or None and the reason
+# the Python loops run instead.
+KERNEL, KERNEL_FALLBACK = _cdkernel.load()
+
+
+def cd_backend() -> str:
+    """``"c"``, or ``"python"`` with the reason the kernel is not used."""
+    if KERNEL is not None:
+        return "c"
+    return f"python ({KERNEL_FALLBACK or 'kernel disabled'})"
 
 
 @dataclass(frozen=True)
@@ -85,18 +103,23 @@ class CdWorkspace:
     Tracks the iterate ``u``, the displacement d = u - v, and the
     low-rank projection q = Q'd, so the j-th smooth-model gradient
     component grad_v[j] + [H(u-v)]_j is available in O(p).
-    Single-owner: one workspace per solve.
+    Single-owner: one workspace per solve.  Its arrays are C-contiguous
+    float64 copies of shape (n,) or (n, p), as the compiled kernel reads
+    them.
     """
 
     def __init__(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
                  lam: float):
+        n = model.n
+        if n < 1:
+            raise ValueError("model dimension must be at least 1")
         eff_delta, q, qw_scaled, diag = model.cd_parts()
-        self.eff_delta = eff_delta
-        self.q = q
-        self.qw_scaled = qw_scaled
-        self.diag = diag
-        self.grad_v = np.asarray(grad_v, dtype=np.float64)
-        self.v = np.asarray(v, dtype=np.float64)
+        self.eff_delta = float(eff_delta)
+        self.q = np.ascontiguousarray(q, dtype=np.float64)
+        self.qw_scaled = np.ascontiguousarray(qw_scaled, dtype=np.float64)
+        self.diag = np.ascontiguousarray(diag, dtype=np.float64)
+        self.grad_v = _vector(grad_v, n, "grad_v")
+        self.v = _vector(v, n, "v")
         self.lam = float(lam)
         self.u = self.v.copy()
         self.d = np.zeros_like(self.v)
@@ -164,21 +187,32 @@ def cd_minimize(
         raise ValueError("step count must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ws = CdWorkspace(model, grad_v, v, lam)
-    n = ws.v.shape[0]
     taken = 0
     if r > 0:
-        indices = rng.integers(0, n, size=r)
-        tiny = 0
-        for j in indices:
-            z = ws.step(int(j))
-            taken += 1
-            if abs(z) < step_eps:
-                tiny += 1
-                if tiny >= n:
-                    break
-            else:
-                tiny = 0
+        indices = rng.integers(0, ws.v.shape[0], size=r)
+        if KERNEL is not None:
+            taken = KERNEL.random(ws, indices, step_eps)
+        else:
+            taken = random_loop(ws, indices, step_eps)
     return ws.u, taken
+
+
+def random_loop(ws: CdWorkspace, indices: np.ndarray, step_eps: float) -> int:
+    """Steps of :func:`cd_minimize` at ``indices`` in Python; the
+    reference for ``KERNEL.random``."""
+    n = ws.v.shape[0]
+    taken = 0
+    tiny = 0
+    for j in indices:
+        z = ws.step(int(j))
+        taken += 1
+        if abs(z) < step_eps:
+            tiny += 1
+            if tiny >= n:
+                break
+        else:
+            tiny = 0
+    return taken
 
 
 def exact_solve_oracle(
@@ -202,25 +236,41 @@ def exact_solve_oracle(
     if tol <= 0:
         raise ValueError("tol must be positive")
     ws = CdWorkspace(model, grad_v, v, lam)
+    if KERNEL is not None:
+        return ws.u, KERNEL.exact(ws, tol, max_steps)
+    return ws.u, exact_loop(ws, tol, max_steps)
+
+
+def exact_loop(ws: CdWorkspace, tol: float, max_steps: int) -> int:
+    """Sweeps of :func:`exact_solve_oracle` in Python; the reference for
+    ``KERNEL.exact``."""
     n = ws.v.shape[0]
     steps = 0
     while True:
         norm = float(np.max(np.abs(
-            min_norm_subgradient(ws.smooth_gradient(), ws.u, lam)
+            min_norm_subgradient(ws.smooth_gradient(), ws.u, ws.lam)
         )))
         if norm <= tol:
-            return ws.u, steps
+            return steps
         floor = 1e-16 * (1.0 + float(np.max(np.abs(ws.u))))
         biggest = 0.0
         for j in range(n):
             biggest = max(biggest, abs(ws.step(j)))
         steps += n
         if biggest <= floor:
-            return ws.u, steps
+            return steps
         if steps > max_steps:
             raise RuntimeError(
                 f"exact subproblem solve exceeded {max_steps} coordinate steps"
             )
+
+
+def _vector(x, n: int, name: str) -> np.ndarray:
+    """A C-contiguous float64 copy of ``x``, which must have shape (n,)."""
+    x = np.array(x, dtype=np.float64, order="C")
+    if x.shape != (n,):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
+    return x
 
 
 def solve_scaled_identity(

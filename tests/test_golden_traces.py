@@ -10,10 +10,13 @@ logistic oracles, the fixed base after warm-ups of 8, 6 and 0
 iterations, an explicit base, a run stopped inside the warm-up, the
 three ``run_pqna`` Hessian modes, and a backtracking failure.
 
-The file pins the numpy, scipy and BLAS builds it was generated with:
-a change of numerical backend (a compiled kernel, another BLAS) moves
-the last bits of the traces.  Such a change regenerates the file
-openly, with a note in CHANGES.md, by running
+Every case runs twice: on the active coordinate-descent backend (the
+compiled kernel wherever it builds) and on the Python loops.  Both must
+match the file, since the kernel forms each product with numpy's own
+BLAS routine and repeats the rest of the arithmetic in the Python
+order.  The file pins the numpy, scipy and BLAS builds it was generated
+with: another BLAS moves the last bits of the traces.  Such a change
+regenerates the file openly, with a note in CHANGES.md, by running
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
@@ -28,6 +31,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from proxqn import subsolver
 from proxqn.dataset import Dataset, synthesize_quadratic
 from proxqn.hessian import DiagLowRank, HessianModel
 from proxqn.optimizers import (
@@ -163,8 +167,7 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_trace_matches_golden(case, golden):
+def check_case(case, golden):
     got = encode(CASES[case]())
     want = golden[case]
     assert got["status"] == want["status"]
@@ -172,6 +175,17 @@ def test_trace_matches_golden(case, golden):
     for i, (a, b) in enumerate(zip(got["records"], want["records"])):
         assert a == b, f"row {i} ({' '.join(COMPARED)}) differs"
     assert got["diagnostics"] == want["diagnostics"]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_matches_golden(case, golden):
+    check_case(case, golden)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_matches_golden_on_python_loops(case, golden, monkeypatch):
+    monkeypatch.setattr(subsolver, "KERNEL", None)
+    check_case(case, golden)
 
 
 def test_golden_file_has_every_case(golden):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from proxqn.dataset import SyntheticQuadratic, synthesize_quadratic
+from proxqn.dataset import synthesize_quadratic
 from proxqn.hessian import DiagLowRank
 from proxqn.optimizers import (
     ALGORITHMS,

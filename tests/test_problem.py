@@ -9,7 +9,6 @@ from proxqn.problem import (
     l1_value,
     logistic_gradient,
     logistic_value,
-    logistic_value_and_gradient,
     min_norm_subgradient,
     prox_l1_scaled_identity,
 )

@@ -1,9 +1,20 @@
+import shutil
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from proxqn import _cdkernel, subsolver
 from proxqn._oracles import coordinate_step_reference
-from proxqn.hessian import DiagLowRank, HessianModel, compile_compact, model_value
+from proxqn.hessian import (
+    CorrectionPairs,
+    DiagLowRank,
+    HessianModel,
+    compile_compact,
+    model_value,
+)
 from proxqn.problem import l1_value, min_norm_subgradient
 from proxqn.subsolver import (
     INNER_BOUND_MAX,
@@ -278,3 +289,150 @@ class TestScaledIdentityShortcut:
         with pytest.raises(ValueError):
             solve_scaled_identity(compact_model(41), np.zeros(20),
                                   np.zeros(20), 0.1)
+
+
+@pytest.fixture(params=["c", "python"])
+def cd_backend(request, monkeypatch):
+    """Runs a test on the compiled loops and again on the Python loops."""
+    if request.param == "python":
+        monkeypatch.setattr(subsolver, "KERNEL", None)
+    elif subsolver.KERNEL is None:
+        pytest.skip(subsolver.cd_backend())
+    return request.param
+
+
+def on_python_loops(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the compiled kernel switched off;
+    returns the result or the message of the error it raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subsolver, "KERNEL", None)
+        return outcome(fn, *args, **kwargs)
+
+
+def outcome(fn, *args, **kwargs):
+    """(u bytes, steps) of a subsolver call, or its error as text."""
+    try:
+        u, steps = fn(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return u.tobytes(), steps
+
+
+def random_instance(seed, n, memory, n_pairs):
+    """A scaled compact L-BFGS model from n_pairs pairs of a random SPD
+    matrix (p = 2 * pairs kept, at most 2 * memory), a gradient of
+    random magnitude and a start point with some zero entries."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    a = m @ m.T / n + 0.1 * np.eye(n)
+    pairs = CorrectionPairs(n, memory=memory)
+    for _ in range(n_pairs):
+        s = rng.standard_normal(n)
+        pairs.update(s, a @ s)
+    model = HessianModel.scaled_fixed(float(rng.uniform(0.2, 5.0)),
+                                      compile_compact(pairs))
+    grad_v = rng.standard_normal(n) * 10.0 ** float(rng.integers(-3, 3))
+    v = rng.standard_normal(n) * (rng.random(n) < 0.7)
+    return model, grad_v, v
+
+
+needs_kernel = pytest.mark.skipif(subsolver.KERNEL is None,
+                                  reason=subsolver.cd_backend())
+# n up to 60 and memory up to 10 give p up to 20: OpenBLAS ddot
+# switches to its unrolled kernel at 16.
+SIZES = dict(n=st.integers(1, 60), memory=st.integers(1, 10),
+             n_pairs=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+             lam=st.sampled_from([0.0, 0.01, 0.3, 3.0]))
+
+
+class TestBackends:
+    def test_kernel_builds_where_cc_and_numpy_blas_exist(self):
+        if shutil.which("cc") is None or isinstance(_cdkernel._numpy_blas(), str):
+            pytest.skip(subsolver.cd_backend())
+        assert subsolver.KERNEL is not None, subsolver.KERNEL_FALLBACK
+        assert subsolver.cd_backend() == "c"
+
+    def test_load_reports_missing_blas_symbol(self, monkeypatch):
+        monkeypatch.setattr(_cdkernel, "DDOT", "no_such_ddot")
+        kernel, reason = _cdkernel.load()
+        assert kernel is None
+        assert "no_such_ddot" in reason or "numpy's BLAS" in reason
+
+    def test_load_reports_compile_error(self, monkeypatch, tmp_path):
+        if shutil.which("cc") is None or isinstance(_cdkernel._numpy_blas(), str):
+            pytest.skip(subsolver.cd_backend())
+        bad = tmp_path / "bad.c"
+        bad.write_text("this is not C\n")
+        monkeypatch.setattr(_cdkernel, "SOURCE", str(bad))
+        kernel, reason = _cdkernel.load()
+        assert kernel is None and reason.startswith("cc failed")
+
+    @needs_kernel
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(r=st.integers(0, 3000),
+           step_eps=st.sampled_from([1e-16, 1e-6, 1e-2, np.inf]), **SIZES)
+    @example(n=40, memory=10, n_pairs=12, seed=1, lam=0.01, r=3000,
+             step_eps=1e-16)
+    def test_kernel_matches_python_cd_minimize(self, n, memory, n_pairs, seed,
+                                               lam, r, step_eps):
+        # step_eps = inf ends every solve with r > n after n tiny moves
+        model, grad_v, v = random_instance(seed, n, memory, n_pairs)
+        args = (cd_minimize, model, grad_v, v, lam, r, seed, step_eps)
+        assert outcome(*args) == on_python_loops(*args)
+
+    @needs_kernel
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(tol=st.sampled_from([1e-3, 1e-8, 1e-12]), **SIZES)
+    @example(n=40, memory=10, n_pairs=12, seed=1, lam=0.01, tol=1e-12)
+    @example(n=1, memory=3, n_pairs=3, seed=2, lam=0.01, tol=1e-12)
+    def test_kernel_matches_python_exact_solve(self, n, memory, n_pairs, seed,
+                                               lam, tol):
+        model, grad_v, v = random_instance(seed, n, memory, n_pairs)
+        args = (exact_solve_oracle, model, grad_v, v, lam, tol, 20_000)
+        assert outcome(*args) == on_python_loops(*args)
+
+    def test_nonpositive_diagonal_raises(self, cd_backend):
+        core = DiagLowRank(1.0, 3, np.array([[0.0], [2.0], [0.0]]),
+                           np.array([[-0.5]]))  # diag (1, -1, 1)
+        model = HessianModel.lbfgs(core)
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="diagonal at coordinate 1"):
+            cd_minimize(model, ones, ones, 0.1, 50, seed=0)
+        with pytest.raises(ValueError, match="diagonal at coordinate 1"):
+            exact_solve_oracle(model, ones, ones, 0.1, 1e-8)
+
+    def test_step_cap_raises(self, cd_backend):
+        model = compact_model(24)
+        rng = np.random.default_rng(24)
+        with pytest.raises(RuntimeError, match="exceeded 40 coordinate steps"):
+            exact_solve_oracle(model, rng.standard_normal(20),
+                               rng.standard_normal(20), 0.1, 1e-30,
+                               max_steps=40)
+
+
+class TestWorkspaceInput:
+    @pytest.mark.parametrize("grad_v, v", [
+        (np.zeros(4), np.zeros(3)),
+        (np.zeros(3), np.zeros(4)),
+        (np.zeros((3, 1)), np.zeros(3)),
+        (np.zeros(3), np.zeros((1, 3))),
+        (np.zeros(2), np.zeros(2)),
+    ])
+    def test_shape_must_be_model_n(self, grad_v, v):
+        model = HessianModel.scaled_identity(1.0, 3)
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            CdWorkspace(model, grad_v, v, 0.1)
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            cd_minimize(model, grad_v, v, 0.1, 10)
+
+    def test_stores_contiguous_float64_copies(self):
+        model = compact_model(3, n=4)
+        grad_v = np.arange(8)[::2]          # int, strided
+        v = np.asfortranarray(np.ones(4))
+        ws = CdWorkspace(model, grad_v, v, 0.1)
+        for name in ("grad_v", "v", "u", "d", "q", "qw_scaled", "diag"):
+            arr = getattr(ws, name)
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+        assert not np.shares_memory(ws.grad_v, grad_v)
+        assert not np.shares_memory(ws.v, v)
+        np.testing.assert_array_equal(ws.grad_v, [0.0, 2.0, 4.0, 6.0])
