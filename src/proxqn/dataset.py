@@ -17,6 +17,7 @@ class Dataset:
 
     Rows are stored in CSR form; ``row(i)`` exposes the (index, value)
     pairs of a single data point with strictly increasing indices.
+    ``matrix_t`` is X' as a CSC matrix over the same arrays, built once.
     """
 
     def __init__(self, matrix: sp.csr_matrix, labels: np.ndarray):
@@ -38,12 +39,17 @@ class Dataset:
                 f"column {matrix.indices[i]}"
             )
         self._X = matrix
+        self._XT = matrix.T
         self._y = labels
         self._y.setflags(write=False)
 
     @property
     def matrix(self) -> sp.csr_matrix:
         return self._X
+
+    @property
+    def matrix_t(self) -> sp.csc_matrix:
+        return self._XT
 
     @property
     def labels(self) -> np.ndarray:

@@ -41,6 +41,7 @@ from .optimizers import (
 )
 from .problem import (
     CompositeProblem,
+    Memo,
     l1_value,
     logistic_problem,
     min_norm_subgradient,
@@ -515,6 +516,23 @@ def _check_gradient_fd(level, rng):
     return worst <= 1e-6, f"max relative gradient error {worst:.2e}"
 
 
+def _check_oracle_memo(level, rng):
+    cases = 100 if level == "full" else 20
+    problems = (logistic_problem(_random_sparse_dataset(rng), 1e-3),
+                quadratic_problem(synthesize_quadratic(15, 0.2, 8.0, 3), 1e-3))
+    for prob in problems:
+        for _ in range(cases):
+            w = rng.standard_normal(prob.n) * (rng.random(prob.n) < 0.7)
+            memo = Memo()
+            prob.f_value(w, memo)
+            if memo.recall(w) is None:
+                return False, f"{prob.name}: f_value left nothing to reuse"
+            if prob.f_grad(w, memo).tobytes() != prob.f_grad(w).tobytes():
+                return False, f"{prob.name}: f_grad differs with the memo"
+    return True, (f"{cases} points on a logistic and a quadratic problem: "
+                  f"f_grad bit-identical with and without the memo")
+
+
 def _check_soft_threshold_golden(level, rng):
     cases = 1000 if level == "full" else 400
     worst = 0.0
@@ -876,6 +894,7 @@ def _check_trace_determinism(level, rng):
 
 _CHECKS = [
     ("gradient_vs_finite_difference", _check_gradient_fd, ("fast", "full")),
+    ("oracle_memo_vs_direct", _check_oracle_memo, ("fast", "full")),
     ("soft_threshold_vs_golden_section", _check_soft_threshold_golden, ("fast", "full")),
     ("coordinate_step_vs_golden_section", _check_coordinate_step_golden, ("fast", "full")),
     ("prox_perturbation_optimality", _check_prox_optimality, ("fast", "full")),

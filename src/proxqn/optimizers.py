@@ -46,6 +46,7 @@ from .hessian import (
 )
 from .problem import (
     CompositeProblem,
+    Memo,
     l1_value,
     min_norm_subgradient,
     prox_l1_scaled_identity,
@@ -261,11 +262,12 @@ def run_pga(problem: CompositeProblem, config: OptimizerConfig,
     if norm0 == 0.0:
         trace.status = CONVERGED
         return trace
+    memo = Memo()
     for k in range(1, config.max_outer + 1):
         backtracks = 0
         while True:
             cand = prox_l1_scaled_identity(x - mu * grad, mu, lam)
-            cand_f = problem.f_value(cand)
+            cand_f = problem.f_value(cand, memo)
             cand_fval = cand_f + l1_value(cand, lam)
             if _accepts(cand_fval, fval, _q_mu(fsm, grad, cand, x, mu, lam),
                         1.0, monotone=True):
@@ -276,7 +278,7 @@ def run_pga(problem: CompositeProblem, config: OptimizerConfig,
                 trace.status = BACKTRACK_FAILURE
                 return trace
         x, fsm, fval = cand, cand_f, cand_fval
-        grad = problem.f_grad(x)
+        grad = problem.f_grad(x, memo)
         norm = _subgrad_inf(grad, x, lam)
         trace.records.append(TraceRecord(k, fval, norm, backtracks, 0, mu, 1.0,
                                          time.perf_counter() - t0))
@@ -305,11 +307,12 @@ def run_apga(problem: CompositeProblem, config: OptimizerConfig,
     if norm0 == 0.0:
         trace.status = CONVERGED
         return trace
+    memo = Memo()
     for k in range(1, config.max_outer + 1):
         backtracks = 0
         while True:
             cand = prox_l1_scaled_identity(y - mu * gy, mu, lam)
-            cand_f = problem.f_value(cand)
+            cand_f = problem.f_value(cand, memo)
             cand_fval = cand_f + l1_value(cand, lam)
             if _accepts(cand_fval, fy + l1_value(y, lam),
                         _q_mu(fy, gy, cand, y, mu, lam), 1.0):
@@ -320,7 +323,7 @@ def run_apga(problem: CompositeProblem, config: OptimizerConfig,
                 trace.status = BACKTRACK_FAILURE
                 return trace
         x = cand
-        grad_x = problem.f_grad(x)
+        grad_x = problem.f_grad(x, memo)
         norm = _subgrad_inf(grad_x, x, lam)
         trace.records.append(TraceRecord(k, cand_fval, norm, backtracks, 0, mu,
                                          t_k, time.perf_counter() - t0))
@@ -385,6 +388,7 @@ def _pqna_engine(problem, config, hessian_mode, trace, t0, norm0, rng,
     None if ``max_outer`` was reached without convergence or failure.
     """
     lam = problem.lam
+    memo = Memo()
     for k in range(state.last_k + 1, max_outer + 1):
         if hessian_mode == "zero":
             core = None
@@ -403,7 +407,7 @@ def _pqna_engine(problem, config, hessian_mode, trace, t0, norm0, rng,
             inner += steps
             qval = model_value(model, u, state.x, state.fsm, state.grad,
                                l1_value(u, lam))
-            u_f = problem.f_value(u)
+            u_f = problem.f_value(u, memo)
             u_fval = u_f + l1_value(u, lam)
             if _accepts(u_fval, state.fval, qval, config.eta, monotone=True):
                 break
@@ -411,7 +415,7 @@ def _pqna_engine(problem, config, hessian_mode, trace, t0, norm0, rng,
             backtracks += 1
             if backtracks > config.backtrack_cap:
                 return BACKTRACK_FAILURE
-        new_grad = problem.f_grad(u)
+        new_grad = problem.f_grad(u, memo)
         if hessian_mode == "lbfgs" or (hessian_mode == "fixed"
                                        and k <= config.warmup_kbar):
             state.pairs.update(u - state.x, new_grad - state.grad)
@@ -562,6 +566,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
     fy, gy = state.fsm, state.grad
     sum_sqrt_sigma = 0.0
     prev_sigma_t2 = None
+    memo = Memo()
     model = policy.model(sigma)
     trace.diagnostics["initial_model"] = (sigma, model.variant, model.core.delta,
                                           model.p)
@@ -574,7 +579,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
             u, steps = _subsolve(model, gy, y, lam, r, config, rng)
             inner += steps
             qval = model_value(model, u, y, fy, gy, l1_value(u, lam))
-            u_fval = problem.f_value(u) + l1_value(u, lam)
+            u_fval = problem.f_value(u, memo) + l1_value(u, lam)
             if _accepts(u_fval, fy + l1_value(y, lam), qval, 1.0):
                 break
             backtracks += 1
@@ -594,7 +599,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
                 y = y_new
                 fy, gy = problem.value_and_grad(y)
         x = u
-        grad_x = problem.f_grad(x)
+        grad_x = problem.f_grad(x, memo)
         norm = _subgrad_inf(grad_x, x, lam)
         trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
                                          sigma, t_k, time.perf_counter() - t0))

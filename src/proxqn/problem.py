@@ -27,39 +27,72 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def logistic_value(dataset: Dataset, w: np.ndarray) -> float:
+class Memo:
+    """One-slot store of an oracle's intermediate at one point.
+
+    ``f_value(w, memo)`` stores the bytes of w as ``key`` and the
+    intermediate it formed (the logistic margins -y*(Xw), the quadratic
+    product Aw) as ``value``; ``f_grad(w, memo)`` reuses ``value`` only
+    when the bytes of its w match ``key``.  A driver run owns its memo,
+    so problems stay pure and shareable.
+    """
+
+    __slots__ = ("key", "value")
+
+    def __init__(self):
+        self.key = None
+        self.value = None
+
+    def store(self, w: np.ndarray, value: np.ndarray) -> None:
+        self.key, self.value = w.tobytes(), value
+
+    def recall(self, w: np.ndarray) -> np.ndarray | None:
+        """The stored value if it was formed at these exact bytes of w."""
+        return self.value if self.key == w.tobytes() else None
+
+
+def _margins(dataset: Dataset, w: np.ndarray) -> np.ndarray:
+    """z = -y * (Xw), the one forward pass of every logistic oracle."""
+    return -dataset.labels * (dataset.matrix @ w)
+
+
+def logistic_value(dataset: Dataset, w: np.ndarray,
+                   memo: Memo | None = None) -> float:
     """Average logistic loss (1/m) sum_i log(1 + exp(-y_i w'x_i))."""
-    w = _check_dim(dataset, w)
-    margins = dataset.matrix @ w
-    return float(np.mean(softplus(-dataset.labels * margins)))
+    w = _check_dim(dataset.n_features, w)
+    z = _margins(dataset, w)
+    if memo is not None:
+        memo.store(w, z)
+    return float(np.mean(softplus(z)))
 
 
-def logistic_gradient(dataset: Dataset, w: np.ndarray) -> np.ndarray:
+def logistic_gradient(dataset: Dataset, w: np.ndarray,
+                      memo: Memo | None = None) -> np.ndarray:
     """Gradient -(1/m) sum_i y_i sigmoid(-y_i w'x_i) x_i."""
-    w = _check_dim(dataset, w)
-    margins = dataset.matrix @ w
-    coeff = -dataset.labels * expit(-dataset.labels * margins)
-    return (dataset.matrix.T @ coeff) / dataset.n_points
+    w = _check_dim(dataset.n_features, w)
+    z = None if memo is None else memo.recall(w)
+    if z is None:
+        z = _margins(dataset, w)
+    coeff = -dataset.labels * expit(z)
+    return (dataset.matrix_t @ coeff) / dataset.n_points
 
 
 def logistic_value_and_gradient(
     dataset: Dataset, w: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Loss and gradient sharing a single pass over the margins."""
-    w = _check_dim(dataset, w)
-    margins = -dataset.labels * (dataset.matrix @ w)
-    value = float(np.mean(softplus(margins)))
-    coeff = -dataset.labels * expit(margins)
-    grad = (dataset.matrix.T @ coeff) / dataset.n_points
+    w = _check_dim(dataset.n_features, w)
+    z = _margins(dataset, w)
+    value = float(np.mean(softplus(z)))
+    coeff = -dataset.labels * expit(z)
+    grad = (dataset.matrix_t @ coeff) / dataset.n_points
     return value, grad
 
 
-def _check_dim(dataset: Dataset, w: np.ndarray) -> np.ndarray:
+def _check_dim(n: int, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (dataset.n_features,):
-        raise ValueError(
-            f"w has shape {w.shape}, expected ({dataset.n_features},)"
-        )
+    if w.shape != (n,):
+        raise ValueError(f"w has shape {w.shape}, expected ({n},)")
     return w
 
 
@@ -108,12 +141,18 @@ class CompositeProblem:
     ``lipschitz`` an upper bound on the gradient Lipschitz constant
     (None when unknown).  Oracles are pure; instances can be shared
     across concurrent runs.
+
+    ``f_value(w, memo=None)`` and ``f_grad(w, memo=None)`` take a
+    :class:`Memo` that the driver run owns: the drivers pass it to every
+    trial ``f_value`` and to the ``f_grad`` at the accepted point, so
+    ``f_grad`` can reuse what ``f_value`` formed at the same w.  A
+    user-built oracle must accept ``memo`` and may ignore it.
     """
 
     n: int
     lam: float
-    f_value: Callable[[np.ndarray], float]
-    f_grad: Callable[[np.ndarray], np.ndarray]
+    f_value: Callable[..., float]
+    f_grad: Callable[..., np.ndarray]
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     gamma: float = 0.0
     lipschitz: float | None = None
@@ -139,8 +178,8 @@ def logistic_problem(dataset: Dataset, lam: float) -> CompositeProblem:
     return CompositeProblem(
         n=dataset.n_features,
         lam=lam,
-        f_value=lambda w: logistic_value(dataset, w),
-        f_grad=lambda w: logistic_gradient(dataset, w),
+        f_value=lambda w, memo=None: logistic_value(dataset, w, memo),
+        f_grad=lambda w, memo=None: logistic_gradient(dataset, w, memo),
         value_and_grad=lambda w: logistic_value_and_gradient(dataset, w),
         gamma=0.0,
         lipschitz=lipschitz,
@@ -153,11 +192,19 @@ def quadratic_problem(quad: SyntheticQuadratic, lam: float) -> CompositeProblem:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
 
-    def value(w: np.ndarray) -> float:
-        return float(0.5 * w @ quad.matvec(w) - quad.b @ w)
+    def value(w: np.ndarray, memo: Memo | None = None) -> float:
+        w = _check_dim(quad.n, w)
+        aw = quad.matvec(w)
+        if memo is not None:
+            memo.store(w, aw)
+        return float(0.5 * w @ aw - quad.b @ w)
 
-    def grad(w: np.ndarray) -> np.ndarray:
-        return quad.matvec(w) - quad.b
+    def grad(w: np.ndarray, memo: Memo | None = None) -> np.ndarray:
+        w = _check_dim(quad.n, w)
+        aw = None if memo is None else memo.recall(w)
+        if aw is None:
+            aw = quad.matvec(w)
+        return aw - quad.b
 
     def value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
         aw = quad.matvec(w)

@@ -44,13 +44,13 @@ def broken_problem():
     """Objective that is finite only at the origin: no step is ever
     acceptable, so backtracking must hit its cap."""
 
-    def value(w):
+    def value(w, memo=None):
         return 0.0 if not np.any(w) else float("inf")
 
     return CompositeProblem(
         n=3, lam=0.0,
         f_value=value,
-        f_grad=lambda w: np.ones(3),
+        f_grad=lambda w, memo=None: np.ones(3),
         value_and_grad=lambda w: (value(w), np.ones(3)),
     )
 

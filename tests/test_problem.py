@@ -1,16 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import proxqn.problem
+from proxqn import ALGORITHMS, OptimizerConfig
 from proxqn._oracles import (
     directional_derivative,
     prox_scalar_reference,
 )
+from proxqn.dataset import Dataset, synthesize_quadratic
 from proxqn.problem import (
+    Memo,
     l1_value,
     logistic_gradient,
+    logistic_problem,
     logistic_value,
     min_norm_subgradient,
     prox_l1_scaled_identity,
+    quadratic_problem,
 )
 
 from conftest import make_dataset
@@ -211,3 +222,89 @@ class TestConvexity:
             y = rng.standard_normal(prob.n)
             gap = (prob.f_grad(x) - prob.f_grad(y)) @ (x - y)
             assert gap >= prob.gamma * np.linalg.norm(x - y) ** 2 - 1e-10
+
+
+def _random_problem(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        return quadratic_problem(synthesize_quadratic(n, 0.1, 10.0, seed), 0.01)
+    m = int(rng.integers(1, 30))
+    mat = sp.random(m, n, density=0.5, format="csr", random_state=seed)
+    mat.data = rng.standard_normal(mat.nnz)
+    labels = np.where(rng.standard_normal(m) > 0, 1.0, -1.0)
+    return logistic_problem(Dataset(mat, labels), 0.01)
+
+
+@st.composite
+def problem_and_point(draw):
+    """A small logistic or quadratic problem and a point as a float or
+    int array or a list."""
+    kind = draw(st.sampled_from(["logistic", "quadratic"]))
+    n = draw(st.integers(1 if kind == "logistic" else 2, 12))
+    prob = _random_problem(kind, n, draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(["float", "int", "list"]))
+    if form == "int":
+        w = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    else:
+        w = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+        w = w if form == "list" else np.array(w)
+    return prob, w
+
+
+def _bytes(a):
+    return np.asarray(a).tobytes()
+
+
+class TestOracleMemo:
+    """f_grad(w, memo) after f_value(w, memo) reuses the margins (logistic)
+    or Aw (quadratic) that f_value formed; the gradient's bits must not
+    depend on whether it did."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(problem_and_point())
+    def test_grad_after_value_matches_direct(self, case):
+        prob, w = case
+        memo = Memo()
+        prob.f_value(w, memo)
+        assert memo.key == _bytes(np.asarray(w, dtype=np.float64))
+        assert _bytes(prob.f_grad(w, memo)) == _bytes(prob.f_grad(w))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(problem_and_point())
+    def test_memo_misses_for_other_points(self, case):
+        prob, w = case
+        w = np.array(w, dtype=np.float64)
+        assert _bytes(prob.f_grad(w, Memo())) == _bytes(prob.f_grad(w))
+
+        memo = Memo()
+        prob.f_value(w, memo)
+        other = w + 1.0
+        assert _bytes(prob.f_grad(other, memo)) == _bytes(prob.f_grad(other))
+
+        memo = Memo()
+        prob.f_value(w, memo)
+        w += 1.0
+        assert _bytes(prob.f_grad(w, memo)) == _bytes(prob.f_grad(w.copy()))
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_one_forward_pass_per_value_evaluation(self, algorithm,
+                                                   small_logistic, monkeypatch):
+        calls = dict.fromkeys(("f_value", "f_grad", "value_and_grad",
+                               "forward"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(proxqn.problem, "_margins",
+                            counted("forward", proxqn.problem._margins))
+        prob = replace(small_logistic, **{
+            name: counted(name, getattr(small_logistic, name))
+            for name in ("f_value", "f_grad", "value_and_grad")})
+        trace = ALGORITHMS[algorithm](
+            prob, OptimizerConfig(tol_rel=1e-6, max_outer=300, warmup_kbar=3))
+        assert trace.iterations > 3
+        assert calls["f_grad"] == trace.iterations
+        assert calls["forward"] == calls["f_value"] + calls["value_and_grad"]
