@@ -7,7 +7,6 @@ Hessian models, with a randomized coordinate-descent subproblem solver.
 
 from .dataset import (
     Dataset,
-    DatasetStats,
     SyntheticQuadratic,
     dataset_stats,
     read_libsvm,
@@ -53,7 +52,6 @@ from .subsolver import (
     cd_minimize,
     exact_solve_oracle,
     phi_constant,
-    theoretical_inner_bound,
 )
 
 __version__ = "0.1.0"

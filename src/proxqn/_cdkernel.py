@@ -82,14 +82,9 @@ class Kernel:
 
 
 def _arrays(ws) -> _Workspace:
-    """Pointers into ``ws``, whose arrays are C-contiguous float64 and
-    outlive the call."""
-    return _Workspace(
-        ws.v.shape[0], ws.qcache.shape[0], ws.eff_delta, ws.lam,
-        ws.q.ctypes.data, ws.qw_scaled.ctypes.data, ws.diag.ctypes.data,
-        ws.grad_v.ctypes.data, ws.u.ctypes.data, ws.d.ctypes.data,
-        ws.qcache.ctypes.data, 0,
-    )
+    """Pointers into ``ws``, whose block outlives the call."""
+    return _Workspace(ws.v.shape[0], ws.qcache.shape[0], ws.eff_delta, ws.lam,
+                      *ws.addresses(), 0)
 
 
 def _numpy_blas() -> tuple[ctypes.c_void_p, ctypes.c_void_p] | str:

@@ -39,9 +39,11 @@ class DiagLowRank:
                 raise ValueError("factor rows must match dimension")
             self.q = np.asarray(q, dtype=np.float64)
             self.w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
-        # qw caches Q W for O(p) coordinate work in the subsolver.
+        # qw caches Q W for O(p) coordinate work in the subsolver, and
+        # _low_rank_diag the diagonal of Q W Q', which shifted() reuses.
         self.qw = self.q @ self.w
-        self._diag = self.delta + np.einsum("ij,ij->i", self.qw, self.q)
+        self._low_rank_diag = np.einsum("ij,ij->i", self.qw, self.q)
+        self._diag = self.delta + self._low_rank_diag
 
     @property
     def p(self) -> int:
@@ -65,16 +67,31 @@ class DiagLowRank:
         return a
 
     def shifted(self, shift: float) -> "DiagLowRank":
-        """Same low-rank part with delta increased by ``shift``."""
-        return DiagLowRank(self.delta + shift, self.n, self.q, self.w)
+        """Same low-rank part with delta increased by ``shift``.
+
+        Shares q, w, qw and the low-rank diagonal term with ``self``
+        (all read-only), so only delta and the diagonal are new.
+        """
+        delta = self.delta + shift
+        if delta < 0:
+            raise ValueError("diagonal coefficient must be nonnegative")
+        out = object.__new__(DiagLowRank)
+        out.delta = float(delta)
+        out.n = self.n
+        out.q, out.w, out.qw = self.q, self.w, self.qw
+        out._low_rank_diag = self._low_rank_diag
+        out._diag = out.delta + self._low_rank_diag
+        return out
 
 
 class CorrectionPairs:
     """Ring buffer of admissible (s, y) correction pairs.
 
     A pair is stored only when s'y > curvature_eps * ||s|| ||y||, which
-    keeps the compiled compact matrix positive definite.  Single-owner
-    mutable state: one buffer per optimizer run.
+    keeps the compiled compact matrix positive definite.  The pairs are
+    rows of two preallocated (memory, n) arrays, oldest first; evicting
+    the oldest shifts the rest up by one row.  Single-owner mutable
+    state: one buffer per optimizer run.
     """
 
     def __init__(self, n: int, memory: int = 10, curvature_eps: float = 1e-8):
@@ -83,11 +100,12 @@ class CorrectionPairs:
         self.n = int(n)
         self.memory = int(memory)
         self.curvature_eps = float(curvature_eps)
-        self._s: list[np.ndarray] = []
-        self._y: list[np.ndarray] = []
+        self._s = np.empty((self.memory, self.n))
+        self._y = np.empty((self.memory, self.n))
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._s)
+        return self._len
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Append (s, y) if the curvature condition holds; report acceptance."""
@@ -98,20 +116,29 @@ class CorrectionPairs:
         sy = float(s @ y)
         if sy <= self.curvature_eps * np.linalg.norm(s) * np.linalg.norm(y):
             return False
-        self._s.append(s.copy())
-        self._y.append(y.copy())
-        if len(self._s) > self.memory:
-            self._s.pop(0)
-            self._y.pop(0)
+        if self._len == self.memory:
+            self.drop_oldest()
+        self._s[self._len] = s
+        self._y[self._len] = y
+        self._len += 1
         return True
 
     def drop_oldest(self) -> None:
-        self._s.pop(0)
-        self._y.pop(0)
+        if self._len == 0:
+            raise IndexError("no correction pair to drop")
+        self._len -= 1
+        self._s[:self._len] = self._s[1:self._len + 1]
+        self._y[:self._len] = self._y[1:self._len + 1]
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked S, Y with columns in chronological order."""
-        return np.array(self._s).T, np.array(self._y).T
+        """Stacked S, Y of shape (n, len) with columns in chronological
+        order.
+
+        Both are views of the buffer, valid only until the next
+        ``update`` or ``drop_oldest``; a caller that keeps them must
+        copy.
+        """
+        return self._s[:self._len].T, self._y[:self._len].T
 
 
 def compile_compact(pairs: CorrectionPairs) -> DiagLowRank:
@@ -133,13 +160,21 @@ def compile_compact(pairs: CorrectionPairs) -> DiagLowRank:
         sty = s_mat.T @ y_mat
         m = sty.shape[0]
         lower = np.tril(sty, k=-1)
-        middle = np.block([
-            [delta * (s_mat.T @ s_mat), lower],
-            [lower.T, -np.diag(np.diag(sty))],
-        ])
+        middle = np.empty((2 * m, 2 * m))
+        middle[:m, :m] = delta * (s_mat.T @ s_mat)
+        middle[:m, m:] = lower
+        middle[m:, :m] = lower.T
+        # Negating the whole diagonal matrix keeps the -0.0 off-diagonal
+        # entries that np.block used to receive.
+        middle[m:, m:] = -np.diag(np.diag(sty))
         try:
             w = -np.linalg.inv(middle)
-            if not np.all(np.isfinite(w)) or np.linalg.cond(middle) > 1e14:
+            if not np.isfinite(w).all():
+                raise np.linalg.LinAlgError
+            # The 2-norm condition number, as np.linalg.cond forms it;
+            # a zero smallest singular value counts as singular.
+            sv = np.linalg.svd(middle, compute_uv=False)
+            if not (sv[-1] > 0 and sv[0] / sv[-1] <= 1e14):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             if len(pairs) == 1:

@@ -218,7 +218,7 @@ def _start_point(problem: CompositeProblem, x0: np.ndarray | None) -> np.ndarray
 
 
 def _subgrad_inf(grad: np.ndarray, x: np.ndarray, lam: float) -> float:
-    return float(np.max(np.abs(min_norm_subgradient(grad, x, lam))))
+    return float(np.abs(min_norm_subgradient(grad, x, lam)).max())
 
 
 def _q_mu(f_v: float, grad_v: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -405,10 +405,10 @@ def _pqna_engine(problem, config, hessian_mode, trace, t0, norm0, rng,
             model = _shifted_model(core, 1.0 / (2.0 * state.mu), problem.n)
             u, steps = _subsolve(model, state.grad, state.x, lam, r, config, rng)
             inner += steps
-            qval = model_value(model, u, state.x, state.fsm, state.grad,
-                               l1_value(u, lam))
+            u_l1 = l1_value(u, lam)
+            qval = model_value(model, u, state.x, state.fsm, state.grad, u_l1)
             u_f = problem.f_value(u, memo)
-            u_fval = u_f + l1_value(u, lam)
+            u_fval = u_f + u_l1
             if _accepts(u_fval, state.fval, qval, config.eta, monotone=True):
                 break
             state.mu *= config.beta
@@ -578,8 +578,9 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
             model = policy.model(sigma)
             u, steps = _subsolve(model, gy, y, lam, r, config, rng)
             inner += steps
-            qval = model_value(model, u, y, fy, gy, l1_value(u, lam))
-            u_fval = problem.f_value(u, memo) + l1_value(u, lam)
+            u_l1 = l1_value(u, lam)
+            qval = model_value(model, u, y, fy, gy, u_l1)
+            u_fval = problem.f_value(u, memo) + u_l1
             if _accepts(u_fval, fy + l1_value(y, lam), qval, 1.0):
                 break
             backtracks += 1

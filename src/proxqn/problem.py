@@ -97,7 +97,7 @@ def _check_dim(n: int, w: np.ndarray) -> np.ndarray:
 
 
 def l1_value(w: np.ndarray, lam: float) -> float:
-    return float(lam * np.sum(np.abs(w)))
+    return float(lam * np.abs(w).sum())
 
 
 def soft_threshold_vec(v: np.ndarray, tau: float) -> np.ndarray:
@@ -207,6 +207,7 @@ def quadratic_problem(quad: SyntheticQuadratic, lam: float) -> CompositeProblem:
         return aw - quad.b
 
     def value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+        w = _check_dim(quad.n, w)
         aw = quad.matvec(w)
         return float(0.5 * w @ aw - quad.b @ w), aw - quad.b
 

@@ -3,7 +3,7 @@
 Minimizes Q_H(u, v) = f(v) + <grad_v, u-v> + 0.5||u-v||_H^2 + lam*||u||_1
 for diagonal-plus-low-rank H.  Each coordinate step is exact (1-D soft
 threshold) and costs O(p) thanks to an incrementally maintained gradient
-cache.  Also houses the inner-iteration budget rules and the cyclic
+cache.  Also houses the inner-iteration budget rule and the cyclic
 solver used as ground truth in tests.
 
 The step loops of :func:`cd_minimize` and :func:`exact_solve_oracle`
@@ -16,7 +16,6 @@ run in Python.  Both backends give bit-identical results, and
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,6 @@ import numpy as np
 from . import _cdkernel
 from .hessian import HessianModel
 from .problem import min_norm_subgradient, soft_threshold_vec
-
-# Sentinel for the diverging inner-iteration bound as alpha_n -> 1.
-INNER_BOUND_MAX = 10**9
 
 # The compiled loops (a ``_cdkernel.Kernel``), or None and the reason
 # the Python loops run instead.
@@ -77,54 +73,55 @@ def phi_constant(m: float, M: float) -> float:
     return M / m
 
 
-def theoretical_inner_bound(k: int, alpha_n: float, ell: float) -> int:
-    """ceil(k * log(k/ell) / log(1/alpha_n)), clamped to [0, INNER_BOUND_MAX].
-
-    Diagnostic companion to :func:`budget_for_iteration`; diverges as
-    alpha_n approaches 1, in which case the sentinel is returned with a
-    warning.
-    """
-    if not (0.0 < alpha_n < 1.0):
-        raise ValueError("alpha_n must lie in (0, 1)")
-    if ell <= 0:
-        raise ValueError("ell must be positive")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    raw = k * math.log(k / ell) / math.log(1.0 / alpha_n)
-    if raw >= INNER_BOUND_MAX:
-        warnings.warn("inner-iteration bound clamped at sentinel", RuntimeWarning)
-        return INNER_BOUND_MAX
-    return max(0, math.ceil(raw))
-
-
 class CdWorkspace:
     """Mutable state of one coordinate-descent solve.
 
     Tracks the iterate ``u``, the displacement d = u - v, and the
-    low-rank projection q = Q'd, so the j-th smooth-model gradient
-    component grad_v[j] + [H(u-v)]_j is available in O(p).
-    Single-owner: one workspace per solve.  Its arrays are C-contiguous
-    float64 copies of shape (n,) or (n, p), as the compiled kernel reads
-    them.
+    low-rank projection q = Q'd (``qcache``), so the j-th smooth-model
+    gradient component grad_v[j] + [H(u-v)]_j is available in O(p).
+    Single-owner: one workspace per solve.  Its eight arrays, of shape
+    (n,), (n, p) or (p,), are C-contiguous float64 views of one block,
+    ``block``, in the order of ``LAYOUT``; the compiled kernel finds
+    them all from the block's address (``addresses``), so it does not
+    see an attribute that is rebound to another array.
     """
+
+    LAYOUT = ("q", "qw_scaled", "qcache", "diag", "grad_v", "v", "u", "d")
 
     def __init__(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
                  lam: float):
         n = model.n
         if n < 1:
             raise ValueError("model dimension must be at least 1")
+        grad_v = _vector(grad_v, n, "grad_v")
+        v = _vector(v, n, "v")
         eff_delta, q, qw_scaled, diag = model.cd_parts()
+        p = q.shape[1]
         self.eff_delta = float(eff_delta)
-        self.q = np.ascontiguousarray(q, dtype=np.float64)
-        self.qw_scaled = np.ascontiguousarray(qw_scaled, dtype=np.float64)
-        self.diag = np.ascontiguousarray(diag, dtype=np.float64)
-        self.grad_v = _vector(grad_v, n, "grad_v")
-        self.v = _vector(v, n, "v")
         self.lam = float(lam)
-        self.u = self.v.copy()
-        self.d = np.zeros_like(self.v)
-        self.qcache = np.zeros(q.shape[1])
+        self.block = np.zeros(2 * n * p + p + 5 * n)
+        self.q = self.block[:n * p].reshape(n, p)
+        self.qw_scaled = self.block[n * p:2 * n * p].reshape(n, p)
+        self.qcache = self.block[2 * n * p:2 * n * p + p]
+        rows = self.block[2 * n * p + p:].reshape(5, n)
+        self.diag, self.grad_v, self.v, self.u, self.d = rows
+        self.q[...] = q
+        self.qw_scaled[...] = qw_scaled
+        self.diag[...] = diag
+        self.grad_v[...] = grad_v
+        rows[2:4] = v  # v and u
         self.model = model
+
+    def addresses(self) -> tuple[int, ...]:
+        """Addresses of q, qw_scaled, diag, grad_v, u, d and qcache, the
+        arrays the compiled kernel works on, from one read of the
+        block's: they sit at the offsets of ``LAYOUT``."""
+        n, p = self.v.shape[0], self.qcache.shape[0]
+        q = self.block.ctypes.data
+        qcache = q + 16 * n * p
+        diag = qcache + 8 * p
+        return (q, q + 8 * n * p, diag, diag + 8 * n, diag + 24 * n,
+                diag + 32 * n, qcache)
 
     def step(self, j: int) -> float:
         """Exact minimization over coordinate j; returns the move z*."""
@@ -194,7 +191,7 @@ def cd_minimize(
             taken = KERNEL.random(ws, indices, step_eps)
         else:
             taken = random_loop(ws, indices, step_eps)
-    return ws.u, taken
+    return ws.u.copy(), taken
 
 
 def random_loop(ws: CdWorkspace, indices: np.ndarray, step_eps: float) -> int:
@@ -237,8 +234,10 @@ def exact_solve_oracle(
         raise ValueError("tol must be positive")
     ws = CdWorkspace(model, grad_v, v, lam)
     if KERNEL is not None:
-        return ws.u, KERNEL.exact(ws, tol, max_steps)
-    return ws.u, exact_loop(ws, tol, max_steps)
+        steps = KERNEL.exact(ws, tol, max_steps)
+    else:
+        steps = exact_loop(ws, tol, max_steps)
+    return ws.u.copy(), steps
 
 
 def exact_loop(ws: CdWorkspace, tol: float, max_steps: int) -> int:
@@ -266,8 +265,8 @@ def exact_loop(ws: CdWorkspace, tol: float, max_steps: int) -> int:
 
 
 def _vector(x, n: int, name: str) -> np.ndarray:
-    """A C-contiguous float64 copy of ``x``, which must have shape (n,)."""
-    x = np.array(x, dtype=np.float64, order="C")
+    """``x`` as float64, which must have shape (n,)."""
+    x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
     return x

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxqn._oracles import dense_bfgs_matrix
 from proxqn.dataset import synthesize_quadratic
@@ -9,6 +11,7 @@ from proxqn.hessian import (
     DenseLimitExceeded,
     DiagLowRank,
     HessianModel,
+    SingularCompactForm,
     compile_compact,
     enforce_domination,
     estimate_extreme_eigenvalues,
@@ -257,3 +260,173 @@ class TestEnforceDomination:
         model = HessianModel.scaled_identity(1.0, 600)
         with pytest.raises(DenseLimitExceeded):
             enforce_domination(model, 1.0, model, dense_limit=500)
+
+
+class ListPairs:
+    """The list-backed pair buffer that CorrectionPairs replaced, kept as
+    the reference for its ring buffer."""
+
+    def __init__(self, n, memory, curvature_eps=1e-8):
+        self.n, self.memory, self.curvature_eps = n, memory, curvature_eps
+        self._s, self._y = [], []
+
+    def __len__(self):
+        return len(self._s)
+
+    def update(self, s, y):
+        s = np.asarray(s, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        sy = float(s @ y)
+        if sy <= self.curvature_eps * np.linalg.norm(s) * np.linalg.norm(y):
+            return False
+        self._s.append(s.copy())
+        self._y.append(y.copy())
+        if len(self._s) > self.memory:
+            self._s.pop(0)
+            self._y.pop(0)
+        return True
+
+    def drop_oldest(self):
+        self._s.pop(0)
+        self._y.pop(0)
+
+    def pairs(self):
+        return np.array(self._s).T, np.array(self._y).T
+
+
+def reference_compile(pairs):
+    """compile_compact as it was before the ring buffer: the middle
+    matrix from np.block and the singular test from np.linalg.cond."""
+    while True:
+        if len(pairs) == 0:
+            return DiagLowRank(1.0, pairs.n)
+        s_mat, y_mat = pairs.pairs()
+        sy_newest = float(s_mat[:, -1] @ y_mat[:, -1])
+        delta = float(y_mat[:, -1] @ y_mat[:, -1]) / sy_newest
+        sty = s_mat.T @ y_mat
+        lower = np.tril(sty, k=-1)
+        middle = np.block([
+            [delta * (s_mat.T @ s_mat), lower],
+            [lower.T, -np.diag(np.diag(sty))],
+        ])
+        try:
+            w = -np.linalg.inv(middle)
+            if not np.all(np.isfinite(w)) or np.linalg.cond(middle) > 1e14:
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            if len(pairs) == 1:
+                raise SingularCompactForm("single pair")
+            pairs.drop_oldest()
+            continue
+        q = np.hstack([delta * s_mat, y_mat])
+        return DiagLowRank(delta, pairs.n, q, w)
+
+
+CORE_FIELDS = ("q", "w", "qw", "_diag")
+
+
+def core_bytes(core):
+    """Everything a model reads from a core, as bytes and layout."""
+    out = [float(core.delta).hex(), core.n]
+    for name in CORE_FIELDS:
+        arr = getattr(core, name)
+        out += [arr.shape, arr.strides, arr.tobytes()]
+    return out
+
+
+def pair_stream(seed, n, length):
+    """(s, y) pairs from a random SPD matrix, mixed with repeats and
+    near-repeats of the newest pair (ill-conditioned middle matrices,
+    so compile_compact drops old pairs), nearly orthogonal s and y (a
+    single such pair is singular) and negative curvature (rejected)."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    a = m @ m.T / n + 0.1 * np.eye(n)
+    s = rng.standard_normal(n)
+    for kind in rng.integers(0, 6, size=length):
+        if kind <= 1:
+            s = rng.standard_normal(n) * 10.0 ** float(rng.integers(-2, 2))
+        elif kind == 2:
+            s = s.copy()
+        elif kind == 3:
+            s = s + 10.0 ** -float(rng.integers(5, 13)) * rng.standard_normal(n)
+        elif kind == 4 and n > 1:
+            ortho = rng.standard_normal(n)
+            ortho -= (ortho @ s) / (s @ s) * s
+            cos = 10.0 ** -float(rng.uniform(7.0, 7.9))
+            yield s, ortho / np.linalg.norm(ortho) + cos * s / np.linalg.norm(s)
+            continue
+        elif kind == 5:
+            yield s, -(a @ s)
+            continue
+        yield s, a @ s
+
+
+class TestRingBufferCompile:
+    """The ring buffer, the slice-filled compile with one SVD, and the
+    shared low-rank products of ``shifted`` give the bytes of the list
+    buffer, np.block, np.linalg.cond and a freshly built core."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(memory=st.integers(1, 10), n=st.integers(1, 40),
+           length=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           compile_every=st.integers(1, 4))
+    @example(memory=3, n=5, length=30, seed=4, compile_every=1)
+    def test_matches_list_buffer_and_reference_compile(
+            self, memory, n, length, seed, compile_every):
+        ring = CorrectionPairs(n, memory=memory)
+        ref = ListPairs(n, memory)
+        for i, (s, y) in enumerate(pair_stream(seed, n, length)):
+            assert ring.update(s, y) == ref.update(s, y)
+            assert len(ring) == len(ref)
+            if len(ref):
+                for got, want in zip(ring.pairs(), ref.pairs()):
+                    assert got.strides == want.strides
+                    assert got.tobytes() == want.tobytes()
+            if i % compile_every:
+                continue
+            try:
+                want = reference_compile(ref)
+            except SingularCompactForm:
+                with pytest.raises(SingularCompactForm):
+                    compile_compact(ring)
+                continue
+            got = compile_compact(ring)
+            assert len(ring) == len(ref)
+            assert core_bytes(got) == core_bytes(want)
+            assert not np.shares_memory(got.q, ring._s)
+            assert not np.shares_memory(got.q, ring._y)
+            for shift in (0.0, 1e-3, 2.5):
+                fresh = DiagLowRank(got.delta + shift, n, got.q, got.w)
+                assert core_bytes(got.shifted(shift)) == core_bytes(fresh)
+
+    def test_near_parallel_pairs_drop_the_oldest(self):
+        # The stream's near-repeats must reach the drop-oldest retry.
+        dropped = 0
+        for seed in range(20):
+            ring = CorrectionPairs(6, memory=4)
+            for s, y in pair_stream(seed, 6, 30):
+                ring.update(s, y)
+                before = len(ring)
+                try:
+                    compile_compact(ring)
+                except SingularCompactForm:
+                    continue
+                dropped += before - len(ring)
+        assert dropped > 0
+
+    def test_single_nearly_orthogonal_pair_is_singular(self):
+        # cos(s, y) = 3e-8 passes the 1e-8 curvature test, yet the middle
+        # matrix's condition number is about 1/cos^2 > 1e14.
+        s, y = np.array([1.0, 0.0]), np.array([3e-8, 1.0])
+        for buffer, compile_fn in ((CorrectionPairs(2, memory=3), compile_compact),
+                                   (ListPairs(2, 3), reference_compile)):
+            assert buffer.update(s, y)
+            with pytest.raises(SingularCompactForm):
+                compile_fn(buffer)
+
+    def test_shifted_identity_core(self):
+        core = DiagLowRank(1.0, 4)
+        assert core_bytes(core.shifted(0.5)) == core_bytes(DiagLowRank(1.5, 4))
+        with pytest.raises(ValueError, match="nonnegative"):
+            core.shifted(-2.0)

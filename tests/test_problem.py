@@ -308,3 +308,22 @@ class TestOracleMemo:
         assert trace.iterations > 3
         assert calls["f_grad"] == trace.iterations
         assert calls["forward"] == calls["f_value"] + calls["value_and_grad"]
+
+
+class TestQuadraticInput:
+    """All three quadratic oracles convert w to float64 and check its shape."""
+
+    def test_value_and_grad_accepts_a_list(self):
+        prob = quadratic_problem(synthesize_quadratic(3, 0.1, 10.0, 0), 0.1)
+        value, grad = prob.value_and_grad([1, 2, 3])
+        ref_value, ref_grad = prob.value_and_grad(np.array([1.0, 2.0, 3.0]))
+        assert value == ref_value and _bytes(grad) == _bytes(ref_grad)
+        assert value == prob.f_value([1, 2, 3])
+        assert _bytes(grad) == _bytes(prob.f_grad([1, 2, 3]))
+
+    @pytest.mark.parametrize("oracle", ["f_value", "f_grad", "value_and_grad"])
+    @pytest.mark.parametrize("w", [np.zeros(4), np.zeros(2), np.zeros((3, 1))])
+    def test_wrong_shape_is_named(self, oracle, w):
+        prob = quadratic_problem(synthesize_quadratic(3, 0.1, 10.0, 0), 0.1)
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            getattr(prob, oracle)(w)

@@ -17,7 +17,6 @@ from proxqn.hessian import (
 )
 from proxqn.problem import l1_value, min_norm_subgradient
 from proxqn.subsolver import (
-    INNER_BOUND_MAX,
     CdWorkspace,
     SubproblemBudget,
     budget_for_iteration,
@@ -25,7 +24,6 @@ from proxqn.subsolver import (
     exact_solve_oracle,
     phi_constant,
     solve_scaled_identity,
-    theoretical_inner_bound,
 )
 
 from test_hessian import admissible_pairs
@@ -79,24 +77,6 @@ class TestPhiConstant:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             phi_constant(0.0, 1.0)
-
-
-class TestTheoreticalInnerBound:
-    def test_k_equal_ell_gives_zero(self):
-        assert theoretical_inner_bound(5, 0.5, 5.0) == 0
-
-    def test_direct_evaluation(self):
-        assert theoretical_inner_bound(10, 0.5, 1.0) == 34
-
-    def test_sentinel_near_one(self):
-        with pytest.warns(RuntimeWarning):
-            assert theoretical_inner_bound(10, 1 - 1e-15, 1.0) == INNER_BOUND_MAX
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            theoretical_inner_bound(10, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            theoretical_inner_bound(10, 0.5, 0.0)
 
 
 class TestCoordinateStep:
@@ -401,6 +381,21 @@ class TestBackends:
         with pytest.raises(ValueError, match="diagonal at coordinate 1"):
             exact_solve_oracle(model, ones, ones, 0.1, 1e-8)
 
+    def test_returned_iterate_outlives_the_next_solve(self, cd_backend):
+        model, grad_v, v = random_instance(3, 12, 5, 8)
+        first, _ = cd_minimize(model, grad_v, v, 0.1, 200, seed=1)
+        kept = first.tobytes()
+        second, _ = cd_minimize(model, -grad_v, v, 0.1, 200, seed=2)
+        assert first.tobytes() == kept
+        assert second.tobytes() != kept
+
+    def test_exact_solve_returns_the_final_iterate(self, cd_backend):
+        model, grad_v, v = random_instance(5, 15, 5, 8)
+        u, steps = exact_solve_oracle(model, grad_v, v, 0.1, 1e-8)
+        assert steps > 0 and not np.array_equal(u, v)
+        smooth = grad_v + model.apply(u - v)
+        assert np.abs(min_norm_subgradient(smooth, u, 0.1)).max() <= 1e-8
+
     def test_step_cap_raises(self, cd_backend):
         model = compact_model(24)
         rng = np.random.default_rng(24)
@@ -430,9 +425,19 @@ class TestWorkspaceInput:
         grad_v = np.arange(8)[::2]          # int, strided
         v = np.asfortranarray(np.ones(4))
         ws = CdWorkspace(model, grad_v, v, 0.1)
-        for name in ("grad_v", "v", "u", "d", "q", "qw_scaled", "diag"):
+        for name in CdWorkspace.LAYOUT:
             arr = getattr(ws, name)
             assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+            assert np.shares_memory(arr, ws.block), name
+        assert ws.qcache.shape == (model.p,) and not ws.qcache.any()
         assert not np.shares_memory(ws.grad_v, grad_v)
         assert not np.shares_memory(ws.v, v)
         np.testing.assert_array_equal(ws.grad_v, [0.0, 2.0, 4.0, 6.0])
+
+    @pytest.mark.parametrize("model", [compact_model(3, n=5),
+                                       HessianModel.scaled_identity(2.0, 3)])
+    def test_kernel_addresses_are_the_arrays(self, model):
+        ws = CdWorkspace(model, np.ones(model.n), np.zeros(model.n), 0.1)
+        names = ("q", "qw_scaled", "diag", "grad_v", "u", "d", "qcache")
+        assert ws.addresses() == tuple(getattr(ws, name).ctypes.data
+                                       for name in names)
