@@ -1,16 +1,28 @@
-/* Coordinate-descent loops of proxqn.subsolver in C.
+/* Coordinate-descent loops of proxqn.subsolver and the passes of the
+ * logistic oracle of proxqn.problem in C.
  *
- * Each function repeats the Python reference (CdWorkspace.step and the
- * loops of cd_minimize and exact_solve_oracle) operation for operation,
- * so the results are bit-identical to it.  This holds because:
+ * Each function repeats its Python reference (CdWorkspace.step, the
+ * loops of cd_minimize and exact_solve_oracle, and the numpy/scipy
+ * expressions of the logistic oracle) operation for operation, so the
+ * results are bit-identical to it.  This holds because:
  *  - every product numpy forms with `@` is formed here by the same BLAS
  *    routine with the same arguments (cd_bind_blas receives numpy's own
  *    ddot and dgemv);
+ *  - every sparse product sums each output element from 0.0 in the
+ *    order scipy's csr_matvec and csc_matvec do, and expit is
+ *    1/(1+exp(-z)) with libm's exp, as scipy's;
  *  - all other arithmetic is plain double arithmetic in the Python
  *    order, built with -ffp-contract=off so no multiply-add is fused.
+ *
+ * The logistic passes split their output elements over OpenMP threads
+ * when built with -fopenmp.  Each element is still formed by one thread
+ * in the serial order, so the thread count does not change a bit.
  */
 #include <math.h>
 #include <stdint.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *,
                           int64_t);
@@ -150,5 +162,72 @@ int64_t cd_exact(workspace *w, double tol, int64_t max_steps, double *scratch)
             return steps;
         if (steps > max_steps)
             return -2;
+    }
+}
+
+/* Below this many nonzeros in X a logistic pass runs on the calling
+ * thread alone: starting the thread team would cost more than it saves. */
+#define PARALLEL_NNZ 32768
+
+/* Set in a child made by fork(): the child has none of libgomp's
+ * threads, and a parallel region there would wait for them forever. */
+static int forked;
+
+void lg_after_fork(void)
+{
+    forked = 1;
+}
+
+/* Threads a parallel logistic pass uses, or 0 when built without OpenMP. */
+int lg_threads(void)
+{
+#ifdef _OPENMP
+    return forked ? 1 : omp_get_max_threads();
+#else
+    return 0;
+#endif
+}
+
+int64_t lg_parallel_nnz(void)
+{
+    return PARALLEL_NNZ;
+}
+
+/* z = -y * (X w) for X in CSR form with m rows: each row is summed from
+ * 0.0 in index order, as scipy's csr_matvec does. */
+void lg_margins(int64_t m, const int32_t *indptr, const int32_t *indices,
+                const double *data, const double *y, const double *w,
+                double *z)
+{
+#pragma omp parallel for schedule(static) if (!forked && indptr[m] >= PARALLEL_NNZ)
+    for (int64_t i = 0; i < m; i++) {
+        double s = 0.0;
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; k++)
+            s += data[k] * w[indices[k]];
+        z[i] = -y[i] * s;
+    }
+}
+
+/* grad = (X' c) / m with the coefficients c = -y * expit(z) stored in
+ * coeff, for X' in CSR form with n rows (the features).  Each feature
+ * gathers its nonzeros in increasing data-point order, the order in
+ * which scipy's csc_matvec scatters them for X' held as CSC.  Features
+ * differ widely in their nonzero counts, hence the dynamic schedule. */
+void lg_gradient(int64_t m, int64_t n, const int32_t *indptr,
+                 const int32_t *indices, const double *data, const double *y,
+                 const double *z, double *coeff, double *grad)
+{
+#pragma omp parallel if (!forked && indptr[n] >= PARALLEL_NNZ)
+    {
+#pragma omp for schedule(static)
+        for (int64_t i = 0; i < m; i++)
+            coeff[i] = -y[i] * (1.0 / (1.0 + exp(-z[i])));
+#pragma omp for schedule(dynamic, 4)
+        for (int64_t j = 0; j < n; j++) {
+            double s = 0.0;
+            for (int32_t k = indptr[j]; k < indptr[j + 1]; k++)
+                s += data[k] * coeff[indices[k]];
+            grad[j] = s / (double)m;
+        }
     }
 }

@@ -1,11 +1,20 @@
-"""Build and load the compiled coordinate-descent loops (``_cdkernel.c``).
+"""Build and load the compiled kernel (``_cdkernel.c``): the
+coordinate-descent loops of :mod:`proxqn.subsolver` and the three
+passes of the logistic oracle of :mod:`proxqn.problem`.
 
 The C file is compiled with the system ``cc`` into a temporary
-directory and loaded with ctypes.  It calls numpy's own BLAS for the
-products that the Python reference forms with ``@``, so both paths give
-the same bits.  :func:`load` returns the loaded kernel, or ``None`` and
-the reason it could not be built, in which case the subsolver runs its
-Python loops.
+directory and loaded with ctypes when this module is imported.  It
+calls numpy's own BLAS for the products that the Python reference forms
+with ``@``, and sums every sparse product in scipy's order, so both
+paths give the same bits.  It is built with ``-fopenmp`` so that the
+logistic passes split over OpenMP's default thread count (the standard
+``OMP_NUM_THREADS`` sets it); where that build fails it is built once
+more without the flag and those passes run serially, with the same bits.
+
+``KERNEL`` is the loaded kernel, or ``None`` with the reason in
+``FALLBACK``, in which case the subsolver and the logistic oracle run
+their numpy/scipy code.  Setting ``KERNEL`` to ``None`` switches both
+off.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cdkernel.c")
 CFLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
+OPENMP = "-fopenmp"
 # numpy wheels bundle scipy-openblas with 64-bit integer interfaces.
 BLAS_GLOB = "libscipy_openblas64_*.so"
 DDOT = "scipy_cblas_ddot64_"
@@ -39,13 +49,16 @@ class _Workspace(ctypes.Structure):
 
 
 class Kernel:
-    """The two loops over a ``CdWorkspace``, which they update in place.
+    """The two loops over a ``CdWorkspace``, which they update in place,
+    and the logistic oracle's passes.
 
-    Both return the number of coordinate steps taken and raise the
-    errors the Python loops raise.
+    The loops return the number of coordinate steps taken and raise the
+    errors the Python loops raise.  A logistic pass over at least
+    ``parallel_nnz`` nonzeros splits over ``threads`` threads; a kernel
+    built without OpenMP, for ``serial_reason``, runs them serially.
     """
 
-    def __init__(self, lib: ctypes.CDLL):
+    def __init__(self, lib: ctypes.CDLL, serial_reason: str = ""):
         ws = ctypes.POINTER(_Workspace)
         self._random = lib.cd_random
         self._random.argtypes = [ws, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
@@ -53,6 +66,29 @@ class Kernel:
         self._exact = lib.cd_exact
         self._exact.argtypes = [ws, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
         self._exact.restype = ctypes.c_int64
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        self._margins = lib.lg_margins
+        self._margins.argtypes = [i64] + [ptr] * 6
+        self._margins.restype = None
+        self._gradient = lib.lg_gradient
+        self._gradient.argtypes = [i64, i64] + [ptr] * 7
+        self._gradient.restype = None
+        self._threads = lib.lg_threads
+        self._threads.argtypes = []
+        self._threads.restype = ctypes.c_int
+        lib.lg_parallel_nnz.argtypes = []
+        lib.lg_parallel_nnz.restype = i64
+        self.parallel_nnz = lib.lg_parallel_nnz()
+        self.serial_reason = serial_reason
+        lib.lg_after_fork.argtypes = []
+        lib.lg_after_fork.restype = None
+        os.register_at_fork(after_in_child=lib.lg_after_fork)
+
+    @property
+    def threads(self) -> int:
+        """OpenMP threads of a parallel logistic pass: one in a child
+        made by fork, 0 when built without OpenMP."""
+        return self._threads()
 
     def random(self, ws, indices: np.ndarray, step_eps: float) -> int:
         """Steps at ``indices`` (int64, in [0, n)) until n consecutive
@@ -80,6 +116,39 @@ class Kernel:
             )
         return steps
 
+    @staticmethod
+    def takes(matrix) -> bool:
+        """Whether the logistic passes read this CSR matrix: they take
+        32-bit index arrays, which scipy uses below 2**31 nonzeros."""
+        return matrix.indptr.dtype == np.int32 and matrix.indices.dtype == np.int32
+
+    def margins(self, matrix, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``-labels * (matrix @ w)`` for a CSR ``matrix`` that
+        :meth:`takes` accepts, float64 ``labels`` of its row count and
+        float64 ``w`` of its column count."""
+        w = np.ascontiguousarray(w)
+        z = np.empty(matrix.shape[0])
+        self._margins(matrix.shape[0], *_csr(matrix), labels.ctypes.data,
+                      w.ctypes.data, z.ctypes.data)
+        return z
+
+    def gradient(self, matrix_t, labels: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """``(matrix_t @ (-labels * expit(z))) / m`` for X' as a CSR
+        ``matrix_t`` of shape (n, m) that :meth:`takes` accepts and
+        float64 ``labels`` and margins ``z`` of length m."""
+        n, m = matrix_t.shape
+        coeff = np.empty(m)
+        grad = np.empty(n)
+        self._gradient(m, n, *_csr(matrix_t), labels.ctypes.data,
+                       z.ctypes.data, coeff.ctypes.data, grad.ctypes.data)
+        return grad
+
+
+def _csr(matrix) -> tuple[int, int, int]:
+    """Addresses of a CSR matrix's indptr, indices and data."""
+    return (matrix.indptr.ctypes.data, matrix.indices.ctypes.data,
+            matrix.data.ctypes.data)
+
 
 def _arrays(ws) -> _Workspace:
     """Pointers into ``ws``, whose block outlives the call."""
@@ -104,7 +173,8 @@ def _numpy_blas() -> tuple[ctypes.c_void_p, ctypes.c_void_p] | str:
 
 def load() -> tuple[Kernel | None, str]:
     """Compile and load the kernel: ``(kernel, "")``, or ``(None, reason)``
-    when there is no C compiler or numpy's BLAS symbols are missing."""
+    when there is no C compiler or numpy's BLAS symbols are missing.  A
+    compiler that cannot build with OpenMP gets one more try without it."""
     blas = _numpy_blas()
     if isinstance(blas, str):
         return None, blas
@@ -113,9 +183,13 @@ def load() -> tuple[Kernel | None, str]:
         return None, "no C compiler (cc) on PATH"
     with tempfile.TemporaryDirectory(prefix="proxqn-") as tmp:
         out = os.path.join(tmp, "_cdkernel.so")
+        serial_reason = ""
         try:
-            subprocess.run([cc, *CFLAGS, SOURCE, "-o", out], check=True,
-                           capture_output=True, text=True, timeout=120)
+            try:
+                _compile(cc, [OPENMP], out)
+            except subprocess.CalledProcessError as exc:
+                serial_reason = f"cc {OPENMP} failed: {exc.stderr.strip()[:200]}"
+                _compile(cc, [], out)
             lib = ctypes.CDLL(out)
         except subprocess.CalledProcessError as exc:
             return None, f"cc failed: {exc.stderr.strip()[:200]}"
@@ -124,4 +198,27 @@ def load() -> tuple[Kernel | None, str]:
     lib.cd_bind_blas.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
     lib.cd_bind_blas.restype = None
     lib.cd_bind_blas(*blas)
-    return Kernel(lib), ""
+    return Kernel(lib, serial_reason), ""
+
+
+def _compile(cc: str, flags: list[str], out: str) -> None:
+    subprocess.run([cc, *CFLAGS, *flags, SOURCE, "-o", out], check=True,
+                   capture_output=True, text=True, timeout=120)
+
+
+def backend() -> str:
+    """The active backend: ``"c"`` with its thread count, or the reason
+    its logistic passes run serially; or ``"python"`` with the reason
+    the kernel is not used."""
+    if KERNEL is None:
+        return f"python ({FALLBACK or 'kernel disabled'})"
+    if KERNEL.threads == 0:
+        return f"c, serial ({KERNEL.serial_reason})"
+    return (f"c, {KERNEL.threads} OpenMP thread(s) for logistic passes over "
+            f"at least {KERNEL.parallel_nnz} nonzeros")
+
+
+# The compiled kernel, or None and the reason the Python code runs
+# instead.  The subsolver and the logistic oracle read KERNEL on every
+# call, so setting it to None switches both to their Python code.
+KERNEL, FALLBACK = load()

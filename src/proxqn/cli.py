@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ._cdkernel import backend
 from .harness import (
     SETTINGS,
     ExperimentSpec,
@@ -24,7 +25,6 @@ from .harness import (
     verify_suite,
 )
 from .optimizers import ALGORITHMS
-from .subsolver import cd_backend
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -119,7 +119,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_suite(args.level)
-    print(f"coordinate-descent backend: {cd_backend()}")
+    print(f"backend: {backend()}")
     print(report.to_text(), end="")
     return EXIT_OK if report.passed else EXIT_VERIFY
 

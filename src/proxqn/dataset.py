@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+
+# Parsed entries held as Python objects before they move to typed arrays.
+_FLUSH_ENTRIES = 65536
 
 
 class DatasetFormatError(ValueError):
@@ -17,13 +22,16 @@ class Dataset:
 
     Rows are stored in CSR form; ``row(i)`` exposes the (index, value)
     pairs of a single data point with strictly increasing indices.
-    ``matrix_t`` is X' as a CSC matrix over the same arrays, built once.
+    ``matrix_t`` is X' as a CSR copy of its own (12 bytes per nonzero
+    with 32-bit indices), built on first use: each of its rows lists a
+    feature's nonzeros in increasing data-point order, so ``matrix_t @
+    c`` sums in the order of the CSC scatter over X's own arrays.
     """
 
     def __init__(self, matrix: sp.csr_matrix, labels: np.ndarray):
         matrix = sp.csr_matrix(matrix, dtype=np.float64)
         matrix.sort_indices()
-        labels = np.asarray(labels, dtype=np.float64)
+        labels = np.ascontiguousarray(labels, dtype=np.float64)
         if matrix.shape[0] == 0:
             raise ValueError("dataset must contain at least one point")
         if labels.shape != (matrix.shape[0],):
@@ -39,7 +47,7 @@ class Dataset:
                 f"column {matrix.indices[i]}"
             )
         self._X = matrix
-        self._XT = matrix.T
+        self._XT = None
         self._y = labels
         self._y.setflags(write=False)
 
@@ -48,7 +56,9 @@ class Dataset:
         return self._X
 
     @property
-    def matrix_t(self) -> sp.csc_matrix:
+    def matrix_t(self) -> sp.csr_matrix:
+        if self._XT is None:
+            self._XT = self._X.T.tocsr()
         return self._XT
 
     @property
@@ -147,10 +157,15 @@ def read_libsvm(
     The feature count is the largest index seen unless ``n_features``
     overrides it (LIBSVM files omit trailing all-zero features).
     """
+    # The entries collect in lists, which are fast to append to, and
+    # move to typed arrays every _FLUSH_ENTRIES: a list holds a 32-byte
+    # Python object per value where an array holds 8 bytes, and the
+    # arrays become the matrix's own without a copy.
     raw_labels: list[str] = []
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    indptr = array("q", [0])
+    indices, data = array("i"), array("d")
+    pending_indices: list[int] = []
+    pending_data: list[float] = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -173,13 +188,21 @@ def read_libsvm(
                         f"{path}:{lineno}: indices must be 1-based and strictly increasing"
                     )
                 prev = idx
-                indices.append(idx - 1)
-                data.append(val)
-            indptr.append(len(indices))
+                pending_indices.append(idx - 1)
+                pending_data.append(val)
+            if len(pending_data) >= _FLUSH_ENTRIES:
+                indices.extend(pending_indices)
+                data.extend(pending_data)
+                pending_indices.clear()
+                pending_data.clear()
+            indptr.append(len(indices) + len(pending_indices))
+    indices.extend(pending_indices)
+    data.extend(pending_data)
     if not raw_labels:
         raise DatasetFormatError(f"{path}: no data lines found")
 
-    max_dim = max(indices) + 1 if indices else 0
+    cols = np.asarray(indices, dtype=np.int32)
+    max_dim = int(cols.max()) + 1 if cols.size else 0
     if n_features is None:
         n_features = max_dim
     elif n_features < max_dim:
@@ -191,7 +214,7 @@ def read_libsvm(
 
     labels = _map_labels(raw_labels, positive_label)
     matrix = sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int32), np.asarray(indptr)),
+        (np.asarray(data), cols, np.asarray(indptr)),
         shape=(len(raw_labels), n_features),
     )
     return Dataset(matrix, labels)

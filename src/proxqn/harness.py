@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _oracles, subsolver
+from . import _cdkernel, _oracles
 from .dataset import read_libsvm, synthesize_quadratic
 from .hessian import (
     CorrectionPairs,
@@ -42,8 +42,10 @@ from .optimizers import (
 from .problem import (
     CompositeProblem,
     Memo,
+    gradient_reference,
     l1_value,
     logistic_problem,
+    margins_reference,
     min_norm_subgradient,
     prox_l1_scaled_identity,
     quadratic_problem,
@@ -51,7 +53,6 @@ from .problem import (
 from .subsolver import (
     CdWorkspace,
     SubproblemBudget,
-    cd_backend,
     cd_minimize,
     exact_loop,
     exact_solve_oracle,
@@ -682,9 +683,9 @@ def _check_cd_vs_exact(level, rng):
 
 
 def _check_cd_kernel(level, rng):
-    kernel = subsolver.KERNEL
+    kernel = _cdkernel.KERNEL
     if kernel is None:
-        return True, f"backend {cd_backend()}: no kernel to compare"
+        return True, f"backend {_cdkernel.backend()}: no kernel to compare"
     cases = 200 if level == "full" else 50
     widest = 0
     for _ in range(cases):
@@ -709,6 +710,33 @@ def _check_cd_kernel(level, rng):
             return False, f"n={n}, p={model.p}: kernel and Python step differ"
     return True, (f"{cases} instances (n <= 40, p <= {widest}): iterates, "
                   f"caches and step counts bit-identical")
+
+
+def _check_logistic_kernel(level, rng):
+    kernel = _cdkernel.KERNEL
+    if kernel is None:
+        return True, f"backend {_cdkernel.backend()}: no kernel to compare"
+    cases = 12 if level == "full" else 4
+    largest = 0
+    for case in range(cases):
+        # Every other dataset has enough nonzeros (about 40000 to 95000)
+        # for the passes to split over threads.
+        if case % 2:
+            m, n, density = int(rng.integers(1, 200)), int(rng.integers(1, 40)), 0.3
+        else:
+            m, n, density = int(rng.integers(2000, 3000)), int(rng.integers(25, 40)), 0.8
+        ds = _random_sparse_dataset(rng, m=m, n=n, density=density)
+        largest = max(largest, ds.nnz)
+        for scale in (1e-3, 1.0, 10.0, 800.0):
+            w = rng.standard_normal(ds.n_features) * scale
+            z = kernel.margins(ds.matrix, ds.labels, w)
+            if z.tobytes() != margins_reference(ds, w).tobytes():
+                return False, f"m={m}, nnz={ds.nnz}: margins differ"
+            if (kernel.gradient(ds.matrix_t, ds.labels, z).tobytes()
+                    != gradient_reference(ds, z).tobytes()):
+                return False, f"m={m}, nnz={ds.nnz}: gradients differ"
+    return True, (f"{cases} datasets (nnz <= {largest}): margins and "
+                  f"gradients bit-identical")
 
 
 def _check_cd_rate(level, rng):
@@ -903,6 +931,7 @@ _CHECKS = [
     ("cd_model_decrease_and_cache", _check_cd_monotone, ("fast", "full")),
     ("cd_vs_exact_subproblem_oracle", _check_cd_vs_exact, ("fast", "full")),
     ("cd_kernel_vs_python_step", _check_cd_kernel, ("fast", "full")),
+    ("logistic_kernel_vs_python", _check_logistic_kernel, ("fast", "full")),
     ("cd_contraction_vs_phi_rate", _check_cd_rate, ("fast", "full")),
     ("eigenvalue_estimator_vs_dense", _check_eig_estimator, ("fast", "full")),
     ("domination_scaling_and_pathology", _check_domination, ("fast", "full")),

@@ -297,12 +297,12 @@ def run_apga(problem: CompositeProblem, config: OptimizerConfig,
     x_prev = _start_point(problem, x0)
     y = x_prev.copy()
     fy, gy = problem.value_and_grad(y)
-    fval = fy + l1_value(y, lam)
+    y_fval = fy + l1_value(y, lam)
     norm0 = _subgrad_inf(gy, y, lam)
     mu = config.mu_init
     t_k = 1.0
     trace = Trace(algorithm="apga")
-    trace.records.append(TraceRecord(0, fval, norm0, 0, 0, mu, t_k,
+    trace.records.append(TraceRecord(0, y_fval, norm0, 0, 0, mu, t_k,
                                      time.perf_counter() - t0))
     if norm0 == 0.0:
         trace.status = CONVERGED
@@ -314,8 +314,7 @@ def run_apga(problem: CompositeProblem, config: OptimizerConfig,
             cand = prox_l1_scaled_identity(y - mu * gy, mu, lam)
             cand_f = problem.f_value(cand, memo)
             cand_fval = cand_f + l1_value(cand, lam)
-            if _accepts(cand_fval, fy + l1_value(y, lam),
-                        _q_mu(fy, gy, cand, y, mu, lam), 1.0):
+            if _accepts(cand_fval, y_fval, _q_mu(fy, gy, cand, y, mu, lam), 1.0):
                 break
             mu *= config.beta
             backtracks += 1
@@ -333,6 +332,7 @@ def run_apga(problem: CompositeProblem, config: OptimizerConfig,
         t_new = t_next(t_k, 1.0)
         y = momentum_point(x, x_prev, t_k, t_new)
         fy, gy = problem.value_and_grad(y)
+        y_fval = fy + l1_value(y, lam)
         x_prev = x
         t_k = t_new
     return trace
@@ -564,6 +564,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
     theta_used = 1.0
     y = state.x.copy()
     fy, gy = state.fsm, state.grad
+    y_fval = fy + l1_value(y, lam)
     sum_sqrt_sigma = 0.0
     prev_sigma_t2 = None
     memo = Memo()
@@ -581,7 +582,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
             u_l1 = l1_value(u, lam)
             qval = model_value(model, u, y, fy, gy, u_l1)
             u_fval = problem.f_value(u, memo) + u_l1
-            if _accepts(u_fval, fy + l1_value(y, lam), qval, 1.0):
+            if _accepts(u_fval, y_fval, qval, 1.0):
                 break
             backtracks += 1
             if backtracks > config.backtrack_cap:
@@ -599,6 +600,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
             if y_new.tobytes() != y.tobytes():
                 y = y_new
                 fy, gy = problem.value_and_grad(y)
+                y_fval = fy + l1_value(y, lam)
         x = u
         grad_x = problem.f_grad(x, memo)
         norm = _subgrad_inf(grad_x, x, lam)
@@ -624,6 +626,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
         t_new = t_next(t_k, theta_used)
         y = momentum_point(x, x_km1, t_k, t_new)
         fy, gy = problem.value_and_grad(y)
+        y_fval = fy + l1_value(y, lam)
         x_km2, x_km1 = x_km1, x
         t_km1, t_k = t_k, t_new
     return trace

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
+from . import _cdkernel
 from .dataset import Dataset, SyntheticQuadratic
 
 
@@ -53,7 +54,32 @@ class Memo:
 
 def _margins(dataset: Dataset, w: np.ndarray) -> np.ndarray:
     """z = -y * (Xw), the one forward pass of every logistic oracle."""
+    kernel = _cdkernel.KERNEL
+    if kernel is not None and kernel.takes(dataset.matrix):
+        return kernel.margins(dataset.matrix, dataset.labels, w)
+    return margins_reference(dataset, w)
+
+
+def _gradient(dataset: Dataset, z: np.ndarray) -> np.ndarray:
+    """(1/m) X'c with c = -y * sigmoid(z), from the margins z: one pass
+    over the coefficients and one transpose pass."""
+    kernel = _cdkernel.KERNEL
+    if kernel is not None and kernel.takes(dataset.matrix_t):
+        return kernel.gradient(dataset.matrix_t, dataset.labels, z)
+    return gradient_reference(dataset, z)
+
+
+def margins_reference(dataset: Dataset, w: np.ndarray) -> np.ndarray:
+    """:func:`_margins` in numpy and scipy; the reference for
+    ``Kernel.margins``."""
     return -dataset.labels * (dataset.matrix @ w)
+
+
+def gradient_reference(dataset: Dataset, z: np.ndarray) -> np.ndarray:
+    """:func:`_gradient` in numpy and scipy; the reference for
+    ``Kernel.gradient``."""
+    coeff = -dataset.labels * expit(z)
+    return (dataset.matrix_t @ coeff) / dataset.n_points
 
 
 def logistic_value(dataset: Dataset, w: np.ndarray,
@@ -73,8 +99,7 @@ def logistic_gradient(dataset: Dataset, w: np.ndarray,
     z = None if memo is None else memo.recall(w)
     if z is None:
         z = _margins(dataset, w)
-    coeff = -dataset.labels * expit(z)
-    return (dataset.matrix_t @ coeff) / dataset.n_points
+    return _gradient(dataset, z)
 
 
 def logistic_value_and_gradient(
@@ -83,10 +108,7 @@ def logistic_value_and_gradient(
     """Loss and gradient sharing a single pass over the margins."""
     w = _check_dim(dataset.n_features, w)
     z = _margins(dataset, w)
-    value = float(np.mean(softplus(z)))
-    coeff = -dataset.labels * expit(z)
-    grad = (dataset.matrix_t @ coeff) / dataset.n_points
-    return value, grad
+    return float(np.mean(softplus(z))), _gradient(dataset, z)
 
 
 def _check_dim(n: int, w: np.ndarray) -> np.ndarray:
@@ -170,7 +192,7 @@ def logistic_problem(dataset: Dataset, lam: float) -> CompositeProblem:
     import scipy.sparse.linalg as spla
 
     try:
-        smax = spla.svds(dataset.matrix.astype(np.float64), k=1,
+        smax = spla.svds(dataset.matrix, k=1,
                          return_singular_vectors=False)[0]
         lipschitz = float(smax**2 / (4.0 * dataset.n_points))
     except Exception:

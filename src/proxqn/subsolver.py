@@ -7,10 +7,11 @@ cache.  Also houses the inner-iteration budget rule and the cyclic
 solver used as ground truth in tests.
 
 The step loops of :func:`cd_minimize` and :func:`exact_solve_oracle`
-run in the compiled kernel of :mod:`proxqn._cdkernel`, built when this
-module is imported; without a C compiler or numpy's BLAS symbols they
-run in Python.  Both backends give bit-identical results, and
-:meth:`CdWorkspace.step` stays the reference they are checked against.
+run in the compiled kernel of :mod:`proxqn._cdkernel`, built when that
+module is imported; without a C compiler or numpy's BLAS symbols, or
+with ``_cdkernel.KERNEL`` set to None, they run in Python.  Both
+backends give bit-identical results, and :meth:`CdWorkspace.step`
+stays the reference they are checked against.
 """
 
 from __future__ import annotations
@@ -23,18 +24,6 @@ import numpy as np
 from . import _cdkernel
 from .hessian import HessianModel
 from .problem import min_norm_subgradient, soft_threshold_vec
-
-# The compiled loops (a ``_cdkernel.Kernel``), or None and the reason
-# the Python loops run instead.
-KERNEL, KERNEL_FALLBACK = _cdkernel.load()
-
-
-def cd_backend() -> str:
-    """``"c"``, or ``"python"`` with the reason the kernel is not used."""
-    if KERNEL is not None:
-        return "c"
-    return f"python ({KERNEL_FALLBACK or 'kernel disabled'})"
-
 
 @dataclass(frozen=True)
 class SubproblemBudget:
@@ -187,8 +176,9 @@ def cd_minimize(
     taken = 0
     if r > 0:
         indices = rng.integers(0, ws.v.shape[0], size=r)
-        if KERNEL is not None:
-            taken = KERNEL.random(ws, indices, step_eps)
+        kernel = _cdkernel.KERNEL
+        if kernel is not None:
+            taken = kernel.random(ws, indices, step_eps)
         else:
             taken = random_loop(ws, indices, step_eps)
     return ws.u.copy(), taken
@@ -196,7 +186,7 @@ def cd_minimize(
 
 def random_loop(ws: CdWorkspace, indices: np.ndarray, step_eps: float) -> int:
     """Steps of :func:`cd_minimize` at ``indices`` in Python; the
-    reference for ``KERNEL.random``."""
+    reference for ``Kernel.random``."""
     n = ws.v.shape[0]
     taken = 0
     tiny = 0
@@ -233,8 +223,9 @@ def exact_solve_oracle(
     if tol <= 0:
         raise ValueError("tol must be positive")
     ws = CdWorkspace(model, grad_v, v, lam)
-    if KERNEL is not None:
-        steps = KERNEL.exact(ws, tol, max_steps)
+    kernel = _cdkernel.KERNEL
+    if kernel is not None:
+        steps = kernel.exact(ws, tol, max_steps)
     else:
         steps = exact_loop(ws, tol, max_steps)
     return ws.u.copy(), steps
@@ -242,7 +233,7 @@ def exact_solve_oracle(
 
 def exact_loop(ws: CdWorkspace, tol: float, max_steps: int) -> int:
     """Sweeps of :func:`exact_solve_oracle` in Python; the reference for
-    ``KERNEL.exact``."""
+    ``Kernel.exact``."""
     n = ws.v.shape[0]
     steps = 0
     while True:

@@ -10,11 +10,12 @@ logistic oracles, the fixed base after warm-ups of 8, 6 and 0
 iterations, an explicit base, a run stopped inside the warm-up, the
 three ``run_pqna`` Hessian modes, and a backtracking failure.
 
-Every case runs twice: on the active coordinate-descent backend (the
-compiled kernel wherever it builds) and on the Python loops.  Both must
-match the file, since the kernel forms each product with numpy's own
-BLAS routine and repeats the rest of the arithmetic in the Python
-order.  The file pins the numpy, scipy and BLAS builds it was generated
+Every case runs twice: on the active backend (the compiled kernel
+wherever it builds, for the coordinate-descent loops and the logistic
+oracle) and on the Python code.  Both must match the file, since the
+kernel forms each product with numpy's own BLAS routine, sums each
+sparse product in scipy's order and repeats the rest of the arithmetic
+in the Python order.  The file pins the numpy, scipy and BLAS builds it was generated
 with: another BLAS moves the last bits of the traces.  Such a change
 regenerates the file openly, with a note in CHANGES.md, by running
 
@@ -31,7 +32,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxqn import subsolver
+from proxqn import _cdkernel
 from proxqn.dataset import Dataset, synthesize_quadratic
 from proxqn.hessian import DiagLowRank, HessianModel
 from proxqn.optimizers import (
@@ -184,7 +185,7 @@ def test_trace_matches_golden(case, golden):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_matches_golden_on_python_loops(case, golden, monkeypatch):
-    monkeypatch.setattr(subsolver, "KERNEL", None)
+    monkeypatch.setattr(_cdkernel, "KERNEL", None)
     check_case(case, golden)
 
 

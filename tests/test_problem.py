@@ -1,3 +1,7 @@
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxqn.problem
-from proxqn import ALGORITHMS, OptimizerConfig
+from proxqn import ALGORITHMS, OptimizerConfig, _cdkernel
 from proxqn._oracles import (
     directional_derivative,
     prox_scalar_reference,
@@ -19,6 +23,7 @@ from proxqn.problem import (
     logistic_gradient,
     logistic_problem,
     logistic_value,
+    logistic_value_and_gradient,
     min_norm_subgradient,
     prox_l1_scaled_identity,
     quadratic_problem,
@@ -308,6 +313,138 @@ class TestOracleMemo:
         assert trace.iterations > 3
         assert calls["f_grad"] == trace.iterations
         assert calls["forward"] == calls["f_value"] + calls["value_and_grad"]
+
+
+def _logistic_dataset(rng, m, n, density):
+    """Labels in {-1, +1} and CSR values of random signs and magnitudes
+    from 1e-3 to 1e2, so some rows and columns may be empty."""
+    values = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 3, (m, n))
+    mat = sp.csr_matrix(np.where(rng.random((m, n)) < density, values, 0.0))
+    return Dataset(mat, np.where(rng.random(m) < 0.5, 1.0, -1.0))
+
+
+def _logistic_point(rng, ds, scale):
+    """A random w; scale "800" sets the largest margin to +-800, where
+    exp(-z) and exp(z) overflow."""
+    w = rng.standard_normal(ds.n_features)
+    if scale != "800":
+        return w * scale
+    top = np.max(np.abs(ds.matrix @ w), initial=0.0)
+    return w * (800.0 / top) if top > 0 else w
+
+
+def logistic_oracle_bytes(ds, w):
+    """Bytes of f_value, of f_grad with and without the memo f_value
+    filled, and of value_and_grad at w."""
+    memo = Memo()
+    value = logistic_value(ds, w, memo)
+    with_memo = logistic_gradient(ds, w, memo)
+    pair = logistic_value_and_gradient(ds, w)
+    return (value.hex(), _bytes(with_memo), _bytes(logistic_gradient(ds, w)),
+            pair[0].hex(), _bytes(pair[1]))
+
+
+def on_python_code(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_cdkernel, "KERNEL", None)
+        return fn(*args)
+
+
+needs_kernel = pytest.mark.skipif(_cdkernel.KERNEL is None,
+                                  reason=_cdkernel.backend())
+# Past the kernel's PARALLEL_NNZ, so its passes split over threads.
+LARGE = dict(m=3000, n=40, density=0.4)
+
+
+class TestCompiledLogisticOracle:
+    """The kernel's margins, coefficients and transpose pass give the
+    bytes of the numpy/scipy code, on any thread count."""
+
+    @needs_kernel
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(m=st.integers(1, 40), n=st.integers(1, 12),
+           density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           scale=st.sampled_from([1e-3, 1.0, 10.0, "800"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_small_datasets_match_python(self, m, n, density, scale, seed):
+        rng = np.random.default_rng(seed)
+        ds = _logistic_dataset(rng, m, n, density)
+        w = _logistic_point(rng, ds, scale)
+        assert (logistic_oracle_bytes(ds, w)
+                == on_python_code(logistic_oracle_bytes, ds, w))
+
+    @needs_kernel
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 10.0, "800"])
+    def test_threaded_passes_match_python(self, scale):
+        rng = np.random.default_rng(11)
+        ds = _logistic_dataset(rng, **LARGE)
+        assert ds.nnz >= _cdkernel.KERNEL.parallel_nnz
+        w = _logistic_point(rng, ds, scale)
+        assert (logistic_oracle_bytes(ds, w)
+                == on_python_code(logistic_oracle_bytes, ds, w))
+
+    @needs_kernel
+    def test_one_thread_gives_the_same_bytes(self):
+        script = (
+            "import numpy as np, sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "from test_problem import LARGE, _logistic_dataset, "
+            "_logistic_point, logistic_oracle_bytes\n"
+            "from proxqn import _cdkernel\n"
+            "rng = np.random.default_rng(12)\n"
+            "ds = _logistic_dataset(rng, **LARGE)\n"
+            "w = _logistic_point(rng, ds, 10.0)\n"
+            "print(_cdkernel.KERNEL.threads)\n"
+            "print(repr(logistic_oracle_bytes(ds, w)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(proxqn.problem.__file__))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, OMP_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", script, src, tests],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=300).stdout.splitlines()
+        assert out[0] == "1"
+        rng = np.random.default_rng(12)
+        ds = _logistic_dataset(rng, **LARGE)
+        w = _logistic_point(rng, ds, 10.0)
+        assert out[1] == repr(logistic_oracle_bytes(ds, w))
+
+    @needs_kernel
+    def test_forked_child_runs_serially_with_the_same_bytes(self):
+        """A child made by fork has none of libgomp's threads; without
+        the kernel's fork handler its first parallel pass never ends."""
+        rng = np.random.default_rng(15)
+        ds = _logistic_dataset(rng, **LARGE)
+        w = _logistic_point(rng, ds, 1.0)
+        want = logistic_oracle_bytes(ds, w)  # starts the thread team
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)  # a hung child ends itself
+            ok = (_cdkernel.KERNEL.threads == 1
+                  and logistic_oracle_bytes(ds, w) == want)
+            os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_64_bit_indices_take_the_scipy_code(self):
+        rng = np.random.default_rng(13)
+        ds = _logistic_dataset(rng, 30, 8, 0.5)
+        wide = ds.matrix.copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        ds64 = Dataset(wide, ds.labels)
+        assert not _cdkernel.Kernel.takes(ds64.matrix)
+        w = _logistic_point(rng, ds, 1.0)
+        assert logistic_oracle_bytes(ds64, w) == logistic_oracle_bytes(ds, w)
+
+    def test_transpose_is_a_lazy_csr_copy(self):
+        ds = _logistic_dataset(np.random.default_rng(14), 20, 6, 0.5)
+        assert ds._XT is None
+        xt = ds.matrix_t
+        assert sp.issparse(xt) and xt.format == "csr" and xt.has_sorted_indices
+        assert not np.shares_memory(xt.data, ds.matrix.data)
+        assert ds.matrix_t is xt
+        np.testing.assert_array_equal(xt.toarray(), ds.matrix.toarray().T)
 
 
 class TestQuadraticInput:

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proxqn import _cdkernel, subsolver
+from proxqn import _cdkernel
 from proxqn._oracles import coordinate_step_reference
 from proxqn.hessian import (
     CorrectionPairs,
@@ -273,11 +273,11 @@ class TestScaledIdentityShortcut:
 
 @pytest.fixture(params=["c", "python"])
 def cd_backend(request, monkeypatch):
-    """Runs a test on the compiled loops and again on the Python loops."""
+    """Runs a test on the compiled kernel and again on the Python code."""
     if request.param == "python":
-        monkeypatch.setattr(subsolver, "KERNEL", None)
-    elif subsolver.KERNEL is None:
-        pytest.skip(subsolver.cd_backend())
+        monkeypatch.setattr(_cdkernel, "KERNEL", None)
+    elif _cdkernel.KERNEL is None:
+        pytest.skip(_cdkernel.backend())
     return request.param
 
 
@@ -285,7 +285,7 @@ def on_python_loops(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with the compiled kernel switched off;
     returns the result or the message of the error it raised."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(subsolver, "KERNEL", None)
+        mp.setattr(_cdkernel, "KERNEL", None)
         return outcome(fn, *args, **kwargs)
 
 
@@ -316,8 +316,8 @@ def random_instance(seed, n, memory, n_pairs):
     return model, grad_v, v
 
 
-needs_kernel = pytest.mark.skipif(subsolver.KERNEL is None,
-                                  reason=subsolver.cd_backend())
+needs_kernel = pytest.mark.skipif(_cdkernel.KERNEL is None,
+                                  reason=_cdkernel.backend())
 # n up to 60 and memory up to 10 give p up to 20: OpenBLAS ddot
 # switches to its unrolled kernel at 16.
 SIZES = dict(n=st.integers(1, 60), memory=st.integers(1, 10),
@@ -328,9 +328,9 @@ SIZES = dict(n=st.integers(1, 60), memory=st.integers(1, 10),
 class TestBackends:
     def test_kernel_builds_where_cc_and_numpy_blas_exist(self):
         if shutil.which("cc") is None or isinstance(_cdkernel._numpy_blas(), str):
-            pytest.skip(subsolver.cd_backend())
-        assert subsolver.KERNEL is not None, subsolver.KERNEL_FALLBACK
-        assert subsolver.cd_backend() == "c"
+            pytest.skip(_cdkernel.backend())
+        assert _cdkernel.KERNEL is not None, _cdkernel.FALLBACK
+        assert _cdkernel.backend().startswith("c")
 
     def test_load_reports_missing_blas_symbol(self, monkeypatch):
         monkeypatch.setattr(_cdkernel, "DDOT", "no_such_ddot")
@@ -340,12 +340,22 @@ class TestBackends:
 
     def test_load_reports_compile_error(self, monkeypatch, tmp_path):
         if shutil.which("cc") is None or isinstance(_cdkernel._numpy_blas(), str):
-            pytest.skip(subsolver.cd_backend())
+            pytest.skip(_cdkernel.backend())
         bad = tmp_path / "bad.c"
         bad.write_text("this is not C\n")
         monkeypatch.setattr(_cdkernel, "SOURCE", str(bad))
         kernel, reason = _cdkernel.load()
         assert kernel is None and reason.startswith("cc failed")
+
+    def test_load_retries_without_openmp(self, monkeypatch):
+        if shutil.which("cc") is None or isinstance(_cdkernel._numpy_blas(), str):
+            pytest.skip(_cdkernel.backend())
+        monkeypatch.setattr(_cdkernel, "OPENMP", "-fno-such-option")
+        kernel, reason = _cdkernel.load()
+        assert reason == "" and kernel.threads == 0
+        assert kernel.serial_reason.startswith("cc -fno-such-option failed")
+        monkeypatch.setattr(_cdkernel, "KERNEL", kernel)
+        assert _cdkernel.backend().startswith("c, serial (cc -fno-such-option")
 
     @needs_kernel
     @settings(max_examples=150, deadline=None, database=None)
