@@ -8,7 +8,6 @@ Hessian models, with a randomized coordinate-descent subproblem solver.
 from .dataset import (
     Dataset,
     SyntheticQuadratic,
-    dataset_stats,
     read_libsvm,
     synthesize_quadratic,
     write_libsvm,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,9 +28,13 @@ class Dataset:
     """
 
     def __init__(self, matrix: sp.csr_matrix, labels: np.ndarray):
+        # The caller's arrays stay as they were: the labels are copied
+        # before they turn read-only, and unsorted rows sort in a copy
+        # (a CSR matrix given as float64 shares its arrays).
         matrix = sp.csr_matrix(matrix, dtype=np.float64)
-        matrix.sort_indices()
-        labels = np.ascontiguousarray(labels, dtype=np.float64)
+        if not matrix.has_sorted_indices:
+            matrix = matrix.sorted_indices()
+        labels = np.array(labels, dtype=np.float64)
         if matrix.shape[0] == 0:
             raise ValueError("dataset must contain at least one point")
         if labels.shape != (matrix.shape[0],):
@@ -81,26 +84,6 @@ class Dataset:
         """Return (indices, values) of point ``i``."""
         lo, hi = self._X.indptr[i], self._X.indptr[i + 1]
         return self._X.indices[lo:hi], self._X.data[lo:hi]
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    n_features: int
-    n_points: int
-    nnz: int
-    n_positive: int
-    n_negative: int
-
-
-def dataset_stats(dataset: Dataset) -> DatasetStats:
-    pos = int(np.sum(dataset.labels > 0))
-    return DatasetStats(
-        n_features=dataset.n_features,
-        n_points=dataset.n_points,
-        nnz=dataset.nnz,
-        n_positive=pos,
-        n_negative=dataset.n_points - pos,
-    )
 
 
 def _map_labels(raw: list[str], positive_label: str | None) -> np.ndarray:

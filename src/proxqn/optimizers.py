@@ -17,13 +17,19 @@ subgradient):
                    H_k = (1/sigma_k) H, where the domination condition
                    holds automatically
 
-The two accelerated drivers run one FISTA loop and differ only in the
-policy that picks sigma_k H_k: variable models or a fixed base.
+The drivers run on two loops, each driven by a small step rule.
+``_pqna_engine`` is the monotone loop: it backtracks over mu, regrows
+mu after each accepted step and never increases F.  pga gives it the
+prox rule (H = I/mu, judged by Q_mu with eta = 1) and the pqna drivers
+the model rule (H = G_k + I/(2 mu), eta from the config).
+``_accelerate`` is the FISTA loop: the clock t_k, the momentum point
+y_k and backtracking.  Its policy forms the trial step and moves the
+step scalar: apga's prox steps with a nonincreasing mu, apqna-lbfgs's
+variable models or apqna-fh's fixed base.  Its iterates need not
+decrease F.
 
-The monotone drivers (pga, pqna) never increase F; the accelerated ones
-need not be monotone.  All randomness flows through one seeded PCG64
-generator per run, so traces are reproducible bit-for-bit apart from
-the elapsed-time column.
+All randomness flows through one seeded PCG64 generator per run, so
+traces are reproducible bit-for-bit apart from the elapsed-time column.
 """
 
 from __future__ import annotations
@@ -221,144 +227,44 @@ def _subgrad_inf(grad: np.ndarray, x: np.ndarray, lam: float) -> float:
     return float(np.abs(min_norm_subgradient(grad, x, lam)).max())
 
 
-def _q_mu(f_v: float, grad_v: np.ndarray, u: np.ndarray, v: np.ndarray,
-          mu: float, lam: float) -> float:
-    d = u - v
-    return f_v + float(grad_v @ d) + float(d @ d) / (2.0 * mu) + l1_value(u, lam)
+def _prox_rule(lam: float):
+    """Trial rule of pga and apga: u = prox(v - mu g), judged by
+    Q_mu(u) = f(v) + g'(u - v) + ||u - v||^2/(2 mu) + lam ||u||_1."""
+    def trial(k, mu, v, f_v, g):
+        u = prox_l1_scaled_identity(v - mu * g, mu, lam)
+        u_l1 = l1_value(u, lam)
+        d = u - v
+        return u, u_l1, f_v + float(g @ d) + float(d @ d) / (2.0 * mu) + u_l1, 0
+    return trial
 
 
-def _subsolve(model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
-              lam: float, r: int, config: OptimizerConfig,
-              rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Inner solve of the composite quadratic model at v.
-
-    A model with no low-rank part is a scaled identity, whose exact
-    minimizer is the componentwise soft threshold; only genuinely
-    coupled models go through coordinate descent (or the cyclic oracle
-    when configured for exact subproblem solutions).
-    """
+def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, rng):
+    """Trial step of a quadratic model at v: a scaled identity has the
+    soft threshold as its exact minimizer; coupled models go through
+    coordinate descent, or the cyclic oracle when so configured."""
     if model.p == 0:
-        return solve_scaled_identity(model, grad_v, v, lam), 0
-    if config.subsolver == "exact":
-        return exact_solve_oracle(model, grad_v, v, lam, config.exact_tol)
-    return cd_minimize(model, grad_v, v, lam, r, rng,
-                       step_eps=config.budget.step_eps)
-
-
-def run_pga(problem: CompositeProblem, config: OptimizerConfig,
-            x0: np.ndarray | None = None) -> Trace:
-    """Proximal gradient with backtracking; the step may grow again
-    after each iteration (mu_{k+1}^0 = min(mu_k/beta, mu_cap))."""
-    t0 = time.perf_counter()
-    lam = problem.lam
-    x = _start_point(problem, x0)
-    fsm, grad = problem.value_and_grad(x)
-    fval = fsm + l1_value(x, lam)
-    norm0 = _subgrad_inf(grad, x, lam)
-    mu = config.mu_init
-    trace = Trace(algorithm="pga")
-    trace.records.append(TraceRecord(0, fval, norm0, 0, 0, mu, 1.0,
-                                     time.perf_counter() - t0))
-    if norm0 == 0.0:
-        trace.status = CONVERGED
-        return trace
-    memo = Memo()
-    for k in range(1, config.max_outer + 1):
-        backtracks = 0
-        while True:
-            cand = prox_l1_scaled_identity(x - mu * grad, mu, lam)
-            cand_f = problem.f_value(cand, memo)
-            cand_fval = cand_f + l1_value(cand, lam)
-            if _accepts(cand_fval, fval, _q_mu(fsm, grad, cand, x, mu, lam),
-                        1.0, monotone=True):
-                break
-            mu *= config.beta
-            backtracks += 1
-            if backtracks > config.backtrack_cap:
-                trace.status = BACKTRACK_FAILURE
-                return trace
-        x, fsm, fval = cand, cand_f, cand_fval
-        grad = problem.f_grad(x, memo)
-        norm = _subgrad_inf(grad, x, lam)
-        trace.records.append(TraceRecord(k, fval, norm, backtracks, 0, mu, 1.0,
-                                         time.perf_counter() - t0))
-        if norm <= config.tol_rel * norm0:
-            trace.status = CONVERGED
-            return trace
-        mu = min(mu / config.beta, config.mu_cap)
-    return trace
-
-
-def run_apga(problem: CompositeProblem, config: OptimizerConfig,
-             x0: np.ndarray | None = None) -> Trace:
-    """FISTA: model built at the momentum point; nonincreasing mu."""
-    t0 = time.perf_counter()
-    lam = problem.lam
-    x_prev = _start_point(problem, x0)
-    y = x_prev.copy()
-    fy, gy = problem.value_and_grad(y)
-    y_fval = fy + l1_value(y, lam)
-    norm0 = _subgrad_inf(gy, y, lam)
-    mu = config.mu_init
-    t_k = 1.0
-    trace = Trace(algorithm="apga")
-    trace.records.append(TraceRecord(0, y_fval, norm0, 0, 0, mu, t_k,
-                                     time.perf_counter() - t0))
-    if norm0 == 0.0:
-        trace.status = CONVERGED
-        return trace
-    memo = Memo()
-    for k in range(1, config.max_outer + 1):
-        backtracks = 0
-        while True:
-            cand = prox_l1_scaled_identity(y - mu * gy, mu, lam)
-            cand_f = problem.f_value(cand, memo)
-            cand_fval = cand_f + l1_value(cand, lam)
-            if _accepts(cand_fval, y_fval, _q_mu(fy, gy, cand, y, mu, lam), 1.0):
-                break
-            mu *= config.beta
-            backtracks += 1
-            if backtracks > config.backtrack_cap:
-                trace.status = BACKTRACK_FAILURE
-                return trace
-        x = cand
-        grad_x = problem.f_grad(x, memo)
-        norm = _subgrad_inf(grad_x, x, lam)
-        trace.records.append(TraceRecord(k, cand_fval, norm, backtracks, 0, mu,
-                                         t_k, time.perf_counter() - t0))
-        if norm <= config.tol_rel * norm0:
-            trace.status = CONVERGED
-            return trace
-        t_new = t_next(t_k, 1.0)
-        y = momentum_point(x, x_prev, t_k, t_new)
-        fy, gy = problem.value_and_grad(y)
-        y_fval = fy + l1_value(y, lam)
-        x_prev = x
-        t_k = t_new
-    return trace
-
-
-def _shifted_model(core: DiagLowRank | None, shift: float, n: int) -> HessianModel:
-    """H = G + shift*I; G = None stands for the zero matrix."""
-    if core is None:
-        return HessianModel.scaled_identity(shift, n)
-    return HessianModel.lbfgs(core, diag_shift=shift)
+        u, steps = solve_scaled_identity(model, g, v, lam), 0
+    elif config.subsolver == "exact":
+        u, steps = exact_solve_oracle(model, g, v, lam, config.exact_tol)
+    else:
+        u, steps = cd_minimize(model, g, v, lam,
+                               budget_for_iteration(k, config.budget), rng,
+                               step_eps=config.budget.step_eps)
+    u_l1 = l1_value(u, lam)
+    return u, u_l1, model_value(model, u, v, f_v, g, u_l1), steps
 
 
 @dataclass
 class _QnState:
-    """Iterate of the quasi-Newton loop: the start point of every
-    quasi-Newton driver, advanced in place by ``_pqna_engine`` and handed
-    from apqna-fh's warm-up to its accelerated phase."""
+    """The start point of every driver, advanced in place by the
+    monotone loop and handed from apqna-fh's warm-up to its acceleration."""
 
     x: np.ndarray
     fsm: float
     fval: float
     grad: np.ndarray
-    pairs: CorrectionPairs
     mu: float
     last_k: int = 0
-    frozen: DiagLowRank | None = None
 
 
 def _first_row(problem: CompositeProblem, config: OptimizerConfig,
@@ -376,63 +282,107 @@ def _first_row(problem: CompositeProblem, config: OptimizerConfig,
                                      time.perf_counter() - t0))
     if norm0 == 0.0:
         trace.status = CONVERGED
-    pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
-    return trace, t0, norm0, _QnState(x, fsm, fval, grad, pairs, config.mu_init)
+    return trace, t0, norm0, _QnState(x, fsm, fval, grad, config.mu_init)
 
 
-def _pqna_engine(problem, config, hessian_mode, trace, t0, norm0, rng,
-                 state: _QnState, max_outer):
-    """Iterations of the inexact proximal quasi-Newton loop.
+def _pqna_engine(problem, config, trial, eta, trace, t0, norm0,
+                 state: _QnState, max_outer, after_row=None) -> None:
+    """The monotone loop of pga and the pqna drivers, up to ``max_outer``.
 
-    Mutates ``trace`` and ``state`` in place; returns a final status or
-    None if ``max_outer`` was reached without convergence or failure.
+    ``trial(k, mu, x, f(x), grad) -> (u, lam ||u||_1, Q(u), inner steps)``;
+    u is accepted on an ``eta`` fraction of the model decrease and no
+    rise in F, else mu shrinks by beta.  mu regrows by 1/beta (capped)
+    after each accepted row, which ``after_row(trace, state, x_old,
+    grad_old)`` sees first.  Mutates ``trace`` and ``state`` in place.
     """
-    lam = problem.lam
     memo = Memo()
     for k in range(state.last_k + 1, max_outer + 1):
-        if hessian_mode == "zero":
-            core = None
-        elif hessian_mode == "fixed" and k > config.warmup_kbar:
-            if state.frozen is None:
-                state.frozen = compile_compact(state.pairs)
-            core = state.frozen
-        else:
-            core = compile_compact(state.pairs)
-        r = budget_for_iteration(k, config.budget)
-        backtracks = 0
-        inner = 0
+        backtracks = inner = 0
         while True:
-            model = _shifted_model(core, 1.0 / (2.0 * state.mu), problem.n)
-            u, steps = _subsolve(model, state.grad, state.x, lam, r, config, rng)
+            u, u_l1, qval, steps = trial(k, state.mu, state.x, state.fsm, state.grad)
             inner += steps
-            u_l1 = l1_value(u, lam)
-            qval = model_value(model, u, state.x, state.fsm, state.grad, u_l1)
             u_f = problem.f_value(u, memo)
             u_fval = u_f + u_l1
-            if _accepts(u_fval, state.fval, qval, config.eta, monotone=True):
+            if _accepts(u_fval, state.fval, qval, eta, monotone=True):
                 break
             state.mu *= config.beta
             backtracks += 1
             if backtracks > config.backtrack_cap:
-                return BACKTRACK_FAILURE
-        new_grad = problem.f_grad(u, memo)
-        if hessian_mode == "lbfgs" or (hessian_mode == "fixed"
-                                       and k <= config.warmup_kbar):
-            state.pairs.update(u - state.x, new_grad - state.grad)
-        state.x, state.fsm, state.fval, state.grad = u, u_f, u_fval, new_grad
+                trace.status = BACKTRACK_FAILURE
+                return
+        x_old, grad_old = state.x, state.grad
+        state.x, state.fsm, state.fval = u, u_f, u_fval
+        state.grad = problem.f_grad(u, memo)
         state.last_k = k
-        norm = _subgrad_inf(new_grad, u, lam)
+        norm = _subgrad_inf(state.grad, u, problem.lam)
         trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
                                          state.mu, 1.0, time.perf_counter() - t0))
-        if config.diagnostics:
-            m_est, big_m_est = estimate_extreme_eigenvalues(
-                model, iterations=config.eig_iterations, seed=config.seed + k)
-            trace.diagnostics.setdefault("eig_bounds", []).append(
-                (k, m_est, big_m_est))
+        if after_row is not None:
+            after_row(trace, state, x_old, grad_old)
         if norm <= config.tol_rel * norm0:
-            return CONVERGED
+            trace.status = CONVERGED
+            return
         state.mu = min(state.mu / config.beta, config.mu_cap)
-    return None
+
+
+def _run_monotone(problem, config, algorithm, trial, eta, x0,
+                  after_row=None) -> Trace:
+    trace, t0, norm0, state = _first_row(problem, config, algorithm,
+                                         config.mu_init, x0)
+    if trace.status != CONVERGED:
+        _pqna_engine(problem, config, trial, eta, trace, t0, norm0, state,
+                     config.max_outer, after_row)
+    return trace
+
+
+def run_pga(problem: CompositeProblem, config: OptimizerConfig,
+            x0: np.ndarray | None = None) -> Trace:
+    """Proximal gradient: the monotone loop with H = I/mu and eta = 1;
+    the step may grow again after each iteration (mu_{k+1}^0 =
+    min(mu_k/beta, mu_cap))."""
+    return _run_monotone(problem, config, "pga", _prox_rule(problem.lam),
+                         1.0, x0)
+
+
+class _ModelRule:
+    """Trial rule of the pqna drivers, H = G_k + I/(2 mu): G_k is
+    compact L-BFGS ("lbfgs"), the same frozen after warmup_kbar steps
+    ("fixed") or zero ("zero"), compiled once per k while its pairs
+    change.  ``after_row`` adds the accepted step's pair and, with
+    ``config.diagnostics``, the accepted model's eigenvalue bounds."""
+
+    def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
+                 hessian_mode: str, rng: np.random.Generator):
+        self.lam, self.n, self.config, self.rng = problem.lam, problem.n, config, rng
+        self.pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
+        # The last iteration whose step enters the pairs.
+        self.learn_until = {"lbfgs": math.inf, "fixed": config.warmup_kbar,
+                            "zero": -1}[hessian_mode]
+        self.k = 0
+        self.core = self.model = None
+
+    def __call__(self, k, mu, v, f_v, g):
+        if k != self.k:
+            self.k = k
+            if k <= self.learn_until + 1:
+                self.core = compile_compact(self.pairs)
+        shift = 1.0 / (2.0 * mu)
+        self.model = (HessianModel.scaled_identity(shift, self.n)
+                      if self.core is None
+                      else HessianModel.lbfgs(self.core, diag_shift=shift))
+        return _model_trial(self.model, k, v, f_v, g, self.lam, self.config,
+                            self.rng)
+
+    def after_row(self, trace: Trace, state: _QnState, x_old: np.ndarray,
+                  grad_old: np.ndarray) -> None:
+        k = state.last_k
+        if k <= self.learn_until:
+            self.pairs.update(state.x - x_old, state.grad - grad_old)
+        if self.config.diagnostics:
+            bounds = estimate_extreme_eigenvalues(
+                self.model, iterations=self.config.eig_iterations,
+                seed=self.config.seed + k)
+            trace.diagnostics.setdefault("eig_bounds", []).append((k, *bounds))
 
 
 def run_pqna(problem: CompositeProblem, config: OptimizerConfig,
@@ -450,15 +400,10 @@ def run_pqna(problem: CompositeProblem, config: OptimizerConfig,
     if hessian_mode not in ("lbfgs", "fixed", "zero"):
         raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
     name = {"lbfgs": "pqna-lbfgs", "fixed": "pqna-fh", "zero": "pqna-zero"}
-    trace, t0, norm0, state = _first_row(problem, config, name[hessian_mode],
-                                         config.mu_init, x0)
-    if trace.status == CONVERGED:
-        return trace
-    rng = np.random.default_rng(config.seed)
-    status = _pqna_engine(problem, config, hessian_mode, trace, t0, norm0,
-                          rng, state, config.max_outer)
-    trace.status = status if status is not None else MAX_ITER
-    return trace
+    rule = _ModelRule(problem, config, hessian_mode,
+                      np.random.default_rng(config.seed))
+    return _run_monotone(problem, config, name[hessian_mode], rule,
+                         config.eta, x0, rule.after_row)
 
 
 def _checked_sigma(sigma: float, k: int) -> float:
@@ -471,7 +416,38 @@ def _lbfgs_model(k: int, pairs: CorrectionPairs) -> HessianModel:
     return HessianModel.lbfgs(compile_compact(pairs))
 
 
-class _VariableModels:
+class _ProxSteps:
+    """Step rule of apga: prox steps with mu = sigma.  A backtrack
+    shrinks mu by beta and keeps the momentum point; mu never regrows
+    and theta stays 1."""
+
+    def __init__(self, problem: CompositeProblem, config: OptimizerConfig):
+        self.trial = _prox_rule(problem.lam)
+        self.beta = config.beta
+
+    def backtrack(self, sigma: float, sigma_prev: float) -> tuple[float, bool]:
+        return sigma * self.beta, False
+
+    def advance(self, k, sigma, x, x_prev, grad_x) -> tuple[float, float]:
+        return sigma, 1.0
+
+
+class _ModelSteps:
+    """Trial step of the apqna drivers: the composite model
+    ``model(sigma)`` solved at the momentum point."""
+
+    lemma6_bound = None
+
+    def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
+                 rng: np.random.Generator):
+        self.lam, self.config, self.rng = problem.lam, config, rng
+
+    def trial(self, k, sigma, y, fy, gy):
+        return _model_trial(self.model(sigma), k, y, fy, gy, self.lam,
+                            self.config, self.rng)
+
+
+class _VariableModels(_ModelSteps):
     """sigma/model policy of apqna-lbfgs.
 
     H_k comes from ``model_factory(k, pairs)`` each iteration and a
@@ -480,31 +456,28 @@ class _VariableModels:
     eigensolve); relaxed mode keeps theta = 1 and the momentum point.
     """
 
-    lemma6_bound = None
-
-    def __init__(self, config: OptimizerConfig, pairs: CorrectionPairs,
-                 grad: np.ndarray, model_factory):
-        self.config = config
+    def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
+                 rng: np.random.Generator, grad: np.ndarray, model_factory):
+        super().__init__(problem, config, rng)
         self.strict = config.domination == "strict"
-        self.pairs = pairs
+        self.pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
         self.factory = model_factory
-        self.current = model_factory(1, pairs)
+        self.current = model_factory(1, self.pairs)
         self.accepted = self.current
         self.grad_prev = grad
 
     def model(self, sigma: float) -> HessianModel:
         return self.current
 
-    def backtrack(self, sigma: float, sigma_prev: float) -> float | None:
+    def backtrack(self, sigma: float, sigma_prev: float) -> tuple[float, bool]:
         self.current = self.current.rescaled(1.0 / self.config.beta)
         if not self.strict:
-            return None
+            return sigma, False
         feasible = enforce_domination(self.current, sigma_prev, self.accepted,
                                       self.config.dense_limit)
-        return min(sigma, feasible)
+        return min(sigma, feasible), True
 
-    def advance(self, k: int, sigma: float, x: np.ndarray, x_prev: np.ndarray,
-                grad_x: np.ndarray) -> tuple[float, float]:
+    def advance(self, k, sigma, x, x_prev, grad_x) -> tuple[float, float]:
         self.pairs.update(x - x_prev, grad_x - self.grad_prev)
         self.grad_prev = grad_x
         self.accepted = self.current
@@ -518,41 +491,39 @@ class _VariableModels:
         return sigma_next, sigma / sigma_next
 
 
-class _FixedBase:
+class _FixedBase(_ModelSteps):
     """sigma/model policy of apqna-fh: H_k = (1/sigma_k) base, so
     sigma_k H_k = base for every k and the domination condition holds
     with equality; a backtrack multiplies sigma by beta."""
 
-    def __init__(self, config: OptimizerConfig, base: DiagLowRank,
+    def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
+                 rng: np.random.Generator, base: DiagLowRank,
                  lemma6_bound: float | None):
-        self.config = config
+        super().__init__(problem, config, rng)
         self.base = base
         self.lemma6_bound = lemma6_bound
 
     def model(self, sigma: float) -> HessianModel:
         return HessianModel.scaled_fixed(sigma, self.base)
 
-    def backtrack(self, sigma: float, sigma_prev: float) -> float:
-        return sigma * self.config.beta
+    def backtrack(self, sigma: float, sigma_prev: float) -> tuple[float, bool]:
+        return sigma * self.config.beta, True
 
-    def advance(self, k: int, sigma: float, x: np.ndarray, x_prev: np.ndarray,
-                grad_x: np.ndarray) -> tuple[float, float]:
+    def advance(self, k, sigma, x, x_prev, grad_x) -> tuple[float, float]:
         sigma_next = self.config.sigma_growth * sigma
         return sigma_next, sigma / sigma_next
 
 
 def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
-                trace: Trace, t0: float, norm0: float,
-                rng: np.random.Generator, state: _QnState) -> Trace:
-    """The accelerated proximal quasi-Newton loop, from ``state``.
+                trace: Trace, t0: float, norm0: float, state: _QnState,
+                sigma: float) -> list[float]:
+    """The accelerated loop from ``state`` with step scalar ``sigma``:
+    the FISTA clock (t_k, y_k, x_{k-1}, x_{k-2}) and backtracking.
 
-    Owns the FISTA clock (t_k, y_k, x_{k-1}, x_{k-2}), backtracking and
-    the Lemma 5, Lemma 6 and AS1 diagnostics; ``policy`` decides the
-    model for the current sigma (``model``), sigma after a rejected
-    step, or None to keep the momentum point (``backtrack``), and
-    (sigma_{k+1}, theta_k) after an accepted one (``advance``).  A
-    changed sigma recomputes theta, t_k and y_k, re-evaluating the
-    gradient at y_k unless it did not move.
+    ``policy.trial(k, sigma, y, f(y), grad)`` forms the trial step as a
+    monotone rule does; ``backtrack`` gives sigma after a rejection and
+    whether theta, t_k and y_k follow it; ``advance`` gives (sigma_{k+1},
+    theta_k).  Mutates ``trace``; returns the theta_k of each row.
     """
     lam = problem.lam
     # Accelerated clock: t_0 = 0 and x_{-1} = x_0 make the generic
@@ -560,40 +531,31 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
     t_km1, t_k = 0.0, 1.0
     x_km2 = state.x.copy()
     x_km1 = state.x.copy()
-    sigma = sigma_prev = config.sigma_init
-    theta_used = 1.0
+    sigma_prev = sigma
+    theta = 1.0
+    thetas: list[float] = []
     y = state.x.copy()
     fy, gy = state.fsm, state.grad
     y_fval = fy + l1_value(y, lam)
-    sum_sqrt_sigma = 0.0
-    prev_sigma_t2 = None
     memo = Memo()
-    model = policy.model(sigma)
-    trace.diagnostics["initial_model"] = (sigma, model.variant, model.core.delta,
-                                          model.p)
     for k in range(state.last_k + 1, config.max_outer + 1):
-        r = budget_for_iteration(k, config.budget)
-        backtracks = 0
-        inner = 0
+        backtracks = inner = 0
         while True:
-            model = policy.model(sigma)
-            u, steps = _subsolve(model, gy, y, lam, r, config, rng)
+            u, u_l1, qval, steps = policy.trial(k, sigma, y, fy, gy)
             inner += steps
-            u_l1 = l1_value(u, lam)
-            qval = model_value(model, u, y, fy, gy, u_l1)
             u_fval = problem.f_value(u, memo) + u_l1
             if _accepts(u_fval, y_fval, qval, 1.0):
                 break
             backtracks += 1
             if backtracks > config.backtrack_cap:
                 trace.status = BACKTRACK_FAILURE
-                return trace
-            shrunk = policy.backtrack(sigma, sigma_prev)
-            if shrunk is None:
+                return thetas
+            sigma, y_moves = policy.backtrack(sigma, sigma_prev)
+            if not y_moves:
                 continue
-            sigma = _checked_sigma(shrunk, k)
-            theta_used = sigma_prev / sigma
-            t_k = t_next(t_km1, theta_used)
+            sigma = _checked_sigma(sigma, k)
+            theta = sigma_prev / sigma
+            t_k = t_next(t_km1, theta)
             y_new = momentum_point(x_km1, x_km2, t_km1, t_k)
             # sigma only shrinks here, so y_k can only repeat the last y.
             # Bytewise, so that -0.0 and 0.0 count as different points.
@@ -606,29 +568,62 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
         norm = _subgrad_inf(grad_x, x, lam)
         trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
                                          sigma, t_k, time.perf_counter() - t0))
-        sum_sqrt_sigma += math.sqrt(sigma)
-        sigma_t2 = sigma * t_k * t_k
-        trace.diagnostics.setdefault("lemma5", []).append(
-            (k, sigma_t2 - (sum_sqrt_sigma / 2.0) ** 2))
-        if policy.lemma6_bound is not None:
-            trace.diagnostics.setdefault("lemma6", []).append(
-                (k, sigma - policy.lemma6_bound))
-        if prev_sigma_t2 is not None:
-            premise = theta_used <= sigma_prev / sigma * (1.0 + 1e-12)
-            trace.diagnostics.setdefault("as1", []).append(
-                (k, prev_sigma_t2, sigma * t_k * (t_k - 1.0), premise))
+        thetas.append(theta)
         if norm <= config.tol_rel * norm0:
             trace.status = CONVERGED
-            return trace
+            return thetas
         sigma_prev = sigma
-        prev_sigma_t2 = sigma_t2
-        sigma, theta_used = policy.advance(k, sigma, x, x_km1, grad_x)
-        t_new = t_next(t_k, theta_used)
+        sigma, theta = policy.advance(k, sigma, x, x_km1, grad_x)
+        t_new = t_next(t_k, theta)
         y = momentum_point(x, x_km1, t_k, t_new)
         fy, gy = problem.value_and_grad(y)
         y_fval = fy + l1_value(y, lam)
         x_km2, x_km1 = x_km1, x
         t_km1, t_k = t_k, t_new
+    return thetas
+
+
+def run_apga(problem: CompositeProblem, config: OptimizerConfig,
+             x0: np.ndarray | None = None) -> Trace:
+    """FISTA: the accelerated loop with prox steps at the momentum
+    point and a nonincreasing mu."""
+    trace, t0, norm0, state = _first_row(problem, config, "apga", config.mu_init, x0)
+    if trace.status != CONVERGED:
+        _accelerate(problem, config, _ProxSteps(problem, config), trace, t0,
+                    norm0, state, config.mu_init)
+    return trace
+
+
+def _accelerate_models(problem, config, policy: _ModelSteps, trace, t0,
+                       norm0, state) -> Trace:
+    """The accelerated loop of the apqna drivers, with the first model
+    and, from the accelerated rows and their theta_k: the Lemma 5 margin
+    sigma_k t_k^2 - (sum_i sqrt(sigma_i)/2)^2, the Lemma 6 margin
+    sigma_k - beta m/L (when the policy has that bound), and AS1's
+    sigma_{k-1} t_{k-1}^2 against sigma_k t_k (t_k - 1) with its premise
+    theta_k <= sigma_{k-1}/sigma_k."""
+    model = policy.model(config.sigma_init)
+    trace.diagnostics["initial_model"] = (config.sigma_init, model.variant,
+                                          model.core.delta, model.p)
+    thetas = _accelerate(problem, config, policy, trace, t0, norm0, state,
+                         config.sigma_init)
+    rows = trace.records[len(trace.records) - len(thetas):]
+    found = {"lemma5": [], "lemma6": [], "as1": []}
+    sum_sqrt_sigma, prev = 0.0, None
+    for row, theta in zip(rows, thetas):
+        sigma, t_k = row.step_scalar, row.t_k
+        sum_sqrt_sigma += math.sqrt(sigma)
+        found["lemma5"].append(
+            (row.k, sigma * t_k * t_k - (sum_sqrt_sigma / 2.0) ** 2))
+        if policy.lemma6_bound is not None:
+            found["lemma6"].append((row.k, sigma - policy.lemma6_bound))
+        if prev is not None:
+            found["as1"].append((
+                row.k, prev.step_scalar * prev.t_k * prev.t_k,
+                sigma * t_k * (t_k - 1.0),
+                theta <= prev.step_scalar / sigma * (1.0 + 1e-12)))
+        prev = row
+    trace.diagnostics.update((key, v) for key, v in found.items() if v)
     return trace
 
 
@@ -652,10 +647,10 @@ def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
                                          config.sigma_init, x0)
     if trace.status == CONVERGED:
         return trace
-    rng = np.random.default_rng(config.seed)
-    policy = _VariableModels(config, state.pairs, state.grad,
+    policy = _VariableModels(problem, config,
+                             np.random.default_rng(config.seed), state.grad,
                              model_factory or _lbfgs_model)
-    return _accelerate(problem, config, policy, trace, t0, norm0, rng, state)
+    return _accelerate_models(problem, config, policy, trace, t0, norm0, state)
 
 
 def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
@@ -680,14 +675,14 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
         return trace
     rng = np.random.default_rng(config.seed)
     if base is None:
+        warmup = _ModelRule(problem, config, "lbfgs", rng)
         if config.warmup_kbar > 0:
-            status = _pqna_engine(problem, config, "lbfgs", trace, t0, norm0,
-                                  rng, state,
-                                  min(config.warmup_kbar, config.max_outer))
-            if status is not None:
-                trace.status = status
+            _pqna_engine(problem, config, warmup, config.eta, trace, t0, norm0,
+                         state, min(config.warmup_kbar, config.max_outer),
+                         warmup.after_row)
+            if trace.status != MAX_ITER:
                 return trace
-        base = compile_compact(state.pairs)
+        base = compile_compact(warmup.pairs)
     trace.diagnostics["warmup_end"] = state.last_k
 
     lemma6_bound = None
@@ -696,8 +691,8 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
             HessianModel.lbfgs(base), iterations=config.eig_iterations,
             seed=config.seed)
         lemma6_bound = config.beta * m_est / problem.lipschitz
-    return _accelerate(problem, config, _FixedBase(config, base, lemma6_bound),
-                       trace, t0, norm0, rng, state)
+    policy = _FixedBase(problem, config, rng, base, lemma6_bound)
+    return _accelerate_models(problem, config, policy, trace, t0, norm0, state)
 
 
 ALGORITHMS: dict[str, Callable] = {

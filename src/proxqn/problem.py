@@ -185,15 +185,17 @@ def logistic_problem(dataset: Dataset, lam: float) -> CompositeProblem:
     """l1-regularized average logistic loss over a dataset.
 
     The Lipschitz bound uses sigmoid'(t) <= 1/4:
-    L <= lambda_max(X'X) / (4m), estimated with a sparse SVD.
+    L <= lambda_max(X'X) / (4m), estimated with a sparse SVD.  ARPACK
+    starts from a seeded vector, so the bound is the same bits on every
+    build.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     import scipy.sparse.linalg as spla
 
     try:
-        smax = spla.svds(dataset.matrix, k=1,
-                         return_singular_vectors=False)[0]
+        smax = spla.svds(dataset.matrix, k=1, return_singular_vectors=False,
+                         rng=np.random.default_rng(0))[0]
         lipschitz = float(smax**2 / (4.0 * dataset.n_points))
     except Exception:
         lipschitz = None

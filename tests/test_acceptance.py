@@ -17,7 +17,6 @@ import scipy.linalg
 
 from proxqn.dataset import (
     DatasetFormatError,
-    dataset_stats,
     read_libsvm,
     synthesize_quadratic,
 )
@@ -80,9 +79,8 @@ def test_criterion_1_a9a_reproduction():
     """Every algorithm reaches 3.4703e-01 +- 2e-4 on a9a; APQNA-FH in
     <= 300 iterations, APGA in <= 2000; under two minutes total."""
     ds = load_benchmark("a9a")
-    stats = dataset_stats(ds)
-    assert stats.n_features == 123
-    assert stats.n_points == 32561
+    assert ds.n_features == 123
+    assert ds.n_points == 32561
     problem = logistic_problem(ds, 1e-3)
     started = time.perf_counter()
     finals = {}

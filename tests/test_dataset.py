@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from proxqn.dataset import (
     Dataset,
     DatasetFormatError,
-    dataset_stats,
     read_libsvm,
     synthesize_quadratic,
     write_libsvm,
@@ -29,6 +28,7 @@ class TestReadLibsvm:
         np.testing.assert_allclose(val, [0.5, 2.0])
         assert ds.n_features == 3
         assert ds.n_points == 2
+        assert ds.nnz == 3
 
     def test_zero_one_labels_mapped(self, tmp_path):
         ds = read_libsvm(write_lines(tmp_path, ["0 1:1", "1 1:2"]))
@@ -93,6 +93,27 @@ class TestReadLibsvm:
             assert ds.labels[old_i] == ds_perm.labels[new_i]
 
 
+class TestConstructor:
+    def test_leaves_the_callers_arrays_untouched(self):
+        labels = np.array([1.0, -1.0])
+        matrix = sp.csr_matrix((np.array([2.0, 1.0]), np.array([1, 0]),
+                                np.array([0, 2, 2])), shape=(2, 2))
+        ds = Dataset(matrix, labels)
+        labels[0] = -1.0
+        assert ds.labels[0] == 1.0
+        assert not ds.labels.flags.writeable
+        np.testing.assert_array_equal(matrix.indices, [1, 0])
+        np.testing.assert_array_equal(matrix.data, [2.0, 1.0])
+        idx, val = ds.row(0)
+        np.testing.assert_array_equal(idx, [0, 1])
+        np.testing.assert_array_equal(val, [1.0, 2.0])
+
+    def test_sorted_input_is_not_copied(self):
+        matrix = sp.csr_matrix(np.array([[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]]))
+        ds = Dataset(matrix, np.array([1.0, -1.0]))
+        assert np.shares_memory(ds.matrix.data, matrix.data)
+
+
 class TestRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -114,18 +135,6 @@ class TestRoundTrip:
             ni, nv = back.row(i)
             np.testing.assert_array_equal(oi, ni)
             assert all(a == b for a, b in zip(ov, nv)), "values must round-trip bit-exactly"
-
-
-class TestStats:
-    def test_counts(self):
-        ds = make_dataset([[(0, 1.0), (2, 2.0)], [(1, 3.0)]], [1, -1])
-        st = dataset_stats(ds)
-        assert (st.n_features, st.n_points, st.nnz) == (3, 2, 3)
-        assert (st.n_positive, st.n_negative) == (1, 1)
-
-    def test_single_row_nnz(self):
-        ds = make_dataset([[(0, 1.0), (1, 1.0), (4, 2.0)]], [1], n_features=5)
-        assert dataset_stats(ds).nnz == 3
 
 
 class TestSynthesizeQuadratic:

@@ -1,9 +1,9 @@
 """Seeded driver traces pinned against a stored file.
 
 Each case replays a small seeded run and compares its status, its
-diagnostics and every ``TraceRecord`` field except ``elapsed_sec``
-with ``data/golden_traces.json``; floats are stored as ``float.hex`` so
-the comparison is bit-exact.  Together the cases take every branch of
+diagnostics (with their key order) and every ``TraceRecord`` field
+except ``elapsed_sec`` with ``data/golden_traces.json``; floats are
+stored as ``float.hex`` so the comparison is bit-exact.  Together the cases take every branch of
 the drivers' step-size and model policies: relaxed and strict
 domination, the exact subsolver, a custom ``model_factory``, the
 logistic oracles, the fixed base after warm-ups of 8, 6 and 0
@@ -176,6 +176,8 @@ def check_case(case, golden):
     for i, (a, b) in enumerate(zip(got["records"], want["records"])):
         assert a == b, f"row {i} ({' '.join(COMPARED)}) differs"
     assert got["diagnostics"] == want["diagnostics"]
+    # Key order too, so that a pass means a regenerated file is byte-equal.
+    assert list(got["diagnostics"]) == list(want["diagnostics"])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxqn.dataset import synthesize_quadratic
 from proxqn.hessian import DiagLowRank
@@ -9,6 +11,7 @@ from proxqn.optimizers import (
     ALGORITHMS,
     BACKTRACK_FAILURE,
     CONVERGED,
+    MAX_ITER,
     OptimizerConfig,
     SigmaUnderflowError,
     _accepts,
@@ -412,6 +415,48 @@ class TestTraceContracts:
             trace = fn(prob, cfg)
             assert trace.status == CONVERGED, name
             assert trace.final().fval - fstar <= 1e-4, name
+
+
+MONOTONE = ("pga", "pqna-lbfgs", "pqna-fh")
+
+
+@st.composite
+def seeded_runs(draw):
+    """A small seeded quadratic, a start point and a driver config."""
+    n = draw(st.integers(2, 8))
+    gamma = draw(st.floats(0.05, 1.0))
+    lmax = gamma * draw(st.floats(1.0, 50.0))
+    seed = draw(st.integers(0, 2**16))
+    lam = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    problem = quadratic_problem(synthesize_quadratic(n, gamma, lmax, seed), lam)
+    x0 = np.random.default_rng(seed).standard_normal(n) * draw(
+        st.sampled_from([0.0, 1.0, 100.0]))
+    config = OptimizerConfig(tol_rel=1e-6, max_outer=40, seed=seed,
+                             warmup_kbar=draw(st.integers(0, 5)),
+                             mu_init=draw(st.sampled_from([1e-2, 1.0, 1e3])))
+    return problem, x0, config
+
+
+def _without_elapsed(trace):
+    return [(r.k, r.fval, r.subgrad_inf, r.backtracks, r.inner_iters,
+             r.step_scalar, r.t_k) for r in trace.records]
+
+
+class TestDriverProperties:
+    """Every driver, on both loops, over generated seeded quadratics."""
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(seeded_runs())
+    def test_status_monotonicity_and_determinism(self, run):
+        problem, x0, config = run
+        for name, driver in ALGORITHMS.items():
+            trace = driver(problem, config, x0)
+            assert trace.status in (CONVERGED, MAX_ITER, BACKTRACK_FAILURE), name
+            if name in MONOTONE:
+                assert_monotone(trace)
+            again = driver(problem, config, x0)
+            assert again.status == trace.status, name
+            assert _without_elapsed(again) == _without_elapsed(trace), name
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))

@@ -464,3 +464,9 @@ class TestQuadraticInput:
         prob = quadratic_problem(synthesize_quadratic(3, 0.1, 10.0, 0), 0.1)
         with pytest.raises(ValueError, match=r"expected \(3,\)"):
             getattr(prob, oracle)(w)
+
+
+def test_lipschitz_is_the_same_bits_on_every_build():
+    ds = _logistic_dataset(np.random.default_rng(21), 300, 40, 0.3)
+    bounds = {logistic_problem(ds, 1e-3).lipschitz.hex() for _ in range(12)}
+    assert len(bounds) == 1, bounds
