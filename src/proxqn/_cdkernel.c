@@ -16,7 +16,17 @@
  *
  * The logistic passes split their output elements over OpenMP threads
  * when built with -fopenmp.  Each element is still formed by one thread
- * in the serial order, so the thread count does not change a bit.
+ * in the serial order, so the thread count does not change a bit.  The
+ * passes also go faster than one add after another, with the same bits:
+ *  - they sum four output elements side by side (four rows of X in
+ *    lg_margins, four features of X' in lg_gradient).  Each element
+ *    keeps its own accumulator and adds its terms in index order, so
+ *    the four chains only overlap in time; the features are taken in
+ *    groups of similar length, by nonincreasing nonzero count, so that
+ *    the chains of a group run side by side for most of their length;
+ *  - on a binary matrix, whose every stored value is 1.0, they read no
+ *    values: 1.0 * x == x bit for bit, NaN and -0.0 included, so the
+ *    term x[j] is the term data[k] * x[j].
  */
 #include <math.h>
 #include <stdint.h>
@@ -169,6 +179,18 @@ int64_t cd_exact(workspace *w, double tol, int64_t max_steps, double *scratch)
  * thread alone: starting the thread team would cost more than it saves. */
 #define PARALLEL_NNZ 32768
 
+/* An OpenMP directive, or nothing in a build without OpenMP. */
+#ifdef _OPENMP
+#define OMP(...) _Pragma(#__VA_ARGS__)
+#else
+#define OMP(...)
+#endif
+
+/* The sums below are inlined with a constant binary flag, which gives
+ * each data kind a loop of its own; a call per group of four rows also
+ * cost the valued margins about 8%. */
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
 /* Set in a child made by fork(): the child has none of libgomp's
  * threads, and a parallel region there would wait for them forever. */
 static int forked;
@@ -193,41 +215,122 @@ int64_t lg_parallel_nnz(void)
     return PARALLEL_NNZ;
 }
 
+/* One term of a sparse product; a binary matrix reads no data. */
+#define TERM(k) (binary ? x[indices[k]] : data[k] * x[indices[k]])
+
+/* The sum of data[k] * x[indices[k]] over the nonzeros k of CSR row r,
+ * from 0.0 in index order. */
+ALWAYS_INLINE double sum1(const int32_t *indptr, const int32_t *indices,
+                          const double *data, const double *x, int64_t r,
+                          int binary)
+{
+    double s = 0.0;
+    for (int32_t k = indptr[r]; k < indptr[r + 1]; k++)
+        s += TERM(k);
+    return s;
+}
+
+/* sum1 of the rows r[0..3] as four chains side by side: up to the
+ * shortest row's length each step adds one term to every chain, then
+ * each chain adds the rest of its row. */
+ALWAYS_INLINE void sum4(const int32_t *indptr, const int32_t *indices,
+                        const double *data, const double *x, const int64_t *r,
+                        double *s, int binary)
+{
+    int32_t k0 = indptr[r[0]], e0 = indptr[r[0] + 1];
+    int32_t k1 = indptr[r[1]], e1 = indptr[r[1] + 1];
+    int32_t k2 = indptr[r[2]], e2 = indptr[r[2] + 1];
+    int32_t k3 = indptr[r[3]], e3 = indptr[r[3] + 1];
+    int32_t len = e0 - k0;
+    if (e1 - k1 < len)
+        len = e1 - k1;
+    if (e2 - k2 < len)
+        len = e2 - k2;
+    if (e3 - k3 < len)
+        len = e3 - k3;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (int32_t t = 0; t < len; t++) {
+        s0 += TERM(k0 + t);
+        s1 += TERM(k1 + t);
+        s2 += TERM(k2 + t);
+        s3 += TERM(k3 + t);
+    }
+    for (int32_t k = k0 + len; k < e0; k++)
+        s0 += TERM(k);
+    for (int32_t k = k1 + len; k < e1; k++)
+        s1 += TERM(k);
+    for (int32_t k = k2 + len; k < e2; k++)
+        s2 += TERM(k);
+    for (int32_t k = k3 + len; k < e3; k++)
+        s3 += TERM(k);
+    s[0] = s0;
+    s[1] = s1;
+    s[2] = s2;
+    s[3] = s3;
+}
+
+/* s[q] = sum1 of row r[q] for q < count <= 4, with the binary loop when
+ * data is NULL. */
+ALWAYS_INLINE void sum_rows(const int32_t *indptr, const int32_t *indices,
+                            const double *data, const double *x,
+                            const int64_t *r, int count, double *s)
+{
+    if (count == 4) {
+        if (data)
+            sum4(indptr, indices, data, x, r, s, 0);
+        else
+            sum4(indptr, indices, data, x, r, s, 1);
+        return;
+    }
+    for (int q = 0; q < count; q++)
+        s[q] = data ? sum1(indptr, indices, data, x, r[q], 0)
+                    : sum1(indptr, indices, data, x, r[q], 1);
+}
+
 /* z = -y * (X w) for X in CSR form with m rows: each row is summed from
- * 0.0 in index order, as scipy's csr_matvec does. */
+ * 0.0 in index order, as scipy's csr_matvec does, four rows at a time.
+ * data is NULL when every stored value of X is 1.0. */
 void lg_margins(int64_t m, const int32_t *indptr, const int32_t *indices,
                 const double *data, const double *y, const double *w,
                 double *z)
 {
-#pragma omp parallel for schedule(static) if (!forked && indptr[m] >= PARALLEL_NNZ)
-    for (int64_t i = 0; i < m; i++) {
-        double s = 0.0;
-        for (int32_t k = indptr[i]; k < indptr[i + 1]; k++)
-            s += data[k] * w[indices[k]];
-        z[i] = -y[i] * s;
+    OMP(omp parallel for schedule(static) if (!forked && indptr[m] >= PARALLEL_NNZ))
+    for (int64_t b = 0; b < (m + 3) / 4; b++) {
+        int64_t r[4] = {4 * b, 4 * b + 1, 4 * b + 2, 4 * b + 3};
+        int count = m - 4 * b < 4 ? (int)(m - 4 * b) : 4;
+        double s[4];
+        sum_rows(indptr, indices, data, w, r, count, s);
+        for (int q = 0; q < count; q++)
+            z[r[q]] = -y[r[q]] * s[q];
     }
 }
 
 /* grad = (X' c) / m with the coefficients c = -y * expit(z) stored in
- * coeff, for X' in CSR form with n rows (the features).  Each feature
- * gathers its nonzeros in increasing data-point order, the order in
- * which scipy's csc_matvec scatters them for X' held as CSC.  Features
- * differ widely in their nonzero counts, hence the dynamic schedule. */
+ * coeff, for X' in CSR form with n rows (the features); data is NULL
+ * when every stored value is 1.0.  Each feature gathers its nonzeros in
+ * increasing data-point order, the order in which scipy's csc_matvec
+ * scatters them for X' held as CSC.  order lists the features by
+ * nonincreasing nonzero count, so each group of four that is summed
+ * side by side has rows of similar length; groups still differ widely,
+ * hence the dynamic schedule. */
 void lg_gradient(int64_t m, int64_t n, const int32_t *indptr,
-                 const int32_t *indices, const double *data, const double *y,
-                 const double *z, double *coeff, double *grad)
+                 const int32_t *indices, const double *data,
+                 const int64_t *order, const double *y, const double *z,
+                 double *coeff, double *grad)
 {
-#pragma omp parallel if (!forked && indptr[n] >= PARALLEL_NNZ)
+    OMP(omp parallel if (!forked && indptr[n] >= PARALLEL_NNZ))
     {
-#pragma omp for schedule(static)
+        OMP(omp for schedule(static))
         for (int64_t i = 0; i < m; i++)
             coeff[i] = -y[i] * (1.0 / (1.0 + exp(-z[i])));
-#pragma omp for schedule(dynamic, 4)
-        for (int64_t j = 0; j < n; j++) {
-            double s = 0.0;
-            for (int32_t k = indptr[j]; k < indptr[j + 1]; k++)
-                s += data[k] * coeff[indices[k]];
-            grad[j] = s / (double)m;
+        OMP(omp for schedule(dynamic, 1))
+        for (int64_t g = 0; g < (n + 3) / 4; g++) {
+            const int64_t *r = order + 4 * g;
+            int count = n - 4 * g < 4 ? (int)(n - 4 * g) : 4;
+            double s[4];
+            sum_rows(indptr, indices, data, coeff, r, count, s);
+            for (int q = 0; q < count; q++)
+                grad[r[q]] = s[q] / (double)m;
         }
     }
 }

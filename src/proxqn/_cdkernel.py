@@ -71,7 +71,7 @@ class Kernel:
         self._margins.argtypes = [i64] + [ptr] * 6
         self._margins.restype = None
         self._gradient = lib.lg_gradient
-        self._gradient.argtypes = [i64, i64] + [ptr] * 7
+        self._gradient.argtypes = [i64, i64] + [ptr] * 8
         self._gradient.restype = None
         self._threads = lib.lg_threads
         self._threads.argtypes = []
@@ -122,32 +122,36 @@ class Kernel:
         32-bit index arrays, which scipy uses below 2**31 nonzeros."""
         return matrix.indptr.dtype == np.int32 and matrix.indices.dtype == np.int32
 
-    def margins(self, matrix, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``-labels * (matrix @ w)`` for a CSR ``matrix`` that
-        :meth:`takes` accepts, float64 ``labels`` of its row count and
-        float64 ``w`` of its column count."""
+    def margins(self, dataset, w: np.ndarray) -> np.ndarray:
+        """``-labels * (matrix @ w)`` of a Dataset whose ``matrix``
+        :meth:`takes` accepts, for float64 ``w`` of its feature count."""
+        matrix = dataset.matrix
         w = np.ascontiguousarray(w)
         z = np.empty(matrix.shape[0])
-        self._margins(matrix.shape[0], *_csr(matrix), labels.ctypes.data,
-                      w.ctypes.data, z.ctypes.data)
+        self._margins(matrix.shape[0], *_csr(matrix, dataset.binary),
+                      dataset.labels.ctypes.data, w.ctypes.data, z.ctypes.data)
         return z
 
-    def gradient(self, matrix_t, labels: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """``(matrix_t @ (-labels * expit(z))) / m`` for X' as a CSR
-        ``matrix_t`` of shape (n, m) that :meth:`takes` accepts and
-        float64 ``labels`` and margins ``z`` of length m."""
+    def gradient(self, dataset, z: np.ndarray) -> np.ndarray:
+        """``(matrix_t @ (-labels * expit(z))) / m`` of a Dataset whose
+        ``matrix_t`` :meth:`takes` accepts, for float64 margins ``z`` of
+        its point count."""
+        matrix_t = dataset.matrix_t
         n, m = matrix_t.shape
         coeff = np.empty(m)
         grad = np.empty(n)
-        self._gradient(m, n, *_csr(matrix_t), labels.ctypes.data,
-                       z.ctypes.data, coeff.ctypes.data, grad.ctypes.data)
+        self._gradient(m, n, *_csr(matrix_t, dataset.binary),
+                       dataset._feature_order.ctypes.data,
+                       dataset.labels.ctypes.data, z.ctypes.data,
+                       coeff.ctypes.data, grad.ctypes.data)
         return grad
 
 
-def _csr(matrix) -> tuple[int, int, int]:
-    """Addresses of a CSR matrix's indptr, indices and data."""
+def _csr(matrix, binary: bool) -> tuple[int, int, int | None]:
+    """Addresses of a CSR matrix's indptr, indices and data; NULL for
+    the data of a ``binary`` matrix, whose stored values are all 1.0."""
     return (matrix.indptr.ctypes.data, matrix.indices.ctypes.data,
-            matrix.data.ctypes.data)
+            None if binary else matrix.data.ctypes.data)
 
 
 def _arrays(ws) -> _Workspace:

@@ -20,20 +20,38 @@ class Dataset:
     """Immutable sparse design matrix with labels in {-1, +1}.
 
     Rows are stored in CSR form; ``row(i)`` exposes the (index, value)
-    pairs of a single data point with strictly increasing indices.
-    ``matrix_t`` is X' as a CSR copy of its own (12 bytes per nonzero
-    with 32-bit indices), built on first use: each of its rows lists a
+    pairs of a single data point with strictly increasing indices.  The
+    Dataset holds a copy of the caller's matrix and labels and makes the
+    arrays read-only, so no write reaches what it derives from them:
+    ``binary`` says whether every stored value is exactly 1.0, and
+    ``matrix_t`` is X' as a read-only CSR copy of its own (12 bytes per
+    nonzero with 32-bit indices), built on first use.  Each row of
+    ``matrix_t`` lists a
     feature's nonzeros in increasing data-point order, so ``matrix_t @
     c`` sums in the order of the CSC scatter over X's own arrays.
     """
 
     def __init__(self, matrix: sp.csr_matrix, labels: np.ndarray):
-        # The caller's arrays stay as they were: the labels are copied
-        # before they turn read-only, and unsorted rows sort in a copy
-        # (a CSR matrix given as float64 shares its arrays).
         matrix = sp.csr_matrix(matrix, dtype=np.float64)
+        # A CSR matrix given as float64 shares its arrays.  These copies
+        # keep their index dtype, which scipy's own copy may narrow.
+        matrix.data = matrix.data.copy()
+        matrix.indices = matrix.indices.copy()
+        matrix.indptr = matrix.indptr.copy()
+        self._own(matrix, labels)
+
+    @classmethod
+    def _adopt(cls, matrix: sp.csr_matrix, labels: np.ndarray) -> "Dataset":
+        """A Dataset over a float64 CSR ``matrix`` whose arrays no one
+        else holds, such as :func:`read_libsvm` builds: they are used
+        without a copy."""
+        dataset = cls.__new__(cls)
+        dataset._own(matrix, labels)
+        return dataset
+
+    def _own(self, matrix: sp.csr_matrix, labels: np.ndarray) -> None:
         if not matrix.has_sorted_indices:
-            matrix = matrix.sorted_indices()
+            matrix.sort_indices()
         labels = np.array(labels, dtype=np.float64)
         if matrix.shape[0] == 0:
             raise ValueError("dataset must contain at least one point")
@@ -49,8 +67,10 @@ class Dataset:
                 f"non-finite feature value {matrix.data[i]} at row {row}, "
                 f"column {matrix.indices[i]}"
             )
-        self._X = matrix
+        self._X = _read_only(matrix)
+        self._binary = bool(np.all(matrix.data == 1.0))
         self._XT = None
+        self._order = None
         self._y = labels
         self._y.setflags(write=False)
 
@@ -59,10 +79,26 @@ class Dataset:
         return self._X
 
     @property
+    def binary(self) -> bool:
+        """Whether every stored value of the matrix is exactly 1.0."""
+        return self._binary
+
+    @property
     def matrix_t(self) -> sp.csr_matrix:
         if self._XT is None:
-            self._XT = self._X.T.tocsr()
+            self._XT = _read_only(self._X.T.tocsr())
         return self._XT
+
+    @property
+    def _feature_order(self) -> np.ndarray:
+        """The features by nonincreasing nonzero count, ties in index
+        order (int64), which the compiled gradient takes in groups of
+        similar length; built on first use, from ``matrix_t``."""
+        if self._order is None:
+            counts = np.diff(self.matrix_t.indptr)
+            self._order = np.argsort(-counts, kind="stable").astype(np.int64)
+            self._order.setflags(write=False)
+        return self._order
 
     @property
     def labels(self) -> np.ndarray:
@@ -84,6 +120,13 @@ class Dataset:
         """Return (indices, values) of point ``i``."""
         lo, hi = self._X.indptr[i], self._X.indptr[i + 1]
         return self._X.indices[lo:hi], self._X.data[lo:hi]
+
+
+def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """``matrix`` with its data, indices and indptr made read-only."""
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.setflags(write=False)
+    return matrix
 
 
 def _map_labels(raw: list[str], positive_label: str | None) -> np.ndarray:
@@ -200,7 +243,7 @@ def read_libsvm(
         (np.asarray(data), cols, np.asarray(indptr)),
         shape=(len(raw_labels), n_features),
     )
-    return Dataset(matrix, labels)
+    return Dataset._adopt(matrix, labels)
 
 
 def write_libsvm(dataset: Dataset, path: str) -> None:

@@ -476,12 +476,13 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _random_sparse_dataset(rng, m=40, n=12, density=0.5):
+def _random_sparse_dataset(rng, m=40, n=12, density=0.5, binary=False):
+    """Values from N(0, 1), or 1.0 everywhere when ``binary``."""
     from scipy.sparse import random as sprandom
     from .dataset import Dataset
     mat = sprandom(m, n, density=density, random_state=np.random.RandomState(
         rng.integers(2**31)), format="csr")
-    mat.data = rng.standard_normal(mat.nnz)
+    mat.data = np.ones(mat.nnz) if binary else rng.standard_normal(mat.nnz)
     labels = np.where(rng.standard_normal(m) > 0, 1.0, -1.0)
     return Dataset(mat, labels)
 
@@ -720,23 +721,25 @@ def _check_logistic_kernel(level, rng):
     largest = 0
     for case in range(cases):
         # Every other dataset has enough nonzeros (about 40000 to 95000)
-        # for the passes to split over threads.
+        # for the passes to split over threads, and half of each kind
+        # store only 1.0, which the passes read without their values.
         if case % 2:
             m, n, density = int(rng.integers(1, 200)), int(rng.integers(1, 40)), 0.3
         else:
             m, n, density = int(rng.integers(2000, 3000)), int(rng.integers(25, 40)), 0.8
-        ds = _random_sparse_dataset(rng, m=m, n=n, density=density)
+        ds = _random_sparse_dataset(rng, m=m, n=n, density=density,
+                                    binary=case % 4 >= 2)
         largest = max(largest, ds.nnz)
         for scale in (1e-3, 1.0, 10.0, 800.0):
             w = rng.standard_normal(ds.n_features) * scale
-            z = kernel.margins(ds.matrix, ds.labels, w)
+            z = kernel.margins(ds, w)
+            where = f"m={m}, nnz={ds.nnz}, binary={ds.binary}"
             if z.tobytes() != margins_reference(ds, w).tobytes():
-                return False, f"m={m}, nnz={ds.nnz}: margins differ"
-            if (kernel.gradient(ds.matrix_t, ds.labels, z).tobytes()
-                    != gradient_reference(ds, z).tobytes()):
-                return False, f"m={m}, nnz={ds.nnz}: gradients differ"
-    return True, (f"{cases} datasets (nnz <= {largest}): margins and "
-                  f"gradients bit-identical")
+                return False, f"{where}: margins differ"
+            if kernel.gradient(ds, z).tobytes() != gradient_reference(ds, z).tobytes():
+                return False, f"{where}: gradients differ"
+    return True, (f"{cases} datasets, half of them binary (nnz <= {largest}): "
+                  f"margins and gradients bit-identical")
 
 
 def _check_cd_rate(level, rng):

@@ -22,10 +22,16 @@ def softplus(z: np.ndarray) -> np.ndarray:
     """log(1 + exp(z)) computed as max(z,0) + log1p(exp(-|z|)).
 
     The split keeps the argument of exp nonpositive, so large margins
-    (a9a-scale w'x) cannot overflow.
+    (a9a-scale w'x) cannot overflow.  The log1p term is formed in place
+    in one float64 temporary, by the same numpy loops as the plain
+    expression.
     """
-    z = np.asarray(z)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    z = np.asarray(z, dtype=np.float64)
+    t = np.abs(z, out=np.empty_like(z))
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    return np.add(np.maximum(z, 0.0), t, out=t)
 
 
 class Memo:
@@ -56,7 +62,7 @@ def _margins(dataset: Dataset, w: np.ndarray) -> np.ndarray:
     """z = -y * (Xw), the one forward pass of every logistic oracle."""
     kernel = _cdkernel.KERNEL
     if kernel is not None and kernel.takes(dataset.matrix):
-        return kernel.margins(dataset.matrix, dataset.labels, w)
+        return kernel.margins(dataset, w)
     return margins_reference(dataset, w)
 
 
@@ -65,7 +71,7 @@ def _gradient(dataset: Dataset, z: np.ndarray) -> np.ndarray:
     over the coefficients and one transpose pass."""
     kernel = _cdkernel.KERNEL
     if kernel is not None and kernel.takes(dataset.matrix_t):
-        return kernel.gradient(dataset.matrix_t, dataset.labels, z)
+        return kernel.gradient(dataset, z)
     return gradient_reference(dataset, z)
 
 

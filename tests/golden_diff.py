@@ -1,9 +1,11 @@
 """Compare freshly generated golden traces with a stored file, case by case.
 
-    PYTHONPATH=src python tests/golden_diff.py [GOLDEN_JSON] [--case NAME ...]
+    PYTHONPATH=src python tests/golden_diff.py [GOLDEN_JSON] [--case NAME ...] [--python]
 
-Replays the seeded cases of ``test_golden_traces.py`` in memory and
-prints one table row per case:
+Replays the seeded cases of ``test_golden_traces.py`` in memory, on the
+active backend or, with ``--python``, on the Python code (it sets
+``proxqn._cdkernel.KERNEL`` to ``None`` first), and prints one table row
+per case:
 
 * whether the status is the same (``old -> new`` when it is not);
 * the change in iterations and in total backtracks (new minus old);
@@ -32,6 +34,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import test_golden_traces as golden  # noqa: E402
 
+from proxqn import _cdkernel  # noqa: E402
 from proxqn.harness import tolerance_induced_gap  # noqa: E402
 from proxqn.optimizers import Trace, TraceRecord  # noqa: E402
 
@@ -153,7 +156,11 @@ def main(argv=None) -> int:
     parser.add_argument("golden", nargs="?", default=golden.GOLDEN_PATH)
     parser.add_argument("--case", action="append", choices=sorted(golden.CASES),
                         help="compare only this case (repeatable)")
+    parser.add_argument("--python", action="store_true",
+                        help="replay on the Python code, without the compiled kernel")
     args = parser.parse_args(argv)
+    if args.python:
+        _cdkernel.KERNEL = None
     rows = diff(args.golden, args.case)
     print(table(rows))
     return 0 if all(r.identical for r in rows) else 1

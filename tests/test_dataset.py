@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from proxqn.dataset import (
     synthesize_quadratic,
     write_libsvm,
 )
+from proxqn.problem import logistic_problem
 
 from conftest import make_dataset
 
@@ -108,10 +111,66 @@ class TestConstructor:
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_array_equal(val, [1.0, 2.0])
 
-    def test_sorted_input_is_not_copied(self):
-        matrix = sp.csr_matrix(np.array([[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]]))
-        ds = Dataset(matrix, np.array([1.0, -1.0]))
-        assert np.shares_memory(ds.matrix.data, matrix.data)
+    def test_read_libsvm_arrays_are_not_copied(self, tmp_path):
+        """The matrix read_libsvm returns holds the typed arrays the
+        parser filled, not copies of them."""
+        ds = read_libsvm(write_lines(tmp_path, ["+1 1:0.5 3:2.0", "-1 2:1.0"]))
+
+        def owner(a):
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            return a.obj if isinstance(a, memoryview) else a
+
+        assert isinstance(owner(ds.matrix.data), array)
+        assert isinstance(owner(ds.matrix.indices), array)
+
+    def test_later_writes_to_the_callers_matrix_do_not_reach_it(self):
+        matrix = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        ds = Dataset(matrix, np.array([1.0, -1.0, 1.0]))
+        problem = logistic_problem(ds, 0.0)
+        w = np.array([0.5, -2.0])
+        value, grad = problem.value_and_grad(w)
+        assert ds.binary
+        matrix.data[:] = 7.0
+        matrix.indices[0] = 1
+        idx, val = ds.row(0)
+        np.testing.assert_array_equal(idx, [0])
+        np.testing.assert_array_equal(val, [1.0])
+        assert ds.binary
+        value2, grad2 = problem.value_and_grad(w)
+        assert value2 == value and grad2.tobytes() == grad.tobytes()
+
+
+class TestDerived:
+    def test_feature_order_is_by_nonincreasing_count_ties_by_index(self):
+        dense = np.array([[1.0, 1.0, 0.0, 1.0, 0.0],
+                          [0.0, 1.0, 0.0, 1.0, 1.0],
+                          [1.0, 1.0, 0.0, 1.0, 0.0]])
+        ds = Dataset(sp.csr_matrix(dense), np.ones(3))
+        order = ds._feature_order
+        assert order.dtype == np.int64
+        np.testing.assert_array_equal(order, [1, 3, 0, 4, 2])
+        assert ds._feature_order is order
+
+    def test_arrays_behind_what_it_derives_are_read_only(self, tmp_path):
+        """A write through ds.matrix would leave the binary flag, the
+        transpose and the feature order stale, so none is allowed."""
+        read = read_libsvm(write_lines(tmp_path, ["+1 1:1 3:1", "-1 2:1"]))
+        built = Dataset(sp.csr_matrix(np.ones((3, 2))), np.ones(3))
+        for ds in (read, built):
+            derived = (ds.matrix.data, ds.matrix.indices, ds.matrix.indptr,
+                       ds.matrix_t.data, ds.matrix_t.indices,
+                       ds.matrix_t.indptr, ds._feature_order, ds.labels)
+            for array in derived:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 2
+
+    @pytest.mark.parametrize("value", [2.0, np.nextafter(1.0, 2.0), 0.0])
+    def test_one_other_stored_value_makes_it_valued(self, value):
+        matrix = sp.csr_matrix(np.ones((3, 2)))
+        assert Dataset(matrix, np.ones(3)).binary
+        matrix.data[4] = value
+        assert not Dataset(matrix, np.ones(3)).binary
 
 
 class TestRoundTrip:

@@ -3,6 +3,8 @@ import json
 import golden_diff
 from test_golden_traces import GOLDEN_PATH
 
+from proxqn import _cdkernel
+
 
 def _copy(tmp_path, edit=None):
     with open(GOLDEN_PATH, encoding="ascii") as fh:
@@ -51,3 +53,23 @@ def test_status_and_length_changes_are_reported(tmp_path):
     assert (row.old_status, row.new_status) == ("converged", "max_iter")
     assert row.d_iterations == 3 and row.max_rel_drift == 0.0
     assert row.final_gap > 0.0 and row.tolerance_gap is not None
+
+
+def test_python_switch_replays_without_the_kernel(tmp_path, monkeypatch, capsys):
+    kernel = _cdkernel.KERNEL
+    monkeypatch.setattr(_cdkernel, "KERNEL", kernel)  # restored afterwards
+    seen = []
+    run_case = golden_diff.run_case
+
+    def spy(case):
+        seen.append(_cdkernel.KERNEL)
+        return run_case(case)
+
+    monkeypatch.setattr(golden_diff, "run_case", spy)
+    path = _copy(tmp_path)
+    assert golden_diff.main([path, "--case", "apqna-logistic-binary"]) == 0
+    assert seen == [kernel]
+    assert golden_diff.main([path, "--python", "--case", "apqna-logistic-binary"]) == 0
+    assert seen == [kernel, None]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("| apqna-logistic-binary | yes | same | +0 | +0 |")

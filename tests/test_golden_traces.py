@@ -6,9 +6,10 @@ except ``elapsed_sec`` with ``data/golden_traces.json``; floats are
 stored as ``float.hex`` so the comparison is bit-exact.  Together the cases take every branch of
 the drivers' step-size and model policies: relaxed and strict
 domination, the exact subsolver, a custom ``model_factory``, the
-logistic oracles, the fixed base after warm-ups of 8, 6 and 0
-iterations, an explicit base, a run stopped inside the warm-up, the
-three ``run_pqna`` Hessian modes, and a backtracking failure.
+logistic oracles on valued and on binary data, the fixed base after
+warm-ups of 8, 6 and 0 iterations, an explicit base, a run stopped
+inside the warm-up, the three ``run_pqna`` Hessian modes, and a
+backtracking failure.
 
 Every case runs twice: on the active backend (the compiled kernel
 wherever it builds, for the coordinate-descent loops and the logistic
@@ -55,9 +56,13 @@ def _quad(n=20, seed=5, lam=0.02):
     return quadratic_problem(synthesize_quadratic(n, 0.3, 6.0, seed), lam)
 
 
-def _logistic():
+def _logistic(binary=False):
+    """A 60 x 15 data set with 40% nonzeros; ``binary`` sets each
+    nonzero to 1.0."""
     rng = np.random.default_rng(11)
     dense = rng.standard_normal((60, 15)) * (rng.random((60, 15)) < 0.4)
+    if binary:
+        dense = (dense != 0.0).astype(np.float64)
     labels = np.where(rng.standard_normal(60) > 0, 1.0, -1.0)
     return logistic_problem(Dataset(sp.csr_matrix(dense), labels), 1e-3)
 
@@ -109,6 +114,8 @@ CASES = {
         model_factory=_alternating),
     "apqna-logistic": lambda: run_apqna(_logistic(), _cfg(seed=6)),
     "apqna-fh-logistic": lambda: run_apqna_fh(_logistic(), _cfg(seed=6)),
+    "apqna-logistic-binary": lambda: run_apqna(_logistic(binary=True),
+                                               _cfg(seed=6)),
     "apqna-fh-warmup8": lambda: run_apqna_fh(
         _quad(seed=18), _cfg(seed=6, tol_rel=1e-3, max_outer=120)),
     "apqna-fh-warmup6": lambda: run_apqna_fh(

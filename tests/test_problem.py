@@ -27,6 +27,7 @@ from proxqn.problem import (
     min_norm_subgradient,
     prox_l1_scaled_identity,
     quadratic_problem,
+    softplus,
 )
 
 from conftest import make_dataset
@@ -323,6 +324,21 @@ def _logistic_dataset(rng, m, n, density):
     return Dataset(mat, np.where(rng.random(m) < 0.5, 1.0, -1.0))
 
 
+def _binary_dataset(rng, m, n, density):
+    """Labels in {-1, +1} and a CSR matrix that stores only 1.0, with an
+    empty first row, an empty last feature, and features 1 and 2 of the
+    same pattern, so of tied lengths."""
+    pattern = rng.random((m, n)) < density
+    pattern[0] = False
+    pattern[:, -1] = False
+    if n >= 3:
+        pattern[:, 2] = pattern[:, 1]
+    ds = Dataset(sp.csr_matrix(pattern.astype(np.float64)),
+                 np.where(rng.random(m) < 0.5, 1.0, -1.0))
+    assert ds.binary
+    return ds
+
+
 def _logistic_point(rng, ds, scale):
     """A random w; scale "800" sets the largest margin to +-800, where
     exp(-z) and exp(z) overflow."""
@@ -365,10 +381,12 @@ class TestCompiledLogisticOracle:
     @given(m=st.integers(1, 40), n=st.integers(1, 12),
            density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
            scale=st.sampled_from([1e-3, 1.0, 10.0, "800"]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_small_datasets_match_python(self, m, n, density, scale, seed):
+           seed=st.integers(0, 2**32 - 1), binary=st.booleans())
+    def test_small_datasets_match_python(self, m, n, density, scale, seed,
+                                         binary):
         rng = np.random.default_rng(seed)
-        ds = _logistic_dataset(rng, m, n, density)
+        make = _binary_dataset if binary else _logistic_dataset
+        ds = make(rng, m, n, density)
         w = _logistic_point(rng, ds, scale)
         assert (logistic_oracle_bytes(ds, w)
                 == on_python_code(logistic_oracle_bytes, ds, w))
@@ -380,6 +398,34 @@ class TestCompiledLogisticOracle:
         ds = _logistic_dataset(rng, **LARGE)
         assert ds.nnz >= _cdkernel.KERNEL.parallel_nnz
         w = _logistic_point(rng, ds, scale)
+        assert (logistic_oracle_bytes(ds, w)
+                == on_python_code(logistic_oracle_bytes, ds, w))
+
+    @needs_kernel
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 10.0, "800"])
+    def test_threaded_binary_passes_match_python(self, scale):
+        rng = np.random.default_rng(16)
+        ds = _binary_dataset(rng, **LARGE)
+        assert ds.nnz >= _cdkernel.KERNEL.parallel_nnz
+        w = _logistic_point(rng, ds, scale)
+        assert (logistic_oracle_bytes(ds, w)
+                == on_python_code(logistic_oracle_bytes, ds, w))
+
+    @needs_kernel
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_saturated_coefficients_match_python(self, binary):
+        """Margins on both sides of where exp(-z) overflows to inf and
+        underflows to 0.0, out to the +-7000 of wild trial points."""
+        z = np.concatenate([np.linspace(-760.0, -700.0, 241),
+                            np.linspace(700.0, 760.0, 241),
+                            [-710.0, 746.0, np.nextafter(-710.0, 0.0),
+                             np.nextafter(746.0, 0.0), -7000.0, 7000.0]])
+        labels = np.where(np.arange(z.size) % 2, 1.0, -1.0)
+        scale = 1.0 if binary else 2.0
+        ds = Dataset(sp.identity(z.size, format="csr") * scale, labels)
+        assert ds.binary == binary
+        w = -labels * z / scale  # the margins -y * (Xw) are z itself
+        assert logistic_value(ds, w) == on_python_code(logistic_value, ds, w)
         assert (logistic_oracle_bytes(ds, w)
                 == on_python_code(logistic_oracle_bytes, ds, w))
 
@@ -445,6 +491,16 @@ class TestCompiledLogisticOracle:
         assert not np.shares_memory(xt.data, ds.matrix.data)
         assert ds.matrix_t is xt
         np.testing.assert_array_equal(xt.toarray(), ds.matrix.toarray().T)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.one_of(st.floats(-1e4, 1e4),
+                          st.sampled_from([np.inf, -np.inf, 0.0, -0.0])),
+                max_size=100))
+def test_softplus_is_the_plain_expression_byte_for_byte(values):
+    z = np.array(values, dtype=np.float64)
+    plain = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    assert _bytes(softplus(z)) == _bytes(plain)
 
 
 class TestQuadraticInput:

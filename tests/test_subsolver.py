@@ -1,4 +1,5 @@
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -356,6 +357,18 @@ class TestBackends:
         assert kernel.serial_reason.startswith("cc -fno-such-option failed")
         monkeypatch.setattr(_cdkernel, "KERNEL", kernel)
         assert _cdkernel.backend().startswith("c, serial (cc -fno-such-option")
+
+    @pytest.mark.parametrize("flags", [[], [_cdkernel.OPENMP]],
+                             ids=["serial", "openmp"])
+    def test_kernel_compiles_without_warnings(self, flags, tmp_path):
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("no C compiler (cc) on PATH")
+        built = subprocess.run(
+            [cc, *_cdkernel.CFLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+             _cdkernel.SOURCE, "-o", str(tmp_path / "kernel.so")],
+            capture_output=True, text=True, timeout=120)
+        assert built.returncode == 0, built.stderr
 
     @needs_kernel
     @settings(max_examples=150, deadline=None, database=None)
