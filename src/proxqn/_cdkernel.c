@@ -9,8 +9,10 @@
  *    routine with the same arguments (cd_bind_blas receives numpy's own
  *    ddot and dgemv);
  *  - every sparse product sums each output element from 0.0 in the
- *    order scipy's csr_matvec and csc_matvec do, and expit is
- *    1/(1+exp(-z)) with libm's exp, as scipy's;
+ *    order scipy's csr_matvec and csc_matvec do;
+ *  - the logistic coefficients take e = exp(-|z|) from the caller, the
+ *    array numpy's exp formed for the loss at the same margins, so no
+ *    pass here calls exp;
  *  - all other arithmetic is plain double arithmetic in the Python
  *    order, built with -ffp-contract=off so no multiply-add is fused.
  *
@@ -305,24 +307,30 @@ void lg_margins(int64_t m, const int32_t *indptr, const int32_t *indices,
     }
 }
 
-/* grad = (X' c) / m with the coefficients c = -y * expit(z) stored in
- * coeff, for X' in CSR form with n rows (the features); data is NULL
- * when every stored value is 1.0.  Each feature gathers its nonzeros in
- * increasing data-point order, the order in which scipy's csc_matvec
- * scatters them for X' held as CSC.  order lists the features by
- * nonincreasing nonzero count, so each group of four that is summed
- * side by side has rows of similar length; groups still differ widely,
- * hence the dynamic schedule. */
+/* grad = (X' c) / m with the coefficients c = -y * (s / (1 + e)) stored
+ * in coeff, from the margins z and e = exp(-|z|): s is 1 where z >= 0 and
+ * e elsewhere, so s / (1 + e) is expit(z) with the exponent kept
+ * nonpositive.  The sign of z is random, so s is a select, not a branch.
+ * X' is in CSR form with n rows (the features); data is NULL when every
+ * stored value is 1.0.  Each feature gathers its nonzeros in increasing
+ * data-point order, the order in which scipy's csc_matvec scatters them
+ * for X' held as CSC.  order lists the features by nonincreasing nonzero
+ * count, so each group of four that is summed side by side has rows of
+ * similar length; groups still differ widely, hence the dynamic
+ * schedule. */
 void lg_gradient(int64_t m, int64_t n, const int32_t *indptr,
                  const int32_t *indices, const double *data,
                  const int64_t *order, const double *y, const double *z,
-                 double *coeff, double *grad)
+                 const double *e, double *coeff, double *grad)
 {
     OMP(omp parallel if (!forked && indptr[n] >= PARALLEL_NNZ))
     {
         OMP(omp for schedule(static))
-        for (int64_t i = 0; i < m; i++)
-            coeff[i] = -y[i] * (1.0 / (1.0 + exp(-z[i])));
+        for (int64_t i = 0; i < m; i++) {
+            double ei = e[i];
+            double s = z[i] >= 0.0 ? 1.0 : ei;
+            coeff[i] = -y[i] * (s / (1.0 + ei));
+        }
         OMP(omp for schedule(dynamic, 1))
         for (int64_t g = 0; g < (n + 3) / 4; g++) {
             const int64_t *r = order + 4 * g;

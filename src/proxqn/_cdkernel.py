@@ -71,7 +71,7 @@ class Kernel:
         self._margins.argtypes = [i64] + [ptr] * 6
         self._margins.restype = None
         self._gradient = lib.lg_gradient
-        self._gradient.argtypes = [i64, i64] + [ptr] * 8
+        self._gradient.argtypes = [i64, i64] + [ptr] * 9
         self._gradient.restype = None
         self._threads = lib.lg_threads
         self._threads.argtypes = []
@@ -132,17 +132,20 @@ class Kernel:
                       dataset.labels.ctypes.data, w.ctypes.data, z.ctypes.data)
         return z
 
-    def gradient(self, dataset, z: np.ndarray) -> np.ndarray:
-        """``(matrix_t @ (-labels * expit(z))) / m`` of a Dataset whose
-        ``matrix_t`` :meth:`takes` accepts, for float64 margins ``z`` of
-        its point count."""
+    def gradient(self, dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """``(matrix_t @ c) / m`` with the coefficients ``c = -labels *
+        (where(z >= 0, 1, e) / (1 + e))`` of a Dataset whose ``matrix_t``
+        :meth:`takes` accepts, for float64 margins ``z`` of its point count
+        and ``e = exp(-|z|)`` as the loss formed it.  Where z < 0 the
+        coefficient's sigmoid is e / (1 + e), so it needs no exp of its own
+        and no exponent ever overflows."""
         matrix_t = dataset.matrix_t
         n, m = matrix_t.shape
         coeff = np.empty(m)
         grad = np.empty(n)
         self._gradient(m, n, *_csr(matrix_t, dataset.binary),
                        dataset._feature_order.ctypes.data,
-                       dataset.labels.ctypes.data, z.ctypes.data,
+                       dataset.labels.ctypes.data, z.ctypes.data, e.ctypes.data,
                        coeff.ctypes.data, grad.ctypes.data)
         return grad
 

@@ -42,6 +42,7 @@ from .optimizers import (
 from .problem import (
     CompositeProblem,
     Memo,
+    exp_neg_abs,
     gradient_reference,
     l1_value,
     logistic_problem,
@@ -733,10 +734,12 @@ def _check_logistic_kernel(level, rng):
         for scale in (1e-3, 1.0, 10.0, 800.0):
             w = rng.standard_normal(ds.n_features) * scale
             z = kernel.margins(ds, w)
+            e = exp_neg_abs(z)
             where = f"m={m}, nnz={ds.nnz}, binary={ds.binary}"
             if z.tobytes() != margins_reference(ds, w).tobytes():
                 return False, f"{where}: margins differ"
-            if kernel.gradient(ds, z).tobytes() != gradient_reference(ds, z).tobytes():
+            if (kernel.gradient(ds, z, e).tobytes()
+                    != gradient_reference(ds, z, e).tobytes()):
                 return False, f"{where}: gradients differ"
     return True, (f"{cases} datasets, half of them binary (nnz <= {largest}): "
                   f"margins and gradients bit-identical")

@@ -12,25 +12,28 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from . import _cdkernel
 from .dataset import Dataset, SyntheticQuadratic
 
 
-def softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + exp(z)) computed as max(z,0) + log1p(exp(-|z|)).
+def exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """e = exp(-|z|), the one exp of the logistic oracle at margins z.
 
-    The split keeps the argument of exp nonpositive, so large margins
-    (a9a-scale w'x) cannot overflow.  The log1p term is formed in place
-    in one float64 temporary, by the same numpy loops as the plain
-    expression.
+    The loss takes log1p(e) and the gradient's coefficients 1/(1 + e) or
+    e/(1 + e), so the argument of exp stays nonpositive and large margins
+    (a9a-scale w'x) cannot overflow.
     """
-    z = np.asarray(z, dtype=np.float64)
-    t = np.abs(z, out=np.empty_like(z))
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def softplus(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(z)) computed as max(z,0) + log1p(e) from
+    e = :func:`exp_neg_abs` (z); the log1p term is formed in one float64
+    temporary that also takes the sum."""
+    t = np.log1p(e)
     return np.add(np.maximum(z, 0.0), t, out=t)
 
 
@@ -39,19 +42,19 @@ class Memo:
 
     ``f_value(w, memo)`` stores the bytes of w as ``key`` and the
     intermediate it formed (the logistic margins -y*(Xw), the quadratic
-    product Aw) as ``value``; ``f_grad(w, memo)`` reuses ``value`` only
-    when the bytes of its w match ``key``.  A driver run owns its memo,
-    so problems stay pure and shareable.
+    product Aw) as ``value``, with what it derived from it as ``derived``
+    (the logistic exp(-|z|), None for the quadratic); ``f_grad(w, memo)``
+    reuses both only when the bytes of its w match ``key``.  A driver run owns its
+    memo, so problems stay pure and shareable.
     """
 
-    __slots__ = ("key", "value")
+    __slots__ = ("key", "value", "derived")
 
     def __init__(self):
-        self.key = None
-        self.value = None
+        self.key = self.value = self.derived = None
 
-    def store(self, w: np.ndarray, value: np.ndarray) -> None:
-        self.key, self.value = w.tobytes(), value
+    def store(self, w: np.ndarray, value: np.ndarray, derived=None) -> None:
+        self.key, self.value, self.derived = w.tobytes(), value, derived
 
     def recall(self, w: np.ndarray) -> np.ndarray | None:
         """The stored value if it was formed at these exact bytes of w."""
@@ -66,13 +69,13 @@ def _margins(dataset: Dataset, w: np.ndarray) -> np.ndarray:
     return margins_reference(dataset, w)
 
 
-def _gradient(dataset: Dataset, z: np.ndarray) -> np.ndarray:
-    """(1/m) X'c with c = -y * sigmoid(z), from the margins z: one pass
-    over the coefficients and one transpose pass."""
+def _gradient(dataset: Dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """(1/m) X'c with c = -y * sigmoid(z), from the margins z and
+    e = exp(-|z|): one pass over the coefficients and one transpose pass."""
     kernel = _cdkernel.KERNEL
     if kernel is not None and kernel.takes(dataset.matrix_t):
-        return kernel.gradient(dataset, z)
-    return gradient_reference(dataset, z)
+        return kernel.gradient(dataset, z, e)
+    return gradient_reference(dataset, z, e)
 
 
 def margins_reference(dataset: Dataset, w: np.ndarray) -> np.ndarray:
@@ -81,10 +84,16 @@ def margins_reference(dataset: Dataset, w: np.ndarray) -> np.ndarray:
     return -dataset.labels * (dataset.matrix @ w)
 
 
-def gradient_reference(dataset: Dataset, z: np.ndarray) -> np.ndarray:
+def coefficients(labels: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """c = -y * sigmoid(z) from e = exp(-|z|): sigmoid(z) is 1/(1 + e)
+    where z >= 0 and e/(1 + e) elsewhere (NaN where z is NaN)."""
+    return -labels * (np.where(z >= 0, 1.0, e) / (1.0 + e))
+
+
+def gradient_reference(dataset: Dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """:func:`_gradient` in numpy and scipy; the reference for
     ``Kernel.gradient``."""
-    coeff = -dataset.labels * expit(z)
+    coeff = coefficients(dataset.labels, z, e)
     return (dataset.matrix_t @ coeff) / dataset.n_points
 
 
@@ -93,9 +102,10 @@ def logistic_value(dataset: Dataset, w: np.ndarray,
     """Average logistic loss (1/m) sum_i log(1 + exp(-y_i w'x_i))."""
     w = _check_dim(dataset.n_features, w)
     z = _margins(dataset, w)
+    e = exp_neg_abs(z)
     if memo is not None:
-        memo.store(w, z)
-    return float(np.mean(softplus(z)))
+        memo.store(w, z, e)
+    return float(np.mean(softplus(z, e)))
 
 
 def logistic_gradient(dataset: Dataset, w: np.ndarray,
@@ -103,18 +113,22 @@ def logistic_gradient(dataset: Dataset, w: np.ndarray,
     """Gradient -(1/m) sum_i y_i sigmoid(-y_i w'x_i) x_i."""
     w = _check_dim(dataset.n_features, w)
     z = None if memo is None else memo.recall(w)
+    e = None if z is None else memo.derived
     if z is None:
         z = _margins(dataset, w)
-    return _gradient(dataset, z)
+    if e is None:
+        e = exp_neg_abs(z)
+    return _gradient(dataset, z, e)
 
 
 def logistic_value_and_gradient(
     dataset: Dataset, w: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Loss and gradient sharing a single pass over the margins."""
+    """Loss and gradient sharing one pass over the margins and one exp."""
     w = _check_dim(dataset.n_features, w)
     z = _margins(dataset, w)
-    return float(np.mean(softplus(z))), _gradient(dataset, z)
+    e = exp_neg_abs(z)
+    return float(np.mean(softplus(z, e))), _gradient(dataset, z, e)
 
 
 def _check_dim(n: int, w: np.ndarray) -> np.ndarray:

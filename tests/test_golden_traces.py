@@ -17,12 +17,30 @@ oracle) and on the Python code.  Both must match the file, since the
 kernel forms each product with numpy's own BLAS routine, sums each
 sparse product in scipy's order and repeats the rest of the arithmetic
 in the Python order.  The file pins the numpy, scipy and BLAS builds it was generated
-with: another BLAS moves the last bits of the traces.  Such a change
-regenerates the file openly, with a note in CHANGES.md, by running
+with, and the SIMD level that picks numpy's `exp` loop: another build
+moves the last bits of the traces.  Such a change regenerates the file
+openly, with a note in CHANGES.md, by running
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-A refactor of the drivers must leave the file unchanged.
+A refactor of the drivers must leave the file unchanged.  A change
+whose purpose is to move the last bits (a numerics change: another
+expression for an oracle, an intermediate formed another way) follows
+this rule:
+
+* it regenerates the file in a commit of its own, which changes
+  nothing else;
+* it pastes the tables of ``tests/golden_diff.py`` and
+  ``tests/golden_diff.py --python``, run against the file before
+  regeneration, into CHANGES.md;
+* no case changes its status, and every final F lies within the
+  tolerance-induced gap that the table reports (cases without a
+  strong-convexity bound report ``n/a``, and their F drift is shown
+  instead);
+* every change in iterations or backtracks is explained in CHANGES.md;
+* cases whose code path the change does not touch stay byte-identical.
+
+The test itself stays bit-exact on both backends: nothing is loosened.
 """
 
 import json

@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from proxqn.dataset import synthesize_quadratic
+import proxqn.optimizers as optimizers
+from proxqn.dataset import Dataset, synthesize_quadratic
+from proxqn.harness import tolerance_induced_gap
 from proxqn.hessian import DiagLowRank
 from proxqn.optimizers import (
     ALGORITHMS,
@@ -25,7 +31,12 @@ from proxqn.optimizers import (
     t_next,
     theoretical_linear_rate,
 )
-from proxqn.problem import CompositeProblem, l1_value, quadratic_problem
+from proxqn.problem import (
+    CompositeProblem,
+    l1_value,
+    logistic_problem,
+    quadratic_problem,
+)
 
 from conftest import identity_quadratic
 
@@ -457,6 +468,98 @@ class TestDriverProperties:
             again = driver(problem, config, x0)
             assert again.status == trace.status, name
             assert _without_elapsed(again) == _without_elapsed(trace), name
+
+
+@st.composite
+def small_problems(draw):
+    """A random small logistic or quadratic problem and the strong-convexity
+    bound of f on the segment between two points.  The quadratic's is its
+    smallest eigenvalue.  The logistic Hessian (1/m) X' diag(s'(z)) X is at
+    least its value with each s'(z_i) = expit(z_i) expit(-z_i) taken at the
+    larger |z_i| of the two ends, since s' falls with |z| and z is linear;
+    the first n points are multiples of the unit vectors, so X has full
+    rank."""
+    seed = draw(st.integers(0, 2**16))
+    lam = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        gamma = draw(st.floats(0.05, 1.0))
+        quad = synthesize_quadratic(n, gamma, gamma * draw(st.floats(1.0, 30.0)),
+                                    seed)
+        return quadratic_problem(quad, lam), lambda a, b: quad.gamma
+    m = draw(st.integers(3 * n, 60))
+    binary = draw(st.booleans())
+    values = np.ones((m, n)) if binary else rng.uniform(-2.0, 2.0, (m, n))
+    dense = np.where(rng.random((m, n)) < 0.5, values, 0.0)
+    dense[:n] = np.diag(values[np.arange(n), np.arange(n)])
+    labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    ds = Dataset(sp.csr_matrix(dense), labels)
+
+    def gamma(a, b):
+        t = np.maximum(np.abs(dense @ a), np.abs(dense @ b))
+        hessian = dense.T @ ((expit(t) * expit(-t))[:, None] * dense) / m
+        return float(np.linalg.eigvalsh(hessian)[0])
+    return logistic_problem(ds, lam), gamma
+
+
+def _run_to_final_point(driver, problem, config):
+    """The trace and its final point, the x of the last row's
+    subgradient norm."""
+    rows = []
+    real = optimizers._subgrad_inf
+
+    def subgrad_inf(grad, x, lam):
+        rows.append(x)
+        return real(grad, x, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizers, "_subgrad_inf", subgrad_inf)
+        trace = driver(problem, config)
+    assert len(rows) == len(trace.records)
+    return trace, rows[-1]
+
+
+class TestDriverAgreement:
+    """The guard on the last bits: whatever rounding the oracles carry,
+    all six drivers stop at the same F up to what their stopping rule
+    allows."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(small_problems())
+    def test_all_drivers_reach_the_same_final_value(self, case):
+        """|F_a - F_b| <= max of the two tolerance-induced gaps, with
+        gamma taken on the segment between the final points, plus four
+        ulps of rounding in F itself.  The bound holds at any final
+        point, so runs that stop at max_outer count too."""
+        problem, gamma = case
+        config = OptimizerConfig(tol_rel=1e-6, max_outer=5000, seed=3,
+                                 warmup_kbar=4)
+        finals = [_run_to_final_point(driver, problem, config)
+                  for driver in ALGORITHMS.values()]
+        for (ta, xa), (tb, xb) in combinations(finals, 2):
+            assert ta.status in (CONVERGED, MAX_ITER), ta.algorithm
+            g = gamma(xa, xb)
+            fa, fb = ta.final().fval, tb.final().fval
+            gap = max(tolerance_induced_gap(ta, g, problem.n),
+                      tolerance_induced_gap(tb, g, problem.n))
+            rounding = 4 * np.finfo(float).eps * max(abs(fa), abs(fb))
+            assert abs(fa - fb) <= gap + rounding, (ta.algorithm, tb.algorithm)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_oracle_that_ignores_the_memo_gives_the_same_trace(name,
+                                                           small_logistic):
+    """The memo only spares passes: f_grad reuses the margins and
+    exp(-|z|) that f_value formed, which a fresh pass repeats bit for bit."""
+    ignoring = replace(small_logistic,
+                       f_value=lambda w, memo=None: small_logistic.f_value(w),
+                       f_grad=lambda w, memo=None: small_logistic.f_grad(w))
+    config = OptimizerConfig(tol_rel=1e-7, max_outer=3000, warmup_kbar=4)
+    got = ALGORITHMS[name](ignoring, config)
+    want = ALGORITHMS[name](small_logistic, config)
+    assert got.status == want.status == CONVERGED
+    assert _without_elapsed(got) == _without_elapsed(want)
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
