@@ -44,8 +44,8 @@ class Memo:
     intermediate it formed (the logistic margins -y*(Xw), the quadratic
     product Aw) as ``value``, with what it derived from it as ``derived``
     (the logistic exp(-|z|), None for the quadratic); ``f_grad(w, memo)``
-    reuses both only when the bytes of its w match ``key``.  A driver run owns its
-    memo, so problems stay pure and shareable.
+    reuses both only when the bytes of its w match ``key``.  A driver run
+    owns its memo, so problems stay pure and shareable.
     """
 
     __slots__ = ("key", "value", "derived")
@@ -113,12 +113,10 @@ def logistic_gradient(dataset: Dataset, w: np.ndarray,
     """Gradient -(1/m) sum_i y_i sigmoid(-y_i w'x_i) x_i."""
     w = _check_dim(dataset.n_features, w)
     z = None if memo is None else memo.recall(w)
-    e = None if z is None else memo.derived
-    if z is None:
-        z = _margins(dataset, w)
-    if e is None:
-        e = exp_neg_abs(z)
-    return _gradient(dataset, z, e)
+    if z is not None:
+        return _gradient(dataset, z, memo.derived)
+    z = _margins(dataset, w)
+    return _gradient(dataset, z, exp_neg_abs(z))
 
 
 def logistic_value_and_gradient(
