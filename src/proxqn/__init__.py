@@ -18,7 +18,7 @@ from .hessian import (
     HessianModel,
     compile_compact,
     enforce_domination,
-    estimate_extreme_eigenvalues,
+    extreme_eigenvalues,
     model_value,
 )
 from .optimizers import (

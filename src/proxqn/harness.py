@@ -25,7 +25,7 @@ from .hessian import (
     HessianModel,
     compile_compact,
     enforce_domination,
-    estimate_extreme_eigenvalues,
+    extreme_eigenvalues,
     model_value,
 )
 from .optimizers import (
@@ -125,7 +125,6 @@ SETTINGS = {
     "curvature_eps": (OptimizerConfig, "curvature_eps", float),
     "seed": (OptimizerConfig, "seed", int),
     "domination": (OptimizerConfig, "domination", str),
-    "dense_limit": (OptimizerConfig, "dense_limit", int),
     "subsolver": (OptimizerConfig, "subsolver", str),
     "exact_tol": (OptimizerConfig, "exact_tol", float),
     "inner_cap": (SubproblemBudget, "cap", int),
@@ -746,7 +745,6 @@ def _check_logistic_kernel(level, rng):
 
 
 def _check_cd_rate(level, rng):
-    import scipy.linalg
     n = 20
     if level == "full":
         instances, n_seeds, rs = 100, 200, (100,)
@@ -755,8 +753,7 @@ def _check_cd_rate(level, rng):
     for _ in range(instances):
         core, _ = _random_compact_model(rng, n, 6)
         model = HessianModel.lbfgs(core)
-        eigs = scipy.linalg.eigvalsh(model.dense())
-        alpha_n = 1.0 - (1.0 - phi_constant(eigs[0], eigs[-1])) / n
+        alpha_n = 1.0 - (1.0 - phi_constant(*extreme_eigenvalues(model))) / n
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n)
         lam = 0.2
@@ -777,22 +774,28 @@ def _check_cd_rate(level, rng):
                   f"({instances} instances x {n_seeds} seeds)")
 
 
-def _check_eig_estimator(level, rng):
+def _check_extreme_eigenvalues(level, rng):
     import scipy.linalg
-    for trial in range(3 if level == "fast" else 8):
-        n = int(rng.integers(20, 201))
+    worst = 0.0
+    for trial in range(4 if level == "fast" else 8):
+        # Odd trials draw n <= 12, where 6 pairs give p >= n and the
+        # span's basis is the identity.
+        n = int(rng.integers(4, 13) if trial % 2 else rng.integers(20, 201))
         core, _ = _random_compact_model(rng, n, 6)
         model = HessianModel.lbfgs(core)
-        m_est, big_m = estimate_extreme_eigenvalues(model, iterations=800,
-                                                    seed=trial)
+        lo, hi = extreme_eigenvalues(model)
         eigs = scipy.linalg.eigvalsh(model.dense())
-        if not (m_est <= eigs[0] * 1.05 and big_m >= eigs[-1] * 0.95):
-            return False, (f"bounds ({m_est:.4g},{big_m:.4g}) miss "
-                           f"spectrum ({eigs[0]:.4g},{eigs[-1]:.4g})")
-    return True, "power-iteration bounds bracket the dense spectrum"
+        err = max(abs(lo - eigs[0]), abs(hi - eigs[-1])) / eigs[-1]
+        if err > 1e-12:
+            return False, (f"n={n}, p={core.p}: ({lo:.17g}, {hi:.17g}) vs "
+                           f"dense ({eigs[0]:.17g}, {eigs[-1]:.17g})")
+        worst = max(worst, err)
+    return True, (f"extreme eigenvalues match the dense spectrum to "
+                  f"{worst:.1e} of lambda_max")
 
 
 def _check_domination(level, rng):
+    import scipy.linalg
     from .hessian import DiagLowRank
     base, _ = _random_compact_model(rng, 10, 4)
     h_prev = HessianModel.scaled_fixed(1.0, base)
@@ -804,6 +807,14 @@ def _check_domination(level, rng):
     got = enforce_domination(h_double, 1.0, h_prev)
     if abs(got - 0.5) > 1e-9:
         return False, f"doubled model returned {got}, wanted 0.5"
+    # p_prev + p_new < n: the span of the columns and its complement.
+    h_prev = HessianModel.lbfgs(_random_compact_model(rng, 30, 4)[0])
+    h_new = HessianModel.lbfgs(_random_compact_model(rng, 30, 5)[0])
+    got = enforce_domination(h_new, 0.8, h_prev)
+    eigs = scipy.linalg.eigh(h_prev.dense(), h_new.dense(), eigvals_only=True)
+    if abs(got - 0.8 * eigs[0]) > 1e-12 * 0.8 * eigs[-1]:
+        return False, (f"n=30, p={h_prev.p}+{h_new.p}: {got:.17g} vs dense "
+                       f"{0.8 * eigs[0]:.17g}")
     # Alternating axis-aligned models collapse sigma geometrically.
     steps = 250 if level == "full" else 40
     d1 = DiagLowRank(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]]))
@@ -814,7 +825,8 @@ def _check_domination(level, rng):
         sigma = enforce_domination(models[k % 2], sigma, models[(k + 1) % 2])
         if abs(sigma - 10.0 ** -k) > 1e-12 * 10.0 ** -k:
             return False, f"k={k}: sigma={sigma:.17g} vs 1e-{k}"
-    return True, f"sigma_k = 10^-k over {steps} alternations"
+    return True, (f"span pencil matches the dense one; sigma_k = 10^-k "
+                  f"over {steps} alternations")
 
 
 def _equiv_config(**kw):
@@ -897,7 +909,7 @@ def _check_thm1_linear(level, rng):
         prob = quadratic_problem(quad, 0.01)
         cfg = OptimizerConfig(eta=1.0, tol_rel=1e-6, max_outer=4000,
                               subsolver="exact", exact_tol=1e-11,
-                              seed=seed, diagnostics=True, eig_iterations=600)
+                              seed=seed, diagnostics=True)
         trace = run_pqna(prob, cfg, "lbfgs")
         ref_cfg = OptimizerConfig(eta=1.0, tol_rel=1e-12, max_outer=20000,
                                   subsolver="exact", exact_tol=1e-13, seed=seed)
@@ -939,7 +951,7 @@ _CHECKS = [
     ("cd_kernel_vs_python_step", _check_cd_kernel, ("fast", "full")),
     ("logistic_kernel_vs_python", _check_logistic_kernel, ("fast", "full")),
     ("cd_contraction_vs_phi_rate", _check_cd_rate, ("fast", "full")),
-    ("eigenvalue_estimator_vs_dense", _check_eig_estimator, ("fast", "full")),
+    ("extreme_eigenvalues_vs_dense", _check_extreme_eigenvalues, ("fast", "full")),
     ("domination_scaling_and_pathology", _check_domination, ("fast", "full")),
     ("reduction_pqna_to_pga", _check_reduction_pqna_pga, ("fast", "full")),
     ("reduction_apqna_to_apga", _check_reduction_apqna_apga, ("fast", "full")),

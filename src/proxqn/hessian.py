@@ -15,10 +15,6 @@ class SingularCompactForm(RuntimeError):
     """Middle matrix of the compact form is numerically singular."""
 
 
-class DenseLimitExceeded(ValueError):
-    """Strict domination requested beyond the dense-solve size limit."""
-
-
 class DiagLowRank:
     """delta*I + Q W Q' with Q of shape (n, p), W symmetric (p, p).
 
@@ -275,61 +271,65 @@ def model_value(
     return f_v + float(grad_v @ d) + 0.5 * model.quad_form(d) + g_of_u
 
 
-def estimate_extreme_eigenvalues(
-    model: HessianModel, iterations: int = 500, seed: int = 0
-) -> tuple[float, float]:
-    """Best-effort (lambda_min, lambda_max) bounds via power iteration.
+def _restrict_to_span(
+    *models: HessianModel,
+) -> tuple[list[np.ndarray], bool]:
+    """Each model on an orthonormal basis U of the span of all their Q
+    columns, and whether U leaves a complement (r < n).
 
-    The largest eigenvalue comes from plain power iteration; the
-    smallest from power iteration on c*I - H with c slightly above the
-    largest-eigenvalue estimate (inverse-free).  Estimates are rounded
-    outward by 1% so the pair brackets the true extremes once the
-    iteration has roughly converged.
+    A model scale*(delta*I + Q W Q') maps span(U) and its complement
+    into themselves and is the scalar scale*delta on the complement, so
+    on span(U) it is scale*(delta*I_r + (U'Q) W (U'Q)') (the compact
+    form of Byrd, Nocedal & Schnabel, Math. Prog. 63, 1994).  U comes
+    from a thin QR of the stacked columns, or is the identity when they
+    number n or more; the matrices are then the dense models, with
+    their arithmetic.
     """
-    rng = np.random.default_rng(seed)
-    n = model.n
+    n = models[0].n
+    q = np.hstack([model.core.q for model in models])
+    if q.shape[1] >= n:
+        return [model.dense() for model in models], False
+    u = np.linalg.qr(q)[0]
+    eye = np.eye(u.shape[1])
+    restricted = []
+    for model in models:
+        uq = u.T @ model.core.q
+        restricted.append(model.scale * (model.core.delta * eye
+                                         + uq @ model.core.w @ uq.T))
+    return restricted, True
 
-    def power(matvec) -> float:
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(iterations):
-            hv = matvec(v)
-            lam = float(v @ hv)
-            norm = np.linalg.norm(hv)
-            if norm == 0.0:
-                return 0.0
-            v = hv / norm
-        return lam
 
-    lam_max = power(model.apply)
-    shift = lam_max * 1.01 + 1e-12
-    lam_min = shift - power(lambda v: shift * v - model.apply(v))
-    return lam_min * 0.99, lam_max * 1.01
+def extreme_eigenvalues(model: HessianModel) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of H: the eigenvalues of H on the span
+    of its Q columns, with scale*delta when the span misses part of
+    R^n."""
+    (restricted,), partial = _restrict_to_span(model)
+    eigs = scipy.linalg.eigvalsh(restricted)
+    if partial:
+        eigs = np.append(eigs, model.scale * model.core.delta)
+    return float(eigs.min()), float(eigs.max())
 
 
 def enforce_domination(
     h_new: HessianModel,
     sigma_prev: float,
     h_prev: HessianModel,
-    dense_limit: int = 500,
 ) -> float:
     """Largest sigma with sigma*H_new <= sigma_prev*H_prev (matrix order).
 
-    Computed as sigma_prev times the smallest generalized eigenvalue of
-    the (H_prev, H_new) pencil via a dense solve, so the dimension must
-    not exceed ``dense_limit``; larger problems should run in relaxed
-    mode instead.
+    sigma_prev times the smallest eigenvalue of the (H_prev, H_new)
+    pencil.  Both models are scalar on the complement of the span of
+    their Q columns, so the pencil splits in two: a generalized
+    eigenproblem of order at most p_prev + p_new on the span, and the
+    ratio of the two scalars on the complement.
     """
     if h_new.n != h_prev.n:
         raise ValueError("models must share a dimension")
-    if h_new.n > dense_limit:
-        raise DenseLimitExceeded(
-            f"n={h_new.n} exceeds dense_limit={dense_limit}; use relaxed mode"
-        )
     if sigma_prev <= 0:
         raise ValueError("sigma_prev must be positive")
-    eigs = scipy.linalg.eigh(
-        h_prev.dense(), h_new.dense(), eigvals_only=True
-    )
-    return float(sigma_prev * eigs[0])
+    (prev, new), partial = _restrict_to_span(h_prev, h_new)
+    eigs = scipy.linalg.eigh(prev, new, eigvals_only=True)
+    if partial:
+        eigs = np.append(eigs, (h_prev.scale * h_prev.core.delta)
+                         / (h_new.scale * h_new.core.delta))
+    return float(sigma_prev * eigs.min())

@@ -47,7 +47,7 @@ from .hessian import (
     HessianModel,
     compile_compact,
     enforce_domination,
-    estimate_extreme_eigenvalues,
+    extreme_eigenvalues,
     model_value,
 )
 from .problem import (
@@ -120,11 +120,9 @@ class OptimizerConfig:
     budget: SubproblemBudget = SubproblemBudget()
     seed: int = 0
     domination: str = "relaxed"
-    dense_limit: int = 500
     subsolver: str = "cd"
     exact_tol: float = 1e-10
     diagnostics: bool = False
-    eig_iterations: int = 400
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -349,7 +347,7 @@ class _ModelRule:
     compact L-BFGS ("lbfgs"), the same frozen after warmup_kbar steps
     ("fixed") or zero ("zero"), compiled once per k while its pairs
     change.  ``after_row`` adds the accepted step's pair and, with
-    ``config.diagnostics``, the accepted model's eigenvalue bounds."""
+    ``config.diagnostics``, the accepted model's extreme eigenvalues."""
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
                  hessian_mode: str, rng: np.random.Generator):
@@ -379,9 +377,7 @@ class _ModelRule:
         if k <= self.learn_until:
             self.pairs.update(state.x - x_old, state.grad - grad_old)
         if self.config.diagnostics:
-            bounds = estimate_extreme_eigenvalues(
-                self.model, iterations=self.config.eig_iterations,
-                seed=self.config.seed + k)
+            bounds = extreme_eigenvalues(self.model)
             trace.diagnostics.setdefault("eig_bounds", []).append((k, *bounds))
 
 
@@ -452,8 +448,9 @@ class _VariableModels(_ModelSteps):
 
     H_k comes from ``model_factory(k, pairs)`` each iteration and a
     backtrack multiplies it by 1/beta.  Strict mode then caps sigma_k
-    so that sigma_k H_k <= sigma_{k-1} H_{k-1} (dense generalized
-    eigensolve); relaxed mode keeps theta = 1 and the momentum point.
+    so that sigma_k H_k <= sigma_{k-1} H_{k-1} (``enforce_domination``,
+    an eigenproblem on the span of the two models' low-rank columns);
+    relaxed mode keeps theta = 1 and the momentum point.
     """
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
@@ -473,8 +470,7 @@ class _VariableModels(_ModelSteps):
         self.current = self.current.rescaled(1.0 / self.config.beta)
         if not self.strict:
             return sigma, False
-        feasible = enforce_domination(self.current, sigma_prev, self.accepted,
-                                      self.config.dense_limit)
+        feasible = enforce_domination(self.current, sigma_prev, self.accepted)
         return min(sigma, feasible), True
 
     def advance(self, k, sigma, x, x_prev, grad_x) -> tuple[float, float]:
@@ -485,8 +481,7 @@ class _VariableModels(_ModelSteps):
         sigma_next = self.config.sigma_growth * sigma
         if not self.strict:
             return sigma_next, 1.0
-        feasible = enforce_domination(self.current, sigma, self.accepted,
-                                      self.config.dense_limit)
+        feasible = enforce_domination(self.current, sigma, self.accepted)
         sigma_next = _checked_sigma(min(sigma_next, feasible), k + 1)
         return sigma_next, sigma / sigma_next
 
@@ -634,9 +629,10 @@ def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
 
     Backtracking multiplies H_k by 1/beta.  With ``config.domination``
     strict, sigma_k is then shrunk to the largest value keeping
-    sigma_k H_k dominated by sigma_{k-1} H_{k-1} (dense generalized
-    eigensolve, small n only) and the momentum bookkeeping (theta, t_k,
-    y_k) is recomputed, which re-evaluates the gradient at the new y_k.
+    sigma_k H_k dominated by sigma_{k-1} H_{k-1} (an eigenproblem on
+    the span of the two models' low-rank columns, at any n) and the
+    momentum bookkeeping (theta, t_k, y_k) is recomputed, which
+    re-evaluates the gradient at the new y_k.
     Relaxed mode fixes theta = 1 and skips the domination entirely.
 
     ``model_factory(k, pairs) -> HessianModel`` overrides the compact
@@ -687,10 +683,8 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
 
     lemma6_bound = None
     if config.diagnostics and problem.lipschitz:
-        m_est, _ = estimate_extreme_eigenvalues(
-            HessianModel.lbfgs(base), iterations=config.eig_iterations,
-            seed=config.seed)
-        lemma6_bound = config.beta * m_est / problem.lipschitz
+        m_min, _ = extreme_eigenvalues(HessianModel.lbfgs(base))
+        lemma6_bound = config.beta * m_min / problem.lipschitz
     policy = _FixedBase(problem, config, rng, base, lemma6_bound)
     return _accelerate_models(problem, config, policy, trace, t0, norm0, state)
 

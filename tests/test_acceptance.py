@@ -126,8 +126,7 @@ def test_criterion_3_linear_rate_twenty_seeds():
         problem = quadratic_problem(quad, 0.01)
         cfg = OptimizerConfig(eta=1.0, tol_rel=1e-5, max_outer=5000,
                               subsolver="exact", exact_tol=1e-10,
-                              seed=seed, diagnostics=True,
-                              eig_iterations=400)
+                              seed=seed, diagnostics=True)
         trace = run_pqna(problem, cfg, "lbfgs")
         assert trace.status == CONVERGED, seed
         ref_cfg = OptimizerConfig(eta=1.0, tol_rel=1e-12, max_outer=100000,

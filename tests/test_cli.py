@@ -127,7 +127,7 @@ def test_run_takes_every_setting_as_a_flag(capsys):
     code = main(["run", "--algorithm", "pqna-lbfgs",
                  "--synthetic", "n=15,gamma=0.1,L=10,seed=0",
                  "--eta", "1", "--subsolver", "exact", "--exact-tol", "1e-10",
-                 "--tol", "1e-5", "--dense-limit", "100", "--mu-cap", "1e6",
+                 "--tol", "1e-5", "--mu-cap", "1e6",
                  "--backtrack-cap", "60", "--step-eps", "1e-16"])
     assert code == 0
     assert "status=converged" in capsys.readouterr().out

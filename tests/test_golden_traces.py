@@ -114,7 +114,7 @@ CASES = {
     "pga": lambda: run_pga(_quad(), _cfg(seed=1)),
     "apga": lambda: run_apga(_quad(), _cfg(seed=1)),
     "pqna-lbfgs": lambda: run_pqna(
-        _quad(), _cfg(seed=2, diagnostics=True, eig_iterations=50), "lbfgs"),
+        _quad(), _cfg(seed=2, diagnostics=True), "lbfgs"),
     "pqna-fixed": lambda: run_pqna(_quad(), _cfg(seed=2), "fixed"),
     "pqna-zero": lambda: run_pqna(_quad(), _cfg(seed=2), "zero"),
     "apqna-relaxed": lambda: run_apqna(_quad(seed=14), _cfg(seed=2)),
@@ -138,12 +138,12 @@ CASES = {
         _quad(seed=18), _cfg(seed=6, tol_rel=1e-3, max_outer=120)),
     "apqna-fh-warmup6": lambda: run_apqna_fh(
         _quad(n=25, seed=20, lam=0.01),
-        _cfg(seed=8, warmup_kbar=6, diagnostics=True, eig_iterations=50)),
+        _cfg(seed=8, warmup_kbar=6, diagnostics=True)),
     "apqna-fh-warmup0": lambda: run_apqna_fh(
         _quad(seed=22), _cfg(seed=9, warmup_kbar=0)),
     "apqna-fh-base": lambda: run_apqna_fh(
         _quad(n=30, seed=19, lam=0.0),
-        _cfg(seed=7, warmup_kbar=0, diagnostics=True, eig_iterations=50),
+        _cfg(seed=7, warmup_kbar=0, diagnostics=True),
         base=DiagLowRank(1.0, 30)),
     "apqna-fh-inside-warmup": lambda: run_apqna_fh(
         _quad(seed=18), _cfg(seed=6, max_outer=5)),

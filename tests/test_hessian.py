@@ -8,15 +8,16 @@ from proxqn._oracles import dense_bfgs_matrix
 from proxqn.dataset import synthesize_quadratic
 from proxqn.hessian import (
     CorrectionPairs,
-    DenseLimitExceeded,
     DiagLowRank,
     HessianModel,
     SingularCompactForm,
     compile_compact,
     enforce_domination,
-    estimate_extreme_eigenvalues,
+    extreme_eigenvalues,
     model_value,
 )
+from proxqn.optimizers import CONVERGED, MAX_ITER, OptimizerConfig, run_apqna
+from proxqn.problem import quadratic_problem
 from proxqn.subsolver import CdWorkspace
 
 
@@ -186,33 +187,57 @@ class TestModelOps:
         assert model_value(model, u, v, 0.3, g, 0.9) == pytest.approx(ref, rel=1e-12)
 
 
+def spd_model(seed, n, count, memory, scale):
+    """``count`` pairs (fewer kept) from a random SPD matrix at any n >= 1,
+    compiled and rescaled by ``scale``; no pairs give p = 0."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    a = m @ m.T / n + 0.1 * np.eye(n)
+    pairs = CorrectionPairs(n, memory=memory)
+    for _ in range(count):
+        s = rng.standard_normal(n)
+        pairs.update(s, a @ s)
+    return HessianModel.lbfgs(compile_compact(pairs)).rescaled(scale)
+
+
+model_draws = dict(n=st.integers(1, 60), memory=st.integers(1, 10),
+                   count=st.integers(0, 13), seed=st.integers(0, 2**32 - 1),
+                   scale=st.floats(1e-3, 1e3))
+
+
 class TestEigenvalueEstimates:
     def test_identity(self):
         model = HessianModel.scaled_identity(1.0, 10)
-        m, big = estimate_extreme_eigenvalues(model, iterations=100, seed=0)
-        assert m == pytest.approx(1.0, rel=0.05)
-        assert big == pytest.approx(1.0, rel=0.05)
+        assert extreme_eigenvalues(model) == (1.0, 1.0)
 
     def test_two_point_spectrum(self):
         # diag(1, 10) as identity plus a rank-one bump on the second axis
         core = DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))
-        model = HessianModel.lbfgs(core)
-        m, big = estimate_extreme_eigenvalues(model, iterations=300, seed=1)
-        assert m == pytest.approx(1.0, rel=0.05)
-        assert big == pytest.approx(10.0, rel=0.05)
+        m, big = extreme_eigenvalues(HessianModel.lbfgs(core))
+        assert m == pytest.approx(1.0, rel=1e-12)
+        assert big == pytest.approx(10.0, rel=1e-12)
 
-    def test_brackets_dense_spectrum_within_five_percent(self):
-        rng = np.random.default_rng(8)
-        for trial in range(10):
-            n = int(rng.integers(10, 201))
-            pairs = admissible_pairs(rng, n, 6)
-            model = HessianModel.lbfgs(compile_compact(pairs))
-            m, big = estimate_extreme_eigenvalues(model, iterations=800,
-                                                  seed=trial)
-            eigs = scipy.linalg.eigvalsh(model.dense())
-            assert m <= eigs[0] * 1.05
-            assert big >= eigs[-1] * 0.95
-            assert m >= eigs[0] * 0.5 and big <= eigs[-1] * 1.5
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(**model_draws)
+    @example(n=1, memory=1, count=0, seed=0, scale=1.0)
+    @example(n=40, memory=10, count=13, seed=1, scale=3.0)
+    @example(n=12, memory=10, count=13, seed=2, scale=0.5)
+    def test_matches_dense_eigvalsh(self, n, memory, count, seed, scale):
+        model = spd_model(seed, n, count, memory, scale)
+        eigs = scipy.linalg.eigvalsh(model.dense())
+        lo, hi = extreme_eigenvalues(model)
+        assert abs(lo - eigs[0]) <= 1e-12 * eigs[-1]
+        assert abs(hi - eigs[-1]) <= 1e-12 * eigs[-1]
+
+
+def variant(model, kind, sigma):
+    """``model`` as drawn ("lbfgs"), rescaled by 1/sigma, or as the
+    fixed-base model of its core at sigma."""
+    if kind == "rescaled":
+        return model.rescaled(1.0 / sigma)
+    if kind == "scaled_fixed":
+        return HessianModel.scaled_fixed(sigma, model.core)
+    return model
 
 
 class TestEnforceDomination:
@@ -256,10 +281,49 @@ class TestEnforceDomination:
             gap = 1.3 * float(v @ prev.apply(v)) - sigma * float(v @ new.apply(v))
             assert gap >= -1e-10 * float(v @ v)
 
-    def test_dense_limit(self):
-        model = HessianModel.scaled_identity(1.0, 600)
-        with pytest.raises(DenseLimitExceeded):
-            enforce_domination(model, 1.0, model, dense_limit=500)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(prev=st.fixed_dictionaries(model_draws),
+           new=st.fixed_dictionaries(model_draws),
+           kinds=st.tuples(*[st.sampled_from(["lbfgs", "rescaled",
+                                               "scaled_fixed"])] * 2),
+           sigma=st.floats(0.1, 10.0), shared=st.booleans(),
+           sigma_prev=st.floats(1e-3, 1e3))
+    @example(prev=dict(n=30, memory=3, count=3, seed=0, scale=1.0),
+             new=dict(n=30, memory=4, count=4, seed=1, scale=2.0),
+             kinds=("lbfgs", "rescaled"), sigma=1.5, shared=False,
+             sigma_prev=1.0)
+    @example(prev=dict(n=5, memory=10, count=13, seed=2, scale=1.0),
+             new=dict(n=5, memory=10, count=0, seed=3, scale=1.0),
+             kinds=("scaled_fixed", "lbfgs"), sigma=0.5, shared=False,
+             sigma_prev=1.0)
+    @example(prev=dict(n=20, memory=2, count=2, seed=4, scale=1.0),
+             new=dict(n=20, memory=2, count=2, seed=4, scale=1.0),
+             kinds=("scaled_fixed", "scaled_fixed"), sigma=1.7, shared=True,
+             sigma_prev=1.0)
+    def test_matches_dense_pencil(self, prev, new, kinds, sigma, shared,
+                                  sigma_prev):
+        # Both models take prev's n; ``shared`` gives new prev's core.
+        h_prev = variant(spd_model(**prev), kinds[0], 1.0)
+        h_new = h_prev if shared else spd_model(**dict(new, n=prev["n"]))
+        h_new = variant(h_new, kinds[1], sigma)
+        eigs = scipy.linalg.eigh(h_prev.dense(), h_new.dense(),
+                                 eigvals_only=True)
+        got = enforce_domination(h_new, sigma_prev, h_prev)
+        assert abs(got - sigma_prev * eigs[0]) <= 1e-12 * sigma_prev * eigs[-1]
+
+    def test_strict_domination_at_n600(self):
+        # A size the dense eigensolve used to refuse.
+        rng = np.random.default_rng(13)
+        prev = HessianModel.lbfgs(compile_compact(admissible_pairs(rng, 600, 10)))
+        new = HessianModel.lbfgs(compile_compact(admissible_pairs(rng, 600, 7)))
+        eigs = scipy.linalg.eigh(prev.dense(), new.dense(), eigvals_only=True)
+        got = enforce_domination(new, 0.9, prev)
+        assert abs(got - 0.9 * eigs[0]) <= 1e-12 * 0.9 * eigs[-1]
+        problem = quadratic_problem(synthesize_quadratic(600, 0.3, 6.0, 5), 0.02)
+        trace = run_apqna(problem, OptimizerConfig(domination="strict",
+                                                   max_outer=15, seed=1))
+        assert trace.status in (CONVERGED, MAX_ITER)
+        assert len(trace.records) > 1
 
 
 class ListPairs:

@@ -271,7 +271,7 @@ class TestPqna:
         prob = quadratic_problem(quad, 0.01)
         cfg = OptimizerConfig(eta=1.0, tol_rel=1e-6, max_outer=5000,
                               subsolver="exact", exact_tol=1e-11,
-                              seed=0, diagnostics=True, eig_iterations=500)
+                              seed=0, diagnostics=True)
         trace = run_pqna(prob, cfg, "lbfgs")
         assert trace.status == CONVERGED
         fstar = reference_min(prob)
