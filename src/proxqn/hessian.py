@@ -199,7 +199,8 @@ class HessianModel:
     def __init__(self, variant: str, core: DiagLowRank, scale: float = 1.0):
         if scale <= 0:
             raise ValueError("scale must be positive")
-        if core.delta <= 0 and core.p == 0:
+        # With fewer than n columns, delta is an eigenvalue of the core.
+        if core.delta <= 0 and core.p < core.n:
             raise ValueError("model must be positive definite")
         self.variant = variant
         self.core = core

@@ -210,6 +210,15 @@ class TestEigenvalueEstimates:
         model = HessianModel.scaled_identity(1.0, 10)
         assert extreme_eigenvalues(model) == (1.0, 1.0)
 
+    def test_zero_delta_needs_n_columns(self):
+        # delta is the eigenvalue on the complement of the columns.
+        axis = np.array([[1.0], [0.0]])
+        with pytest.raises(ValueError, match="positive definite"):
+            HessianModel.lbfgs(DiagLowRank(0.0, 2, axis, np.eye(1)))
+        full = DiagLowRank(0.0, 2, np.eye(2), np.diag([2.0, 3.0]))
+        assert extreme_eigenvalues(HessianModel.lbfgs(full)) == pytest.approx(
+            (2.0, 3.0), rel=1e-12)
+
     def test_two_point_spectrum(self):
         # diag(1, 10) as identity plus a rank-one bump on the second axis
         core = DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))
@@ -286,26 +295,27 @@ class TestEnforceDomination:
            new=st.fixed_dictionaries(model_draws),
            kinds=st.tuples(*[st.sampled_from(["lbfgs", "rescaled",
                                                "scaled_fixed"])] * 2),
-           sigma=st.floats(0.1, 10.0), shared=st.booleans(),
-           sigma_prev=st.floats(1e-3, 1e3))
+           sigmas=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+           shared=st.booleans(), sigma_prev=st.floats(1e-3, 1e3))
     @example(prev=dict(n=30, memory=3, count=3, seed=0, scale=1.0),
              new=dict(n=30, memory=4, count=4, seed=1, scale=2.0),
-             kinds=("lbfgs", "rescaled"), sigma=1.5, shared=False,
+             kinds=("lbfgs", "rescaled"), sigmas=(1.0, 1.5), shared=False,
              sigma_prev=1.0)
     @example(prev=dict(n=5, memory=10, count=13, seed=2, scale=1.0),
              new=dict(n=5, memory=10, count=0, seed=3, scale=1.0),
-             kinds=("scaled_fixed", "lbfgs"), sigma=0.5, shared=False,
+             kinds=("scaled_fixed", "lbfgs"), sigmas=(0.5, 1.0), shared=False,
              sigma_prev=1.0)
     @example(prev=dict(n=20, memory=2, count=2, seed=4, scale=1.0),
              new=dict(n=20, memory=2, count=2, seed=4, scale=1.0),
-             kinds=("scaled_fixed", "scaled_fixed"), sigma=1.7, shared=True,
-             sigma_prev=1.0)
-    def test_matches_dense_pencil(self, prev, new, kinds, sigma, shared,
+             kinds=("scaled_fixed", "scaled_fixed"), sigmas=(1.0, 1.7),
+             shared=True, sigma_prev=1.0)
+    def test_matches_dense_pencil(self, prev, new, kinds, sigmas, shared,
                                   sigma_prev):
         # Both models take prev's n; ``shared`` gives new prev's core.
-        h_prev = variant(spd_model(**prev), kinds[0], 1.0)
-        h_new = h_prev if shared else spd_model(**dict(new, n=prev["n"]))
-        h_new = variant(h_new, kinds[1], sigma)
+        drawn_prev = spd_model(**prev)
+        drawn_new = drawn_prev if shared else spd_model(**dict(new, n=prev["n"]))
+        h_prev = variant(drawn_prev, kinds[0], sigmas[0])
+        h_new = variant(drawn_new, kinds[1], sigmas[1])
         eigs = scipy.linalg.eigh(h_prev.dense(), h_new.dense(),
                                  eigvals_only=True)
         got = enforce_domination(h_new, sigma_prev, h_prev)
