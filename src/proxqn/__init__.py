@@ -14,7 +14,6 @@ from .dataset import (
 )
 from .hessian import (
     CorrectionPairs,
-    DiagLowRank,
     HessianModel,
     compile_compact,
     enforce_domination,

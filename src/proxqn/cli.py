@@ -15,6 +15,7 @@ from ._cdkernel import backend
 from .harness import (
     SETTINGS,
     ExperimentSpec,
+    _parse_synthetic,
     build_config,
     build_problem,
     emit_trace_csv,
@@ -24,7 +25,7 @@ from .harness import (
     run_experiment,
     verify_suite,
 )
-from .optimizers import ALGORITHMS
+from .optimizers import ALGORITHMS, BACKTRACK_FAILURE
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -58,7 +59,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _spec_from_args(args: argparse.Namespace, algorithms: list[str]) -> ExperimentSpec:
-    from .harness import _parse_synthetic
     spec = ExperimentSpec(algorithms=algorithms, lam=args.lam)
     if args.dataset:
         spec.dataset_path = args.dataset
@@ -90,7 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         emit_trace_csv(trace, args.trace_out)
         print(f"trace written to {args.trace_out}")
-    return EXIT_OK if trace.status != "backtrack_failure" else EXIT_RUNTIME
+    return EXIT_OK if trace.status != BACKTRACK_FAILURE else EXIT_RUNTIME
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -30,6 +30,7 @@ from .hessian import (
 )
 from .optimizers import (
     ALGORITHMS,
+    BACKTRACK_FAILURE,
     OptimizerConfig,
     Trace,
     TraceRecord,
@@ -154,6 +155,16 @@ def build_config(overrides: dict[str, str],
     return replace(cfg, **kwargs[OptimizerConfig])
 
 
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Arguments of ``synthesize_quadratic`` for a seeded quadratic."""
+
+    n: int = 50
+    gamma: float = 0.1
+    l_target: float = 10.0
+    seed: int = 0
+
+
 @dataclass
 class ExperimentSpec:
     """One benchmark run: a problem source, algorithms, and overrides."""
@@ -163,7 +174,7 @@ class ExperimentSpec:
     dataset_path: str | None = None
     positive_class: str | None = None
     n_features: int | None = None
-    synthetic: dict | None = None
+    synthetic: SyntheticSpec | None = None
     output_dir: str = "."
     checkpoints: list[int] | None = None
     common: dict[str, str] = field(default_factory=dict)
@@ -195,8 +206,10 @@ class ExperimentSpec:
                             build_config(self.common))
 
 
-def _parse_synthetic(text: str) -> dict:
-    out = {"n": 50, "gamma": 0.1, "l_target": 10.0, "seed": 0}
+def _parse_synthetic(text: str) -> SyntheticSpec:
+    """``n=.., gamma=.., L=.., seed=..`` (commas or spaces); keys left
+    out keep the defaults of :class:`SyntheticSpec`."""
+    out = {}
     for item in text.replace(",", " ").split():
         key, _, val = item.partition("=")
         key = key.strip().lower()
@@ -210,7 +223,7 @@ def _parse_synthetic(text: str) -> dict:
             out["seed"] = int(val)
         else:
             raise ValueError(f"unknown synthetic parameter {key!r}")
-    return out
+    return SyntheticSpec(**out)
 
 
 def parse_experiment_spec(path: str) -> ExperimentSpec:
@@ -254,10 +267,8 @@ def build_problem(spec: ExperimentSpec) -> CompositeProblem:
     if spec.dataset_path is not None:
         ds = read_libsvm(spec.dataset_path, spec.positive_class, spec.n_features)
         return logistic_problem(ds, spec.lam)
-    quad = synthesize_quadratic(
-        spec.synthetic["n"], spec.synthetic["gamma"],
-        spec.synthetic["l_target"], spec.synthetic["seed"],
-    )
+    syn = spec.synthetic
+    quad = synthesize_quadratic(syn.n, syn.gamma, syn.l_target, syn.seed)
     return quadratic_problem(quad, spec.lam)
 
 
@@ -343,7 +354,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[ComparisonReport, dict[str, Tr
             trace = ALGORITHMS[alg](problem, spec.config(alg))
         except Exception as exc:
             raise RuntimeError(f"{alg}: {exc}") from exc
-        if trace.status == "backtrack_failure":
+        if trace.status == BACKTRACK_FAILURE:
             raise RuntimeError(f"{alg}: backtracking failed (broken oracle?)")
         traces[alg] = trace
         emit_trace_csv(trace, os.path.join(spec.output_dir, f"{alg}.trace.csv"))
@@ -554,7 +565,7 @@ def _check_coordinate_step_golden(level, rng):
         b = float(rng.standard_normal() * 2)
         u_j = float(rng.standard_normal())
         lam = float(abs(rng.standard_normal()))
-        ws = CdWorkspace(HessianModel.scaled_identity(a, 1), np.array([b]),
+        ws = CdWorkspace(HessianModel(1.0, 1, scale=a), np.array([b]),
                          np.array([u_j]), lam)
         z_closed = ws.step(0)
         z_ref = _oracles.coordinate_step_reference(a, b, u_j, lam)
@@ -617,10 +628,9 @@ def _check_compact_vs_dense(level, rng):
         n = int(rng.integers(5, 51))
         memory = int(rng.integers(1, 11))
         n_pairs = int(rng.integers(1, memory + 4))
-        core, pairs = _random_compact_model(rng, n, n_pairs, memory)
+        model, pairs = _random_compact_model(rng, n, n_pairs, memory)
         s_mat, y_mat = pairs.pairs()
-        dense = _oracles.dense_bfgs_matrix(s_mat, y_mat, core.delta)
-        model = HessianModel.lbfgs(core)
+        dense = _oracles.dense_bfgs_matrix(s_mat, y_mat, model.delta)
         for _ in range(5):
             v = rng.standard_normal(n)
             ref = dense @ v
@@ -635,15 +645,15 @@ def _check_compact_vs_dense(level, rng):
         j = int(rng.integers(n))
         e = np.zeros(n)
         e[j] = 1.0
-        if abs(model.cd_parts()[3][j] - float(e @ model.apply(e))) > 1e-10:
+        diag = CdWorkspace(model, np.zeros(n), np.zeros(n), 0.0).diag
+        if abs(diag[j] - float(e @ model.apply(e))) > 1e-10:
             return False, "subsolver diagonal inconsistent with apply"
     return worst <= 1e-8, f"max matvec relative error {worst:.2e}"
 
 
 def _check_cd_monotone(level, rng):
     n = 15
-    core, _ = _random_compact_model(rng, n, 5)
-    model = HessianModel.lbfgs(core)
+    model, _ = _random_compact_model(rng, n, 5)
     for seed in range(5 if level == "fast" else 20):
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n)
@@ -670,8 +680,7 @@ def _check_cd_vs_exact(level, rng):
     n = 20
     worst = 0.0
     for seed in range(3 if level == "fast" else 8):
-        core, _ = _random_compact_model(rng, n, 6)
-        model = HessianModel.lbfgs(core)
+        model, _ = _random_compact_model(rng, n, 6)
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n)
         lam = 0.2
@@ -691,8 +700,8 @@ def _check_cd_kernel(level, rng):
     widest = 0
     for _ in range(cases):
         n = int(rng.integers(2, 41))
-        core, _ = _random_compact_model(rng, n, int(rng.integers(0, 13)))
-        model = HessianModel.scaled_fixed(float(rng.uniform(0.2, 5.0)), core)
+        base, _ = _random_compact_model(rng, n, int(rng.integers(0, 13)))
+        model = base.rescaled(1.0 / float(rng.uniform(0.2, 5.0)))
         widest = max(widest, model.p)
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n) * (rng.random(n) < 0.7)
@@ -751,8 +760,7 @@ def _check_cd_rate(level, rng):
     else:
         instances, n_seeds, rs = 2, 60, (20, 100)
     for _ in range(instances):
-        core, _ = _random_compact_model(rng, n, 6)
-        model = HessianModel.lbfgs(core)
+        model, _ = _random_compact_model(rng, n, 6)
         alpha_n = 1.0 - (1.0 - phi_constant(*extreme_eigenvalues(model))) / n
         grad_v = rng.standard_normal(n)
         v = rng.standard_normal(n)
@@ -781,13 +789,12 @@ def _check_extreme_eigenvalues(level, rng):
         # Odd trials draw n <= 12, where 6 pairs give p >= n and the
         # span's basis is the identity.
         n = int(rng.integers(4, 13) if trial % 2 else rng.integers(20, 201))
-        core, _ = _random_compact_model(rng, n, 6)
-        model = HessianModel.lbfgs(core)
+        model, _ = _random_compact_model(rng, n, 6)
         lo, hi = extreme_eigenvalues(model)
         eigs = scipy.linalg.eigvalsh(model.dense())
         err = max(abs(lo - eigs[0]), abs(hi - eigs[-1])) / eigs[-1]
         if err > 1e-12:
-            return False, (f"n={n}, p={core.p}: ({lo:.17g}, {hi:.17g}) vs "
+            return False, (f"n={n}, p={model.p}: ({lo:.17g}, {hi:.17g}) vs "
                            f"dense ({eigs[0]:.17g}, {eigs[-1]:.17g})")
         worst = max(worst, err)
     return True, (f"extreme eigenvalues match the dense spectrum to "
@@ -796,20 +803,19 @@ def _check_extreme_eigenvalues(level, rng):
 
 def _check_domination(level, rng):
     import scipy.linalg
-    from .hessian import DiagLowRank
     base, _ = _random_compact_model(rng, 10, 4)
-    h_prev = HessianModel.scaled_fixed(1.0, base)
-    h_new = HessianModel.scaled_fixed(1.7, base)
+    h_prev = base
+    h_new = base.rescaled(1.0 / 1.7)
     got = enforce_domination(h_new, 1.0, h_prev)
     if abs(got - 1.7) > 1e-9:
         return False, f"shared-base domination returned {got}, wanted 1.7"
-    h_double = HessianModel(h_prev.variant, base, scale=2.0)
+    h_double = base.rescaled(2.0)
     got = enforce_domination(h_double, 1.0, h_prev)
     if abs(got - 0.5) > 1e-9:
         return False, f"doubled model returned {got}, wanted 0.5"
     # p_prev + p_new < n: the span of the columns and its complement.
-    h_prev = HessianModel.lbfgs(_random_compact_model(rng, 30, 4)[0])
-    h_new = HessianModel.lbfgs(_random_compact_model(rng, 30, 5)[0])
+    h_prev = _random_compact_model(rng, 30, 4)[0]
+    h_new = _random_compact_model(rng, 30, 5)[0]
     got = enforce_domination(h_new, 0.8, h_prev)
     eigs = scipy.linalg.eigh(h_prev.dense(), h_new.dense(), eigvals_only=True)
     if abs(got - 0.8 * eigs[0]) > 1e-12 * 0.8 * eigs[-1]:
@@ -817,9 +823,8 @@ def _check_domination(level, rng):
                        f"{0.8 * eigs[0]:.17g}")
     # Alternating axis-aligned models collapse sigma geometrically.
     steps = 250 if level == "full" else 40
-    d1 = DiagLowRank(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]]))
-    d2 = DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))
-    models = [HessianModel.lbfgs(d1), HessianModel.lbfgs(d2)]
+    models = [HessianModel(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]])),
+              HessianModel(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))]
     sigma = 1.0
     for k in range(1, steps + 1):
         sigma = enforce_domination(models[k % 2], sigma, models[(k + 1) % 2])
@@ -854,8 +859,7 @@ def _check_reduction_apqna_apga(level, rng):
     cfg_fh = OptimizerConfig(sigma_init=mu, sigma_growth=1.0, warmup_kbar=0,
                              tol_rel=1e-8, max_outer=80, seed=2)
     cfg_ap = OptimizerConfig(mu_init=mu, tol_rel=1e-8, max_outer=80, seed=2)
-    from .hessian import DiagLowRank
-    tr_fh = run_apqna_fh(prob, cfg_fh, base=DiagLowRank(1.0, prob.n))
+    tr_fh = run_apqna_fh(prob, cfg_fh, base=HessianModel(1.0, prob.n))
     tr_ap = run_apga(prob, cfg_ap)
     worst = _trace_gap(tr_fh, tr_ap)
     return worst <= 1e-12, f"max per-iterate F gap {worst:.2e}"
@@ -872,10 +876,9 @@ def _check_fh_trajectory_bounds(level, rng):
     xstar = np.linalg.solve(quad.dense(), quad.b)
     fstar = prob.f_value(xstar)
     dist0 = float(xstar @ xstar)
-    from .hessian import DiagLowRank
     cfg = OptimizerConfig(sigma_init=1.0, warmup_kbar=0, tol_rel=1e-10,
                           max_outer=300, seed=4, diagnostics=True)
-    trace = run_apqna_fh(prob, cfg, base=DiagLowRank(1.0, prob.n))
+    trace = run_apqna_fh(prob, cfg, base=HessianModel(1.0, prob.n))
     lemma5_bad = [k for k, margin in trace.diagnostics.get("lemma5", [])
                   if margin < -1e-10 * max(1.0, abs(margin))]
     if lemma5_bad:

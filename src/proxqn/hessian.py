@@ -1,8 +1,10 @@
-"""Approximate-Hessian models: scaled identity, scaled fixed matrix, and
-compact L-BFGS in diagonal-plus-low-rank form delta*I + Q W Q'.
+"""Approximate-Hessian models H = scale*(delta*I + Q W Q').
 
-All models are immutable once built; the correction-pair buffer is the
-only mutable piece and is owned by a single optimizer run.
+One immutable class covers every model the solvers use: the scaled
+identity I/mu of the proximal-gradient steps (no Q), the compact L-BFGS
+matrix shifted by I/(2 mu), and the frozen base rescaled by 1/sigma.
+The correction-pair buffer is the only mutable piece and is owned by a
+single optimizer run.
 """
 
 from __future__ import annotations
@@ -15,17 +17,17 @@ class SingularCompactForm(RuntimeError):
     """Middle matrix of the compact form is numerically singular."""
 
 
-class DiagLowRank:
-    """delta*I + Q W Q' with Q of shape (n, p), W symmetric (p, p).
+class HessianModel:
+    """H = scale*(delta*I + Q W Q') with Q of shape (n, p), W symmetric
+    (p, p).
 
     p is at most twice the correction memory, so matvecs cost O(n p).
+    ``shifted`` and ``rescaled`` share Q, W, QW and the diagonal of
+    Q W Q' (all read-only) with the model they come from.
     """
 
-    def __init__(self, delta: float, n: int,
-                 q: np.ndarray | None = None, w: np.ndarray | None = None):
-        if delta < 0:
-            raise ValueError("diagonal coefficient must be nonnegative")
-        self.delta = float(delta)
+    def __init__(self, delta: float, n: int, q: np.ndarray | None = None,
+                 w: np.ndarray | None = None, scale: float = 1.0):
         self.n = int(n)
         if q is None or q.shape[1] == 0:
             self.q = np.zeros((n, 0))
@@ -36,48 +38,60 @@ class DiagLowRank:
             self.q = np.asarray(q, dtype=np.float64)
             self.w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
         # qw caches Q W for O(p) coordinate work in the subsolver, and
-        # _low_rank_diag the diagonal of Q W Q', which shifted() reuses.
+        # low_rank_diag the diagonal of Q W Q'.
         self.qw = self.q @ self.w
-        self._low_rank_diag = np.einsum("ij,ij->i", self.qw, self.q)
-        self._diag = self.delta + self._low_rank_diag
+        self.low_rank_diag = np.einsum("ij,ij->i", self.qw, self.q)
+        self._set_scalars(delta, scale)
+
+    def _set_scalars(self, delta: float, scale: float) -> None:
+        if delta < 0:
+            raise ValueError("diagonal coefficient must be nonnegative")
+        if scale <= 0:
+            raise ValueError("scale must be positive")
+        # With fewer than n columns, delta is an eigenvalue of H/scale.
+        if delta <= 0 and self.p < self.n:
+            raise ValueError("model must be positive definite")
+        self.delta = float(delta)
+        self.scale = float(scale)
+
+    def _with_scalars(self, delta: float, scale: float) -> "HessianModel":
+        out = object.__new__(HessianModel)
+        out.n, out.q, out.w, out.qw = self.n, self.q, self.w, self.qw
+        out.low_rank_diag = self.low_rank_diag
+        out._set_scalars(delta, scale)
+        return out
+
+    def shifted(self, shift: float) -> "HessianModel":
+        """The same model with delta increased by ``shift``."""
+        return self._with_scalars(self.delta + shift, self.scale)
+
+    def rescaled(self, factor: float) -> "HessianModel":
+        """The same model with its scale multiplied by ``factor``."""
+        return self._with_scalars(self.delta, self.scale * factor)
 
     @property
     def p(self) -> int:
         return self.q.shape[1]
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.n,):
+            raise ValueError(f"vector has shape {v.shape}, expected ({self.n},)")
         if self.p == 0:
-            return self.delta * v
-        return self.delta * v + self.qw @ (self.q.T @ v)
+            return self.scale * (self.delta * v)
+        return self.scale * (self.delta * v + self.qw @ (self.q.T @ v))
 
     def quad_form(self, d: np.ndarray) -> float:
         if self.p == 0:
-            return float(self.delta * (d @ d))
+            return self.scale * float(self.delta * (d @ d))
         qd = self.q.T @ d
-        return float(self.delta * (d @ d) + qd @ self.w @ qd)
+        return self.scale * float(self.delta * (d @ d) + qd @ self.w @ qd)
 
     def dense(self) -> np.ndarray:
         a = self.delta * np.eye(self.n)
         if self.p:
             a += self.qw @ self.q.T
-        return a
-
-    def shifted(self, shift: float) -> "DiagLowRank":
-        """Same low-rank part with delta increased by ``shift``.
-
-        Shares q, w, qw and the low-rank diagonal term with ``self``
-        (all read-only), so only delta and the diagonal are new.
-        """
-        delta = self.delta + shift
-        if delta < 0:
-            raise ValueError("diagonal coefficient must be nonnegative")
-        out = object.__new__(DiagLowRank)
-        out.delta = float(delta)
-        out.n = self.n
-        out.q, out.w, out.qw = self.q, self.w, self.qw
-        out._low_rank_diag = self._low_rank_diag
-        out._diag = out.delta + self._low_rank_diag
-        return out
+        return self.scale * a
 
 
 class CorrectionPairs:
@@ -137,7 +151,7 @@ class CorrectionPairs:
         return self._s[:self._len].T, self._y[:self._len].T
 
 
-def compile_compact(pairs: CorrectionPairs) -> DiagLowRank:
+def compile_compact(pairs: CorrectionPairs) -> HessianModel:
     """Compact L-BFGS B-matrix from the stored pairs.
 
     B = delta*I + Q W Q' with delta = y'y / s'y of the newest pair,
@@ -149,7 +163,7 @@ def compile_compact(pairs: CorrectionPairs) -> DiagLowRank:
     """
     while True:
         if len(pairs) == 0:
-            return DiagLowRank(1.0, pairs.n)
+            return HessianModel(1.0, pairs.n)
         s_mat, y_mat = pairs.pairs()
         sy_newest = float(s_mat[:, -1] @ y_mat[:, -1])
         delta = float(y_mat[:, -1] @ y_mat[:, -1]) / sy_newest
@@ -180,79 +194,7 @@ def compile_compact(pairs: CorrectionPairs) -> DiagLowRank:
             pairs.drop_oldest()
             continue
         q = np.hstack([delta * s_mat, y_mat])
-        return DiagLowRank(delta, pairs.n, q, w)
-
-
-SCALED_IDENTITY = "scaled_identity"
-SCALED_FIXED = "scaled_fixed"
-LBFGS_COMPACT = "lbfgs_compact"
-
-
-class HessianModel:
-    """H = scale * (delta*I + Q W Q') with a variant tag.
-
-    scaled_identity : H = coeff * I (coeff = 1/mu)
-    scaled_fixed    : H = (1/sigma) * base
-    lbfgs_compact   : H = compact L-BFGS matrix, optionally diag-shifted
-    """
-
-    def __init__(self, variant: str, core: DiagLowRank, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        # With fewer than n columns, delta is an eigenvalue of the core.
-        if core.delta <= 0 and core.p < core.n:
-            raise ValueError("model must be positive definite")
-        self.variant = variant
-        self.core = core
-        self.scale = float(scale)
-
-    @classmethod
-    def scaled_identity(cls, coeff: float, n: int) -> "HessianModel":
-        if coeff <= 0:
-            raise ValueError("identity coefficient must be positive")
-        return cls(SCALED_IDENTITY, DiagLowRank(1.0, n), scale=coeff)
-
-    @classmethod
-    def scaled_fixed(cls, sigma: float, base: DiagLowRank) -> "HessianModel":
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        return cls(SCALED_FIXED, base, scale=1.0 / sigma)
-
-    @classmethod
-    def lbfgs(cls, core: DiagLowRank, diag_shift: float = 0.0) -> "HessianModel":
-        return cls(LBFGS_COMPACT, core.shifted(diag_shift) if diag_shift else core)
-
-    @property
-    def n(self) -> int:
-        return self.core.n
-
-    @property
-    def p(self) -> int:
-        return self.core.p
-
-    def rescaled(self, factor: float) -> "HessianModel":
-        return HessianModel(self.variant, self.core, self.scale * factor)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.n},)")
-        return self.scale * self.core.matvec(v)
-
-    def quad_form(self, d: np.ndarray) -> float:
-        return self.scale * self.core.quad_form(d)
-
-    def dense(self) -> np.ndarray:
-        return self.scale * self.core.dense()
-
-    def cd_parts(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """(eff_delta, Q, scale*QW, diag) as consumed by the subsolver."""
-        return (
-            self.scale * self.core.delta,
-            self.core.q,
-            self.scale * self.core.qw,
-            self.scale * self.core._diag,
-        )
+        return HessianModel(delta, pairs.n, q, w)
 
 
 def model_value(
@@ -287,16 +229,16 @@ def _restrict_to_span(
     their arithmetic.
     """
     n = models[0].n
-    q = np.hstack([model.core.q for model in models])
+    q = np.hstack([model.q for model in models])
     if q.shape[1] >= n:
         return [model.dense() for model in models], False
     u = np.linalg.qr(q)[0]
     eye = np.eye(u.shape[1])
     restricted = []
     for model in models:
-        uq = u.T @ model.core.q
-        restricted.append(model.scale * (model.core.delta * eye
-                                         + uq @ model.core.w @ uq.T))
+        uq = u.T @ model.q
+        restricted.append(model.scale * (model.delta * eye
+                                         + uq @ model.w @ uq.T))
     return restricted, True
 
 
@@ -307,7 +249,7 @@ def extreme_eigenvalues(model: HessianModel) -> tuple[float, float]:
     (restricted,), partial = _restrict_to_span(model)
     eigs = scipy.linalg.eigvalsh(restricted)
     if partial:
-        eigs = np.append(eigs, model.scale * model.core.delta)
+        eigs = np.append(eigs, model.scale * model.delta)
     return float(eigs.min()), float(eigs.max())
 
 
@@ -331,6 +273,6 @@ def enforce_domination(
     (prev, new), partial = _restrict_to_span(h_prev, h_new)
     eigs = scipy.linalg.eigh(prev, new, eigvals_only=True)
     if partial:
-        eigs = np.append(eigs, (h_prev.scale * h_prev.core.delta)
-                         / (h_new.scale * h_new.core.delta))
+        eigs = np.append(eigs, (h_prev.scale * h_prev.delta)
+                         / (h_new.scale * h_new.delta))
     return float(sigma_prev * eigs.min())

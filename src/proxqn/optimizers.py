@@ -43,7 +43,6 @@ import numpy as np
 
 from .hessian import (
     CorrectionPairs,
-    DiagLowRank,
     HessianModel,
     compile_compact,
     enforce_domination,
@@ -357,17 +356,17 @@ class _ModelRule:
         self.learn_until = {"lbfgs": math.inf, "fixed": config.warmup_kbar,
                             "zero": -1}[hessian_mode]
         self.k = 0
-        self.core = self.model = None
+        self.compact = self.model = None
 
     def __call__(self, k, mu, v, f_v, g):
         if k != self.k:
             self.k = k
             if k <= self.learn_until + 1:
-                self.core = compile_compact(self.pairs)
+                self.compact = compile_compact(self.pairs)
         shift = 1.0 / (2.0 * mu)
-        self.model = (HessianModel.scaled_identity(shift, self.n)
-                      if self.core is None
-                      else HessianModel.lbfgs(self.core, diag_shift=shift))
+        self.model = (HessianModel(1.0, self.n, scale=shift)
+                      if self.compact is None
+                      else self.compact.shifted(shift))
         return _model_trial(self.model, k, v, f_v, g, self.lam, self.config,
                             self.rng)
 
@@ -409,7 +408,7 @@ def _checked_sigma(sigma: float, k: int) -> float:
 
 
 def _lbfgs_model(k: int, pairs: CorrectionPairs) -> HessianModel:
-    return HessianModel.lbfgs(compile_compact(pairs))
+    return compile_compact(pairs)
 
 
 class _ProxSteps:
@@ -430,7 +429,8 @@ class _ProxSteps:
 
 class _ModelSteps:
     """Trial step of the apqna drivers: the composite model
-    ``model(sigma)`` solved at the momentum point."""
+    ``model(sigma)`` solved at the momentum point.  ``kind`` names the
+    policy in the ``initial_model`` diagnostic."""
 
     lemma6_bound = None
 
@@ -452,6 +452,8 @@ class _VariableModels(_ModelSteps):
     an eigenproblem on the span of the two models' low-rank columns);
     relaxed mode keeps theta = 1 and the momentum point.
     """
+
+    kind = "lbfgs_compact"
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
                  rng: np.random.Generator, grad: np.ndarray, model_factory):
@@ -491,15 +493,17 @@ class _FixedBase(_ModelSteps):
     sigma_k H_k = base for every k and the domination condition holds
     with equality; a backtrack multiplies sigma by beta."""
 
+    kind = "scaled_fixed"
+
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
-                 rng: np.random.Generator, base: DiagLowRank,
+                 rng: np.random.Generator, base: HessianModel,
                  lemma6_bound: float | None):
         super().__init__(problem, config, rng)
         self.base = base
         self.lemma6_bound = lemma6_bound
 
     def model(self, sigma: float) -> HessianModel:
-        return HessianModel.scaled_fixed(sigma, self.base)
+        return self.base.rescaled(1.0 / sigma)
 
     def backtrack(self, sigma: float, sigma_prev: float) -> tuple[float, bool]:
         return sigma * self.config.beta, True
@@ -598,8 +602,8 @@ def _accelerate_models(problem, config, policy: _ModelSteps, trace, t0,
     sigma_{k-1} t_{k-1}^2 against sigma_k t_k (t_k - 1) with its premise
     theta_k <= sigma_{k-1}/sigma_k."""
     model = policy.model(config.sigma_init)
-    trace.diagnostics["initial_model"] = (config.sigma_init, model.variant,
-                                          model.core.delta, model.p)
+    trace.diagnostics["initial_model"] = (config.sigma_init, policy.kind,
+                                          model.delta, model.p)
     thetas = _accelerate(problem, config, policy, trace, t0, norm0, state,
                          config.sigma_init)
     rows = trace.records[len(trace.records) - len(thetas):]
@@ -635,9 +639,10 @@ def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
     re-evaluates the gradient at the new y_k.
     Relaxed mode fixes theta = 1 and skips the domination entirely.
 
-    ``model_factory(k, pairs) -> HessianModel`` overrides the compact
-    L-BFGS construction of the iteration-k model (used to study
-    adversarial Hessian sequences such as alternating axis scalings).
+    ``model_factory(k, pairs)`` returns the iteration-k
+    :class:`HessianModel` in place of ``compile_compact(pairs)`` (used
+    to study adversarial Hessian sequences such as alternating axis
+    scalings).
     """
     trace, t0, norm0, state = _first_row(problem, config, "apqna-lbfgs",
                                          config.sigma_init, x0)
@@ -651,7 +656,7 @@ def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
 
 def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
                  x0: np.ndarray | None = None,
-                 base: DiagLowRank | None = None) -> Trace:
+                 base: HessianModel | None = None) -> Trace:
     """Accelerated proximal quasi-Newton with a frozen base matrix.
 
     Without an explicit ``base`` the first warmup_kbar iterations run
@@ -662,8 +667,9 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     by sigma_growth after each acceptance; sigma_k H_k = base for all k,
     so the domination condition holds with equality.
 
-    Passing ``base`` (e.g. the identity for the sigma_1 = 1, H_1 = I
-    setting of the accelerated-rate guarantee) skips the warmup.
+    Passing ``base``, a :class:`HessianModel` (e.g. the identity for the
+    sigma_1 = 1, H_1 = I setting of the accelerated-rate guarantee),
+    skips the warmup.
     """
     trace, t0, norm0, state = _first_row(problem, config, "apqna-fh",
                                          config.sigma_init, x0)
@@ -683,7 +689,7 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
 
     lemma6_bound = None
     if config.diagnostics and problem.lipschitz:
-        m_min, _ = extreme_eigenvalues(HessianModel.lbfgs(base))
+        m_min, _ = extreme_eigenvalues(base)
         lemma6_bound = config.beta * m_min / problem.lipschitz
     policy = _FixedBase(problem, config, rng, base, lemma6_bound)
     return _accelerate_models(problem, config, policy, trace, t0, norm0, state)

@@ -84,9 +84,8 @@ class CdWorkspace:
             raise ValueError("model dimension must be at least 1")
         grad_v = _vector(grad_v, n, "grad_v")
         v = _vector(v, n, "v")
-        eff_delta, q, qw_scaled, diag = model.cd_parts()
-        p = q.shape[1]
-        self.eff_delta = float(eff_delta)
+        p = model.p
+        self.eff_delta = model.scale * model.delta
         self.lam = float(lam)
         self.block = np.zeros(2 * n * p + p + 5 * n)
         self.q = self.block[:n * p].reshape(n, p)
@@ -94,9 +93,10 @@ class CdWorkspace:
         self.qcache = self.block[2 * n * p:2 * n * p + p]
         rows = self.block[2 * n * p + p:].reshape(5, n)
         self.diag, self.grad_v, self.v, self.u, self.d = rows
-        self.q[...] = q
-        self.qw_scaled[...] = qw_scaled
-        self.diag[...] = diag
+        self.q[...] = model.q
+        np.multiply(model.scale, model.qw, out=self.qw_scaled)
+        np.add(model.delta, model.low_rank_diag, out=self.diag)
+        self.diag *= model.scale
         self.grad_v[...] = grad_v
         rows[2:4] = v  # v and u
         self.model = model
@@ -270,5 +270,5 @@ def solve_scaled_identity(
     componentwise soft threshold of v - grad_v/c at level lam/c."""
     if model.p != 0:
         raise ValueError("closed form requires a pure diagonal model")
-    c = model.scale * model.core.delta
+    c = model.scale * model.delta
     return soft_threshold_vec(v - grad_v / c, lam / c)

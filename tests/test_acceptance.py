@@ -22,7 +22,6 @@ from proxqn.dataset import (
 )
 from proxqn.harness import rate_diagnostics
 from proxqn.hessian import (
-    DiagLowRank,
     HessianModel,
     compile_compact,
     enforce_domination,
@@ -151,7 +150,7 @@ def test_criterion_4_cd_contraction_rate():
     checked = 0
     for instance_seed in range(5):
         rng = np.random.default_rng(1000 + instance_seed)
-        model = HessianModel.lbfgs(compile_compact(admissible_pairs(rng, n, 6)))
+        model = compile_compact(admissible_pairs(rng, n, 6))
         eigs = scipy.linalg.eigvalsh(model.dense())
         alpha_n = 1.0 - (1.0 - phi_constant(eigs[0], eigs[-1])) / n
         grad_v = rng.standard_normal(n)
@@ -195,7 +194,7 @@ def test_criterion_5_accelerated_envelopes():
     fh = run_apqna_fh(problem,
                       OptimizerConfig(sigma_init=1.0, warmup_kbar=0,
                                       tol_rel=1e-12, max_outer=600, seed=1),
-                      base=DiagLowRank(1.0, problem.n))
+                      base=HessianModel(1.0, problem.n))
     diag_fh = rate_diagnostics(fh, fstar, dist0_sq=dist0_sq)
     assert diag_fh.thm6_violations == []
     print("\nACCEPTANCE 5 PASS: 1/k^2 envelope (500 iters) and fixed-"
@@ -215,7 +214,7 @@ def test_criterion_6_trajectory_invariants():
     cases.append(("synthetic smooth", quadratic_problem(quad0, 0.0),
                   OptimizerConfig(tol_rel=1e-9, max_outer=5000,
                                   warmup_kbar=0, seed=3, diagnostics=True),
-                  DiagLowRank(1.0, 40)))
+                  HessianModel(1.0, 40)))
     a9a_path = find_dataset("a9a")
     if a9a_path is not None:
         ds = read_libsvm(a9a_path)
@@ -244,9 +243,8 @@ def test_criterion_6_trajectory_invariants():
 def test_criterion_7_alternating_domination_collapse():
     """Strict domination on alternating diag(10,1)/diag(1,10) forces
     sigma_k = 10^-k exactly (to 1e-12 relative) for k <= 250."""
-    d1 = DiagLowRank(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]]))
-    d2 = DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))
-    models = [HessianModel.lbfgs(d1), HessianModel.lbfgs(d2)]
+    models = [HessianModel(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]])),
+              HessianModel(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))]
     sigma = 1.0
     for k in range(1, 251):
         sigma = enforce_domination(models[k % 2], sigma, models[(k + 1) % 2])

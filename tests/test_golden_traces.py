@@ -53,7 +53,7 @@ import scipy.sparse as sp
 
 from proxqn import _cdkernel
 from proxqn.dataset import Dataset, synthesize_quadratic
-from proxqn.hessian import DiagLowRank, HessianModel
+from proxqn.hessian import HessianModel
 from proxqn.optimizers import (
     OptimizerConfig,
     TraceRecord,
@@ -94,14 +94,14 @@ def _broken():
                             value_and_grad=lambda w: (value(w), np.ones(3)))
 
 
-_AXIS_CORES = [
-    DiagLowRank(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]])),
-    DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]])),
+_AXIS_MODELS = [
+    HessianModel(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]])),
+    HessianModel(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]])),
 ]
 
 
 def _alternating(k, pairs):
-    return HessianModel.lbfgs(_AXIS_CORES[k % 2])
+    return _AXIS_MODELS[k % 2]
 
 
 def _cfg(**kw):
@@ -144,12 +144,12 @@ CASES = {
     "apqna-fh-base": lambda: run_apqna_fh(
         _quad(n=30, seed=19, lam=0.0),
         _cfg(seed=7, warmup_kbar=0, diagnostics=True),
-        base=DiagLowRank(1.0, 30)),
+        base=HessianModel(1.0, 30)),
     "apqna-fh-inside-warmup": lambda: run_apqna_fh(
         _quad(seed=18), _cfg(seed=6, max_outer=5)),
     "apqna-fh-backtrack-failure": lambda: run_apqna_fh(
         _broken(), _cfg(warmup_kbar=0, backtrack_cap=5),
-        base=DiagLowRank(1.0, 3)),
+        base=HessianModel(1.0, 3)),
     "apqna-backtrack-failure": lambda: run_apqna(
         _broken(), _cfg(backtrack_cap=5)),
 }

@@ -7,6 +7,7 @@ from proxqn.dataset import synthesize_quadratic, write_libsvm
 from proxqn.harness import (
     TRACE_HEADER,
     ExperimentSpec,
+    SyntheticSpec,
     assemble_report,
     build_config,
     emit_trace_csv,
@@ -122,10 +123,21 @@ mu_init = 0.5
             parse_experiment_spec(str(path))
 
     def test_checkpoints_must_increase(self):
-        spec = ExperimentSpec(algorithms=["pga"], synthetic={"n": 5},
+        spec = ExperimentSpec(algorithms=["pga"], synthetic=SyntheticSpec(n=5),
                               checkpoints=[10, 10])
         with pytest.raises(ValueError, match="increasing"):
             spec.validate()
+
+    def test_synthetic_parses_to_a_spec(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[experiment]\nsynthetic = n=7, L=3 seed=2\nalgorithms = pga\n")
+        spec = parse_experiment_spec(str(path))
+        assert spec.synthetic == SyntheticSpec(n=7, l_target=3.0, seed=2)
+        path.write_text(
+            "[experiment]\nsynthetic = n=7 mu=2\nalgorithms = pga\n")
+        with pytest.raises(ValueError, match="unknown synthetic parameter 'mu'"):
+            parse_experiment_spec(str(path))
 
     def test_needs_exactly_one_source(self):
         spec = ExperimentSpec(algorithms=["pga"])
@@ -138,7 +150,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             algorithms=["pga", "apga", "pqna-lbfgs", "apqna-fh"],
             lam=0.01,
-            synthetic={"n": 20, "gamma": 0.3, "l_target": 6.0, "seed": 4},
+            synthetic=SyntheticSpec(n=20, gamma=0.3, l_target=6.0, seed=4),
             output_dir=str(tmp_path / "out"),
             common={"tol": "1e-7", "max_iters": "20000"},
         )
@@ -164,7 +176,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             algorithms=["pga", "apqna-fh"],
             lam=0.01,
-            synthetic={"n": 15, "gamma": 0.3, "l_target": 5.0, "seed": 9},
+            synthetic=SyntheticSpec(n=15, gamma=0.3, l_target=5.0, seed=9),
             output_dir=str(tmp_path / "out"),
             common={"tol": "1e-6"},
         )

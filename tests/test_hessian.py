@@ -8,7 +8,6 @@ from proxqn._oracles import dense_bfgs_matrix
 from proxqn.dataset import synthesize_quadratic
 from proxqn.hessian import (
     CorrectionPairs,
-    DiagLowRank,
     HessianModel,
     SingularCompactForm,
     compile_compact,
@@ -29,6 +28,11 @@ def admissible_pairs(rng, n, count, memory=10, scale=0.3):
         s = rng.standard_normal(n) * scale
         pairs.update(s, quad.matvec(s))
     return pairs
+
+
+def cd_diag(model):
+    """The model diagonal that the coordinate-descent step divides by."""
+    return CdWorkspace(model, np.zeros(model.n), np.zeros(model.n), 0.0).diag
 
 
 class TestCorrectionPairs:
@@ -58,16 +62,15 @@ class TestCorrectionPairs:
 
 class TestCompileCompact:
     def test_empty_buffer_gives_identity(self):
-        core = compile_compact(CorrectionPairs(4))
-        assert core.delta == 1.0 and core.p == 0
-        np.testing.assert_array_equal(core.dense(), np.eye(4))
+        model = compile_compact(CorrectionPairs(4))
+        assert model.delta == 1.0 and model.p == 0 and model.scale == 1.0
+        np.testing.assert_array_equal(model.dense(), np.eye(4))
 
     def test_single_axis_pair(self):
         pairs = CorrectionPairs(3)
         pairs.update(np.array([1.0, 0, 0]), np.array([2.0, 0, 0]))
-        core = compile_compact(pairs)
-        assert core.delta == pytest.approx(2.0)
-        model = HessianModel.lbfgs(core)
+        model = compile_compact(pairs)
+        assert model.delta == pytest.approx(2.0)
         np.testing.assert_allclose(model.apply(np.array([1.0, 0, 0])),
                                    [2.0, 0, 0], atol=1e-12)
 
@@ -80,9 +83,8 @@ class TestCompileCompact:
             pairs = admissible_pairs(rng, n, int(rng.integers(1, memory + 4)),
                                      memory)
             s_mat, y_mat = pairs.pairs()
-            core = compile_compact(pairs)
-            dense = dense_bfgs_matrix(s_mat, y_mat, core.delta)
-            model = HessianModel.lbfgs(core)
+            model = compile_compact(pairs)
+            dense = dense_bfgs_matrix(s_mat, y_mat, model.delta)
             for _ in range(3):
                 v = rng.standard_normal(n)
                 ref = dense @ v
@@ -95,7 +97,7 @@ class TestCompileCompact:
         for _ in range(100):
             n = int(rng.integers(4, 30))
             pairs = admissible_pairs(rng, n, int(rng.integers(1, 12)))
-            model = HessianModel.lbfgs(compile_compact(pairs))
+            model = compile_compact(pairs)
             for _ in range(50):
                 v = rng.standard_normal(n)
                 v /= np.linalg.norm(v)
@@ -107,70 +109,86 @@ class TestCompileCompact:
         y = np.array([2.0, 1.0, 0.1, -0.1])
         pairs.update(s, y)
         pairs.update(s, y)
-        core = compile_compact(pairs)
-        dense = core.dense()
+        dense = compile_compact(pairs).dense()
         assert np.all(np.isfinite(dense))
         assert np.min(np.linalg.eigvalsh(dense)) > 0
 
 
 class TestModelOps:
     def test_scaled_identity_apply(self):
-        model = HessianModel.scaled_identity(2.0, 3)
+        model = HessianModel(1.0, 3, scale=2.0)
         np.testing.assert_allclose(model.apply(np.array([1.0, -2, 3])),
                                    [2.0, -4, 6])
 
     def test_scaled_fixed_apply(self):
-        base = DiagLowRank(1.0, 2)
-        model = HessianModel.scaled_fixed(2.0, base)
+        model = HessianModel(1.0, 2).rescaled(1.0 / 2.0)
         np.testing.assert_allclose(model.apply(np.array([1.0, 4.0])),
                                    [0.5, 2.0])
+
+    def test_derived_models_refuse_what_the_constructor_refuses(self):
+        rng = np.random.default_rng(8)
+        below_n = compile_compact(admissible_pairs(rng, 12, 3))
+        assert below_n.p < below_n.n
+        with pytest.raises(ValueError, match="positive definite"):
+            below_n.shifted(-below_n.delta)
+        with pytest.raises(ValueError, match="positive definite"):
+            HessianModel(0.0, 12, below_n.q, below_n.w)
+        with pytest.raises(ValueError, match="nonnegative"):
+            below_n.shifted(-2.0 * below_n.delta)
+        with pytest.raises(ValueError, match="nonnegative"):
+            HessianModel(-1.0, 12)
+        for factor in (0.0, -1.0):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                below_n.rescaled(factor)
+            with pytest.raises(ValueError, match="scale must be positive"):
+                HessianModel(1.0, 12, scale=factor)
+        # With n columns delta = 0 stays allowed, as in the constructor.
+        full = HessianModel(1.0, 2, np.eye(2), np.diag([2.0, 3.0]))
+        assert full.shifted(-1.0).delta == 0.0
 
     def test_compact_apply_matches_dense(self):
         rng = np.random.default_rng(4)
         pairs = admissible_pairs(rng, 20, 6)
-        model = HessianModel.lbfgs(compile_compact(pairs))
+        model = compile_compact(pairs)
         dense = model.dense()
         v = rng.standard_normal(20)
         np.testing.assert_allclose(model.apply(v), dense @ v,
                                    rtol=1e-10, atol=1e-10)
 
-    # cd_parts()[3] is the diagonal the coordinate-descent step divides by.
     def test_diag_element_cases(self):
-        ident = HessianModel.scaled_identity(1.0, 4)
-        assert ident.cd_parts()[3][2] == 1.0
-        scaled = HessianModel.scaled_identity(4.0, 4)
-        assert scaled.cd_parts()[3][0] == 4.0
+        assert cd_diag(HessianModel(1.0, 4))[2] == 1.0
+        assert cd_diag(HessianModel(1.0, 4, scale=4.0))[0] == 4.0
         rng = np.random.default_rng(5)
         pairs = admissible_pairs(rng, 12, 5)
-        model = HessianModel.lbfgs(compile_compact(pairs))
+        model = compile_compact(pairs)
         dense = model.dense()
-        diag = model.cd_parts()[3]
+        diag = cd_diag(model)
         for j in range(12):
             assert diag[j] == pytest.approx(dense[j, j], rel=1e-10)
 
     def test_diag_element_consistent_with_apply(self):
         rng = np.random.default_rng(6)
         pairs = admissible_pairs(rng, 10, 4)
-        model = HessianModel.lbfgs(compile_compact(pairs))
-        diag = model.cd_parts()[3]
+        model = compile_compact(pairs)
+        diag = cd_diag(model)
         for j in range(10):
             e = np.zeros(10)
             e[j] = 1.0
             assert diag[j] == pytest.approx(float(e @ model.apply(e)), abs=1e-12)
 
     def test_diag_element_range_check(self):
-        model = HessianModel.scaled_identity(1.0, 3)
+        model = HessianModel(1.0, 3)
         ws = CdWorkspace(model, np.zeros(3), np.zeros(3), 0.1)
         with pytest.raises(IndexError):
             ws.step(3)
 
     def test_model_value_at_center(self):
-        model = HessianModel.scaled_identity(2.0, 3)
+        model = HessianModel(1.0, 3, scale=2.0)
         v = np.array([1.0, 2.0, 3.0])
         assert model_value(model, v, v, 1.5, np.zeros(3), 0.7) == pytest.approx(2.2)
 
     def test_model_value_unit_step(self):
-        model = HessianModel.scaled_identity(1.0, 2)
+        model = HessianModel(1.0, 2)
         v = np.zeros(2)
         u = np.array([1.0, 0.0])
         assert model_value(model, u, v, 3.0, np.zeros(2), 0.0) == pytest.approx(3.5)
@@ -178,7 +196,7 @@ class TestModelOps:
     def test_model_value_matches_dense_formula(self):
         rng = np.random.default_rng(7)
         pairs = admissible_pairs(rng, 8, 3)
-        model = HessianModel.lbfgs(compile_compact(pairs))
+        model = compile_compact(pairs)
         dense = model.dense()
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
@@ -197,7 +215,7 @@ def spd_model(seed, n, count, memory, scale):
     for _ in range(count):
         s = rng.standard_normal(n)
         pairs.update(s, a @ s)
-    return HessianModel.lbfgs(compile_compact(pairs)).rescaled(scale)
+    return compile_compact(pairs).rescaled(scale)
 
 
 model_draws = dict(n=st.integers(1, 60), memory=st.integers(1, 10),
@@ -207,22 +225,22 @@ model_draws = dict(n=st.integers(1, 60), memory=st.integers(1, 10),
 
 class TestEigenvalueEstimates:
     def test_identity(self):
-        model = HessianModel.scaled_identity(1.0, 10)
+        model = HessianModel(1.0, 10)
         assert extreme_eigenvalues(model) == (1.0, 1.0)
 
     def test_zero_delta_needs_n_columns(self):
         # delta is the eigenvalue on the complement of the columns.
         axis = np.array([[1.0], [0.0]])
         with pytest.raises(ValueError, match="positive definite"):
-            HessianModel.lbfgs(DiagLowRank(0.0, 2, axis, np.eye(1)))
-        full = DiagLowRank(0.0, 2, np.eye(2), np.diag([2.0, 3.0]))
-        assert extreme_eigenvalues(HessianModel.lbfgs(full)) == pytest.approx(
+            HessianModel(0.0, 2, axis, np.eye(1))
+        full = HessianModel(0.0, 2, np.eye(2), np.diag([2.0, 3.0]))
+        assert extreme_eigenvalues(full) == pytest.approx(
             (2.0, 3.0), rel=1e-12)
 
     def test_two_point_spectrum(self):
         # diag(1, 10) as identity plus a rank-one bump on the second axis
-        core = DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))
-        m, big = extreme_eigenvalues(HessianModel.lbfgs(core))
+        model = HessianModel(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))
+        m, big = extreme_eigenvalues(model)
         assert m == pytest.approx(1.0, rel=1e-12)
         assert big == pytest.approx(10.0, rel=1e-12)
 
@@ -241,11 +259,12 @@ class TestEigenvalueEstimates:
 
 def variant(model, kind, sigma):
     """``model`` as drawn ("lbfgs"), rescaled by 1/sigma, or as the
-    fixed-base model of its core at sigma."""
+    fixed-base model at sigma of its unscaled form."""
     if kind == "rescaled":
         return model.rescaled(1.0 / sigma)
     if kind == "scaled_fixed":
-        return HessianModel.scaled_fixed(sigma, model.core)
+        base = HessianModel(model.delta, model.n, model.q, model.w)
+        return base.rescaled(1.0 / sigma)
     return model
 
 
@@ -253,37 +272,36 @@ class TestEnforceDomination:
     def test_same_model_keeps_sigma(self):
         rng = np.random.default_rng(9)
         pairs = admissible_pairs(rng, 8, 3)
-        model = HessianModel.lbfgs(compile_compact(pairs))
+        model = compile_compact(pairs)
         assert enforce_domination(model, 0.7, model) == pytest.approx(0.7, rel=1e-12)
 
     def test_doubled_model_halves_sigma(self):
         rng = np.random.default_rng(10)
         pairs = admissible_pairs(rng, 8, 3)
-        model = HessianModel.lbfgs(compile_compact(pairs))
+        model = compile_compact(pairs)
         doubled = model.rescaled(2.0)
         assert enforce_domination(doubled, 1.0, model) == pytest.approx(0.5, rel=1e-12)
 
     def test_axis_swap_shrinks_by_ten(self):
-        d1 = DiagLowRank(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]]))
-        d2 = DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))
-        got = enforce_domination(HessianModel.lbfgs(d2), 1.0,
-                                 HessianModel.lbfgs(d1))
+        h1 = HessianModel(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]]))
+        h2 = HessianModel(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]]))
+        got = enforce_domination(h2, 1.0, h1)
         assert got == pytest.approx(0.1, rel=1e-12)
 
     def test_scaled_fixed_shared_base_is_exact(self):
         rng = np.random.default_rng(11)
         pairs = admissible_pairs(rng, 10, 4)
         base = compile_compact(pairs)
-        h_prev = HessianModel.scaled_fixed(1.0, base)
+        h_prev = base
         for sigma_new in (0.5, 0.9, 1.0):
-            h_new = HessianModel.scaled_fixed(sigma_new, base)
+            h_new = base.rescaled(1.0 / sigma_new)
             got = enforce_domination(h_new, 1.0, h_prev)
             assert got == pytest.approx(sigma_new, rel=1e-12)
 
     def test_returned_sigma_dominates_on_samples(self):
         rng = np.random.default_rng(12)
-        prev = HessianModel.lbfgs(compile_compact(admissible_pairs(rng, 9, 4)))
-        new = HessianModel.lbfgs(compile_compact(admissible_pairs(rng, 9, 5)))
+        prev = compile_compact(admissible_pairs(rng, 9, 4))
+        new = compile_compact(admissible_pairs(rng, 9, 5))
         sigma = enforce_domination(new, 1.3, prev)
         for _ in range(50):
             v = rng.standard_normal(9)
@@ -311,7 +329,7 @@ class TestEnforceDomination:
              shared=True, sigma_prev=1.0)
     def test_matches_dense_pencil(self, prev, new, kinds, sigmas, shared,
                                   sigma_prev):
-        # Both models take prev's n; ``shared`` gives new prev's core.
+        # Both models take prev's n; ``shared`` makes new prev's model.
         drawn_prev = spd_model(**prev)
         drawn_new = drawn_prev if shared else spd_model(**dict(new, n=prev["n"]))
         h_prev = variant(drawn_prev, kinds[0], sigmas[0])
@@ -324,8 +342,8 @@ class TestEnforceDomination:
     def test_strict_domination_at_n600(self):
         # A size the dense eigensolve used to refuse.
         rng = np.random.default_rng(13)
-        prev = HessianModel.lbfgs(compile_compact(admissible_pairs(rng, 600, 10)))
-        new = HessianModel.lbfgs(compile_compact(admissible_pairs(rng, 600, 7)))
+        prev = compile_compact(admissible_pairs(rng, 600, 10))
+        new = compile_compact(admissible_pairs(rng, 600, 7))
         eigs = scipy.linalg.eigh(prev.dense(), new.dense(), eigvals_only=True)
         got = enforce_domination(new, 0.9, prev)
         assert abs(got - 0.9 * eigs[0]) <= 1e-12 * 0.9 * eigs[-1]
@@ -373,7 +391,7 @@ def reference_compile(pairs):
     matrix from np.block and the singular test from np.linalg.cond."""
     while True:
         if len(pairs) == 0:
-            return DiagLowRank(1.0, pairs.n)
+            return HessianModel(1.0, pairs.n)
         s_mat, y_mat = pairs.pairs()
         sy_newest = float(s_mat[:, -1] @ y_mat[:, -1])
         delta = float(y_mat[:, -1] @ y_mat[:, -1]) / sy_newest
@@ -393,17 +411,17 @@ def reference_compile(pairs):
             pairs.drop_oldest()
             continue
         q = np.hstack([delta * s_mat, y_mat])
-        return DiagLowRank(delta, pairs.n, q, w)
+        return HessianModel(delta, pairs.n, q, w)
 
 
-CORE_FIELDS = ("q", "w", "qw", "_diag")
+MODEL_FIELDS = ("q", "w", "qw", "low_rank_diag")
 
 
-def core_bytes(core):
-    """Everything a model reads from a core, as bytes and layout."""
-    out = [float(core.delta).hex(), core.n]
-    for name in CORE_FIELDS:
-        arr = getattr(core, name)
+def model_bytes(model):
+    """Everything a model holds, as bytes and layout."""
+    out = [float(model.delta).hex(), float(model.scale).hex(), model.n]
+    for name in MODEL_FIELDS:
+        arr = getattr(model, name)
         out += [arr.shape, arr.strides, arr.tobytes()]
     return out
 
@@ -438,8 +456,9 @@ def pair_stream(seed, n, length):
 
 class TestRingBufferCompile:
     """The ring buffer, the slice-filled compile with one SVD, and the
-    shared low-rank products of ``shifted`` give the bytes of the list
-    buffer, np.block, np.linalg.cond and a freshly built core."""
+    shared low-rank products of ``shifted`` and ``rescaled`` give the
+    bytes of the list buffer, np.block, np.linalg.cond and a freshly
+    built model."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(memory=st.integers(1, 10), n=st.integers(1, 40),
@@ -467,12 +486,15 @@ class TestRingBufferCompile:
                 continue
             got = compile_compact(ring)
             assert len(ring) == len(ref)
-            assert core_bytes(got) == core_bytes(want)
+            assert model_bytes(got) == model_bytes(want)
             assert not np.shares_memory(got.q, ring._s)
             assert not np.shares_memory(got.q, ring._y)
             for shift in (0.0, 1e-3, 2.5):
-                fresh = DiagLowRank(got.delta + shift, n, got.q, got.w)
-                assert core_bytes(got.shifted(shift)) == core_bytes(fresh)
+                fresh = HessianModel(got.delta + shift, n, got.q, got.w)
+                assert model_bytes(got.shifted(shift)) == model_bytes(fresh)
+            for factor in (1.0, 1.0 / 1.7, 2.0):
+                fresh = HessianModel(got.delta, n, got.q, got.w, scale=factor)
+                assert model_bytes(got.rescaled(factor)) == model_bytes(fresh)
 
     def test_near_parallel_pairs_drop_the_oldest(self):
         # The stream's near-repeats must reach the drop-oldest retry.
@@ -500,7 +522,9 @@ class TestRingBufferCompile:
                 compile_fn(buffer)
 
     def test_shifted_identity_core(self):
-        core = DiagLowRank(1.0, 4)
-        assert core_bytes(core.shifted(0.5)) == core_bytes(DiagLowRank(1.5, 4))
+        model = HessianModel(1.0, 4)
+        assert model_bytes(model.shifted(0.5)) == model_bytes(HessianModel(1.5, 4))
+        assert (model_bytes(model.rescaled(3.0))
+                == model_bytes(HessianModel(1.0, 4, scale=3.0)))
         with pytest.raises(ValueError, match="nonnegative"):
-            core.shifted(-2.0)
+            model.shifted(-2.0)

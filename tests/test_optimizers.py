@@ -12,7 +12,7 @@ from scipy.special import expit
 import proxqn.optimizers as optimizers
 from proxqn.dataset import Dataset, synthesize_quadratic
 from proxqn.harness import tolerance_induced_gap
-from proxqn.hessian import DiagLowRank
+from proxqn.hessian import HessianModel
 from proxqn.optimizers import (
     ALGORITHMS,
     BACKTRACK_FAILURE,
@@ -314,16 +314,15 @@ class TestApqna:
     def test_alternating_models_collapse_sigma(self):
         # axis-swapping Hessian sequence: strict domination forces
         # sigma_k <= 10^-k, the pathology motivating the fixed base
-        from proxqn.hessian import DiagLowRank, HessianModel
         quad = synthesize_quadratic(2, 0.2, 0.9, seed=3)
         prob = quadratic_problem(quad, 0.01)
-        cores = [
-            DiagLowRank(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]])),
-            DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]])),
+        models = [
+            HessianModel(1.0, 2, np.array([[1.0], [0.0]]), np.array([[9.0]])),
+            HessianModel(1.0, 2, np.array([[0.0], [1.0]]), np.array([[9.0]])),
         ]
 
         def factory(k, pairs):
-            return HessianModel.lbfgs(cores[k % 2])
+            return models[k % 2]
 
         cfg = OptimizerConfig(tol_rel=1e-30, max_outer=250, seed=1,
                               domination="strict")
@@ -343,7 +342,7 @@ class TestApqnaFh:
                                  seed=0)
         cfg_ap = OptimizerConfig(mu_init=mu, tol_rel=1e-9, max_outer=800,
                                  seed=0)
-        tr_fh = run_apqna_fh(prob, cfg_fh, base=DiagLowRank(1.0, prob.n))
+        tr_fh = run_apqna_fh(prob, cfg_fh, base=HessianModel(1.0, prob.n))
         tr_ap = run_apga(prob, cfg_ap)
         assert len(tr_fh.records) == len(tr_ap.records)
         for a, b in zip(tr_fh.records, tr_ap.records):
@@ -356,8 +355,8 @@ class TestApqnaFh:
                               seed=6)
         trace = run_apqna_fh(prob, cfg)
         assert trace.diagnostics["warmup_end"] == 4
-        sigma1, variant, _, _ = trace.diagnostics["initial_model"]
-        assert sigma1 == cfg.sigma_init and variant == "scaled_fixed"
+        sigma1, kind, _, _ = trace.diagnostics["initial_model"]
+        assert sigma1 == cfg.sigma_init and kind == "scaled_fixed"
         ks = [r.k for r in trace.records]
         assert ks == list(range(len(ks)))
         for rec in trace.records[1:5]:
@@ -373,7 +372,7 @@ class TestApqnaFh:
         dist0_sq = float(xstar @ xstar)
         cfg = OptimizerConfig(sigma_init=1.0, warmup_kbar=0, tol_rel=1e-11,
                               max_outer=600, seed=7)
-        trace = run_apqna_fh(prob, cfg, base=DiagLowRank(1.0, prob.n))
+        trace = run_apqna_fh(prob, cfg, base=HessianModel(1.0, prob.n))
         for rec in trace.records[1:]:
             bound = dist0_sq / (2.0 * rec.step_scalar * rec.t_k ** 2)
             assert rec.fval - fstar <= bound
@@ -394,7 +393,7 @@ class TestApqnaFh:
         cfg = OptimizerConfig(sigma_init=1e-250, backtrack_cap=5000,
                               warmup_kbar=0, max_outer=5)
         with pytest.raises(SigmaUnderflowError):
-            run_apqna_fh(broken_problem(), cfg, base=DiagLowRank(1.0, 3))
+            run_apqna_fh(broken_problem(), cfg, base=HessianModel(1.0, 3))
 
 
 class TestTraceContracts:

@@ -11,7 +11,6 @@ from proxqn import _cdkernel
 from proxqn._oracles import coordinate_step_reference
 from proxqn.hessian import (
     CorrectionPairs,
-    DiagLowRank,
     HessianModel,
     compile_compact,
     model_value,
@@ -32,7 +31,7 @@ from test_hessian import admissible_pairs
 
 def compact_model(seed, n=20, n_pairs=6):
     rng = np.random.default_rng(seed)
-    return HessianModel.lbfgs(compile_compact(admissible_pairs(rng, n, n_pairs)))
+    return compile_compact(admissible_pairs(rng, n, n_pairs))
 
 
 def qval(model, u, v, grad_v, lam):
@@ -41,7 +40,7 @@ def qval(model, u, v, grad_v, lam):
 
 def coordinate_step(a, b, u_j, lam):
     """The move CdWorkspace.step makes on psi(z) = 0.5 a z^2 + b z + lam |u_j + z|."""
-    ws = CdWorkspace(HessianModel.scaled_identity(a, 1), np.array([b]),
+    ws = CdWorkspace(HessianModel(1.0, 1, scale=a), np.array([b]),
                      np.array([u_j]), lam)
     return ws.step(0)
 
@@ -82,7 +81,7 @@ class TestPhiConstant:
 
 class TestCoordinateStep:
     def test_already_optimal(self):
-        model = HessianModel.scaled_identity(1.0, 2)
+        model = HessianModel(1.0, 2)
         ws = CdWorkspace(model, np.zeros(2), np.zeros(2), 1.0)
         assert ws.step(0) == 0.0
         assert ws.u[0] == 0.0
@@ -110,9 +109,8 @@ class TestCoordinateStep:
         assert worst <= 1e-8
 
     def test_nonpositive_diagonal_rejected(self):
-        core = DiagLowRank(1.0, 2, np.array([[1.0], [0.0]]),
-                           np.array([[-0.999]]))
-        model = HessianModel(variant="lbfgs_compact", core=core)
+        model = HessianModel(1.0, 2, np.array([[1.0], [0.0]]),
+                             np.array([[-0.999]]))
         ws = CdWorkspace(model, np.zeros(2), np.zeros(2), 0.1)
         ws.diag = np.array([-0.1, 1.0])
         with pytest.raises(ValueError, match="diagonal"):
@@ -127,7 +125,7 @@ class TestCdMinimize:
         np.testing.assert_array_equal(u, v)
 
     def test_single_newton_step_in_1d(self):
-        model = HessianModel.scaled_identity(1.0, 1)
+        model = HessianModel(1.0, 1)
         u, _ = cd_minimize(model, np.array([3.0]), np.array([1.0]), 0.0, 1, seed=0)
         assert u[0] == pytest.approx(-2.0)
 
@@ -210,8 +208,8 @@ class TestExactSolveOracle:
         np.testing.assert_allclose(u, v, atol=1e-12)
 
     def test_diagonal_closed_form(self):
-        core = DiagLowRank(1.0, 2, np.array([[0.0], [1.0]]), np.array([[1.0]]))
-        model = HessianModel.lbfgs(core)  # diag(1, 2)
+        model = HessianModel(1.0, 2, np.array([[0.0], [1.0]]),
+                             np.array([[1.0]]))  # diag(1, 2)
         u, _ = exact_solve_oracle(model, np.array([1.0, 1.0]), np.zeros(2),
                                   0.5, 1e-13)
         np.testing.assert_allclose(u, [-0.5, -0.25], atol=1e-12)
@@ -258,7 +256,7 @@ class TestContractionRate:
 
 class TestScaledIdentityShortcut:
     def test_matches_exact_oracle(self):
-        model = HessianModel.scaled_identity(2.5, 8)
+        model = HessianModel(1.0, 8, scale=2.5)
         rng = np.random.default_rng(40)
         grad_v = rng.standard_normal(8)
         v = rng.standard_normal(8)
@@ -310,8 +308,7 @@ def random_instance(seed, n, memory, n_pairs):
     for _ in range(n_pairs):
         s = rng.standard_normal(n)
         pairs.update(s, a @ s)
-    model = HessianModel.scaled_fixed(float(rng.uniform(0.2, 5.0)),
-                                      compile_compact(pairs))
+    model = compile_compact(pairs).rescaled(1.0 / float(rng.uniform(0.2, 5.0)))
     grad_v = rng.standard_normal(n) * 10.0 ** float(rng.integers(-3, 3))
     v = rng.standard_normal(n) * (rng.random(n) < 0.7)
     return model, grad_v, v
@@ -395,9 +392,8 @@ class TestBackends:
         assert outcome(*args) == on_python_loops(*args)
 
     def test_nonpositive_diagonal_raises(self, cd_backend):
-        core = DiagLowRank(1.0, 3, np.array([[0.0], [2.0], [0.0]]),
-                           np.array([[-0.5]]))  # diag (1, -1, 1)
-        model = HessianModel.lbfgs(core)
+        model = HessianModel(1.0, 3, np.array([[0.0], [2.0], [0.0]]),
+                             np.array([[-0.5]]))  # diag (1, -1, 1)
         ones = np.ones(3)
         with pytest.raises(ValueError, match="diagonal at coordinate 1"):
             cd_minimize(model, ones, ones, 0.1, 50, seed=0)
@@ -437,7 +433,7 @@ class TestWorkspaceInput:
         (np.zeros(2), np.zeros(2)),
     ])
     def test_shape_must_be_model_n(self, grad_v, v):
-        model = HessianModel.scaled_identity(1.0, 3)
+        model = HessianModel(1.0, 3)
         with pytest.raises(ValueError, match=r"expected \(3,\)"):
             CdWorkspace(model, grad_v, v, 0.1)
         with pytest.raises(ValueError, match=r"expected \(3,\)"):
@@ -458,9 +454,26 @@ class TestWorkspaceInput:
         np.testing.assert_array_equal(ws.grad_v, [0.0, 2.0, 4.0, 6.0])
 
     @pytest.mark.parametrize("model", [compact_model(3, n=5),
-                                       HessianModel.scaled_identity(2.0, 3)])
+                                       HessianModel(1.0, 3, scale=2.0)])
     def test_kernel_addresses_are_the_arrays(self, model):
         ws = CdWorkspace(model, np.ones(model.n), np.zeros(model.n), 0.1)
         names = ("q", "qw_scaled", "diag", "grad_v", "u", "d", "qcache")
         assert ws.addresses() == tuple(getattr(ws, name).ctypes.data
                                        for name in names)
+
+    @pytest.mark.parametrize("model", [
+        HessianModel(1.0, 5, scale=2.5),                     # p = 0
+        compact_model(3, n=20, n_pairs=4),                   # p < n
+        compact_model(4, n=5, n_pairs=6),                    # p >= n
+        compact_model(5, n=20, n_pairs=4).shifted(0.3),
+        compact_model(6, n=5, n_pairs=6).rescaled(1.0 / 1.7),
+        compact_model(7, n=20, n_pairs=4).shifted(0.3).rescaled(4.0),
+    ], ids=["p0", "p_below_n", "p_at_least_n", "shifted", "rescaled",
+            "shifted_rescaled"])
+    def test_block_holds_the_scaled_model(self, model):
+        ws = CdWorkspace(model, np.ones(model.n), np.zeros(model.n), 0.1)
+        assert ws.diag.tobytes() == (
+            model.scale * (model.delta + model.low_rank_diag)).tobytes()
+        assert ws.qw_scaled.tobytes() == (model.scale * model.qw).tobytes()
+        assert ws.q.tobytes() == model.q.tobytes()
+        assert ws.eff_delta == model.scale * model.delta
