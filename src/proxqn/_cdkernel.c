@@ -10,9 +10,11 @@
  *    ddot and dgemv);
  *  - every sparse product sums each output element from 0.0 in the
  *    order scipy's csr_matvec and csc_matvec do;
- *  - the logistic coefficients take e = exp(-|z|) from the caller, the
- *    array numpy's exp formed for the loss at the same margins, so no
- *    pass here calls exp;
+ *  - the forward pass forms exp(-|z|), its log1p and the loss terms'
+ *    sum by calling numpy's own float64 exp, log1p and add loops
+ *    (lg_bind_loops receives them from the ufuncs), and the gradient's
+ *    coefficients take that e = exp(-|z|), so no pass here calls libm's
+ *    exp or log1p;
  *  - all other arithmetic is plain double arithmetic in the Python
  *    order, built with -ffp-contract=off so no multiply-add is fused.
  *
@@ -21,7 +23,7 @@
  * in the serial order, so the thread count does not change a bit.  The
  * passes also go faster than one add after another, with the same bits:
  *  - they sum four output elements side by side (four rows of X in
- *    lg_margins, four features of X' in lg_gradient).  Each element
+ *    lg_forward, four features of X' in lg_gradient).  Each element
  *    keeps its own accumulator and adds its terms in index order, so
  *    the four chains only overlap in time; the features are taken in
  *    groups of similar length, by nonincreasing nonzero count, so that
@@ -32,6 +34,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -193,6 +196,45 @@ int64_t cd_exact(workspace *w, double tol, int64_t max_steps, double *scratch)
  * cost the valued margins about 8%. */
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
+/* A numpy ufunc's one-dimensional inner loop (PyUFuncGenericFunction of
+ * numpy/ufuncobject.h): args, dimensions and strides of its operands and
+ * its innerloopdata. */
+typedef void (*ufunc_loop)(char **, const intptr_t *, const intptr_t *,
+                           void *);
+
+/* numpy's float64 loops of np.exp, np.log1p and np.add, with their data. */
+static ufunc_loop exp_loop, log1p_loop, add_loop;
+static void *exp_data, *log1p_data, *add_data;
+
+void lg_bind_loops(void *exp_fn, void *exp_d, void *log1p_fn, void *log1p_d,
+                   void *add_fn, void *add_d)
+{
+    exp_loop = (ufunc_loop)exp_fn;
+    exp_data = exp_d;
+    log1p_loop = (ufunc_loop)log1p_fn;
+    log1p_data = log1p_d;
+    add_loop = (ufunc_loop)add_fn;
+    add_data = add_d;
+}
+
+/* out[0..n) = f(in[0..n)) as numpy calls a float64 loop on contiguous
+ * arrays; in == out is an in-place call, as np.exp(e, out=e) makes. */
+static void apply_unary(ufunc_loop f, void *data, double *in, double *out,
+                        intptr_t n)
+{
+    char *args[2] = {(char *)in, (char *)out};
+    intptr_t steps[2] = {sizeof(double), sizeof(double)};
+    f(args, &n, steps, data);
+}
+
+/* b[0..n) = a[0..n) + b[0..n) by numpy's add loop, as np.add(a, b, out=b). */
+static void apply_add(double *a, double *b, intptr_t n)
+{
+    char *args[3] = {(char *)a, (char *)b, (char *)b};
+    intptr_t steps[3] = {sizeof(double), sizeof(double), sizeof(double)};
+    add_loop(args, &n, steps, add_data);
+}
+
 /* Set in a child made by fork(): the child has none of libgomp's
  * threads, and a parallel region there would wait for them forever. */
 static int forked;
@@ -289,21 +331,61 @@ ALWAYS_INLINE void sum_rows(const int32_t *indptr, const int32_t *indices,
                     : sum1(indptr, indices, data, x, r[q], 1);
 }
 
-/* z = -y * (X w) for X in CSR form with m rows: each row is summed from
- * 0.0 in index order, as scipy's csr_matvec does, four rows at a time.
- * data is NULL when every stored value of X is 1.0. */
-void lg_margins(int64_t m, const int32_t *indptr, const int32_t *indices,
-                const double *data, const double *y, const double *w,
-                double *z)
+/* max(z, 0) as 0 > z ? 0.0 : z, which keeps the NaN of a NaN z as
+ * np.maximum does (and -0.0 for -0.0, whose loss term is log(2) either
+ * way).  The sign of z is random, so a branch there mispredicts on every
+ * other element; 0.0 is all zero bits, so masking z's bits selects
+ * without one. */
+static inline double max_zero(double z)
 {
+    uint64_t bits;
+    memcpy(&bits, &z, sizeof bits);
+    bits &= (uint64_t)(0.0 > z) - 1;
+    memcpy(&z, &bits, sizeof bits);
+    return z;
+}
+
+/* Rows per block of the forward pass.  The blocks start at multiples of
+ * BLOCK and the last one runs to m, so it holds BLOCK to 2 * BLOCK - 1 rows
+ * (or all m rows when m < BLOCK).  numpy's loops handle a call's elements
+ * in vectors from its start and its last few elements apart (its add
+ * returns the other operand's NaN where both are NaN there), so with
+ * BLOCK a multiple of their vector length every element has the place it
+ * has in numpy's one call over the whole array, and gets the same bits. */
+#define BLOCK 1024
+
+/* The forward pass of the logistic oracle for X in CSR form with m rows:
+ * the margins z = -y * (X w), e = exp(-|z|) and the loss terms
+ * t = max(z, 0) + log1p(e), as margins_reference, exp_neg_abs and
+ * softplus form them.  Each row is summed from 0.0 in index order, as
+ * scipy's csr_matvec does, four rows at a time; data is NULL when every
+ * stored value of X is 1.0.  exp, log1p and the add are numpy's own
+ * loops, called on each block in place of np.exp(e, out=e), np.log1p(e)
+ * and np.add(max, t, out=t) over the whole array. */
+void lg_forward(int64_t m, const int32_t *indptr, const int32_t *indices,
+                const double *data, const double *y, const double *w,
+                double *z, double *e, double *t)
+{
+    int64_t blocks = m < BLOCK ? 1 : m / BLOCK;
     OMP(omp parallel for schedule(static) if (!forked && indptr[m] >= PARALLEL_NNZ))
-    for (int64_t b = 0; b < (m + 3) / 4; b++) {
-        int64_t r[4] = {4 * b, 4 * b + 1, 4 * b + 2, 4 * b + 3};
-        int count = m - 4 * b < 4 ? (int)(m - 4 * b) : 4;
-        double s[4];
-        sum_rows(indptr, indices, data, w, r, count, s);
-        for (int q = 0; q < count; q++)
-            z[r[q]] = -y[r[q]] * s[q];
+    for (int64_t b = 0; b < blocks; b++) {
+        int64_t lo = b * BLOCK, hi = b == blocks - 1 ? m : lo + BLOCK;
+        double max0[2 * BLOCK];
+        for (int64_t i = lo; i < hi; i += 4) {
+            int64_t r[4] = {i, i + 1, i + 2, i + 3};
+            int count = hi - i < 4 ? (int)(hi - i) : 4;
+            double s[4];
+            sum_rows(indptr, indices, data, w, r, count, s);
+            for (int q = 0; q < count; q++) {
+                double zi = -y[i + q] * s[q];
+                z[i + q] = zi;
+                e[i + q] = -fabs(zi);
+                max0[i + q - lo] = max_zero(zi);
+            }
+        }
+        apply_unary(exp_loop, exp_data, e + lo, e + lo, hi - lo);
+        apply_unary(log1p_loop, log1p_data, e + lo, t + lo, hi - lo);
+        apply_add(max0, t + lo, hi - lo);
     }
 }
 

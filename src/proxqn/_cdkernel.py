@@ -1,20 +1,21 @@
 """Build and load the compiled kernel (``_cdkernel.c``): the
-coordinate-descent loops of :mod:`proxqn.subsolver` and the three
-passes of the logistic oracle of :mod:`proxqn.problem`.
+coordinate-descent loops of :mod:`proxqn.subsolver` and the forward and
+gradient passes of the logistic oracle of :mod:`proxqn.problem`.
 
 The C file is compiled with the system ``cc`` into a temporary
 directory and loaded with ctypes when this module is imported.  It
 calls numpy's own BLAS for the products that the Python reference forms
-with ``@``, and sums every sparse product in scipy's order, so both
-paths give the same bits.  It is built with ``-fopenmp`` so that the
+with ``@`` and numpy's own float64 ``exp``, ``log1p`` and ``add`` loops
+for the loss, and sums every sparse product in scipy's order, so both paths
+give the same bits.  It is built with ``-fopenmp`` so that the
 logistic passes split over OpenMP's default thread count (the standard
 ``OMP_NUM_THREADS`` sets it); where that build fails it is built once
 more without the flag and those passes run serially, with the same bits.
 
 ``KERNEL`` is the loaded kernel, or ``None`` with the reason in
-``FALLBACK``, in which case the subsolver and the logistic oracle run
-their numpy/scipy code.  Setting ``KERNEL`` to ``None`` switches both
-off.
+``FALLBACK`` (no C compiler, or numpy's BLAS or loops not bound), in
+which case the subsolver and the logistic oracle run their numpy/scipy
+code.  Setting ``KERNEL`` to ``None`` switches both off.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ OPENMP = "-fopenmp"
 BLAS_GLOB = "libscipy_openblas64_*.so"
 DDOT = "scipy_cblas_ddot64_"
 DGEMV = "scipy_cblas_dgemv64_"
+# The ufuncs whose float64 inner loops the forward pass calls, in the
+# order lg_bind_loops takes them.
+UFUNCS = (np.exp, np.log1p, np.add)
 
 
 class _Workspace(ctypes.Structure):
@@ -48,9 +52,30 @@ class _Workspace(ctypes.Structure):
     ]
 
 
+class _UFuncHead(ctypes.Structure):
+    """The leading fields of numpy's public ``PyUFuncObject``
+    (numpy/ufuncobject.h), after the object header."""
+
+    _fields_ = [
+        ("head", ctypes.c_byte * object.__basicsize__),
+        ("nin", ctypes.c_int), ("nout", ctypes.c_int), ("nargs", ctypes.c_int),
+        ("identity", ctypes.c_int),
+        ("functions", ctypes.POINTER(ctypes.c_void_p)),
+        ("data", ctypes.POINTER(ctypes.c_void_p)),
+        ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int),
+        ("name", ctypes.c_char_p), ("types", ctypes.POINTER(ctypes.c_ubyte)),
+    ]
+
+
+# PyUFuncGenericFunction: (args, dimensions, strides, innerloopdata).
+_LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
+                         ctypes.POINTER(ctypes.c_ssize_t),
+                         ctypes.POINTER(ctypes.c_ssize_t), ctypes.c_void_p)
+
+
 class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
-    and the logistic oracle's passes.
+    and the logistic oracle's forward and gradient passes.
 
     The loops return the number of coordinate steps taken and raise the
     errors the Python loops raise.  A logistic pass over at least
@@ -67,9 +92,9 @@ class Kernel:
         self._exact.argtypes = [ws, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
         self._exact.restype = ctypes.c_int64
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-        self._margins = lib.lg_margins
-        self._margins.argtypes = [i64] + [ptr] * 6
-        self._margins.restype = None
+        self._forward = lib.lg_forward
+        self._forward.argtypes = [i64] + [ptr] * 8
+        self._forward.restype = None
         self._gradient = lib.lg_gradient
         self._gradient.argtypes = [i64, i64] + [ptr] * 9
         self._gradient.restype = None
@@ -122,15 +147,21 @@ class Kernel:
         32-bit index arrays, which scipy uses below 2**31 nonzeros."""
         return matrix.indptr.dtype == np.int32 and matrix.indices.dtype == np.int32
 
-    def margins(self, dataset, w: np.ndarray) -> np.ndarray:
-        """``-labels * (matrix @ w)`` of a Dataset whose ``matrix``
-        :meth:`takes` accepts, for float64 ``w`` of its feature count."""
+    def forward(self, dataset, w: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The margins ``z = -labels * (matrix @ w)``, ``e = exp(-|z|)``
+        and the loss terms ``max(z, 0) + log1p(e)`` of a Dataset whose
+        ``matrix`` :meth:`takes` accepts, for float64 ``w`` of its
+        feature count: one pass over the rows, with numpy's own exp,
+        log1p and add loops."""
         matrix = dataset.matrix
         w = np.ascontiguousarray(w)
-        z = np.empty(matrix.shape[0])
-        self._margins(matrix.shape[0], *_csr(matrix, dataset.binary),
-                      dataset.labels.ctypes.data, w.ctypes.data, z.ctypes.data)
-        return z
+        m = matrix.shape[0]
+        z, e, t = np.empty(m), np.empty(m), np.empty(m)
+        self._forward(m, *_csr(matrix, dataset.binary),
+                      dataset.labels.ctypes.data, w.ctypes.data,
+                      z.ctypes.data, e.ctypes.data, t.ctypes.data)
+        return z, e, t
 
     def gradient(self, dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
         """``(matrix_t @ c) / m`` with the coefficients ``c = -labels *
@@ -178,13 +209,87 @@ def _numpy_blas() -> tuple[ctypes.c_void_p, ctypes.c_void_p] | str:
         return f"{DDOT} and {DGEMV} not loadable from {found[0]}: {exc}"
 
 
+def _float64_loop(ufunc: np.ufunc) -> tuple[int, int | None] | str:
+    """The address of ufunc's all-float64 inner loop and of its data,
+    read from the ufunc's public fields, or why it was not found."""
+    name = ufunc.__name__
+    head = _UFuncHead.from_address(id(ufunc))
+    if ((head.nin, head.nout, head.nargs, head.ntypes, head.name)
+            != (ufunc.nin, ufunc.nout, ufunc.nargs, ufunc.ntypes, name.encode())):
+        return f"np.{name} does not have the fields of numpy/ufuncobject.h"
+    signature = "d" * ufunc.nin + "->d"
+    if signature not in ufunc.types:
+        return f"np.{name} has no {signature} loop"
+    i = ufunc.types.index(signature)
+    double = np.dtype(np.float64).num
+    if any(head.types[i * head.nargs + k] != double for k in range(head.nargs)):
+        return f"np.{name}'s loop {i} is not its {signature} loop"
+    return head.functions[i], head.data[i]
+
+
+def _probe(ufunc: np.ufunc) -> list[np.ndarray]:
+    """The arguments of a check of ufunc's loop, as the forward pass
+    calls it: z from -760 to 760 with the infinities and NaNs of both
+    signs, as -|z| for exp (down to the subnormal and zero results
+    past -708), exp(-|z|) for log1p, and for add two such arrays whose
+    NaNs of opposite signs meet at every sixth element."""
+    z = np.concatenate([np.linspace(-760.0, 760.0, 1001),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
+    e = -np.abs(z)
+    if ufunc is np.exp:
+        return [e]
+    if ufunc is np.log1p:
+        return [np.exp(e)]
+    step = np.arange(z.size)
+    return [np.where(step % 3 == 0, np.nan, z),
+            np.where(step % 2 == 0, -np.nan, z[::-1])]
+
+
+def _same_bytes(ufunc: np.ufunc, fn: int, data: int | None) -> bool:
+    """Whether the loop at ``fn`` gives the bytes of ``ufunc`` on the
+    probe, on every length from 1 to 39 and on the whole probe, into a
+    new array and in place of its last argument."""
+    loop = _LOOP(fn)
+    args = _probe(ufunc)
+    for n in [*range(1, 40), args[0].size]:
+        ins = [x[:n].copy() for x in args]
+        want = ufunc(*ins).tobytes()
+        for out in (np.empty(n), ins[-1]):
+            ptrs = [x.ctypes.data for x in (*ins, out)]
+            loop((ctypes.c_void_p * len(ptrs))(*ptrs), (ctypes.c_ssize_t * 1)(n),
+                 (ctypes.c_ssize_t * len(ptrs))(*[8] * len(ptrs)), data)
+            if out.tobytes() != want:
+                return False
+    return True
+
+
+def _numpy_loops() -> list[int | None] | str:
+    """Addresses of numpy's float64 exp, log1p and add loops and of
+    their data, each checked against its ufunc, or why they were not
+    bound."""
+    found = []
+    for ufunc in UFUNCS:
+        loop = _float64_loop(ufunc)
+        if isinstance(loop, str):
+            return f"numpy's exp, log1p and add loops not bound: {loop}"
+        if not _same_bytes(ufunc, *loop):
+            return (f"numpy's exp, log1p and add loops not bound: the float64 "
+                    f"loop of np.{ufunc.__name__} differs from the ufunc")
+        found.extend(loop)
+    return found
+
+
 def load() -> tuple[Kernel | None, str]:
     """Compile and load the kernel: ``(kernel, "")``, or ``(None, reason)``
-    when there is no C compiler or numpy's BLAS symbols are missing.  A
-    compiler that cannot build with OpenMP gets one more try without it."""
+    when there is no C compiler, numpy's BLAS symbols are missing, or
+    numpy's float64 exp, log1p and add loops cannot be bound.  A compiler
+    that cannot build with OpenMP gets one more try without it."""
     blas = _numpy_blas()
     if isinstance(blas, str):
         return None, blas
+    loops = _numpy_loops()
+    if isinstance(loops, str):
+        return None, loops
     cc = shutil.which("cc")
     if cc is None:
         return None, "no C compiler (cc) on PATH"
@@ -205,6 +310,9 @@ def load() -> tuple[Kernel | None, str]:
     lib.cd_bind_blas.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
     lib.cd_bind_blas.restype = None
     lib.cd_bind_blas(*blas)
+    lib.lg_bind_loops.argtypes = [ctypes.c_void_p] * 6
+    lib.lg_bind_loops.restype = None
+    lib.lg_bind_loops(*loops)
     return Kernel(lib, serial_reason), ""
 
 

@@ -43,11 +43,10 @@ from .optimizers import (
 from .problem import (
     CompositeProblem,
     Memo,
-    exp_neg_abs,
+    forward_reference,
     gradient_reference,
     l1_value,
     logistic_problem,
-    margins_reference,
     min_norm_subgradient,
     prox_l1_scaled_identity,
     quadratic_problem,
@@ -741,16 +740,17 @@ def _check_logistic_kernel(level, rng):
         largest = max(largest, ds.nnz)
         for scale in (1e-3, 1.0, 10.0, 800.0):
             w = rng.standard_normal(ds.n_features) * scale
-            z = kernel.margins(ds, w)
-            e = exp_neg_abs(z)
+            z, e, t = kernel.forward(ds, w)
             where = f"m={m}, nnz={ds.nnz}, binary={ds.binary}"
-            if z.tobytes() != margins_reference(ds, w).tobytes():
-                return False, f"{where}: margins differ"
+            for name, got, want in zip(("margins", "exp(-|z|)", "loss terms"),
+                                       (z, e, t), forward_reference(ds, w)):
+                if got.tobytes() != want.tobytes():
+                    return False, f"{where}: {name} differ"
             if (kernel.gradient(ds, z, e).tobytes()
                     != gradient_reference(ds, z, e).tobytes()):
                 return False, f"{where}: gradients differ"
     return True, (f"{cases} datasets, half of them binary (nnz <= {largest}): "
-                  f"margins and gradients bit-identical")
+                  f"forward passes and gradients bit-identical")
 
 
 def _check_cd_rate(level, rng):

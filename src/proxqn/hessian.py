@@ -22,25 +22,30 @@ class HessianModel:
     (p, p).
 
     p is at most twice the correction memory, so matvecs cost O(n p).
-    ``shifted`` and ``rescaled`` share Q, W, QW and the diagonal of
-    Q W Q' (all read-only) with the model they come from.
+    The model keeps copies of Q and W, so a later write to the caller's
+    arrays cannot reach it.  ``shifted`` and ``rescaled`` share Q, W, QW
+    and the diagonal of Q W Q' (all read-only) with the model they come
+    from.
     """
 
     def __init__(self, delta: float, n: int, q: np.ndarray | None = None,
                  w: np.ndarray | None = None, scale: float = 1.0):
         self.n = int(n)
+        # qw caches Q W for O(p) coordinate work in the subsolver, and
+        # low_rank_diag the diagonal of Q W Q'.
         if q is None or q.shape[1] == 0:
-            self.q = np.zeros((n, 0))
+            self.q = self.qw = np.zeros((n, 0))
             self.w = np.zeros((0, 0))
+            self.low_rank_diag = np.zeros(n)
         else:
             if q.shape[0] != n:
                 raise ValueError("factor rows must match dimension")
-            self.q = np.asarray(q, dtype=np.float64)
+            self.q = np.array(q, dtype=np.float64)
             self.w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
-        # qw caches Q W for O(p) coordinate work in the subsolver, and
-        # low_rank_diag the diagonal of Q W Q'.
-        self.qw = self.q @ self.w
-        self.low_rank_diag = np.einsum("ij,ij->i", self.qw, self.q)
+            self.qw = self.q @ self.w
+            self.low_rank_diag = np.einsum("ij,ij->i", self.qw, self.q)
+        for array in (self.q, self.w, self.qw, self.low_rank_diag):
+            array.setflags(write=False)
         self._set_scalars(delta, scale)
 
     def _set_scalars(self, delta: float, scale: float) -> None:

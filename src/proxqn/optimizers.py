@@ -461,9 +461,16 @@ class _VariableModels(_ModelSteps):
         self.strict = config.domination == "strict"
         self.pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
         self.factory = model_factory
-        self.current = model_factory(1, self.pairs)
+        self.current = self._factory_model(1)
         self.accepted = self.current
         self.grad_prev = grad
+
+    def _factory_model(self, k: int) -> HessianModel:
+        model = self.factory(k, self.pairs)
+        if model.n != self.pairs.n:
+            raise ValueError(f"model_factory returned a model of dimension "
+                             f"{model.n} at iteration {k}, expected {self.pairs.n}")
+        return model
 
     def model(self, sigma: float) -> HessianModel:
         return self.current
@@ -479,7 +486,7 @@ class _VariableModels(_ModelSteps):
         self.pairs.update(x - x_prev, grad_x - self.grad_prev)
         self.grad_prev = grad_x
         self.accepted = self.current
-        self.current = self.factory(k + 1, self.pairs)
+        self.current = self._factory_model(k + 1)
         sigma_next = self.config.sigma_growth * sigma
         if not self.strict:
             return sigma_next, 1.0
@@ -671,6 +678,8 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     sigma_1 = 1, H_1 = I setting of the accelerated-rate guarantee),
     skips the warmup.
     """
+    if base is not None and base.n != problem.n:
+        raise ValueError(f"base has dimension {base.n}, expected {problem.n}")
     trace, t0, norm0, state = _first_row(problem, config, "apqna-fh",
                                          config.sigma_init, x0)
     if trace.status == CONVERGED:

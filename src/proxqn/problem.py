@@ -61,12 +61,14 @@ class Memo:
         return self.value if self.key == w.tobytes() else None
 
 
-def _margins(dataset: Dataset, w: np.ndarray) -> np.ndarray:
-    """z = -y * (Xw), the one forward pass of every logistic oracle."""
+def _forward(dataset: Dataset, w: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one forward pass of every logistic oracle: the margins
+    z = -y * (Xw), e = exp(-|z|) and the loss terms softplus(z)."""
     kernel = _cdkernel.KERNEL
     if kernel is not None and kernel.takes(dataset.matrix):
-        return kernel.margins(dataset, w)
-    return margins_reference(dataset, w)
+        return kernel.forward(dataset, w)
+    return forward_reference(dataset, w)
 
 
 def _gradient(dataset: Dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -79,9 +81,17 @@ def _gradient(dataset: Dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def margins_reference(dataset: Dataset, w: np.ndarray) -> np.ndarray:
-    """:func:`_margins` in numpy and scipy; the reference for
-    ``Kernel.margins``."""
+    """The margins z = -y * (Xw) in numpy and scipy."""
     return -dataset.labels * (dataset.matrix @ w)
+
+
+def forward_reference(dataset: Dataset, w: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_forward` in numpy and scipy; the reference for
+    ``Kernel.forward``."""
+    z = margins_reference(dataset, w)
+    e = exp_neg_abs(z)
+    return z, e, softplus(z, e)
 
 
 def coefficients(labels: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -101,11 +111,10 @@ def logistic_value(dataset: Dataset, w: np.ndarray,
                    memo: Memo | None = None) -> float:
     """Average logistic loss (1/m) sum_i log(1 + exp(-y_i w'x_i))."""
     w = _check_dim(dataset.n_features, w)
-    z = _margins(dataset, w)
-    e = exp_neg_abs(z)
+    z, e, t = _forward(dataset, w)
     if memo is not None:
         memo.store(w, z, e)
-    return float(np.mean(softplus(z, e)))
+    return float(np.mean(t))
 
 
 def logistic_gradient(dataset: Dataset, w: np.ndarray,
@@ -115,8 +124,8 @@ def logistic_gradient(dataset: Dataset, w: np.ndarray,
     z = None if memo is None else memo.recall(w)
     if z is not None:
         return _gradient(dataset, z, memo.derived)
-    z = _margins(dataset, w)
-    return _gradient(dataset, z, exp_neg_abs(z))
+    z, e, _ = _forward(dataset, w)
+    return _gradient(dataset, z, e)
 
 
 def logistic_value_and_gradient(
@@ -124,9 +133,8 @@ def logistic_value_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Loss and gradient sharing one pass over the margins and one exp."""
     w = _check_dim(dataset.n_features, w)
-    z = _margins(dataset, w)
-    e = exp_neg_abs(z)
-    return float(np.mean(softplus(z, e))), _gradient(dataset, z, e)
+    z, e, t = _forward(dataset, w)
+    return float(np.mean(t)), _gradient(dataset, z, e)
 
 
 def _check_dim(n: int, w: np.ndarray) -> np.ndarray:

@@ -125,6 +125,19 @@ class TestModelOps:
         np.testing.assert_allclose(model.apply(np.array([1.0, 4.0])),
                                    [0.5, 2.0])
 
+    def test_later_writes_to_the_callers_arrays_do_not_reach_the_model(self):
+        q, w = np.array([[1.0], [0.0]]), np.array([[2.0]])
+        h = HessianModel(1.0, 2, q, w)
+        q[0, 0] = 3.0
+        w[0, 0] = 5.0
+        np.testing.assert_array_equal(h.dense(), [[3.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(h.low_rank_diag, [2.0, 0.0])
+        for model in (h, h.shifted(1.0), h.rescaled(2.0), HessianModel(1.0, 2)):
+            for array in (model.q, model.w, model.qw, model.low_rank_diag):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
     def test_derived_models_refuse_what_the_constructor_refuses(self):
         rng = np.random.default_rng(8)
         below_n = compile_compact(admissible_pairs(rng, 12, 3))

@@ -331,6 +331,19 @@ class TestApqna:
             assert rec.step_scalar <= 10.0 ** -(rec.k - 1) + 1e-12
         assert trace.records[-1].step_scalar <= 1e-240
 
+    def test_factory_model_of_another_dimension_is_refused(self):
+        prob = quad_problem(n=5, seed=14)
+        calls = []
+
+        def factory(k, pairs):
+            calls.append(k)
+            return HessianModel(1.0, 9)
+
+        with pytest.raises(ValueError, match=r"model_factory .* dimension 9 "
+                                             r"at iteration 1, expected 5"):
+            run_apqna(prob, OptimizerConfig(max_outer=50), model_factory=factory)
+        assert calls == [1]
+
 
 class TestApqnaFh:
     def test_identity_base_reduces_to_apga(self):
@@ -388,6 +401,22 @@ class TestApqnaFh:
             assert margin >= -1e-10
         for k, margin in trace.diagnostics["lemma6"]:
             assert margin >= -1e-12
+
+    @pytest.mark.parametrize("base", [HessianModel(1.0, 9),
+                                      HessianModel(1.0, 9, np.ones((9, 1)),
+                                                   np.ones((1, 1)))],
+                             ids=["scalar", "rank-one"])
+    def test_base_of_another_dimension_is_refused(self, base):
+        """Refused before row 0's oracle call: an n = 9 base used to run
+        50 iterations on an n = 5 problem, or fail inside the first CD
+        solve with the shape of the solver's gradient."""
+        prob = quad_problem(n=5, seed=14)
+        evaluated = []
+        counted = replace(prob, value_and_grad=lambda w: evaluated.append(w)
+                          or prob.value_and_grad(w))
+        with pytest.raises(ValueError, match=r"base has dimension 9, expected 5"):
+            run_apqna_fh(counted, OptimizerConfig(max_outer=50), base=base)
+        assert evaluated == []
 
     def test_sigma_underflow_raises(self):
         cfg = OptimizerConfig(sigma_init=1e-250, backtrack_cap=5000,

@@ -296,43 +296,59 @@ class TestOracleMemo:
         w += 1.0
         assert _bytes(prob.f_grad(w, memo)) == _bytes(prob.f_grad(w.copy()))
 
-    def test_one_exp_per_point(self, small_logistic, monkeypatch):
-        """f_grad after f_value at the same w, and value_and_grad, take
-        exp(-|z|) once: the gradient's coefficients reuse the loss's."""
-        calls = []
-        real = proxqn.problem.exp_neg_abs
-        monkeypatch.setattr(proxqn.problem, "exp_neg_abs",
-                            lambda z: calls.append(1) or real(z))
+    def test_one_exp_per_point(self, small_logistic):
+        """f_grad after f_value at the same w, and value_and_grad, make one
+        forward pass, the one that takes exp(-|z|): the gradient's
+        coefficients reuse the loss's.  The Python forward pass takes it
+        in exp_neg_abs; the kernel's in numpy's exp loop."""
         w = np.linspace(-1.0, 1.0, small_logistic.n)
-        memo = Memo()
-        small_logistic.f_value(w, memo)
-        small_logistic.f_grad(w, memo)
-        assert len(calls) == 1
-        small_logistic.value_and_grad(w)
-        assert len(calls) == 2
+        for backend in ("active", "python"):
+            calls = {"forward": 0, "exp": 0}
+            with pytest.MonkeyPatch.context() as mp:
+                if backend == "python":
+                    mp.setattr(_cdkernel, "KERNEL", None)
+                mp.setattr(proxqn.problem, "_forward",
+                           _counted(calls, "forward", proxqn.problem._forward))
+                mp.setattr(proxqn.problem, "exp_neg_abs",
+                           _counted(calls, "exp", proxqn.problem.exp_neg_abs))
+                memo = Memo()
+                small_logistic.f_value(w, memo)
+                small_logistic.f_grad(w, memo)
+                assert calls["forward"] == 1, backend
+                small_logistic.value_and_grad(w)
+                assert calls["forward"] == 2, backend
+            python = backend == "python" or _cdkernel.KERNEL is None
+            assert calls["exp"] == (2 if python else 0), backend
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_one_forward_pass_per_value_evaluation(self, algorithm,
-                                                   small_logistic, monkeypatch):
-        calls = dict.fromkeys(("f_value", "f_grad", "value_and_grad",
-                               "forward"), 0)
+                                                   small_logistic):
+        for backend in ("active", "python"):
+            calls = dict.fromkeys(("f_value", "f_grad", "value_and_grad",
+                                   "forward"), 0)
+            with pytest.MonkeyPatch.context() as mp:
+                if backend == "python":
+                    mp.setattr(_cdkernel, "KERNEL", None)
+                mp.setattr(proxqn.problem, "_forward",
+                           _counted(calls, "forward", proxqn.problem._forward))
+                prob = replace(small_logistic, **{
+                    name: _counted(calls, name, getattr(small_logistic, name))
+                    for name in ("f_value", "f_grad", "value_and_grad")})
+                trace = ALGORITHMS[algorithm](
+                    prob, OptimizerConfig(tol_rel=1e-6, max_outer=300,
+                                          warmup_kbar=3))
+            assert trace.iterations > 3
+            assert calls["f_grad"] == trace.iterations, backend
+            assert (calls["forward"]
+                    == calls["f_value"] + calls["value_and_grad"]), backend
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
 
-        monkeypatch.setattr(proxqn.problem, "_margins",
-                            counted("forward", proxqn.problem._margins))
-        prob = replace(small_logistic, **{
-            name: counted(name, getattr(small_logistic, name))
-            for name in ("f_value", "f_grad", "value_and_grad")})
-        trace = ALGORITHMS[algorithm](
-            prob, OptimizerConfig(tol_rel=1e-6, max_outer=300, warmup_kbar=3))
-        assert trace.iterations > 3
-        assert calls["f_grad"] == trace.iterations
-        assert calls["forward"] == calls["f_value"] + calls["value_and_grad"]
+def _counted(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def _logistic_dataset(rng, m, n, density):
@@ -368,15 +384,56 @@ def _logistic_point(rng, ds, scale):
     return w * (800.0 / top) if top > 0 else w
 
 
+def forward_bytes(ds, w):
+    """Bytes of the forward pass's margins, exp(-|z|) and loss terms,
+    and of f_value, at w."""
+    z, e, t = proxqn.problem._forward(ds, w)
+    return _bytes(z), _bytes(e), _bytes(t), logistic_value(ds, w).hex()
+
+
 def logistic_oracle_bytes(ds, w):
-    """Bytes of f_value, of f_grad with and without the memo f_value
-    filled, and of value_and_grad at w."""
+    """Bytes of the forward pass, of f_value, of f_grad with and without
+    the memo f_value filled, and of value_and_grad at w.  Tests assert
+    a comparison of two of these as a bool computed first: pytest's diff
+    of two unequal tuples of this size runs for minutes."""
     memo = Memo()
     value = logistic_value(ds, w, memo)
     with_memo = logistic_gradient(ds, w, memo)
     pair = logistic_value_and_gradient(ds, w)
-    return (value.hex(), _bytes(with_memo), _bytes(logistic_gradient(ds, w)),
-            pair[0].hex(), _bytes(pair[1]))
+    return (*forward_bytes(ds, w), value.hex(), _bytes(with_memo),
+            _bytes(logistic_gradient(ds, w)), pair[0].hex(), _bytes(pair[1]))
+
+
+def _margin_dataset(z, binary):
+    """A Dataset and a w at which its margins -y * (Xw) are z: the
+    identity, times 2 when not binary, with alternating labels."""
+    labels = np.where(np.arange(z.size) % 2, 1.0, -1.0)
+    scale = 1.0 if binary else 2.0
+    ds = Dataset(sp.identity(z.size, format="csr") * scale, labels)
+    assert ds.binary == binary
+    return ds, -labels * z / scale
+
+
+def _special_margins(rng, m):
+    """m margins in [-40, 40], of which about a third are replaced by
+    the saturated +-700 to +-760 and +-7000 (where exp(-|z|) is
+    subnormal or 0.0), infinities and zeros; and NaNs of alternating
+    signs in the eight rows on each side of every multiple of BLOCK and
+    in the last nine rows.  There numpy's loops change from their
+    vectors to their last few elements, and its add returns the other
+    operand's NaN where both are NaN (the loss term's log1p(e) is a NaN
+    of the opposite sign to a positive NaN z)."""
+    special = np.concatenate([np.linspace(-760.0, -700.0, 61),
+                              np.linspace(700.0, 760.0, 61),
+                              [-7000.0, 7000.0, np.nan, -np.nan, np.inf,
+                               -np.inf, 0.0, -0.0]])
+    z = rng.uniform(-40.0, 40.0, m)
+    pick = rng.random(m) < 0.3
+    z[pick] = rng.choice(special, int(pick.sum()))
+    row = np.arange(m)
+    edge = (row % BLOCK < 8) | (row % BLOCK >= BLOCK - 8) | (row >= m - 9)
+    z[edge] = np.where(row[edge] % 2, np.nan, -np.nan)
+    return z
 
 
 def on_python_code(fn, *args):
@@ -389,11 +446,18 @@ needs_kernel = pytest.mark.skipif(_cdkernel.KERNEL is None,
                                   reason=_cdkernel.backend())
 # Past the kernel's PARALLEL_NNZ, so its passes split over threads.
 LARGE = dict(m=3000, n=40, density=0.4)
+# Rows per block of the kernel's forward pass (BLOCK in _cdkernel.c).
+BLOCK = 1024
+# Row counts at the edges of the forward pass's groups of four rows and
+# of its blocks, whose last one takes the rows past the last full block.
+EDGES = [1, 3, 4, 5, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+         2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 7]
 
 
 class TestCompiledLogisticOracle:
-    """The kernel's margins, coefficients and transpose pass give the
-    bytes of the numpy/scipy code, on any thread count."""
+    """The kernel's forward pass (margins, exp(-|z|) and loss terms),
+    coefficients and transpose pass give the bytes of the numpy/scipy
+    code, on any thread count."""
 
     @needs_kernel
     @settings(max_examples=200, deadline=None, database=None)
@@ -407,8 +471,9 @@ class TestCompiledLogisticOracle:
         make = _binary_dataset if binary else _logistic_dataset
         ds = make(rng, m, n, density)
         w = _logistic_point(rng, ds, scale)
-        assert (logistic_oracle_bytes(ds, w)
+        same = (logistic_oracle_bytes(ds, w)
                 == on_python_code(logistic_oracle_bytes, ds, w))
+        assert same
 
     @needs_kernel
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 10.0, "800"])
@@ -417,8 +482,9 @@ class TestCompiledLogisticOracle:
         ds = _logistic_dataset(rng, **LARGE)
         assert ds.nnz >= _cdkernel.KERNEL.parallel_nnz
         w = _logistic_point(rng, ds, scale)
-        assert (logistic_oracle_bytes(ds, w)
+        same = (logistic_oracle_bytes(ds, w)
                 == on_python_code(logistic_oracle_bytes, ds, w))
+        assert same
 
     @needs_kernel
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 10.0, "800"])
@@ -427,8 +493,9 @@ class TestCompiledLogisticOracle:
         ds = _binary_dataset(rng, **LARGE)
         assert ds.nnz >= _cdkernel.KERNEL.parallel_nnz
         w = _logistic_point(rng, ds, scale)
-        assert (logistic_oracle_bytes(ds, w)
+        same = (logistic_oracle_bytes(ds, w)
                 == on_python_code(logistic_oracle_bytes, ds, w))
+        assert same
 
     @needs_kernel
     @pytest.mark.parametrize("binary", [True, False])
@@ -439,28 +506,50 @@ class TestCompiledLogisticOracle:
                             np.linspace(700.0, 760.0, 241),
                             [-710.0, 746.0, np.nextafter(-710.0, 0.0),
                              np.nextafter(746.0, 0.0), -7000.0, 7000.0]])
-        labels = np.where(np.arange(z.size) % 2, 1.0, -1.0)
-        scale = 1.0 if binary else 2.0
-        ds = Dataset(sp.identity(z.size, format="csr") * scale, labels)
-        assert ds.binary == binary
-        w = -labels * z / scale  # the margins -y * (Xw) are z itself
+        ds, w = _margin_dataset(z, binary)
+        assert _bytes(proxqn.problem._forward(ds, w)[0]) == _bytes(z)
         assert logistic_value(ds, w) == on_python_code(logistic_value, ds, w)
-        assert (logistic_oracle_bytes(ds, w)
+        same = (logistic_oracle_bytes(ds, w)
                 == on_python_code(logistic_oracle_bytes, ds, w))
+        assert same
+
+    @needs_kernel
+    @pytest.mark.parametrize("m", EDGES)
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_forward_matches_python_at_block_edges(self, m, binary):
+        ds, w = _margin_dataset(_special_margins(np.random.default_rng(m), m),
+                                binary)
+        same = forward_bytes(ds, w) == on_python_code(forward_bytes, ds, w)
+        assert same
+
+    @needs_kernel
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_threaded_forward_matches_python(self, binary):
+        """Forty blocks and one row, past PARALLEL_NNZ, so that the
+        blocks split over threads and the last one holds BLOCK + 1 rows."""
+        m = 40 * BLOCK + 1
+        ds, w = _margin_dataset(_special_margins(np.random.default_rng(17), m),
+                                binary)
+        assert ds.nnz >= _cdkernel.KERNEL.parallel_nnz
+        same = forward_bytes(ds, w) == on_python_code(forward_bytes, ds, w)
+        assert same
 
     @needs_kernel
     def test_one_thread_gives_the_same_bytes(self):
         script = (
             "import numpy as np, sys\n"
             "sys.path[:0] = sys.argv[1:]\n"
-            "from test_problem import LARGE, _logistic_dataset, "
-            "_logistic_point, logistic_oracle_bytes\n"
+            "from test_problem import BLOCK, LARGE, _logistic_dataset, "
+            "_logistic_point, _margin_dataset, _special_margins, "
+            "forward_bytes, logistic_oracle_bytes\n"
             "from proxqn import _cdkernel\n"
             "rng = np.random.default_rng(12)\n"
             "ds = _logistic_dataset(rng, **LARGE)\n"
             "w = _logistic_point(rng, ds, 10.0)\n"
             "print(_cdkernel.KERNEL.threads)\n"
             "print(repr(logistic_oracle_bytes(ds, w)))\n"
+            "z = _special_margins(np.random.default_rng(18), 40 * BLOCK + 1)\n"
+            "print(repr(forward_bytes(*_margin_dataset(z, True))))\n"
         )
         src = os.path.dirname(os.path.dirname(proxqn.problem.__file__))
         tests = os.path.dirname(os.path.abspath(__file__))
@@ -472,7 +561,12 @@ class TestCompiledLogisticOracle:
         rng = np.random.default_rng(12)
         ds = _logistic_dataset(rng, **LARGE)
         w = _logistic_point(rng, ds, 10.0)
-        assert out[1] == repr(logistic_oracle_bytes(ds, w))
+        same = out[1] == repr(on_python_code(logistic_oracle_bytes, ds, w))
+        assert same
+        z = _special_margins(np.random.default_rng(18), 40 * BLOCK + 1)
+        same = out[2] == repr(on_python_code(forward_bytes,
+                                             *_margin_dataset(z, True)))
+        assert same
 
     @needs_kernel
     def test_forked_child_runs_serially_with_the_same_bytes(self):
@@ -500,7 +594,8 @@ class TestCompiledLogisticOracle:
         ds64 = Dataset(wide, ds.labels)
         assert not _cdkernel.Kernel.takes(ds64.matrix)
         w = _logistic_point(rng, ds, 1.0)
-        assert logistic_oracle_bytes(ds64, w) == logistic_oracle_bytes(ds, w)
+        same = logistic_oracle_bytes(ds64, w) == logistic_oracle_bytes(ds, w)
+        assert same
 
     def test_transpose_is_a_lazy_csr_copy(self):
         ds = _logistic_dataset(np.random.default_rng(14), 20, 6, 0.5)

@@ -323,9 +323,17 @@ SIZES = dict(n=st.integers(1, 60), memory=st.integers(1, 10),
              lam=st.sampled_from([0.0, 0.01, 0.3, 3.0]))
 
 
+def _buildable() -> bool:
+    """Whether load() gets as far as the compiler: cc, numpy's BLAS and
+    numpy's float64 exp, log1p and add loops are all there."""
+    return not (shutil.which("cc") is None
+                or isinstance(_cdkernel._numpy_blas(), str)
+                or isinstance(_cdkernel._numpy_loops(), str))
+
+
 class TestBackends:
     def test_kernel_builds_where_cc_and_numpy_blas_exist(self):
-        if shutil.which("cc") is None or isinstance(_cdkernel._numpy_blas(), str):
+        if not _buildable():
             pytest.skip(_cdkernel.backend())
         assert _cdkernel.KERNEL is not None, _cdkernel.FALLBACK
         assert _cdkernel.backend().startswith("c")
@@ -336,8 +344,31 @@ class TestBackends:
         assert kernel is None
         assert "no_such_ddot" in reason or "numpy's BLAS" in reason
 
+    def test_load_reports_unbound_numpy_loops(self, monkeypatch):
+        """A loop that does not give its ufunc's bytes is not bound, and
+        the fallback reason names the loops."""
+        sin = _cdkernel._float64_loop(np.sin)
+        if isinstance(sin, str):
+            pytest.skip(sin)
+        monkeypatch.setattr(_cdkernel, "_float64_loop", lambda ufunc: sin)
+        kernel, reason = _cdkernel.load()
+        assert kernel is None
+        assert reason == ("numpy's exp, log1p and add loops not bound: the "
+                          "float64 loop of np.exp differs from the ufunc")
+        monkeypatch.setattr(_cdkernel, "KERNEL", None)
+        monkeypatch.setattr(_cdkernel, "FALLBACK", reason)
+        assert _cdkernel.backend() == f"python ({reason})"
+
+    def test_float64_loops_are_read_from_the_ufuncs(self):
+        assert _cdkernel._float64_loop(np.isnan) == "np.isnan has no d->d loop"
+        for ufunc in _cdkernel.UFUNCS:
+            loop = _cdkernel._float64_loop(ufunc)
+            if isinstance(loop, str):
+                pytest.skip(loop)
+            assert loop[0] and _cdkernel._same_bytes(ufunc, *loop)
+
     def test_load_reports_compile_error(self, monkeypatch, tmp_path):
-        if shutil.which("cc") is None or isinstance(_cdkernel._numpy_blas(), str):
+        if not _buildable():
             pytest.skip(_cdkernel.backend())
         bad = tmp_path / "bad.c"
         bad.write_text("this is not C\n")
@@ -346,7 +377,7 @@ class TestBackends:
         assert kernel is None and reason.startswith("cc failed")
 
     def test_load_retries_without_openmp(self, monkeypatch):
-        if shutil.which("cc") is None or isinstance(_cdkernel._numpy_blas(), str):
+        if not _buildable():
             pytest.skip(_cdkernel.backend())
         monkeypatch.setattr(_cdkernel, "OPENMP", "-fno-such-option")
         kernel, reason = _cdkernel.load()
