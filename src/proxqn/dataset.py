@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -10,6 +11,44 @@ import scipy.sparse as sp
 
 # Parsed entries held as Python objects before they move to typed arrays.
 _FLUSH_ENTRIES = 65536
+
+# Bytes read at a time; a block runs on to the next line end.
+_BLOCK = 1 << 17
+
+# The largest 1-based feature index: its 0-based form fills an int32.
+_MAX_INDEX = 2**31
+
+# The longest value the scan decodes by itself, and the longest label it
+# takes; the padding lets it read one byte past that from any token.
+_WIDTH = 17
+_PAD = b" " * (_WIDTH + 1)
+
+# The value grammar the scan decodes, as a table of the next state for
+# each state and byte.  Only a digit of the mantissa moves to _INT or
+# _FRAC, which are adjacent, and only one of the exponent to _EXPONENT.
+(_START, _INT, _FRAC, _EXPONENT, _SIGNED, _POINT_FIRST, _POINT_AFTER,
+ _E_SEEN, _EXP_SIGN, _DONE, _BAD) = range(11)
+_STEP = np.full((11, 256), _BAD, np.uint8)
+_STEP[_DONE] = _DONE
+for _from, _bytes, _to in [
+    (_START, b"0123456789", _INT), (_START, b"+-", _SIGNED),
+    (_START, b".", _POINT_FIRST),
+    (_SIGNED, b"0123456789", _INT), (_SIGNED, b".", _POINT_FIRST),
+    (_INT, b"0123456789", _INT), (_INT, b".", _POINT_AFTER),
+    (_POINT_FIRST, b"0123456789", _FRAC),
+    (_POINT_AFTER, b"0123456789", _FRAC),
+    (_FRAC, b"0123456789", _FRAC),
+    (_E_SEEN, b"0123456789", _EXPONENT), (_E_SEEN, b"+-", _EXP_SIGN),
+    (_EXP_SIGN, b"0123456789", _EXPONENT),
+    (_EXPONENT, b"0123456789", _EXPONENT),
+] + [(state, b"eE", _E_SEEN) for state in (_INT, _POINT_AFTER, _FRAC)] + [
+    (state, b" \n", _DONE) for state in (_INT, _POINT_AFTER, _FRAC, _EXPONENT)
+]:
+    _STEP[_from, list(_bytes)] = _to
+del _from, _bytes, _to
+
+# 10^0 .. 10^22, each exact in float64.
+_POW10 = np.array([float(10**k) for k in range(23)])
 
 
 class DatasetFormatError(ValueError):
@@ -129,42 +168,73 @@ def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return matrix
 
 
-def _map_labels(raw: list[str], positive_label: str | None) -> np.ndarray:
+def _map_labels(
+    tokens: list[str], codes: np.ndarray, positive_label: str | None, path: str
+) -> np.ndarray:
+    """The {-1,+1} label of each row, whose raw label is
+    ``tokens[codes[row]]``; the rules look at each distinct token once."""
     def as_float(tok: str) -> float | None:
         try:
             return float(tok)
         except ValueError:
             return None
 
+    values = [as_float(tok) for tok in tokens]
     if positive_label is not None:
         target = as_float(positive_label)
-        out = np.empty(len(raw))
-        for i, tok in enumerate(raw):
-            val = as_float(tok)
+        out = np.empty(len(tokens))
+        for i, (tok, val) in enumerate(zip(tokens, values)):
             if target is not None and val is not None:
                 out[i] = 1.0 if val == target else -1.0
             else:
                 out[i] = 1.0 if tok == positive_label else -1.0
+        out = out[codes]
         if np.all(out == out[0]):
             raise DatasetFormatError(
                 f"positive label {positive_label!r} splits the data into a single class"
             )
         return out
 
-    values = [as_float(tok) for tok in raw]
-    if any(v is None for v in values):
+    bad = [i for i, v in enumerate(values) if v is None]
+    if bad:
+        row = int(np.flatnonzero(np.isin(codes, bad))[0])
         raise DatasetFormatError(
-            "non-numeric labels require --positive-class to binarize"
+            f"{path}:{_line_of_row(path, row)}: label {tokens[codes[row]]!r} "
+            "is not a number; non-numeric labels require --positive-class "
+            "to binarize"
         )
     distinct = sorted(set(values))
     if set(distinct) <= {-1.0, 1.0}:
-        return np.array(values)
+        return np.array(values)[codes]
     if set(distinct) <= {0.0, 1.0}:
-        return np.array([1.0 if v == 1.0 else -1.0 for v in values])
+        return np.array([1.0 if v == 1.0 else -1.0 for v in values])[codes]
     raise DatasetFormatError(
         f"labels {distinct[:6]} are not in {{-1,+1}} or {{0,1}}; "
         "pass positive_label to binarize"
     )
+
+
+def _line_of_row(path: str, row: int) -> int:
+    """The line number of data row ``row`` (0-based) of a file that parsed."""
+    with open(path, encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.split():
+                if row == 0:
+                    return lineno
+                row -= 1
+    raise ValueError(f"{path} has no row {row}")
+
+
+class _Rows:
+    """The rows read so far, in typed arrays that become the matrix's own
+    without a copy, and each row's raw label as an index into ``tokens``."""
+
+    def __init__(self):
+        self.indptr = array("q", [0])
+        self.indices = array("i")
+        self.data = array("d")
+        self.labels = array("i")
+        self.tokens: dict[str, int] = {}
 
 
 def read_libsvm(
@@ -182,52 +252,25 @@ def read_libsvm(
 
     The feature count is the largest index seen unless ``n_features``
     overrides it (LIBSVM files omit trailing all-zero features).
+
+    The file is read in blocks of about ``_BLOCK`` bytes that end at a
+    line end.  :func:`_scan` parses a block with array operations; a
+    block it cannot vouch for goes through :func:`_read_lines`, the
+    line-by-line reference, which also finds and reports any error.
+    Either way every value is the one ``float()`` gives.
     """
-    # The entries collect in lists, which are fast to append to, and
-    # move to typed arrays every _FLUSH_ENTRIES: a list holds a 32-byte
-    # Python object per value where an array holds 8 bytes, and the
-    # arrays become the matrix's own without a copy.
-    raw_labels: list[str] = []
-    indptr = array("q", [0])
-    indices, data = array("i"), array("d")
-    pending_indices: list[int] = []
-    pending_data: list[float] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            raw_labels.append(parts[0])
-            prev = 0
-            for item in parts[1:]:
-                try:
-                    idx_s, val_s = item.split(":", 1)
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError as exc:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: malformed feature entry {item!r}"
-                    ) from exc
-                if idx <= prev:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: indices must be 1-based and strictly increasing"
-                    )
-                prev = idx
-                pending_indices.append(idx - 1)
-                pending_data.append(val)
-            if len(pending_data) >= _FLUSH_ENTRIES:
-                indices.extend(pending_indices)
-                data.extend(pending_data)
-                pending_indices.clear()
-                pending_data.clear()
-            indptr.append(len(indices) + len(pending_indices))
-    indices.extend(pending_indices)
-    data.extend(pending_data)
-    if not raw_labels:
+    rows = _Rows()
+    lineno = 1
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            lines = _scan(block, rows)
+            if lines is None:
+                lines = _read_lines(path, block, lineno, rows)
+            lineno += lines
+    if not rows.labels:
         raise DatasetFormatError(f"{path}: no data lines found")
 
-    cols = np.asarray(indices, dtype=np.int32)
+    cols = np.asarray(rows.indices, dtype=np.int32)
     max_dim = int(cols.max()) + 1 if cols.size else 0
     if n_features is None:
         n_features = max_dim
@@ -238,12 +281,255 @@ def read_libsvm(
     if n_features == 0:
         raise DatasetFormatError(f"{path}: no features present")
 
-    labels = _map_labels(raw_labels, positive_label)
+    labels = _map_labels(list(rows.tokens), np.asarray(rows.labels),
+                         positive_label, path)
     matrix = sp.csr_matrix(
-        (np.asarray(data), cols, np.asarray(indptr)),
-        shape=(len(raw_labels), n_features),
+        (np.asarray(rows.data), cols, np.asarray(rows.indptr)),
+        shape=(len(rows.labels), n_features),
     )
     return Dataset._adopt(matrix, labels)
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """The bytes of ``fh`` in blocks of about ``_BLOCK`` bytes, each ending
+    at a line end, except a last one without a final newline."""
+    pending = []
+    while chunk := fh.read(_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
+def _read_lines(path: str, block: bytes, lineno: int, rows: _Rows) -> int:
+    """Append the rows of ``block``, whose first line is line ``lineno`` of
+    ``path``, one line at a time, and return the number of lines.
+
+    This is the reference parser: each line is decoded as ASCII, split at
+    any whitespace, and its entries converted by ``int()`` and
+    ``float()``.  The first fault raises a :class:`DatasetFormatError`
+    that names its line.  The entries collect in lists, which are fast to
+    append to, and move to the typed arrays every _FLUSH_ENTRIES: a list
+    holds a 32-byte Python object per value where an array holds 8 bytes.
+    """
+    pending_indices: list[int] = []
+    pending_data: list[float] = []
+    lines = block.splitlines()
+    for lineno, raw in enumerate(lines, start=lineno):
+        try:
+            parts = raw.decode("ascii").split()
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x}"
+            ) from None
+        if not parts:
+            continue
+        rows.labels.append(rows.tokens.setdefault(parts[0], len(rows.tokens)))
+        prev = 0
+        for item in parts[1:]:
+            try:
+                idx_s, val_s = item.split(":", 1)
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError as exc:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: malformed feature entry {item!r}"
+                ) from exc
+            if idx <= prev:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: indices must be 1-based and strictly increasing"
+                )
+            if idx > _MAX_INDEX:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: feature index {idx} is above {_MAX_INDEX}, "
+                    "the largest a 32-bit index holds"
+                )
+            prev = idx
+            pending_indices.append(idx - 1)
+            pending_data.append(val)
+        if len(pending_data) >= _FLUSH_ENTRIES:
+            rows.indices.extend(pending_indices)
+            rows.data.extend(pending_data)
+            pending_indices.clear()
+            pending_data.clear()
+        rows.indptr.append(len(rows.indices) + len(pending_indices))
+    rows.indices.extend(pending_indices)
+    rows.data.extend(pending_data)
+    return len(lines)
+
+
+def _scan(block: bytes, rows: _Rows) -> int | None:
+    """Append the rows of ``block`` and return its number of lines, or
+    return None, appending nothing, when the block holds anything outside
+    the grammar below.  Equal to :func:`_read_lines` on every block it
+    takes.
+
+    Lines hold printable ASCII and spaces.  A line is blank or a label
+    token of at most ``_WIDTH`` bytes and no colon, followed by
+    ``<index>:<value>`` tokens.  An index is 1 to 10 digits, from 1 to
+    ``_MAX_INDEX`` and above the one before it.  A value is any token
+    ``float()`` accepts.  One of at most ``_WIDTH`` bytes of the form
+    ``[+-](digits[.[digits]]|.digits)[(e|E)[+-]digits]``, whose digits
+    form an integer M <= 2^53 (any 15 digits do) and whose power of ten
+    10^p has |p| <= 22, is decoded by Clinger's fast path: M and 10^p
+    are exact in float64, so one multiply or divide rounds M * 10^p
+    once, to the float ``float()`` gives.  Every other value goes to
+    ``float()`` itself.
+    """
+    # A leading space makes every token start after a separator.
+    text = b" " + block + (b"" if block.endswith(b"\n") else b"\n")
+    buf = np.frombuffer(text + _PAD, np.uint8)
+    b = buf[:len(text)]
+    ends_of_lines = np.flatnonzero(b == 10)
+    if np.count_nonzero(b - np.uint8(32) > 94) != ends_of_lines.size:
+        return None  # a byte other than a newline, a space or printable ASCII
+    starts, ends = _tokens(b)
+
+    # Tokens before each line end, so the first token of each nonblank
+    # line is its label and the rest are its entries.
+    before = np.searchsorted(starts, ends_of_lines)
+    per_line = np.diff(before, prepend=0)
+    nonblank = per_line > 0
+    first = before[nonblank] - per_line[nonblank]
+    counts = per_line[nonblank] - 1
+    entry = np.ones(starts.size, bool)
+    entry[first] = False
+    estart, eend = starts[entry], ends[entry]
+
+    # Exactly one colon in each entry, inside it, and none in a label.
+    colons = np.flatnonzero(b == 58)
+    if colons.size != estart.size or not (
+        np.all(colons > estart) and np.all(colons < eend - 1)
+    ):
+        return None
+
+    index = _decode_indices(buf, estart, colons)
+    if index is None:
+        return None
+    row_end = np.cumsum(counts)
+    row_start = np.zeros(index.size, bool)
+    row_start[(row_end - counts)[counts > 0]] = True
+    if not np.all((index[1:] > index[:-1]) | row_start[1:]):
+        return None
+    values = _decode_values(buf, colons + 1, eend)
+    if values is None:
+        return None
+    labels = _label_tokens(buf, starts[first], ends[first])
+    if labels is None:
+        return None
+
+    distinct, inverse = labels
+    codes = np.array([rows.tokens.setdefault(tok.decode("ascii"), len(rows.tokens))
+                      for tok in distinct], np.int32)
+    rows.labels.frombytes(codes[inverse].view(np.uint8))
+    rows.indptr.frombytes((row_end + len(rows.indices)).view(np.uint8))
+    rows.indices.frombytes((index - 1).astype(np.int32).view(np.uint8))
+    rows.data.frombytes(values.view(np.uint8))
+    return ends_of_lines.size
+
+
+def _tokens(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of bytes above the space starts and ends in ``b``,
+    which starts with a space and ends with a newline."""
+    token = b > 32
+    edges = np.flatnonzero(token[1:] != token[:-1])
+    edges += 1
+    return edges[0::2], edges[1::2]
+
+
+def _decode_indices(buf: np.ndarray, start: np.ndarray,
+                    colon: np.ndarray) -> np.ndarray | None:
+    """The int64 index before each colon, or None unless each is 1 to 10
+    digits with a value from 1 to ``_MAX_INDEX``."""
+    length = colon - start
+    index = np.zeros(start.size, np.int64)
+    if not index.size:
+        return index
+    if length.max() > 10:
+        return None
+    at = start.copy()
+    for k in range(int(length.max())):
+        digit = buf[at] - np.uint8(48)
+        at += 1
+        live = length > k
+        if np.any((digit > 9) & live):
+            return None
+        # Branch-free: a masked update costs ten times as much.
+        index = index * (1 + 9 * live) + digit * live
+    if not np.all((index >= 1) & (index <= _MAX_INDEX)):
+        return None
+    return index
+
+
+def _decode_values(buf: np.ndarray, start: np.ndarray,
+                   end: np.ndarray) -> np.ndarray | None:
+    """The float64 value of each ``buf[start:end]``, bit for bit what
+    ``float()`` gives, or None when ``float()`` rejects one."""
+    out = np.empty(start.size)
+    length = end - start
+    short = length <= _WIDTH
+    width = int(length[short].max()) if short.any() else 0
+    at = start[short]
+    negative = buf[at] == 45
+    state = np.full(at.size, _START, np.uint8)
+    digits = np.zeros(at.size, np.int64)
+    fraction = np.zeros(at.size, np.uint8)
+    exponent = np.zeros(at.size, np.int64)
+    exp_negative = np.zeros(at.size, bool)
+    for _ in range(width + 1):
+        byte = buf[at]
+        at += 1
+        state = _STEP.take((state.astype(np.uint16) << 8) | byte)
+        digit = byte - np.uint8(48)
+        into = state - np.uint8(_INT) < 2
+        digits = digits * (1 + 9 * into) + digit * into
+        fraction += state == _FRAC
+        into = state == _EXPONENT
+        exponent = exponent * (1 + 9 * into) + digit * into
+        exp_negative |= (state == _EXP_SIGN) & (byte == 45)
+    scale = np.where(exp_negative, -exponent, exponent) - fraction
+    power = np.clip(scale, -22, 22)
+    value = (digits.astype(np.float64) * _POW10[np.maximum(power, 0)]
+             / _POW10[np.maximum(-power, 0)])
+    np.negative(value, out=value, where=negative)
+    out[short] = value
+    decoded = np.zeros(start.size, bool)
+    decoded[short] = (state == _DONE) & (digits <= 2**53) & (scale == power)
+
+    slow = np.flatnonzero(~decoded)
+    if slow.size:
+        # Everything but the bytes of these values becomes a space, so
+        # that a split gives the values in order.
+        edge = np.zeros(buf.size + 1, np.int8)
+        edge[start[slow]] = 1
+        edge[end[slow]] = -1
+        kept = np.where(np.cumsum(edge[:-1], dtype=np.int8).view(bool),
+                        buf, np.uint8(32))
+        try:
+            out[slow] = list(map(float, kept.tobytes().split()))
+        except ValueError:
+            return None
+    return out
+
+
+def _label_tokens(buf: np.ndarray, start: np.ndarray,
+                  end: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct label tokens as bytes, and each row's index into
+    them; None if a label is longer than ``_WIDTH`` bytes."""
+    length = end - start
+    width = int(length.max()) if length.size else 1
+    if width > _WIDTH:
+        return None
+    table = np.zeros((start.size, width), np.uint8)
+    for k in range(width):
+        table[:, k] = np.where(length > k, buf[start + k], 0)
+    return np.unique(table.view(f"S{width}").ravel(), return_inverse=True)
 
 
 def write_libsvm(dataset: Dataset, path: str) -> None:

@@ -50,6 +50,20 @@ def test_run_rejects_non_finite_dataset(tmp_path, capfd):
     assert "DLASCL" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"+1 1:1\n-1 1:1 3000000000:1\n",
+     ":2: feature index 3000000000 is above 2147483648"),
+    (b"+1 1:1\n-1 2:\xe91\n", ":2: non-ASCII byte 0xe9"),
+], ids=["index-past-int32", "non-ascii"])
+def test_run_names_the_line_of_a_bad_dataset_entry(tmp_path, capfd, content,
+                                                   message):
+    path = tmp_path / "bad.svm"
+    path.write_bytes(content)
+    code = main(["run", "--algorithm", "pqna-lbfgs", "--dataset", str(path)])
+    assert code == 1
+    assert f"error: {path}{message}" in capfd.readouterr().err
+
+
 def test_compare_spec_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "results"
     spec = tmp_path / "exp.ini"

@@ -1,9 +1,16 @@
+import os
+import re
+import tempfile
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from proxqn import dataset
 from proxqn.dataset import (
     Dataset,
     DatasetFormatError,
@@ -20,6 +27,26 @@ def write_lines(tmp_path, lines, name="data.txt"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def outcome(path, **kwargs):
+    """The bytes and dtypes of what read_libsvm gives for ``path``, or the
+    type and message of what it raises."""
+    try:
+        ds = read_libsvm(path, **kwargs)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+    x = ds.matrix
+    return x.shape, [(a.dtype.str, a.tobytes())
+                     for a in (x.data, x.indices, x.indptr, ds.labels)]
+
+
+def reference_outcome(path, **kwargs):
+    """outcome() of the line-by-line reference parser alone, which then
+    reads the whole file as one block."""
+    with mock.patch.object(dataset, "_scan", lambda block, rows: None), \
+            mock.patch.object(dataset, "_BLOCK", os.path.getsize(path) + 1):
+        return outcome(path, **kwargs)
 
 
 class TestReadLibsvm:
@@ -82,6 +109,64 @@ class TestReadLibsvm:
         with pytest.raises(ValueError, match="non-finite .* row 1, column 0"):
             Dataset(matrix, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("index, accepted", [
+        (2**31, True), (2**31 + 1, False), (3000000000, False),
+        (10**12, False)])
+    def test_index_past_int32_is_a_format_error(self, tmp_path, index,
+                                                accepted):
+        path = write_lines(tmp_path, ["-1 2:1", f"+1 1:1 {index}:1"])
+        if accepted:
+            assert read_libsvm(path).row(1)[0][-1] == index - 1
+        else:
+            with pytest.raises(DatasetFormatError,
+                               match=f"{re.escape(path)}:2: feature index {index} is above"):
+                read_libsvm(path)
+        assert outcome(path) == reference_outcome(path)
+
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"+1 1:0.5\n\n-1 2:1.0 3:\xc3\xa91\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"{re.escape(str(path))}:3: non-ASCII byte 0xc3"):
+            read_libsvm(str(path))
+
+    def test_non_numeric_label_reports_line(self, tmp_path):
+        path = write_lines(tmp_path, ["+1 1:1", "", "-1 2:1", "cat 1:1",
+                                      "dog 2:1"])
+        with pytest.raises(DatasetFormatError,
+                           match=f"{re.escape(path)}:4: label 'cat' is not a number; "
+                                 "non-numeric labels require --positive-class"):
+            read_libsvm(path)
+        assert read_libsvm(path, positive_label="cat").labels.tolist() == [
+            -1.0, -1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("kind", ["binary", "valued", "short"])
+    def test_plain_files_never_reach_the_line_loop(self, tmp_path, kind):
+        """Binary rows, rows written by write_libsvm and short decimals are
+        all in the scan's grammar, over many blocks."""
+        rng = np.random.default_rng(5)
+        dense = np.where(rng.random((400, 60)) < 0.2,
+                         rng.uniform(0.5, 2.0, (400, 60)), 0.0)
+        labels = np.where(rng.random(400) < 0.5, 1.0, -1.0)
+        path = str(tmp_path / "data.svm")
+        if kind == "short":
+            dense = np.round(dense * rng.choice([-1, 1], dense.shape), 3)
+            with open(path, "w") as fh:
+                for row, label in zip(dense, labels):
+                    entries = " ".join(f"{j + 1}:{v:g}" for j, v in
+                                       enumerate(row) if v)
+                    fh.write(f"{label:+.0f} {entries}\n")
+        else:
+            if kind == "binary":
+                dense = (dense != 0).astype(float)
+            write_libsvm(Dataset(sp.csr_matrix(dense), labels), path)
+        with mock.patch.object(dataset, "_read_lines",
+                               side_effect=AssertionError("line loop")), \
+                mock.patch.object(dataset, "_BLOCK", 4096):
+            got = outcome(path)
+        assert got == reference_outcome(path)
+        assert got[0] == (400, 60)
+
     def test_line_permutation_permutes_rows(self, tmp_path):
         lines = ["+1 1:0.5 3:2.0", "-1 2:1.5", "+1 1:3.0"]
         ds = read_libsvm(write_lines(tmp_path, lines, "a.txt"))
@@ -94,6 +179,83 @@ class TestReadLibsvm:
             np.testing.assert_array_equal(oi, ni)
             np.testing.assert_array_equal(ov, nv)
             assert ds.labels[old_i] == ds_perm.labels[new_i]
+
+
+# Value tokens in and out of the scan's own grammar, all accepted by float().
+VALUES = st.one_of(
+    st.just("1"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.builds(lambda sign, whole, point, frac, exp: sign + whole + point + frac + exp,
+              st.sampled_from(["", "+", "-"]),
+              st.text("0123456789", min_size=1, max_size=9),
+              st.sampled_from(["", "."]),
+              st.text("0123456789", max_size=9),
+              st.sampled_from(["", "e5", "E-3", "e+22", "e-22", "e23", "e-400"])),
+    st.sampled_from(["-0", "-0.0", ".5", "5.", "+.5", "9007199254740992",
+                     "9007199254740993", "9999999999.999999",
+                     "99999999999999.99", "123456789012345678", "1_0",
+                     "0.1", "1e22", "1e-5", "1e400"]),
+)
+
+# Entries that make a file fail, or that only the line loop takes.
+FAULTS = ["7", "0:1", "REPEAT", "7:", "7:nan", "7:inf", "7:-inf",
+          "3000000000:1", "007:1", "+7:1", "7:1:2", "7:x", "7:0x1"]
+
+
+@st.composite
+def libsvm_files(draw):
+    """A LIBSVM file's bytes, a block size and a positive label.  Its
+    whitespace is single spaces, or runs of spaces with blank lines, or
+    also tabs and CRLF line ends, which only the line loop takes."""
+    labels = draw(st.sampled_from([("+1", "-1"), ("1", "0"), ("1", "-1.0"),
+                                   ("2", "7")]))
+    valued = draw(st.booleans())
+    layout = draw(st.sampled_from(["single", "spaces", "mixed"]))
+    space = {"single": [" "], "spaces": [" ", " ", "  "],
+             "mixed": [" ", " ", "  ", "\t"]}[layout]
+    edge = {"single": [""], "spaces": ["", "", " "],
+            "mixed": ["", "", " ", "\t"]}[layout]
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        if layout != "single" and draw(st.sampled_from([False] * 5 + [True])):
+            lines.append(draw(st.sampled_from(edge)))
+            continue
+        indices = sorted(draw(st.sets(st.integers(1, 400), max_size=8)))
+        tokens = [draw(st.sampled_from(labels))] + [
+            f"{j}:{draw(VALUES) if valued else '1'}" for j in indices]
+        line = tokens[0] + "".join(draw(st.sampled_from(space)) + t
+                                   for t in tokens[1:])
+        lines.append(draw(st.sampled_from(edge)) + line
+                     + draw(st.sampled_from(edge)))
+    fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
+    if fault is not None and lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        last = lines[i].split()[-1:] or ["+1"]
+        lines[i] += " " + (last[0] if fault == "REPEAT" else fault)
+    newline = "\r\n" if layout == "mixed" and draw(st.booleans()) else "\n"
+    content = newline.join(lines).encode("ascii")
+    if draw(st.booleans()):
+        content += newline.encode("ascii")
+    if draw(st.sampled_from([False] * 9 + [True])):
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + b"\xe9" + content[at:]
+    block = draw(st.sampled_from([8, 64, 512, 1 << 17]))
+    positive = draw(st.sampled_from([None, None, "2", "+1"]))
+    return content, block, positive
+
+
+class TestScanAgainstLineLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(libsvm_files())
+    def test_same_bytes_or_same_error(self, case):
+        content, block, positive = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.svm")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            with mock.patch.object(dataset, "_BLOCK", block):
+                got = outcome(path, positive_label=positive)
+            assert got == reference_outcome(path, positive_label=positive)
 
 
 class TestConstructor:
@@ -112,9 +274,14 @@ class TestConstructor:
         np.testing.assert_array_equal(val, [1.0, 2.0])
 
     def test_read_libsvm_arrays_are_not_copied(self, tmp_path):
-        """The matrix read_libsvm returns holds the typed arrays the
-        parser filled, not copies of them."""
-        ds = read_libsvm(write_lines(tmp_path, ["+1 1:0.5 3:2.0", "-1 2:1.0"]))
+        """The matrix read_libsvm returns holds the typed arrays that the
+        scan and the line loop appended their blocks to, not copies of
+        them.  Each line is a block here, and the tab sends the last one
+        through the line loop."""
+        path = write_lines(tmp_path, ["+1 1:0.5 3:2.0", "-1 2:1.0", "+1\t1:3"])
+        with mock.patch.object(dataset, "_BLOCK", 4):
+            ds = read_libsvm(path)
+        assert ds.nnz == 4
 
         def owner(a):
             while isinstance(a, np.ndarray) and a.base is not None:
