@@ -9,46 +9,17 @@ import numpy as np
 import scipy.sparse as sp
 
 
-# Parsed entries held as Python objects before they move to typed arrays.
-_FLUSH_ENTRIES = 65536
-
 # Bytes read at a time; a block runs on to the next line end.
 _BLOCK = 1 << 17
 
 # The largest 1-based feature index: its 0-based form fills an int32.
 _MAX_INDEX = 2**31
 
-# The longest value the scan decodes by itself, and the longest label it
-# takes; the padding lets it read one byte past that from any token.
-_WIDTH = 17
-_PAD = b" " * (_WIDTH + 1)
-
-# The value grammar the scan decodes, as a table of the next state for
-# each state and byte.  Only a digit of the mantissa moves to _INT or
-# _FRAC, which are adjacent, and only one of the exponent to _EXPONENT.
-(_START, _INT, _FRAC, _EXPONENT, _SIGNED, _POINT_FIRST, _POINT_AFTER,
- _E_SEEN, _EXP_SIGN, _DONE, _BAD) = range(11)
-_STEP = np.full((11, 256), _BAD, np.uint8)
-_STEP[_DONE] = _DONE
-for _from, _bytes, _to in [
-    (_START, b"0123456789", _INT), (_START, b"+-", _SIGNED),
-    (_START, b".", _POINT_FIRST),
-    (_SIGNED, b"0123456789", _INT), (_SIGNED, b".", _POINT_FIRST),
-    (_INT, b"0123456789", _INT), (_INT, b".", _POINT_AFTER),
-    (_POINT_FIRST, b"0123456789", _FRAC),
-    (_POINT_AFTER, b"0123456789", _FRAC),
-    (_FRAC, b"0123456789", _FRAC),
-    (_E_SEEN, b"0123456789", _EXPONENT), (_E_SEEN, b"+-", _EXP_SIGN),
-    (_EXP_SIGN, b"0123456789", _EXPONENT),
-    (_EXPONENT, b"0123456789", _EXPONENT),
-] + [(state, b"eE", _E_SEEN) for state in (_INT, _POINT_AFTER, _FRAC)] + [
-    (state, b" \n", _DONE) for state in (_INT, _POINT_AFTER, _FRAC, _EXPONENT)
-]:
-    _STEP[_from, list(_bytes)] = _to
-del _from, _bytes, _to
-
-# 10^0 .. 10^22, each exact in float64.
-_POW10 = np.array([float(10**k) for k in range(23)])
+# The most digits of a value the scan decodes by itself: any 15 digits
+# spell an integer below 2^53, exact in float64.  The padding lets it
+# read that far from any token.
+_DIGITS = 15
+_PAD = b" " * _DIGITS
 
 
 class DatasetFormatError(ValueError):
@@ -168,17 +139,17 @@ def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return matrix
 
 
-def _map_labels(
-    tokens: list[str], codes: np.ndarray, positive_label: str | None, path: str
-) -> np.ndarray:
-    """The {-1,+1} label of each row, whose raw label is
-    ``tokens[codes[row]]``; the rules look at each distinct token once."""
+def _map_labels(rows: _Rows, positive_label: str | None, path: str) -> np.ndarray:
+    """The {-1,+1} label of each row of ``rows``; the rules look at each
+    distinct raw label once."""
     def as_float(tok: str) -> float | None:
         try:
             return float(tok)
         except ValueError:
             return None
 
+    tokens = list(rows.tokens)
+    codes = np.asarray(rows.labels)
     values = [as_float(tok) for tok in tokens]
     if positive_label is not None:
         target = as_float(positive_label)
@@ -197,11 +168,10 @@ def _map_labels(
 
     bad = [i for i, v in enumerate(values) if v is None]
     if bad:
-        row = int(np.flatnonzero(np.isin(codes, bad))[0])
+        line, i = min((rows.first_lines[i], i) for i in bad)
         raise DatasetFormatError(
-            f"{path}:{_line_of_row(path, row)}: label {tokens[codes[row]]!r} "
-            "is not a number; non-numeric labels require --positive-class "
-            "to binarize"
+            f"{path}:{line}: label {tokens[i]!r} is not a number; "
+            "non-numeric labels require --positive-class to binarize"
         )
     distinct = sorted(set(values))
     if set(distinct) <= {-1.0, 1.0}:
@@ -214,20 +184,10 @@ def _map_labels(
     )
 
 
-def _line_of_row(path: str, row: int) -> int:
-    """The line number of data row ``row`` (0-based) of a file that parsed."""
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.split():
-                if row == 0:
-                    return lineno
-                row -= 1
-    raise ValueError(f"{path} has no row {row}")
-
-
 class _Rows:
     """The rows read so far, in typed arrays that become the matrix's own
-    without a copy, and each row's raw label as an index into ``tokens``."""
+    without a copy, and each row's raw label as an index into ``tokens``,
+    whose first row is on line ``first_lines[index]``."""
 
     def __init__(self):
         self.indptr = array("q", [0])
@@ -235,6 +195,19 @@ class _Rows:
         self.data = array("d")
         self.labels = array("i")
         self.tokens: dict[str, int] = {}
+        self.first_lines: list[int] = []
+
+    def add_labels(self, tokens: list[str], lines: list[int]) -> None:
+        """Append rows whose raw labels are ``tokens``, on ``lines``."""
+        known = self.tokens
+        codes = []
+        for tok, line in zip(tokens, lines):
+            code = known.get(tok)
+            if code is None:
+                code = known[tok] = len(known)
+                self.first_lines.append(line)
+            codes.append(code)
+        self.labels.extend(codes)
 
 
 def read_libsvm(
@@ -263,7 +236,7 @@ def read_libsvm(
     lineno = 1
     with open(path, "rb") as fh:
         for block in _blocks(fh):
-            lines = _scan(block, rows)
+            lines = _scan(block, lineno, rows)
             if lines is None:
                 lines = _read_lines(path, block, lineno, rows)
             lineno += lines
@@ -281,8 +254,7 @@ def read_libsvm(
     if n_features == 0:
         raise DatasetFormatError(f"{path}: no features present")
 
-    labels = _map_labels(list(rows.tokens), np.asarray(rows.labels),
-                         positive_label, path)
+    labels = _map_labels(rows, positive_label, path)
     matrix = sp.csr_matrix(
         (np.asarray(rows.data), cols, np.asarray(rows.indptr)),
         shape=(len(rows.labels), n_features),
@@ -314,12 +286,13 @@ def _read_lines(path: str, block: bytes, lineno: int, rows: _Rows) -> int:
     This is the reference parser: each line is decoded as ASCII, split at
     any whitespace, and its entries converted by ``int()`` and
     ``float()``.  The first fault raises a :class:`DatasetFormatError`
-    that names its line.  The entries collect in lists, which are fast to
-    append to, and move to the typed arrays every _FLUSH_ENTRIES: a list
-    holds a 32-byte Python object per value where an array holds 8 bytes.
+    that names its line.  The block's entries collect in lists, which are
+    fast to append to, and move to the typed arrays at its end.
     """
-    pending_indices: list[int] = []
-    pending_data: list[float] = []
+    indices: list[int] = []
+    data: list[float] = []
+    tokens: list[str] = []
+    token_lines: list[int] = []
     lines = block.splitlines()
     for lineno, raw in enumerate(lines, start=lineno):
         try:
@@ -330,7 +303,8 @@ def _read_lines(path: str, block: bytes, lineno: int, rows: _Rows) -> int:
             ) from None
         if not parts:
             continue
-        rows.labels.append(rows.tokens.setdefault(parts[0], len(rows.tokens)))
+        tokens.append(parts[0])
+        token_lines.append(lineno)
         prev = 0
         for item in parts[1:]:
             try:
@@ -351,37 +325,31 @@ def _read_lines(path: str, block: bytes, lineno: int, rows: _Rows) -> int:
                     "the largest a 32-bit index holds"
                 )
             prev = idx
-            pending_indices.append(idx - 1)
-            pending_data.append(val)
-        if len(pending_data) >= _FLUSH_ENTRIES:
-            rows.indices.extend(pending_indices)
-            rows.data.extend(pending_data)
-            pending_indices.clear()
-            pending_data.clear()
-        rows.indptr.append(len(rows.indices) + len(pending_indices))
-    rows.indices.extend(pending_indices)
-    rows.data.extend(pending_data)
+            indices.append(idx - 1)
+            data.append(val)
+        rows.indptr.append(len(rows.indices) + len(indices))
+    rows.indices.extend(indices)
+    rows.data.extend(data)
+    rows.add_labels(tokens, token_lines)
     return len(lines)
 
 
-def _scan(block: bytes, rows: _Rows) -> int | None:
-    """Append the rows of ``block`` and return its number of lines, or
-    return None, appending nothing, when the block holds anything outside
-    the grammar below.  Equal to :func:`_read_lines` on every block it
-    takes.
+def _scan(block: bytes, lineno: int, rows: _Rows) -> int | None:
+    """Append the rows of ``block``, whose first line is line ``lineno``,
+    and return its number of lines, or return None, appending nothing,
+    when the block holds anything outside the grammar below or is more
+    than four reads long.  Equal to :func:`_read_lines` on every block
+    it takes.
 
     Lines hold printable ASCII and spaces.  A line is blank or a label
-    token of at most ``_WIDTH`` bytes and no colon, followed by
-    ``<index>:<value>`` tokens.  An index is 1 to 10 digits, from 1 to
-    ``_MAX_INDEX`` and above the one before it.  A value is any token
-    ``float()`` accepts.  One of at most ``_WIDTH`` bytes of the form
-    ``[+-](digits[.[digits]]|.digits)[(e|E)[+-]digits]``, whose digits
-    form an integer M <= 2^53 (any 15 digits do) and whose power of ten
-    10^p has |p| <= 22, is decoded by Clinger's fast path: M and 10^p
-    are exact in float64, so one multiply or divide rounds M * 10^p
-    once, to the float ``float()`` gives.  Every other value goes to
-    ``float()`` itself.
+    token with no colon, followed by ``<index>:<value>`` tokens.  An
+    index is 1 to 10 digits, from 1 to ``_MAX_INDEX`` and above the one
+    before it.  A value is any token ``float()`` accepts.  One of 1 to
+    ``_DIGITS`` digits and nothing else is decoded by digit arithmetic;
+    every other value goes to ``float()`` itself.
     """
+    if len(block) > 4 * _BLOCK:
+        return None  # a very long line; the arrays below take ~30 bytes a byte
     # A leading space makes every token start after a separator.
     text = b" " + block + (b"" if block.endswith(b"\n") else b"\n")
     buf = np.frombuffer(text + _PAD, np.uint8)
@@ -409,8 +377,8 @@ def _scan(block: bytes, rows: _Rows) -> int | None:
     ):
         return None
 
-    index = _decode_indices(buf, estart, colons)
-    if index is None:
+    index, digits_only = _decode_digits(buf, estart, colons, 10)
+    if not (np.all(digits_only) and np.all((index >= 1) & (index <= _MAX_INDEX))):
         return None
     row_end = np.cumsum(counts)
     row_start = np.zeros(index.size, bool)
@@ -420,14 +388,10 @@ def _scan(block: bytes, rows: _Rows) -> int | None:
     values = _decode_values(buf, colons + 1, eend)
     if values is None:
         return None
-    labels = _label_tokens(buf, starts[first], ends[first])
-    if labels is None:
-        return None
 
-    distinct, inverse = labels
-    codes = np.array([rows.tokens.setdefault(tok.decode("ascii"), len(rows.tokens))
-                      for tok in distinct], np.int32)
-    rows.labels.frombytes(codes[inverse].view(np.uint8))
+    labels = [text[s:e].decode("ascii")
+              for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    rows.add_labels(labels, (np.flatnonzero(nonblank) + lineno).tolist())
     rows.indptr.frombytes((row_end + len(rows.indices)).view(np.uint8))
     rows.indices.frombytes((index - 1).astype(np.int32).view(np.uint8))
     rows.data.frombytes(values.view(np.uint8))
@@ -443,65 +407,31 @@ def _tokens(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[0::2], edges[1::2]
 
 
-def _decode_indices(buf: np.ndarray, start: np.ndarray,
-                    colon: np.ndarray) -> np.ndarray | None:
-    """The int64 index before each colon, or None unless each is 1 to 10
-    digits with a value from 1 to ``_MAX_INDEX``."""
-    length = colon - start
-    index = np.zeros(start.size, np.int64)
-    if not index.size:
-        return index
-    if length.max() > 10:
-        return None
+def _decode_digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
+                   most: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 number each ``buf[start:end]`` spells, and whether it
+    is 1 to ``most`` decimal digits and nothing else (the number is
+    meaningless where it is not)."""
+    length = end - start
+    number = np.zeros(start.size, np.int64)
+    ok = (length >= 1) & (length <= most)
     at = start.copy()
-    for k in range(int(length.max())):
+    for k in range(min(most, int(length.max(initial=0)))):
         digit = buf[at] - np.uint8(48)
         at += 1
         live = length > k
-        if np.any((digit > 9) & live):
-            return None
+        ok &= (digit <= 9) | ~live
         # Branch-free: a masked update costs ten times as much.
-        index = index * (1 + 9 * live) + digit * live
-    if not np.all((index >= 1) & (index <= _MAX_INDEX)):
-        return None
-    return index
+        number = number * (1 + 9 * live) + digit * live
+    return number, ok
 
 
 def _decode_values(buf: np.ndarray, start: np.ndarray,
                    end: np.ndarray) -> np.ndarray | None:
     """The float64 value of each ``buf[start:end]``, bit for bit what
     ``float()`` gives, or None when ``float()`` rejects one."""
-    out = np.empty(start.size)
-    length = end - start
-    short = length <= _WIDTH
-    width = int(length[short].max()) if short.any() else 0
-    at = start[short]
-    negative = buf[at] == 45
-    state = np.full(at.size, _START, np.uint8)
-    digits = np.zeros(at.size, np.int64)
-    fraction = np.zeros(at.size, np.uint8)
-    exponent = np.zeros(at.size, np.int64)
-    exp_negative = np.zeros(at.size, bool)
-    for _ in range(width + 1):
-        byte = buf[at]
-        at += 1
-        state = _STEP.take((state.astype(np.uint16) << 8) | byte)
-        digit = byte - np.uint8(48)
-        into = state - np.uint8(_INT) < 2
-        digits = digits * (1 + 9 * into) + digit * into
-        fraction += state == _FRAC
-        into = state == _EXPONENT
-        exponent = exponent * (1 + 9 * into) + digit * into
-        exp_negative |= (state == _EXP_SIGN) & (byte == 45)
-    scale = np.where(exp_negative, -exponent, exponent) - fraction
-    power = np.clip(scale, -22, 22)
-    value = (digits.astype(np.float64) * _POW10[np.maximum(power, 0)]
-             / _POW10[np.maximum(-power, 0)])
-    np.negative(value, out=value, where=negative)
-    out[short] = value
-    decoded = np.zeros(start.size, bool)
-    decoded[short] = (state == _DONE) & (digits <= 2**53) & (scale == power)
-
+    number, decoded = _decode_digits(buf, start, end, _DIGITS)
+    out = number.astype(np.float64)
     slow = np.flatnonzero(~decoded)
     if slow.size:
         # Everything but the bytes of these values becomes a space, so
@@ -516,20 +446,6 @@ def _decode_values(buf: np.ndarray, start: np.ndarray,
         except ValueError:
             return None
     return out
-
-
-def _label_tokens(buf: np.ndarray, start: np.ndarray,
-                  end: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct label tokens as bytes, and each row's index into
-    them; None if a label is longer than ``_WIDTH`` bytes."""
-    length = end - start
-    width = int(length.max()) if length.size else 1
-    if width > _WIDTH:
-        return None
-    table = np.zeros((start.size, width), np.uint8)
-    for k in range(width):
-        table[:, k] = np.where(length > k, buf[start + k], 0)
-    return np.unique(table.view(f"S{width}").ravel(), return_inverse=True)
 
 
 def write_libsvm(dataset: Dataset, path: str) -> None:

@@ -1,6 +1,7 @@
 import os
 import re
 import tempfile
+import threading
 from array import array
 from unittest import mock
 
@@ -44,7 +45,7 @@ def outcome(path, **kwargs):
 def reference_outcome(path, **kwargs):
     """outcome() of the line-by-line reference parser alone, which then
     reads the whole file as one block."""
-    with mock.patch.object(dataset, "_scan", lambda block, rows: None), \
+    with mock.patch.object(dataset, "_scan", lambda block, lineno, rows: None), \
             mock.patch.object(dataset, "_BLOCK", os.path.getsize(path) + 1):
         return outcome(path, **kwargs)
 
@@ -130,15 +131,69 @@ class TestReadLibsvm:
                            match=f"{re.escape(str(path))}:3: non-ASCII byte 0xc3"):
             read_libsvm(str(path))
 
-    def test_non_numeric_label_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("block", [8, 1 << 17])
+    def test_non_numeric_label_reports_line(self, tmp_path, block):
+        """The first line with such a label is named, whether the scan or
+        the line loop (the tab) read it, and in whichever block."""
         path = write_lines(tmp_path, ["+1 1:1", "", "-1 2:1", "cat 1:1",
-                                      "dog 2:1"])
-        with pytest.raises(DatasetFormatError,
-                           match=f"{re.escape(path)}:4: label 'cat' is not a number; "
-                                 "non-numeric labels require --positive-class"):
-            read_libsvm(path)
-        assert read_libsvm(path, positive_label="cat").labels.tolist() == [
-            -1.0, -1.0, 1.0, -1.0]
+                                      "dog\t2:1", "cat 2:1"])
+        with mock.patch.object(dataset, "_BLOCK", block):
+            with pytest.raises(DatasetFormatError,
+                               match=f"{re.escape(path)}:4: label 'cat' is not a "
+                                     "number; non-numeric labels require "
+                                     "--positive-class"):
+                read_libsvm(path)
+            assert read_libsvm(path, positive_label="cat").labels.tolist() == [
+                -1.0, -1.0, 1.0, -1.0, 1.0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_non_numeric_label_in_a_pipe_reports_line(self, tmp_path):
+        """A pipe can be read only once, and the error still names the line."""
+        path = str(tmp_path / "pipe")
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "w") as fh:
+                fh.write("+1 1:1\n-1 2:1\ncat 1:1\n")
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            with pytest.raises(DatasetFormatError,
+                               match=f"{re.escape(path)}:3: label 'cat'"):
+                read_libsvm(path)
+        finally:
+            writer.join()
+
+    def test_a_very_long_line_goes_to_the_line_loop(self, tmp_path):
+        """The scan declines a block that a long line makes more than four
+        reads long, whose arrays would take about 30 bytes per byte."""
+        long_line = "+1 " + " ".join(f"{j}:{j % 7 + 0.5}" for j in range(1, 400))
+        path = write_lines(tmp_path, ["-1 1:1 2:2", long_line, "+1 3:1"] * 3)
+        taken = {}
+        scan = dataset._scan
+
+        def spy(block, lineno, rows):
+            lines = scan(block, lineno, rows)
+            taken[len(block)] = lines is not None
+            return lines
+
+        with mock.patch.object(dataset, "_scan", spy), \
+                mock.patch.object(dataset, "_BLOCK", 256):
+            got = outcome(path)
+        assert got == reference_outcome(path)
+        assert got[0] == (9, 399)
+        assert any(taken.values())
+        assert all(taken[size] == (size <= 4 * 256) for size in taken)
+
+    def test_values_of_many_digits_are_what_float_gives(self, tmp_path):
+        """Up to 15 digits are decoded by arithmetic; longer ones, past
+        2^53 or past int64, go to float()."""
+        tokens = ["999999999999999", "9999999999999999", "9007199254740993",
+                  "12345678901234567890", "000000000000007", "0"]
+        path = write_lines(tmp_path, [f"+1 1:{t}" for t in tokens] + ["-1 1:1"])
+        assert read_libsvm(path).matrix.data.tolist() == [
+            float(t) for t in tokens] + [1.0]
 
     @pytest.mark.parametrize("kind", ["binary", "valued", "short"])
     def test_plain_files_never_reach_the_line_loop(self, tmp_path, kind):
@@ -191,8 +246,9 @@ VALUES = st.one_of(
               st.sampled_from(["", "."]),
               st.text("0123456789", max_size=9),
               st.sampled_from(["", "e5", "E-3", "e+22", "e-22", "e23", "e-400"])),
-    st.sampled_from(["-0", "-0.0", ".5", "5.", "+.5", "9007199254740992",
-                     "9007199254740993", "9999999999.999999",
+    st.sampled_from(["-0", "-0.0", ".5", "5.", "+.5", "0", "000000000000007",
+                     "999999999999999", "9999999999999999", "9007199254740992",
+                     "9007199254740993", "12345678901234567890", "9999999999.999999",
                      "99999999999999.99", "123456789012345678", "1_0",
                      "0.1", "1e22", "1e-5", "1e400"]),
 )
