@@ -449,7 +449,8 @@ def _decode_values(buf: np.ndarray, start: np.ndarray,
 
 
 def write_libsvm(dataset: Dataset, path: str) -> None:
-    """Write a Dataset back to LIBSVM text (17 significant digits).
+    """Write a Dataset back to LIBSVM text, each value as the shortest
+    decimal that reads back to the same float (``1.0`` as ``1``).
 
     Round trip with :func:`read_libsvm` preserves indices, values and
     labels bit-exactly.
@@ -458,7 +459,8 @@ def write_libsvm(dataset: Dataset, path: str) -> None:
         for i in range(dataset.n_points):
             idx, val = dataset.row(i)
             label = "+1" if dataset.labels[i] > 0 else "-1"
-            feats = " ".join(f"{j + 1}:{v:.17g}" for j, v in zip(idx, val))
+            feats = " ".join(f"{j + 1}:{repr(float(v)).removesuffix('.0')}"
+                             for j, v in zip(idx, val))
             fh.write(f"{label} {feats}\n" if feats else f"{label}\n")
 
 

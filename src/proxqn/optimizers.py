@@ -159,6 +159,25 @@ class TraceRecord:
 
 
 @dataclass
+class Diagnostics:
+    """The paper's invariants as a run records them.  A list stays empty
+    and a scalar None where the driver records nothing: ``eig_bounds``
+    (k, lambda_min, lambda_max) of each accepted pqna model with
+    ``config.diagnostics``; ``warmup_end`` and the Lemma 6 margins
+    (k, sigma_k - beta m/L) of apqna-fh, the latter with
+    ``config.diagnostics``; ``initial_model`` (sigma_1, policy kind,
+    delta, p), the Lemma 5 margins (k, margin) and the AS1 rows
+    (k, lhs, rhs, premise) of both apqna drivers."""
+
+    eig_bounds: list[tuple[int, float, float]] = field(default_factory=list)
+    warmup_end: int | None = None
+    initial_model: tuple[float, str, float, int] | None = None
+    lemma5: list[tuple[int, float]] = field(default_factory=list)
+    lemma6: list[tuple[int, float]] = field(default_factory=list)
+    as1: list[tuple[int, float, float, bool]] = field(default_factory=list)
+
+
+@dataclass
 class Trace:
     """Per-iteration log of one run; row k holds the iterate after k
     accepted outer iterations (row 0 is the starting point)."""
@@ -166,7 +185,7 @@ class Trace:
     algorithm: str
     records: list[TraceRecord] = field(default_factory=list)
     status: str = MAX_ITER
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     @property
     def iterations(self) -> int:
@@ -253,9 +272,14 @@ def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, rng):
 
 @dataclass
 class _QnState:
-    """The start point of every driver, advanced in place by the
-    monotone loop and handed from apqna-fh's warm-up to its acceleration."""
+    """One run from its start point: the trace, its clock start and the
+    initial subgradient norm, and the current point, advanced in place by
+    the monotone loop and handed from apqna-fh's warm-up to its
+    acceleration."""
 
+    trace: Trace
+    t0: float
+    norm0: float
     x: np.ndarray
     fsm: float
     fval: float
@@ -266,9 +290,9 @@ class _QnState:
 
 def _first_row(problem: CompositeProblem, config: OptimizerConfig,
                algorithm: str, step_scalar: float,
-               x0: np.ndarray | None) -> tuple[Trace, float, float, _QnState]:
-    """Trace holding row 0 (already converged if x0 is stationary), the
-    clock start, the initial subgradient norm and the state at x0."""
+               x0: np.ndarray | None) -> _QnState:
+    """The state at x0, its trace holding row 0 (already converged if x0
+    is stationary)."""
     t0 = time.perf_counter()
     x = _start_point(problem, x0)
     fsm, grad = problem.value_and_grad(x)
@@ -279,19 +303,20 @@ def _first_row(problem: CompositeProblem, config: OptimizerConfig,
                                      time.perf_counter() - t0))
     if norm0 == 0.0:
         trace.status = CONVERGED
-    return trace, t0, norm0, _QnState(x, fsm, fval, grad, config.mu_init)
+    return _QnState(trace, t0, norm0, x, fsm, fval, grad, config.mu_init)
 
 
-def _pqna_engine(problem, config, trial, eta, trace, t0, norm0,
-                 state: _QnState, max_outer, after_row=None) -> None:
+def _pqna_engine(problem, config, trial, eta, state: _QnState, max_outer,
+                 after_row=None) -> None:
     """The monotone loop of pga and the pqna drivers, up to ``max_outer``.
 
     ``trial(k, mu, x, f(x), grad) -> (u, lam ||u||_1, Q(u), inner steps)``;
     u is accepted on an ``eta`` fraction of the model decrease and no
     rise in F, else mu shrinks by beta.  mu regrows by 1/beta (capped)
-    after each accepted row, which ``after_row(trace, state, x_old,
-    grad_old)`` sees first.  Mutates ``trace`` and ``state`` in place.
+    after each accepted row, which ``after_row(state, x_old, grad_old)``
+    sees first.  Mutates ``state`` and its trace in place.
     """
+    trace = state.trace
     memo = Memo()
     for k in range(state.last_k + 1, max_outer + 1):
         backtracks = inner = 0
@@ -313,10 +338,11 @@ def _pqna_engine(problem, config, trial, eta, trace, t0, norm0,
         state.last_k = k
         norm = _subgrad_inf(state.grad, u, problem.lam)
         trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
-                                         state.mu, 1.0, time.perf_counter() - t0))
+                                         state.mu, 1.0,
+                                         time.perf_counter() - state.t0))
         if after_row is not None:
-            after_row(trace, state, x_old, grad_old)
-        if norm <= config.tol_rel * norm0:
+            after_row(state, x_old, grad_old)
+        if norm <= config.tol_rel * state.norm0:
             trace.status = CONVERGED
             return
         state.mu = min(state.mu / config.beta, config.mu_cap)
@@ -324,12 +350,11 @@ def _pqna_engine(problem, config, trial, eta, trace, t0, norm0,
 
 def _run_monotone(problem, config, algorithm, trial, eta, x0,
                   after_row=None) -> Trace:
-    trace, t0, norm0, state = _first_row(problem, config, algorithm,
-                                         config.mu_init, x0)
-    if trace.status != CONVERGED:
-        _pqna_engine(problem, config, trial, eta, trace, t0, norm0, state,
-                     config.max_outer, after_row)
-    return trace
+    state = _first_row(problem, config, algorithm, config.mu_init, x0)
+    if state.trace.status != CONVERGED:
+        _pqna_engine(problem, config, trial, eta, state, config.max_outer,
+                     after_row)
+    return state.trace
 
 
 def run_pga(problem: CompositeProblem, config: OptimizerConfig,
@@ -370,14 +395,14 @@ class _ModelRule:
         return _model_trial(self.model, k, v, f_v, g, self.lam, self.config,
                             self.rng)
 
-    def after_row(self, trace: Trace, state: _QnState, x_old: np.ndarray,
+    def after_row(self, state: _QnState, x_old: np.ndarray,
                   grad_old: np.ndarray) -> None:
         k = state.last_k
         if k <= self.learn_until:
             self.pairs.update(state.x - x_old, state.grad - grad_old)
         if self.config.diagnostics:
             bounds = extreme_eigenvalues(self.model)
-            trace.diagnostics.setdefault("eig_bounds", []).append((k, *bounds))
+            state.trace.diagnostics.eig_bounds.append((k, *bounds))
 
 
 def run_pqna(problem: CompositeProblem, config: OptimizerConfig,
@@ -521,17 +546,17 @@ class _FixedBase(_ModelSteps):
 
 
 def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
-                trace: Trace, t0: float, norm0: float, state: _QnState,
-                sigma: float) -> list[float]:
+                state: _QnState, sigma: float) -> list[float]:
     """The accelerated loop from ``state`` with step scalar ``sigma``:
     the FISTA clock (t_k, y_k, x_{k-1}, x_{k-2}) and backtracking.
 
     ``policy.trial(k, sigma, y, f(y), grad)`` forms the trial step as a
     monotone rule does; ``backtrack`` gives sigma after a rejection and
     whether theta, t_k and y_k follow it; ``advance`` gives (sigma_{k+1},
-    theta_k).  Mutates ``trace``; returns the theta_k of each row.
+    theta_k).  Appends to ``state.trace`` and leaves the rest of
+    ``state`` at the start point; returns the theta_k of each row.
     """
-    lam = problem.lam
+    lam, trace = problem.lam, state.trace
     # Accelerated clock: t_0 = 0 and x_{-1} = x_0 make the generic
     # recomputation formulas produce t_1 = 1 and y_1 = x_0.
     t_km1, t_k = 0.0, 1.0
@@ -573,9 +598,10 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
         grad_x = problem.f_grad(x, memo)
         norm = _subgrad_inf(grad_x, x, lam)
         trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
-                                         sigma, t_k, time.perf_counter() - t0))
+                                         sigma, t_k,
+                                         time.perf_counter() - state.t0))
         thetas.append(theta)
-        if norm <= config.tol_rel * norm0:
+        if norm <= config.tol_rel * state.norm0:
             trace.status = CONVERGED
             return thetas
         sigma_prev = sigma
@@ -593,43 +619,40 @@ def run_apga(problem: CompositeProblem, config: OptimizerConfig,
              x0: np.ndarray | None = None) -> Trace:
     """FISTA: the accelerated loop with prox steps at the momentum
     point and a nonincreasing mu."""
-    trace, t0, norm0, state = _first_row(problem, config, "apga", config.mu_init, x0)
-    if trace.status != CONVERGED:
-        _accelerate(problem, config, _ProxSteps(problem, config), trace, t0,
-                    norm0, state, config.mu_init)
-    return trace
+    state = _first_row(problem, config, "apga", config.mu_init, x0)
+    if state.trace.status != CONVERGED:
+        _accelerate(problem, config, _ProxSteps(problem, config), state,
+                    config.mu_init)
+    return state.trace
 
 
-def _accelerate_models(problem, config, policy: _ModelSteps, trace, t0,
-                       norm0, state) -> Trace:
+def _accelerate_models(problem, config, policy: _ModelSteps,
+                       state: _QnState) -> Trace:
     """The accelerated loop of the apqna drivers, with the first model
     and, from the accelerated rows and their theta_k: the Lemma 5 margin
     sigma_k t_k^2 - (sum_i sqrt(sigma_i)/2)^2, the Lemma 6 margin
     sigma_k - beta m/L (when the policy has that bound), and AS1's
     sigma_{k-1} t_{k-1}^2 against sigma_k t_k (t_k - 1) with its premise
     theta_k <= sigma_{k-1}/sigma_k."""
+    trace, diag = state.trace, state.trace.diagnostics
     model = policy.model(config.sigma_init)
-    trace.diagnostics["initial_model"] = (config.sigma_init, policy.kind,
-                                          model.delta, model.p)
-    thetas = _accelerate(problem, config, policy, trace, t0, norm0, state,
-                         config.sigma_init)
+    diag.initial_model = (config.sigma_init, policy.kind, model.delta, model.p)
+    thetas = _accelerate(problem, config, policy, state, config.sigma_init)
     rows = trace.records[len(trace.records) - len(thetas):]
-    found = {"lemma5": [], "lemma6": [], "as1": []}
     sum_sqrt_sigma, prev = 0.0, None
     for row, theta in zip(rows, thetas):
         sigma, t_k = row.step_scalar, row.t_k
         sum_sqrt_sigma += math.sqrt(sigma)
-        found["lemma5"].append(
+        diag.lemma5.append(
             (row.k, sigma * t_k * t_k - (sum_sqrt_sigma / 2.0) ** 2))
         if policy.lemma6_bound is not None:
-            found["lemma6"].append((row.k, sigma - policy.lemma6_bound))
+            diag.lemma6.append((row.k, sigma - policy.lemma6_bound))
         if prev is not None:
-            found["as1"].append((
+            diag.as1.append((
                 row.k, prev.step_scalar * prev.t_k * prev.t_k,
                 sigma * t_k * (t_k - 1.0),
                 theta <= prev.step_scalar / sigma * (1.0 + 1e-12)))
         prev = row
-    trace.diagnostics.update((key, v) for key, v in found.items() if v)
     return trace
 
 
@@ -651,14 +674,13 @@ def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
     to study adversarial Hessian sequences such as alternating axis
     scalings).
     """
-    trace, t0, norm0, state = _first_row(problem, config, "apqna-lbfgs",
-                                         config.sigma_init, x0)
-    if trace.status == CONVERGED:
-        return trace
+    state = _first_row(problem, config, "apqna-lbfgs", config.sigma_init, x0)
+    if state.trace.status == CONVERGED:
+        return state.trace
     policy = _VariableModels(problem, config,
                              np.random.default_rng(config.seed), state.grad,
                              model_factory or _lbfgs_model)
-    return _accelerate_models(problem, config, policy, trace, t0, norm0, state)
+    return _accelerate_models(problem, config, policy, state)
 
 
 def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
@@ -680,28 +702,28 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     """
     if base is not None and base.n != problem.n:
         raise ValueError(f"base has dimension {base.n}, expected {problem.n}")
-    trace, t0, norm0, state = _first_row(problem, config, "apqna-fh",
-                                         config.sigma_init, x0)
+    state = _first_row(problem, config, "apqna-fh", config.sigma_init, x0)
+    trace = state.trace
     if trace.status == CONVERGED:
         return trace
     rng = np.random.default_rng(config.seed)
     if base is None:
         warmup = _ModelRule(problem, config, "lbfgs", rng)
         if config.warmup_kbar > 0:
-            _pqna_engine(problem, config, warmup, config.eta, trace, t0, norm0,
-                         state, min(config.warmup_kbar, config.max_outer),
+            _pqna_engine(problem, config, warmup, config.eta, state,
+                         min(config.warmup_kbar, config.max_outer),
                          warmup.after_row)
             if trace.status != MAX_ITER:
                 return trace
         base = compile_compact(warmup.pairs)
-    trace.diagnostics["warmup_end"] = state.last_k
+    trace.diagnostics.warmup_end = state.last_k
 
     lemma6_bound = None
     if config.diagnostics and problem.lipschitz:
         m_min, _ = extreme_eigenvalues(base)
         lemma6_bound = config.beta * m_min / problem.lipschitz
     policy = _FixedBase(problem, config, rng, base, lemma6_bound)
-    return _accelerate_models(problem, config, policy, trace, t0, norm0, state)
+    return _accelerate_models(problem, config, policy, state)
 
 
 ALGORITHMS: dict[str, Callable] = {

@@ -134,7 +134,7 @@ def test_criterion_3_linear_rate_twenty_seeds():
         ref = run_pqna(problem, ref_cfg, "lbfgs")
         assert ref.status == CONVERGED, seed
         fstar = ref.final().fval
-        big_m = max(m for _, _, m in trace.diagnostics["eig_bounds"])
+        big_m = max(m for _, _, m in trace.diagnostics.eig_bounds)
         rho = theoretical_linear_rate(problem.gamma, big_m, 1.0)
         diag = rate_diagnostics(trace, fstar, rho=rho)
         if diag.thm1_violations:
@@ -226,13 +226,13 @@ def test_criterion_6_trajectory_invariants():
         trace = run_apqna_fh(problem, cfg, base=base)
         assert trace.status == CONVERGED, name
         by_k = {r.k: r for r in trace.records}
-        assert trace.diagnostics["lemma5"], name
-        for k, margin in trace.diagnostics["lemma5"]:
+        assert trace.diagnostics.lemma5, name
+        for k, margin in trace.diagnostics.lemma5:
             rec = by_k[k]
             scale = max(1.0, rec.step_scalar * rec.t_k**2)
             assert margin >= -1e-10 * scale, (name, k, margin)
             total5 += 1
-        for k, margin in trace.diagnostics.get("lemma6", []):
+        for k, margin in trace.diagnostics.lemma6:
             assert margin >= -1e-12, (name, k, margin)
             total6 += 1
         assert total6 > 0, f"{name}: no lower-bound checks recorded"

@@ -406,7 +406,8 @@ class TestRoundTrip:
             rows.append([(int(j), float(rng.standard_normal()
                                         * 10.0 ** float(rng.integers(-8, 9))))
                          for j in picks])
-        labels = np.where(rng.standard_normal(25) > 0, 1.0, -1.0)
+        rows.append([(0, -0.0), (3, 0.087), (5, 1e16), (7, 1.0), (9, -2.5e-300)])
+        labels = np.where(rng.standard_normal(26) > 0, 1.0, -1.0)
         ds = make_dataset(rows, labels, n_features=12)
         path = str(tmp_path / "rt.txt")
         write_libsvm(ds, path)
@@ -416,7 +417,16 @@ class TestRoundTrip:
             oi, ov = ds.row(i)
             ni, nv = back.row(i)
             np.testing.assert_array_equal(oi, ni)
-            assert all(a == b for a, b in zip(ov, nv)), "values must round-trip bit-exactly"
+            # Bytewise, so that -0.0 read back as 0.0 fails.
+            assert ov.tobytes() == nv.tobytes(), "values must round-trip bit-exactly"
+
+    def test_values_are_written_as_the_shortest_round_trip_decimal(self, tmp_path):
+        """17 significant digits would write 0.087 as 0.086999999999999994."""
+        path = str(tmp_path / "short.txt")
+        write_libsvm(make_dataset([[(0, 0.087), (1, 1.0), (2, -0.0)],
+                                   [(1, 1e-8), (2, 2.5e16)]], [1.0, -1.0]), path)
+        with open(path, encoding="ascii") as fh:
+            assert fh.read() == "+1 1:0.087 2:1 3:-0\n-1 2:1e-08 3:2.5e+16\n"
 
 
 class TestSynthesizeQuadratic:

@@ -1,8 +1,9 @@
 """Seeded driver traces pinned against a stored file.
 
 Each case replays a small seeded run and compares its status, its
-diagnostics (with their key order) and every ``TraceRecord`` field
-except ``elapsed_sec`` with ``data/golden_traces.json``; floats are
+diagnostics (in the field order of ``Diagnostics``) and every
+``TraceRecord`` field except ``elapsed_sec`` with
+``data/golden_traces.json``; floats are
 stored as ``float.hex`` so the comparison is bit-exact.  Together the cases take every branch of
 the drivers' step-size and model policies: relaxed and strict
 domination, the exact subsolver, a custom ``model_factory``, the
@@ -55,6 +56,7 @@ from proxqn import _cdkernel
 from proxqn.dataset import Dataset, synthesize_quadratic
 from proxqn.hessian import HessianModel
 from proxqn.optimizers import (
+    Diagnostics,
     OptimizerConfig,
     TraceRecord,
     run_apga,
@@ -180,8 +182,10 @@ def _diagnostic(value):
 def encode(trace) -> dict:
     return {
         "status": trace.status,
-        "diagnostics": {key: _diagnostic(value)
-                        for key, value in trace.diagnostics.items()},
+        "diagnostics": {f.name: _diagnostic(value)
+                        for f in fields(Diagnostics)
+                        if (value := getattr(trace.diagnostics, f.name))
+                        not in (None, [])},
         "records": [_row(getattr(r, name) for name in COMPARED)
                     for r in trace.records],
     }
@@ -201,7 +205,7 @@ def check_case(case, golden):
     for i, (a, b) in enumerate(zip(got["records"], want["records"])):
         assert a == b, f"row {i} ({' '.join(COMPARED)}) differs"
     assert got["diagnostics"] == want["diagnostics"]
-    # Key order too, so that a pass means a regenerated file is byte-equal.
+    # Field order too, so that a pass means a regenerated file is byte-equal.
     assert list(got["diagnostics"]) == list(want["diagnostics"])
 
 

@@ -154,7 +154,7 @@ class TestRunExperiment:
             output_dir=str(tmp_path / "out"),
             common={"tol": "1e-7", "max_iters": "20000"},
         )
-        report, traces = run_experiment(spec)
+        report, _ = run_experiment(spec)
         finals = [row.final_fval for row in report.rows]
         assert max(finals) - min(finals) <= 1e-4
         for alg in spec.algorithms:
@@ -162,10 +162,6 @@ class TestRunExperiment:
                                                f"{alg}.trace.csv"))
         assert os.path.exists(os.path.join(spec.output_dir, "report.txt"))
         assert os.path.exists(os.path.join(spec.output_dir, "report.csv"))
-        # pairwise final values within 10x the tolerance-induced gap
-        from proxqn.harness import final_value_consistency
-        assert final_value_consistency(list(traces.values()),
-                                       gamma=0.3, n=20) == []
         # monotone algorithms: final value at or below every checkpoint
         for row in report.rows:
             if row.algorithm in ("pga", "pqna-lbfgs"):

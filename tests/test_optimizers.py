@@ -275,7 +275,7 @@ class TestPqna:
         trace = run_pqna(prob, cfg, "lbfgs")
         assert trace.status == CONVERGED
         fstar = reference_min(prob)
-        big_m = max(m for _, _, m in trace.diagnostics["eig_bounds"])
+        big_m = max(m for _, _, m in trace.diagnostics.eig_bounds)
         rho = theoretical_linear_rate(prob.gamma, big_m, 1.0)
         gap0 = trace.records[0].fval - fstar
         for rec in trace.records[1:]:
@@ -297,10 +297,10 @@ class TestApqna:
                               domination="strict")
         trace = run_apqna(prob, cfg)
         assert trace.status == CONVERGED
-        for k, lhs, rhs, premise in trace.diagnostics["as1"]:
+        for k, lhs, rhs, premise in trace.diagnostics.as1:
             if premise:
                 assert lhs - rhs >= -1e-10 * lhs
-        for k, margin in trace.diagnostics["lemma5"]:
+        for k, margin in trace.diagnostics.lemma5:
             assert margin >= -1e-10
 
     def test_strict_mode_enforces_domination_on_samples(self):
@@ -367,8 +367,8 @@ class TestApqnaFh:
         cfg = OptimizerConfig(tol_rel=1e-8, max_outer=2000, warmup_kbar=4,
                               seed=6)
         trace = run_apqna_fh(prob, cfg)
-        assert trace.diagnostics["warmup_end"] == 4
-        sigma1, kind, _, _ = trace.diagnostics["initial_model"]
+        assert trace.diagnostics.warmup_end == 4
+        sigma1, kind, _, _ = trace.diagnostics.initial_model
         assert sigma1 == cfg.sigma_init and kind == "scaled_fixed"
         ks = [r.k for r in trace.records]
         assert ks == list(range(len(ks)))
@@ -396,10 +396,10 @@ class TestApqnaFh:
                               seed=8, diagnostics=True)
         trace = run_apqna_fh(prob, cfg)
         assert trace.status == CONVERGED
-        assert trace.diagnostics["lemma5"], "no accelerated iterations logged"
-        for k, margin in trace.diagnostics["lemma5"]:
+        assert trace.diagnostics.lemma5, "no accelerated iterations logged"
+        for k, margin in trace.diagnostics.lemma5:
             assert margin >= -1e-10
-        for k, margin in trace.diagnostics["lemma6"]:
+        for k, margin in trace.diagnostics.lemma6:
             assert margin >= -1e-12
 
     @pytest.mark.parametrize("base", [HessianModel(1.0, 9),
@@ -472,13 +472,13 @@ def seeded_runs(draw):
         st.sampled_from([0.0, 1.0, 100.0]))
     config = OptimizerConfig(tol_rel=1e-6, max_outer=40, seed=seed,
                              warmup_kbar=draw(st.integers(0, 5)),
-                             mu_init=draw(st.sampled_from([1e-2, 1.0, 1e3])))
+                             mu_init=draw(st.sampled_from([1e-2, 1.0, 1e3])),
+                             diagnostics=draw(st.booleans()))
     return problem, x0, config
 
 
 def _without_elapsed(trace):
-    return [(r.k, r.fval, r.subgrad_inf, r.backtracks, r.inner_iters,
-             r.step_scalar, r.t_k) for r in trace.records]
+    return [replace(r, elapsed_sec=0.0) for r in trace.records]
 
 
 class TestDriverProperties:
@@ -496,6 +496,28 @@ class TestDriverProperties:
             again = driver(problem, config, x0)
             assert again.status == trace.status, name
             assert _without_elapsed(again) == _without_elapsed(trace), name
+            assert again.diagnostics == trace.diagnostics, name
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(seeded_runs())
+    def test_recorded_invariants_hold(self, run):
+        """apqna-fh and strict apqna-lbfgs: every Lemma 5 margin within
+        criterion 6's tolerance, and lhs >= rhs in every AS1 row whose
+        premise holds.  Relaxed apqna-lbfgs is left out: its theta = 1
+        breaks the premise theta_k <= sigma_{k-1}/sigma_k that both
+        rest on."""
+        problem, x0, config = run
+        strict = replace(config, domination="strict")
+        for trace in (run_apqna_fh(problem, config, x0),
+                      run_apqna(problem, strict, x0)):
+            rows = trace.records
+            for k, margin in trace.diagnostics.lemma5:
+                scale = max(1.0, rows[k].step_scalar * rows[k].t_k ** 2)
+                assert margin >= -1e-10 * scale, (trace.algorithm, k, margin)
+            for k, lhs, rhs, premise in trace.diagnostics.as1:
+                if premise:
+                    assert lhs - rhs >= -1e-10 * max(1.0, abs(lhs)), (
+                        trace.algorithm, k, lhs, rhs)
 
 
 @st.composite
