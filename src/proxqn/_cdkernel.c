@@ -95,24 +95,16 @@ static int step(workspace *w, int64_t j, double *z)
     return 0;
 }
 
-/* The step loop of cd_minimize over idx[0..r); returns the steps taken,
- * or -1 on a nonpositive diagonal. */
-int64_t cd_random(workspace *w, const int64_t *idx, int64_t r,
-                  double step_eps)
+/* The step loop of cd_minimize: one step at each of idx[0..r); returns
+ * 0, or -1 on a nonpositive diagonal. */
+int cd_random(workspace *w, const int64_t *idx, int64_t r)
 {
-    int64_t tiny = 0;
     for (int64_t t = 0; t < r; t++) {
         double z;
         if (step(w, idx[t], &z))
             return -1;
-        if (fabs(z) < step_eps) {
-            if (++tiny >= w->n)
-                return t + 1;
-        } else {
-            tiny = 0;
-        }
     }
-    return r;
+    return 0;
 }
 
 static double sign(double x)

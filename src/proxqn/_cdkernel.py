@@ -77,17 +77,18 @@ class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
     and the logistic oracle's forward and gradient passes.
 
-    The loops return the number of coordinate steps taken and raise the
-    errors the Python loops raise.  A logistic pass over at least
-    ``parallel_nnz`` nonzeros splits over ``threads`` threads; a kernel
-    built without OpenMP, for ``serial_reason``, runs them serially.
+    The loops raise the errors the Python loops raise, and ``exact``
+    returns the number of coordinate steps it took.  A logistic pass
+    over at least ``parallel_nnz`` nonzeros splits over ``threads``
+    threads; a kernel built without OpenMP, for ``serial_reason``, runs
+    them serially.
     """
 
     def __init__(self, lib: ctypes.CDLL, serial_reason: str = ""):
         ws = ctypes.POINTER(_Workspace)
         self._random = lib.cd_random
-        self._random.argtypes = [ws, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
-        self._random.restype = ctypes.c_int64
+        self._random.argtypes = [ws, ctypes.c_void_p, ctypes.c_int64]
+        self._random.restype = ctypes.c_int
         self._exact = lib.cd_exact
         self._exact.argtypes = [ws, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
         self._exact.restype = ctypes.c_int64
@@ -115,16 +116,13 @@ class Kernel:
         made by fork, 0 when built without OpenMP."""
         return self._threads()
 
-    def random(self, ws, indices: np.ndarray, step_eps: float) -> int:
-        """Steps at ``indices`` (int64, in [0, n)) until n consecutive
-        moves are shorter than ``step_eps``."""
+    def random(self, ws, indices: np.ndarray) -> None:
+        """One coordinate step at each of ``indices`` (int64, in
+        [0, n)), in order: exactly as many steps as indices."""
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         arrays = _arrays(ws)
-        taken = self._random(ctypes.byref(arrays), indices.ctypes.data,
-                             indices.shape[0], step_eps)
-        if taken < 0:
+        if self._random(ctypes.byref(arrays), indices.ctypes.data, indices.shape[0]):
             raise ValueError(f"nonpositive model diagonal at coordinate {arrays.bad}")
-        return taken
 
     def exact(self, ws, tol: float, max_steps: int) -> int:
         """Cyclic sweeps until the min-norm subgradient's inf-norm is at

@@ -505,8 +505,8 @@ def synthesize_quadratic(
     factorization of a seeded Gaussian matrix (sign-fixed so the result
     is deterministic for a given seed).
     """
-    if not (0.0 < gamma <= l_target):
-        raise ValueError(f"need 0 < gamma <= l_target, got ({gamma}, {l_target})")
+    if not (0.0 < gamma <= l_target < np.inf):
+        raise ValueError(f"need 0 < gamma <= l_target < inf, got ({gamma}, {l_target})")
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1 and gamma != l_target:

@@ -128,22 +128,20 @@ class OptimizerConfig:
             raise ValueError("beta must lie in (0, 1)")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        if self.sigma_growth < 1.0:
-            raise ValueError("sigma_growth must be at least 1")
-        if self.mu_init <= 0 or self.sigma_init <= 0:
-            raise ValueError("initial step scalars must be positive")
         if self.domination not in ("strict", "relaxed"):
             raise ValueError("domination must be 'strict' or 'relaxed'")
         if self.subsolver not in ("cd", "exact"):
             raise ValueError("subsolver must be 'cd' or 'exact'")
-        if self.warmup_kbar < 0 or self.max_outer < 1:
-            raise ValueError("iteration counts must be positive")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
-        if self.tol_rel < 0 or self.curvature_eps < 0 or self.backtrack_cap < 0:
-            raise ValueError("tol, curvature_eps and backtrack_cap must be nonnegative")
-        if self.mu_cap <= 0 or self.exact_tol <= 0:
-            raise ValueError("mu_cap and exact_tol must be positive")
+        # Each check is the condition a good value meets, so nan fails it.
+        for name in ("sigma_growth", "max_outer", "memory"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("tol_rel", "curvature_eps", "warmup_kbar", "backtrack_cap"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("mu_init", "sigma_init", "mu_cap", "exact_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,7 @@ def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, rng):
         u, steps = exact_solve_oracle(model, g, v, lam, config.exact_tol)
     else:
         u, steps = cd_minimize(model, g, v, lam,
-                               budget_for_iteration(k, config.budget), rng,
-                               step_eps=config.budget.step_eps)
+                               budget_for_iteration(k, config.budget), rng)
     u_l1 = l1_value(u, lam)
     return u, u_l1, model_value(model, u, v, f_v, g, u_l1), steps
 

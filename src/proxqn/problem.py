@@ -215,8 +215,8 @@ def logistic_problem(dataset: Dataset, lam: float) -> CompositeProblem:
     starts from a seeded vector, so the bound is the same bits on every
     build.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     import scipy.sparse.linalg as spla
 
     try:
@@ -239,8 +239,8 @@ def logistic_problem(dataset: Dataset, lam: float) -> CompositeProblem:
 
 def quadratic_problem(quad: SyntheticQuadratic, lam: float) -> CompositeProblem:
     """f(x) = 0.5 x'Ax - b'x with the spectrum of A known exactly."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
 
     def value(w: np.ndarray, memo: Memo | None = None) -> float:
         w = _check_dim(quad.n, w)

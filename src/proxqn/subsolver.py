@@ -27,21 +27,18 @@ from .problem import min_norm_subgradient, soft_threshold_vec
 
 @dataclass(frozen=True)
 class SubproblemBudget:
-    """Inner-iteration budget r(k) = max(floor, ceil(min(cap, k/divisor))).
-
-    ``step_eps`` is the step length below which a coordinate move counts
-    as tiny; n consecutive tiny moves end the solve early.
-    """
+    """Inner-iteration budget r(k) = max(floor, ceil(min(cap, k/divisor))):
+    the k-th subproblem's coordinate-descent solve takes exactly r(k)
+    steps."""
 
     cap: int = 1000
     divisor: float = 3.0
     floor: int = 5
-    step_eps: float = 1e-16
 
     def __post_init__(self):
         if not (self.cap >= self.floor >= 1):
             raise ValueError("need cap >= floor >= 1")
-        if self.divisor <= 0:
+        if not self.divisor > 0:
             raise ValueError("divisor must be positive")
 
 
@@ -158,48 +155,34 @@ def cd_minimize(
     lam: float,
     r: int,
     seed: int | np.random.Generator = 0,
-    step_eps: float = 1e-16,
 ) -> tuple[np.ndarray, int]:
-    """Randomized coordinate descent, r steps from u_0 = v; returns the
-    iterate and the number of steps taken.
+    """Randomized coordinate descent from u_0 = v; returns the iterate
+    and r, the number of steps taken: a solve always takes exactly r.
 
     Coordinates are drawn uniformly from a seeded PCG64 generator
     (numpy's default_rng) using unbiased bounded sampling, so traces are
     bit-reproducible across platforms.  Q_H(u, v) never increases along
-    the steps.  After n consecutive steps shorter than ``step_eps`` the
-    solve returns early.
+    the steps.
     """
     if r < 0:
         raise ValueError("step count must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ws = CdWorkspace(model, grad_v, v, lam)
-    taken = 0
     if r > 0:
         indices = rng.integers(0, ws.v.shape[0], size=r)
         kernel = _cdkernel.KERNEL
         if kernel is not None:
-            taken = kernel.random(ws, indices, step_eps)
+            kernel.random(ws, indices)
         else:
-            taken = random_loop(ws, indices, step_eps)
-    return ws.u.copy(), taken
+            random_loop(ws, indices)
+    return ws.u.copy(), r
 
 
-def random_loop(ws: CdWorkspace, indices: np.ndarray, step_eps: float) -> int:
+def random_loop(ws: CdWorkspace, indices: np.ndarray) -> None:
     """Steps of :func:`cd_minimize` at ``indices`` in Python; the
     reference for ``Kernel.random``."""
-    n = ws.v.shape[0]
-    taken = 0
-    tiny = 0
     for j in indices:
-        z = ws.step(int(j))
-        taken += 1
-        if abs(z) < step_eps:
-            tiny += 1
-            if tiny >= n:
-                break
-        else:
-            tiny = 0
-    return taken
+        ws.step(int(j))
 
 
 def exact_solve_oracle(

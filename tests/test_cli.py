@@ -40,6 +40,23 @@ def test_run_validation_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_run_rejects_a_non_finite_lambda(capsys, lam):
+    code = main(["run", "--algorithm", "pga", "--synthetic", "n=5",
+                 "--lambda", lam])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lam" in err
+
+
+def test_run_rejects_a_non_finite_synthetic_spectrum(capsys):
+    code = main(["run", "--algorithm", "pga",
+                 "--synthetic", "n=5,gamma=0.1,L=inf,seed=0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "l_target" in err
+
+
 def test_run_rejects_non_finite_dataset(tmp_path, capfd):
     path = tmp_path / "bad.svm"
     path.write_text("+1 1:0.5 2:nan\n-1 1:1.0\n+1 2:2.0\n")
@@ -142,7 +159,7 @@ def test_run_takes_every_setting_as_a_flag(capsys):
                  "--synthetic", "n=15,gamma=0.1,L=10,seed=0",
                  "--eta", "1", "--subsolver", "exact", "--exact-tol", "1e-10",
                  "--tol", "1e-5", "--mu-cap", "1e6",
-                 "--backtrack-cap", "60", "--step-eps", "1e-16"])
+                 "--backtrack-cap", "60"])
     assert code == 0
     assert "status=converged" in capsys.readouterr().out
 
@@ -155,6 +172,14 @@ def test_run_takes_every_setting_as_a_flag(capsys):
     ("--backtrack-cap", "-1", "backtrack_cap"),
     ("--curvature-eps", "-1", "curvature_eps"),
     ("--exact-tol", "0", "exact_tol"),
+    # nan fails every check written as the condition a good value meets
+    ("--tol", "nan", "tol"),
+    ("--mu-init", "nan", "mu_init"),
+    ("--sigma-growth", "nan", "sigma_growth"),
+    ("--mu-cap", "nan", "mu_cap"),
+    ("--curvature-eps", "nan", "curvature_eps"),
+    ("--exact-tol", "nan", "exact_tol"),
+    ("--inner-divisor", "nan", "divisor"),
 ])
 def test_run_bad_setting_value_exits_one(capsys, flag, value, named):
     code = main(["run", "--algorithm", "pqna-lbfgs", "--subsolver", "exact",

@@ -700,6 +700,16 @@ class TestQuadraticInput:
             getattr(prob, oracle)(w)
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.inf, -np.inf, np.nan])
+def test_lam_must_be_finite_and_nonnegative(lam):
+    quad = synthesize_quadratic(3, 0.1, 10.0, 0)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        quadratic_problem(quad, lam)
+    data = make_dataset([[(0, 1.0)], [(1, 2.0)]], [1.0, -1.0])
+    with pytest.raises(ValueError, match="lam must be finite"):
+        logistic_problem(data, lam)
+
+
 def test_lipschitz_is_the_same_bits_on_every_build():
     ds = _logistic_dataset(np.random.default_rng(21), 300, 40, 0.3)
     bounds = {logistic_problem(ds, 1e-3).lipschitz.hex() for _ in range(12)}

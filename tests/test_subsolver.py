@@ -168,12 +168,13 @@ class TestCdMinimize:
         c, _ = cd_minimize(model, grad_v, v, 0.1, 500, seed=100)
         assert not np.array_equal(a, c)
 
-    def test_early_exit_at_optimum(self):
+    def test_solve_at_the_minimizer_takes_all_r_steps(self, cd_backend):
         model = compact_model(6)
-        v = np.zeros(20)
-        # grad 0 and lam 0: v is already the minimizer, every step is tiny
-        _, steps = cd_minimize(model, np.zeros(20), v, 0.0, 10_000, seed=0)
-        assert steps <= 20
+        v = np.random.default_rng(6).standard_normal(20)
+        # grad 0 and lam 0: v is already the minimizer, every move is 0
+        u, steps = cd_minimize(model, np.zeros(20), v, 0.0, 10_000, seed=0)
+        assert steps == 10_000
+        assert u.tobytes() == v.tobytes()
 
     def test_cache_consistency_over_long_run(self):
         # (model seed, data seed, lam, steps), checked every 100 steps
@@ -400,15 +401,12 @@ class TestBackends:
 
     @needs_kernel
     @settings(max_examples=150, deadline=None, database=None)
-    @given(r=st.integers(0, 3000),
-           step_eps=st.sampled_from([1e-16, 1e-6, 1e-2, np.inf]), **SIZES)
-    @example(n=40, memory=10, n_pairs=12, seed=1, lam=0.01, r=3000,
-             step_eps=1e-16)
+    @given(r=st.integers(0, 3000), **SIZES)
+    @example(n=40, memory=10, n_pairs=12, seed=1, lam=0.01, r=3000)
     def test_kernel_matches_python_cd_minimize(self, n, memory, n_pairs, seed,
-                                               lam, r, step_eps):
-        # step_eps = inf ends every solve with r > n after n tiny moves
+                                               lam, r):
         model, grad_v, v = random_instance(seed, n, memory, n_pairs)
-        args = (cd_minimize, model, grad_v, v, lam, r, seed, step_eps)
+        args = (cd_minimize, model, grad_v, v, lam, r, seed)
         assert outcome(*args) == on_python_loops(*args)
 
     @needs_kernel
