@@ -95,8 +95,8 @@ static int step(workspace *w, int64_t j, double *z)
     return 0;
 }
 
-/* The step loop of cd_minimize: one step at each of idx[0..r); returns
- * 0, or -1 on a nonpositive diagonal. */
+/* The step loop of cd_minimize: exactly r steps, one at each of
+ * idx[0..r); returns 0, or -1 on a nonpositive diagonal. */
 int cd_random(workspace *w, const int64_t *idx, int64_t r)
 {
     for (int64_t t = 0; t < r; t++) {
