@@ -25,6 +25,7 @@ from .optimizers import (
     OptimizerConfig,
     Trace,
     TraceRecord,
+    budget_for_iteration,
     momentum_point,
     run_apga,
     run_apqna,
@@ -45,8 +46,6 @@ from .problem import (
     quadratic_problem,
 )
 from .subsolver import (
-    SubproblemBudget,
-    budget_for_iteration,
     cd_minimize,
     exact_solve_oracle,
     phi_constant,

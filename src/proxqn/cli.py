@@ -48,7 +48,7 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     # Values stay strings: build_config converts and OptimizerConfig
     # validates them, exactly as for a spec file.
-    for key, (_, _, typ) in SETTINGS.items():
+    for key, typ in SETTINGS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key,
                        metavar=typ.__name__.upper())
 

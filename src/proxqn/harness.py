@@ -15,6 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -53,7 +54,6 @@ from .problem import (
 )
 from .subsolver import (
     CdWorkspace,
-    SubproblemBudget,
     cd_minimize,
     exact_loop,
     exact_solve_oracle,
@@ -108,49 +108,27 @@ def read_trace_csv(path: str, algorithm: str = "") -> Trace:
 # Experiment specification
 
 
-# Every setting a spec file or a ``proxqn run`` flag can change: the key
-# (the flag is --key with "-" for "_") -> (owner, field, type).
-SETTINGS = {
-    "beta": (OptimizerConfig, "beta", float),
-    "eta": (OptimizerConfig, "eta", float),
-    "tol": (OptimizerConfig, "tol_rel", float),
-    "max_iters": (OptimizerConfig, "max_outer", int),
-    "sigma_growth": (OptimizerConfig, "sigma_growth", float),
-    "sigma_init": (OptimizerConfig, "sigma_init", float),
-    "mu_init": (OptimizerConfig, "mu_init", float),
-    "mu_cap": (OptimizerConfig, "mu_cap", float),
-    "warmup": (OptimizerConfig, "warmup_kbar", int),
-    "backtrack_cap": (OptimizerConfig, "backtrack_cap", int),
-    "memory": (OptimizerConfig, "memory", int),
-    "curvature_eps": (OptimizerConfig, "curvature_eps", float),
-    "seed": (OptimizerConfig, "seed", int),
-    "domination": (OptimizerConfig, "domination", str),
-    "subsolver": (OptimizerConfig, "subsolver", str),
-    "exact_tol": (OptimizerConfig, "exact_tol", float),
-    "inner_cap": (SubproblemBudget, "cap", int),
-    "inner_divisor": (SubproblemBudget, "divisor", float),
-    "inner_floor": (SubproblemBudget, "floor", int),
-}
+# Every setting a spec file or a ``proxqn run`` flag can change: the
+# key, which is the ``OptimizerConfig`` field (the flag is --key with "-"
+# for "_"), -> its type.
+SETTINGS = {name: typ for name, typ in get_type_hints(OptimizerConfig).items()
+            if name != "diagnostics"}
 
 
 def build_config(overrides: dict[str, str],
                  base: OptimizerConfig | None = None) -> OptimizerConfig:
     """Apply flat key=value overrides (CLI/spec-file names) to a config."""
-    cfg = base or OptimizerConfig()
-    kwargs = {OptimizerConfig: {}, SubproblemBudget: {}}
+    kwargs = {}
     for key, raw in overrides.items():
         key = key.replace("-", "_")
         if key not in SETTINGS:
             raise ValueError(f"unknown configuration key {key!r}")
-        owner, name, typ = SETTINGS[key]
+        typ = SETTINGS[key]
         try:
-            kwargs[owner][name] = typ(raw)
+            kwargs[key] = typ(raw)
         except ValueError:
             raise ValueError(f"{key} = {raw!r} is not {typ.__name__}") from None
-    if kwargs[SubproblemBudget]:
-        kwargs[OptimizerConfig]["budget"] = replace(cfg.budget,
-                                                    **kwargs[SubproblemBudget])
-    return replace(cfg, **kwargs[OptimizerConfig])
+    return replace(base or OptimizerConfig(), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -822,7 +800,7 @@ def _check_reduction_pqna_pga(level, rng):
     quad = synthesize_quadratic(20, 0.3, 6.0, 5)
     prob = quadratic_problem(quad, 0.02)
     # pqna-zero's effective step is 2 mu: pga runs at twice the mu.
-    cfg_qn = OptimizerConfig(beta=0.5, eta=1.0, tol_rel=1e-8, max_outer=60,
+    cfg_qn = OptimizerConfig(beta=0.5, eta=1.0, tol=1e-8, max_iters=60,
                              mu_init=0.05, mu_cap=1e12, seed=3)
     cfg_pga = replace(cfg_qn, mu_init=0.10, mu_cap=2e12)
     return _same_values(run_pqna(prob, cfg_qn, "zero"), run_pga(prob, cfg_pga))
@@ -832,9 +810,9 @@ def _check_reduction_apqna_apga(level, rng):
     quad = synthesize_quadratic(20, 0.3, 6.0, 9)
     prob = quadratic_problem(quad, 0.02)
     mu = 0.9 / quad.lmax
-    cfg_fh = OptimizerConfig(sigma_init=mu, sigma_growth=1.0, warmup_kbar=0,
-                             tol_rel=1e-8, max_outer=80, seed=2)
-    cfg_ap = OptimizerConfig(mu_init=mu, tol_rel=1e-8, max_outer=80, seed=2)
+    cfg_fh = OptimizerConfig(sigma_init=mu, sigma_growth=1.0, warmup=0,
+                             tol=1e-8, max_iters=80, seed=2)
+    cfg_ap = OptimizerConfig(mu_init=mu, tol=1e-8, max_iters=80, seed=2)
     return _same_values(run_apqna_fh(prob, cfg_fh, base=HessianModel(1.0, prob.n)),
                         run_apga(prob, cfg_ap))
 
@@ -861,8 +839,8 @@ def _check_fh_trajectory_bounds(level, rng):
     xstar = np.linalg.solve(quad.dense(), quad.b)
     fstar = prob.f_value(xstar)
     dist0 = float(xstar @ xstar)
-    cfg = OptimizerConfig(sigma_init=1.0, warmup_kbar=0, tol_rel=1e-10,
-                          max_outer=300, seed=4, diagnostics=True)
+    cfg = OptimizerConfig(sigma_init=1.0, warmup=0, tol=1e-10,
+                          max_iters=300, seed=4, diagnostics=True)
     trace = run_apqna_fh(prob, cfg, base=HessianModel(1.0, prob.n))
     lemma5_bad = [k for k, margin in trace.diagnostics.lemma5
                   if margin < -1e-10 * max(1.0, abs(margin))]
@@ -882,7 +860,7 @@ def _check_apga_envelope(level, rng):
     dist0 = float(xstar @ xstar)
     mu = 0.9 / quad.lmax
     iters = 500 if level == "full" else 200
-    cfg = OptimizerConfig(mu_init=mu, tol_rel=1e-14, max_outer=iters, seed=4)
+    cfg = OptimizerConfig(mu_init=mu, tol=1e-14, max_iters=iters, seed=4)
     trace = run_apga(prob, cfg)
     diag = rate_diagnostics(trace, fstar, dist0_sq=dist0)
     if diag.envelope_violations:
@@ -895,11 +873,11 @@ def _check_thm1_linear(level, rng):
     for seed in range(n_seeds):
         quad = synthesize_quadratic(50, 0.1, 10.0, 100 + seed)
         prob = quadratic_problem(quad, 0.01)
-        cfg = OptimizerConfig(eta=1.0, tol_rel=1e-6, max_outer=4000,
+        cfg = OptimizerConfig(eta=1.0, tol=1e-6, max_iters=4000,
                               subsolver="exact", exact_tol=1e-11,
                               seed=seed, diagnostics=True)
         trace = run_pqna(prob, cfg, "lbfgs")
-        ref_cfg = OptimizerConfig(eta=1.0, tol_rel=1e-12, max_outer=20000,
+        ref_cfg = OptimizerConfig(eta=1.0, tol=1e-12, max_iters=20000,
                                   subsolver="exact", exact_tol=1e-13, seed=seed)
         ref = run_pqna(prob, ref_cfg, "lbfgs")
         fstar = ref.final().fval
@@ -914,7 +892,7 @@ def _check_thm1_linear(level, rng):
 def _check_trace_determinism(level, rng):
     quad = synthesize_quadratic(25, 0.2, 5.0, 8)
     prob = quadratic_problem(quad, 0.01)
-    cfg = OptimizerConfig(tol_rel=1e-7, max_outer=200, seed=42, diagnostics=True)
+    cfg = OptimizerConfig(tol=1e-7, max_iters=200, seed=42, diagnostics=True)
     a = run_pqna(prob, cfg, "lbfgs")
     b = run_pqna(prob, cfg, "lbfgs")
     if mismatch := _same_shape(a, b):

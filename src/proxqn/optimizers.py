@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -57,8 +57,6 @@ from .problem import (
     prox_l1_scaled_identity,
 )
 from .subsolver import (
-    SubproblemBudget,
-    budget_for_iteration,
     cd_minimize,
     exact_solve_oracle,
     solve_scaled_identity,
@@ -89,6 +87,9 @@ MONOTONE_SLACK = 8 * np.finfo(float).eps
 
 def _accepts(f_new: float, f_old: float, q_val: float, eta: float,
              monotone: bool = False) -> bool:
+    # An infinite trial value would pass against an infinite model value.
+    if not math.isfinite(f_new):
+        return False
     scale = max(1.0, abs(f_old))
     if monotone and f_new > f_old + MONOTONE_SLACK * scale:
         return False
@@ -99,49 +100,72 @@ class SigmaUnderflowError(RuntimeError):
     """sigma collapsed below 1e-300: the alternating-Hessian pathology."""
 
 
+def _setting(default, domain: str):
+    """A settable field of :class:`OptimizerConfig` and the values it
+    takes: an interval such as ``(0, 1]`` or ``[1, inf)``, or choices
+    such as ``{cd, exact}``."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def _within(value, domain: str) -> bool:
+    """Whether ``value`` lies in ``domain``.  Each test is the condition a
+    good value meets, so nan lies in no interval, and inf in none open
+    at inf."""
+    if domain.startswith("{"):
+        return value in domain[1:-1].split(", ")
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    return ((lo < value if domain[0] == "(" else lo <= value)
+            and (value < hi if domain[-1] == ")" else value <= hi))
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs shared by all drivers; defaults follow the benchmark protocol
-    (lambda enters through the problem, not here)."""
+    (lambda enters through the problem, not here).  Each field but
+    ``diagnostics`` is also the ``proxqn run`` flag (``--`` and ``-`` for
+    ``_``) and the spec-file key of the same name, and declares its
+    domain; every float must be finite.  The k-th subproblem's
+    coordinate-descent solve takes r(k) = max(inner_floor,
+    ceil(min(inner_cap, k/inner_divisor))) steps."""
 
-    beta: float = 0.5
-    eta: float = 0.5
-    tol_rel: float = 1e-5
-    max_outer: int = 20000
-    sigma_growth: float = 1.015
-    sigma_init: float = 1.0
-    mu_init: float = 1.0
-    mu_cap: float = 1e6
-    warmup_kbar: int = 8
-    backtrack_cap: int = 60
-    memory: int = 10
-    curvature_eps: float = 1e-8
-    budget: SubproblemBudget = SubproblemBudget()
-    seed: int = 0
-    domination: str = "relaxed"
-    subsolver: str = "cd"
-    exact_tol: float = 1e-10
+    beta: float = _setting(0.5, "(0, 1)")
+    eta: float = _setting(0.5, "(0, 1]")
+    tol: float = _setting(1e-5, "[0, 1)")
+    max_iters: int = _setting(20000, "[1, inf)")
+    sigma_growth: float = _setting(1.015, "[1, inf)")
+    sigma_init: float = _setting(1.0, "(0, inf)")
+    mu_init: float = _setting(1.0, "(0, inf)")
+    mu_cap: float = _setting(1e6, "(0, inf)")
+    warmup: int = _setting(8, "[0, inf)")
+    backtrack_cap: int = _setting(60, "[0, inf)")
+    memory: int = _setting(10, "[1, inf)")
+    curvature_eps: float = _setting(1e-8, "[0, inf)")
+    seed: int = _setting(0, "[0, inf)")
+    domination: str = _setting("relaxed", "{relaxed, strict}")
+    subsolver: str = _setting("cd", "{cd, exact}")
+    exact_tol: float = _setting(1e-10, "(0, inf)")
+    inner_cap: int = _setting(1000, "[1, inf)")
+    inner_divisor: float = _setting(3.0, "(0, inf)")
+    inner_floor: int = _setting(5, "[1, inf)")
     diagnostics: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
-        if self.domination not in ("strict", "relaxed"):
-            raise ValueError("domination must be 'strict' or 'relaxed'")
-        if self.subsolver not in ("cd", "exact"):
-            raise ValueError("subsolver must be 'cd' or 'exact'")
-        # Each check is the condition a good value meets, so nan fails it.
-        for name in ("sigma_growth", "max_outer", "memory"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("tol_rel", "curvature_eps", "warmup_kbar", "backtrack_cap"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("mu_init", "sigma_init", "mu_cap", "exact_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "domain" in f.metadata and not _within(value, f.metadata["domain"]):
+                raise ValueError(f"{f.name} must lie in {f.metadata['domain']}, "
+                                 f"got {value!r}")
+        if not self.inner_cap >= self.inner_floor:
+            raise ValueError(f"inner_cap must be at least inner_floor "
+                             f"({self.inner_floor}), got {self.inner_cap}")
+
+
+def budget_for_iteration(k: int, config: OptimizerConfig) -> int:
+    """Coordinate steps granted to the k-th outer iteration, r(k)."""
+    if k < 1:
+        raise ValueError("outer iteration index starts at 1")
+    return max(config.inner_floor,
+               math.ceil(min(config.inner_cap, k / config.inner_divisor)))
 
 
 @dataclass(frozen=True)
@@ -262,7 +286,7 @@ def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, rng):
         u, steps = exact_solve_oracle(model, g, v, lam, config.exact_tol)
     else:
         u, steps = cd_minimize(model, g, v, lam,
-                               budget_for_iteration(k, config.budget), rng)
+                               budget_for_iteration(k, config), rng)
     u_l1 = l1_value(u, lam)
     return u, u_l1, model_value(model, u, v, f_v, g, u_l1), steps
 
@@ -303,9 +327,9 @@ def _first_row(problem: CompositeProblem, config: OptimizerConfig,
     return _QnState(trace, t0, norm0, x, fsm, fval, grad, config.mu_init)
 
 
-def _pqna_engine(problem, config, trial, eta, state: _QnState, max_outer,
+def _pqna_engine(problem, config, trial, eta, state: _QnState, max_iters,
                  after_row=None) -> None:
-    """The monotone loop of pga and the pqna drivers, up to ``max_outer``.
+    """The monotone loop of pga and the pqna drivers, up to ``max_iters``.
 
     ``trial(k, mu, x, f(x), grad) -> (u, lam ||u||_1, Q(u), inner steps)``;
     u is accepted on an ``eta`` fraction of the model decrease and no
@@ -315,7 +339,7 @@ def _pqna_engine(problem, config, trial, eta, state: _QnState, max_outer,
     """
     trace = state.trace
     memo = Memo()
-    for k in range(state.last_k + 1, max_outer + 1):
+    for k in range(state.last_k + 1, max_iters + 1):
         backtracks = inner = 0
         while True:
             u, u_l1, qval, steps = trial(k, state.mu, state.x, state.fsm, state.grad)
@@ -339,7 +363,7 @@ def _pqna_engine(problem, config, trial, eta, state: _QnState, max_outer,
                                          time.perf_counter() - state.t0))
         if after_row is not None:
             after_row(state, x_old, grad_old)
-        if norm <= config.tol_rel * state.norm0:
+        if norm <= config.tol * state.norm0:
             trace.status = CONVERGED
             return
         state.mu = min(state.mu / config.beta, config.mu_cap)
@@ -349,7 +373,7 @@ def _run_monotone(problem, config, algorithm, trial, eta, x0,
                   after_row=None) -> Trace:
     state = _first_row(problem, config, algorithm, config.mu_init, x0)
     if state.trace.status != CONVERGED:
-        _pqna_engine(problem, config, trial, eta, state, config.max_outer,
+        _pqna_engine(problem, config, trial, eta, state, config.max_iters,
                      after_row)
     return state.trace
 
@@ -365,7 +389,7 @@ def run_pga(problem: CompositeProblem, config: OptimizerConfig,
 
 class _ModelRule:
     """Trial rule of the pqna drivers, H = G_k + I/(2 mu): G_k is
-    compact L-BFGS ("lbfgs"), the same frozen after warmup_kbar steps
+    compact L-BFGS ("lbfgs"), the same frozen after ``warmup`` steps
     ("fixed") or zero ("zero"), compiled once per k while its pairs
     change.  ``after_row`` adds the accepted step's pair and, with
     ``config.diagnostics``, the accepted model's extreme eigenvalues."""
@@ -375,7 +399,7 @@ class _ModelRule:
         self.lam, self.n, self.config, self.rng = problem.lam, problem.n, config, rng
         self.pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
         # The last iteration whose step enters the pairs.
-        self.learn_until = {"lbfgs": math.inf, "fixed": config.warmup_kbar,
+        self.learn_until = {"lbfgs": math.inf, "fixed": config.warmup,
                             "zero": -1}[hessian_mode]
         self.k = 0
         self.compact = self.model = None
@@ -409,7 +433,7 @@ def run_pqna(problem: CompositeProblem, config: OptimizerConfig,
     backtracking over mu under the relaxed sufficient decrease test.
 
     hessian_mode selects G_k: compact L-BFGS throughout ("lbfgs"),
-    frozen after the first warmup_kbar iterations ("fixed"), or the
+    frozen after the first ``warmup`` iterations ("fixed"), or the
     zero matrix ("zero", in which case the driver reduces to run_pga
     with an effective step of 2 mu).  The inner solver starts at x_k,
     so accepted steps always decrease F.
@@ -566,7 +590,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
     fy, gy = state.fsm, state.grad
     y_fval = fy + l1_value(y, lam)
     memo = Memo()
-    for k in range(state.last_k + 1, config.max_outer + 1):
+    for k in range(state.last_k + 1, config.max_iters + 1):
         backtracks = inner = 0
         while True:
             u, u_l1, qval, steps = policy.trial(k, sigma, y, fy, gy)
@@ -598,7 +622,7 @@ def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
                                          sigma, t_k,
                                          time.perf_counter() - state.t0))
         thetas.append(theta)
-        if norm <= config.tol_rel * state.norm0:
+        if norm <= config.tol * state.norm0:
             trace.status = CONVERGED
             return thetas
         sigma_prev = sigma
@@ -640,8 +664,9 @@ def _accelerate_models(problem, config, policy: _ModelSteps,
     for row, theta in zip(rows, thetas):
         sigma, t_k = row.step_scalar, row.t_k
         sum_sqrt_sigma += math.sqrt(sigma)
-        diag.lemma5.append(
-            (row.k, sigma * t_k * t_k - (sum_sqrt_sigma / 2.0) ** 2))
+        # A product: x ** 2 raises OverflowError where x * x gives inf.
+        half = sum_sqrt_sigma / 2.0
+        diag.lemma5.append((row.k, sigma * t_k * t_k - half * half))
         if policy.lemma6_bound is not None:
             diag.lemma6.append((row.k, sigma - policy.lemma6_bound))
         if prev is not None:
@@ -685,7 +710,7 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
                  base: HessianModel | None = None) -> Trace:
     """Accelerated proximal quasi-Newton with a frozen base matrix.
 
-    Without an explicit ``base`` the first warmup_kbar iterations run
+    Without an explicit ``base`` the first ``warmup`` iterations run
     the L-BFGS quasi-Newton loop to collect correction pairs; the
     compact matrix built from them is then frozen and the accelerated
     phase continues from the warm iterate with H_k = (1/sigma_k) base.
@@ -706,9 +731,9 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     rng = np.random.default_rng(config.seed)
     if base is None:
         warmup = _ModelRule(problem, config, "lbfgs", rng)
-        if config.warmup_kbar > 0:
+        if config.warmup > 0:
             _pqna_engine(problem, config, warmup, config.eta, state,
-                         min(config.warmup_kbar, config.max_outer),
+                         min(config.warmup, config.max_iters),
                          warmup.after_row)
             if trace.status != MAX_ITER:
                 return trace

@@ -3,8 +3,7 @@
 Minimizes Q_H(u, v) = f(v) + <grad_v, u-v> + 0.5||u-v||_H^2 + lam*||u||_1
 for diagonal-plus-low-rank H.  Each coordinate step is exact (1-D soft
 threshold) and costs O(p) thanks to an incrementally maintained gradient
-cache.  Also houses the inner-iteration budget rule and the cyclic
-solver used as ground truth in tests.
+cache.  Also houses the cyclic solver used as ground truth in tests.
 
 The step loops of :func:`cd_minimize` and :func:`exact_solve_oracle`
 run in the compiled kernel of :mod:`proxqn._cdkernel`, built when that
@@ -16,37 +15,11 @@ stays the reference they are checked against.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _cdkernel
 from .hessian import HessianModel
 from .problem import min_norm_subgradient, soft_threshold_vec
-
-@dataclass(frozen=True)
-class SubproblemBudget:
-    """Inner-iteration budget r(k) = max(floor, ceil(min(cap, k/divisor))):
-    the k-th subproblem's coordinate-descent solve takes exactly r(k)
-    steps."""
-
-    cap: int = 1000
-    divisor: float = 3.0
-    floor: int = 5
-
-    def __post_init__(self):
-        if not (self.cap >= self.floor >= 1):
-            raise ValueError("need cap >= floor >= 1")
-        if not self.divisor > 0:
-            raise ValueError("divisor must be positive")
-
-
-def budget_for_iteration(k: int, budget: SubproblemBudget) -> int:
-    """Coordinate steps granted to the k-th outer iteration."""
-    if k < 1:
-        raise ValueError("outer iteration index starts at 1")
-    return max(budget.floor, math.ceil(min(budget.cap, k / budget.divisor)))
 
 
 def phi_constant(m: float, M: float) -> float:

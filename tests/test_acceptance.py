@@ -46,7 +46,7 @@ DATA_DIR = os.environ.get(
     os.path.join(os.path.dirname(__file__), os.pardir, "data"),
 )
 
-BENCH_CONFIG = dict(tol_rel=1e-5, max_outer=50000, seed=0)
+BENCH_CONFIG = dict(tol=1e-5, max_iters=50000, seed=0)
 
 
 def find_dataset(name):
@@ -123,12 +123,12 @@ def test_criterion_3_linear_rate_twenty_seeds():
     for seed in range(20):
         quad = synthesize_quadratic(50, 0.1, 10.0, seed)
         problem = quadratic_problem(quad, 0.01)
-        cfg = OptimizerConfig(eta=1.0, tol_rel=1e-5, max_outer=5000,
+        cfg = OptimizerConfig(eta=1.0, tol=1e-5, max_iters=5000,
                               subsolver="exact", exact_tol=1e-10,
                               seed=seed, diagnostics=True)
         trace = run_pqna(problem, cfg, "lbfgs")
         assert trace.status == CONVERGED, seed
-        ref_cfg = OptimizerConfig(eta=1.0, tol_rel=1e-12, max_outer=100000,
+        ref_cfg = OptimizerConfig(eta=1.0, tol=1e-12, max_iters=100000,
                                   subsolver="exact", exact_tol=1e-13,
                                   seed=seed)
         ref = run_pqna(problem, ref_cfg, "lbfgs")
@@ -184,16 +184,16 @@ def test_criterion_5_accelerated_envelopes():
     dist0_sq = float(xstar @ xstar)
 
     mu = 0.9 / quad.lmax
-    apga = run_apga(problem, OptimizerConfig(mu_init=mu, tol_rel=1e-16,
-                                             max_outer=500))
+    apga = run_apga(problem, OptimizerConfig(mu_init=mu, tol=1e-16,
+                                             max_iters=500))
     assert apga.iterations == 500
     assert all(r.backtracks == 0 for r in apga.records), "mu was not fixed"
     diag = rate_diagnostics(apga, fstar, dist0_sq=dist0_sq)
     assert diag.envelope_violations == []
 
     fh = run_apqna_fh(problem,
-                      OptimizerConfig(sigma_init=1.0, warmup_kbar=0,
-                                      tol_rel=1e-12, max_outer=600, seed=1),
+                      OptimizerConfig(sigma_init=1.0, warmup=0,
+                                      tol=1e-12, max_iters=600, seed=1),
                       base=HessianModel(1.0, problem.n))
     diag_fh = rate_diagnostics(fh, fstar, dist0_sq=dist0_sq)
     assert diag_fh.thm6_violations == []
@@ -207,19 +207,19 @@ def test_criterion_6_trajectory_invariants():
     cases = []
     quad = synthesize_quadratic(40, 0.2, 8.0, 5)
     cases.append(("synthetic l1", quadratic_problem(quad, 0.01),
-                  OptimizerConfig(tol_rel=1e-8, max_outer=5000,
-                                  warmup_kbar=8, seed=2, diagnostics=True),
+                  OptimizerConfig(tol=1e-8, max_iters=5000,
+                                  warmup=8, seed=2, diagnostics=True),
                   None))
     quad0 = synthesize_quadratic(40, 0.2, 8.0, 6)
     cases.append(("synthetic smooth", quadratic_problem(quad0, 0.0),
-                  OptimizerConfig(tol_rel=1e-9, max_outer=5000,
-                                  warmup_kbar=0, seed=3, diagnostics=True),
+                  OptimizerConfig(tol=1e-9, max_iters=5000,
+                                  warmup=0, seed=3, diagnostics=True),
                   HessianModel(1.0, 40)))
     a9a_path = find_dataset("a9a")
     if a9a_path is not None:
         ds = read_libsvm(a9a_path)
         cases.append(("a9a", logistic_problem(ds, 1e-3),
-                      OptimizerConfig(tol_rel=1e-5, max_outer=20000,
+                      OptimizerConfig(tol=1e-5, max_iters=20000,
                                       seed=4, diagnostics=True), None))
     total5 = total6 = 0
     for name, problem, cfg, base in cases:

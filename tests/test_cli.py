@@ -1,9 +1,13 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from proxqn.cli import main
 from proxqn.dataset import write_libsvm
-from proxqn.harness import read_trace_csv
+from proxqn.harness import SETTINGS, read_trace_csv
+from proxqn.optimizers import OptimizerConfig
 
 from conftest import make_dataset
 
@@ -179,14 +183,20 @@ def test_run_takes_every_setting_as_a_flag(capsys):
     ("--mu-cap", "nan", "mu_cap"),
     ("--curvature-eps", "nan", "curvature_eps"),
     ("--exact-tol", "nan", "exact_tol"),
-    ("--inner-divisor", "nan", "divisor"),
+    ("--inner-divisor", "nan", "inner_divisor"),
+    # finite values only, and each bound named by its key
+    ("--seed", "-1", "seed"),
+    ("--exact-tol", "inf", "exact_tol"),
+    ("--sigma-growth", "inf", "sigma_growth"),
+    ("--tol", "inf", "tol"),
+    ("--max-iters", "0", "max_iters"),
 ])
 def test_run_bad_setting_value_exits_one(capsys, flag, value, named):
     code = main(["run", "--algorithm", "pqna-lbfgs", "--subsolver", "exact",
                  "--synthetic", "n=10", flag, value])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and named in err
+    assert err.startswith(f"error: {named} ")
 
 
 @pytest.mark.parametrize("experiment, section, named", [
@@ -236,3 +246,17 @@ def test_diagnose_truncated_trace(tmp_path, capsys):
         "1,1.2,0.1\n")
     assert main(["diagnose", str(trace_path), "--fstar", "1.0"]) == 1
     assert f"{trace_path}:3" in capsys.readouterr().err
+
+
+def test_readme_flag_table_lists_every_setting_with_its_domain():
+    """The README's flag table has one row per key of ``SETTINGS``, in
+    which the domain is the one ``OptimizerConfig`` declares."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [line.split("|")[1:-1] for line in readme.read_text().splitlines()
+            if line.startswith("| `--")]
+    table = {flag.strip(" `")[2:].replace("-", "_"): domain.strip(" `")
+             for flag, _, domain, _ in rows}
+    declared = {f.name: f.metadata["domain"] for f in fields(OptimizerConfig)
+                if f.name in SETTINGS}
+    assert len(rows) == len(table) == len(SETTINGS)
+    assert table == declared

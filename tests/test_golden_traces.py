@@ -107,8 +107,8 @@ def _alternating(k, pairs):
 
 
 def _cfg(**kw):
-    kw.setdefault("tol_rel", 1e-6)
-    kw.setdefault("max_outer", 80)
+    kw.setdefault("tol", 1e-6)
+    kw.setdefault("max_iters", 80)
     return OptimizerConfig(**kw)
 
 
@@ -121,36 +121,36 @@ CASES = {
     "pqna-zero": lambda: run_pqna(_quad(), _cfg(seed=2), "zero"),
     "apqna-relaxed": lambda: run_apqna(_quad(seed=14), _cfg(seed=2)),
     "apqna-relaxed-x0": lambda: run_apqna(
-        _quad(seed=14), _cfg(seed=3, max_outer=40),
+        _quad(seed=14), _cfg(seed=3, max_iters=40),
         x0=np.linspace(-1.0, 1.0, 20)),
     "apqna-strict": lambda: run_apqna(
         _quad(n=8, seed=15, lam=0.05), _cfg(seed=4, domination="strict")),
     "apqna-strict-exact": lambda: run_apqna(
         _quad(n=8, seed=16, lam=0.05),
-        _cfg(seed=5, domination="strict", subsolver="exact", max_outer=40)),
+        _cfg(seed=5, domination="strict", subsolver="exact", max_iters=40)),
     "apqna-alternating": lambda: run_apqna(
         quadratic_problem(synthesize_quadratic(2, 0.2, 0.9, seed=3), 0.01),
-        _cfg(seed=1, domination="strict", tol_rel=1e-30, max_outer=30),
+        _cfg(seed=1, domination="strict", tol=1e-30, max_iters=30),
         model_factory=_alternating),
     "apqna-logistic": lambda: run_apqna(_logistic(), _cfg(seed=6)),
     "apqna-fh-logistic": lambda: run_apqna_fh(_logistic(), _cfg(seed=6)),
     "apqna-logistic-binary": lambda: run_apqna(_logistic(binary=True),
                                                _cfg(seed=6)),
     "apqna-fh-warmup8": lambda: run_apqna_fh(
-        _quad(seed=18), _cfg(seed=6, tol_rel=1e-3, max_outer=120)),
+        _quad(seed=18), _cfg(seed=6, tol=1e-3, max_iters=120)),
     "apqna-fh-warmup6": lambda: run_apqna_fh(
         _quad(n=25, seed=20, lam=0.01),
-        _cfg(seed=8, warmup_kbar=6, diagnostics=True)),
+        _cfg(seed=8, warmup=6, diagnostics=True)),
     "apqna-fh-warmup0": lambda: run_apqna_fh(
-        _quad(seed=22), _cfg(seed=9, warmup_kbar=0)),
+        _quad(seed=22), _cfg(seed=9, warmup=0)),
     "apqna-fh-base": lambda: run_apqna_fh(
         _quad(n=30, seed=19, lam=0.0),
-        _cfg(seed=7, warmup_kbar=0, diagnostics=True),
+        _cfg(seed=7, warmup=0, diagnostics=True),
         base=HessianModel(1.0, 30)),
     "apqna-fh-inside-warmup": lambda: run_apqna_fh(
-        _quad(seed=18), _cfg(seed=6, max_outer=5)),
+        _quad(seed=18), _cfg(seed=6, max_iters=5)),
     "apqna-fh-backtrack-failure": lambda: run_apqna_fh(
-        _broken(), _cfg(warmup_kbar=0, backtrack_cap=5),
+        _broken(), _cfg(warmup=0, backtrack_cap=5),
         base=HessianModel(1.0, 3)),
     "apqna-backtrack-failure": lambda: run_apqna(
         _broken(), _cfg(backtrack_cap=5)),

@@ -5,6 +5,7 @@ import pytest
 
 from proxqn.dataset import synthesize_quadratic, write_libsvm
 from proxqn.harness import (
+    SETTINGS,
     TRACE_HEADER,
     ExperimentSpec,
     SyntheticSpec,
@@ -16,7 +17,13 @@ from proxqn.harness import (
     read_trace_csv,
     run_experiment,
 )
-from proxqn.optimizers import OptimizerConfig, Trace, TraceRecord, run_pga
+from proxqn.optimizers import (
+    ALGORITHMS,
+    OptimizerConfig,
+    Trace,
+    TraceRecord,
+    run_pga,
+)
 from proxqn.problem import quadratic_problem
 
 from conftest import make_dataset
@@ -35,7 +42,7 @@ def toy_trace(n_records=20, algorithm="toy", ratio=0.9, base=1.0):
 class TestTraceCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         prob = quadratic_problem(synthesize_quadratic(10, 0.3, 4.0, 2), 0.01)
-        trace = run_pga(prob, OptimizerConfig(tol_rel=1e-6, max_outer=500))
+        trace = run_pga(prob, OptimizerConfig(tol=1e-6, max_iters=500))
         path = str(tmp_path / "t.csv")
         emit_trace_csv(trace, path)
         back = read_trace_csv(path)
@@ -71,10 +78,10 @@ class TestBuildConfig:
     def test_maps_cli_names(self):
         cfg = build_config({"tol": "1e-7", "max_iters": "500", "warmup": "3",
                             "inner_cap": "200", "eta": "0.7"})
-        assert cfg.tol_rel == 1e-7
-        assert cfg.max_outer == 500
-        assert cfg.warmup_kbar == 3
-        assert cfg.budget.cap == 200
+        assert cfg.tol == 1e-7
+        assert cfg.max_iters == 500
+        assert cfg.warmup == 3
+        assert cfg.inner_cap == 200
         assert cfg.eta == 0.7
 
     def test_unknown_key_rejected(self):
@@ -85,6 +92,24 @@ class TestBuildConfig:
         base = build_config({"seed": "5"})
         cfg = build_config({"eta": "1.0"}, base)
         assert cfg.seed == 5 and cfg.eta == 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308"])
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_a_setting_is_refused_by_name_or_every_driver_stays_finite(
+            self, key, value):
+        """No value of a setting reaches a driver that then records a
+        non-finite F: build_config refuses it with a message that starts
+        with the key, or all six drivers keep every row finite."""
+        try:
+            cfg = build_config({"max_iters": "30", key: value})
+        except ValueError as exc:
+            assert str(exc).startswith(key + " "), str(exc)
+            return
+        prob = quadratic_problem(synthesize_quadratic(5, 0.1, 10.0, 0), 1e-3)
+        for name, driver in ALGORITHMS.items():
+            trace = driver(prob, cfg)
+            assert np.all(np.isfinite(trace.fvals())), (name, trace.status)
 
 
 class TestExperimentSpec:

@@ -362,7 +362,7 @@ class TestEnforceDomination:
         assert abs(got - 0.9 * eigs[0]) <= 1e-12 * 0.9 * eigs[-1]
         problem = quadratic_problem(synthesize_quadratic(600, 0.3, 6.0, 5), 0.02)
         trace = run_apqna(problem, OptimizerConfig(domination="strict",
-                                                   max_outer=15, seed=1))
+                                                   max_iters=15, seed=1))
         assert trace.status in (CONVERGED, MAX_ITER)
         assert len(trace.records) > 1
 

@@ -70,7 +70,7 @@ def broken_problem():
 
 
 def reference_min(problem, tol=1e-12):
-    cfg = OptimizerConfig(eta=1.0, tol_rel=tol, max_outer=100000,
+    cfg = OptimizerConfig(eta=1.0, tol=tol, max_iters=100000,
                           subsolver="exact", exact_tol=1e-13, seed=0)
     trace = run_pqna(problem, cfg, "lbfgs")
     assert trace.status == CONVERGED
@@ -86,6 +86,10 @@ class TestScalarOps:
 
     def test_sufficient_decrease_fails_below_fraction(self):
         assert not _accepts(0.95, 1.0, 0.8, 0.5)
+
+    def test_infinite_trial_value_is_rejected(self):
+        # inf <= inf: an overflowed model value would pass an overflowed F.
+        assert not _accepts(math.inf, 0.0, math.inf, 1.0)
 
     def test_t_next_golden_ratio(self):
         assert t_next(1.0, 1.0) == pytest.approx(GOLDEN, abs=1e-12)
@@ -133,7 +137,7 @@ class TestScalarOps:
 
 
 class TestTermination:
-    """The drivers stop once _subgrad_inf(grad, x, lam) <= tol_rel * norm0."""
+    """The drivers stop once _subgrad_inf(grad, x, lam) <= tol * norm0."""
 
     def test_exact_minimizer(self):
         quad = synthesize_quadratic(10, 0.5, 4.0, 1)
@@ -161,21 +165,21 @@ class TestPga:
     def test_one_exact_step_on_identity(self):
         prob = quadratic_problem(identity_quadratic(3), 0.0)
         x0 = np.array([1.0, 0.0, 0.0])
-        trace = run_pga(prob, OptimizerConfig(mu_init=1.0, tol_rel=1e-8), x0=x0)
+        trace = run_pga(prob, OptimizerConfig(mu_init=1.0, tol=1e-8), x0=x0)
         assert trace.status == CONVERGED
         assert trace.records[1].fval == pytest.approx(0.0, abs=1e-30)
         assert trace.records[1].backtracks == 0
 
     def test_monotone_decrease(self):
         prob = quad_problem(seed=6)
-        trace = run_pga(prob, OptimizerConfig(tol_rel=1e-7, max_outer=3000))
+        trace = run_pga(prob, OptimizerConfig(tol=1e-7, max_iters=3000))
         assert_monotone(trace)
         assert trace.status == CONVERGED
 
     def test_linear_rate_on_strongly_convex(self):
         prob = quad_problem(n=50, gamma=0.1, lmax=10.0, seed=7)
         fstar = reference_min(prob)
-        trace = run_pga(prob, OptimizerConfig(tol_rel=1e-8, max_outer=20000))
+        trace = run_pga(prob, OptimizerConfig(tol=1e-8, max_iters=20000))
         gaps = trace.fvals() - fstar
         # fit over the linear-decay decades, clear of both the initial
         # transient and the rounding floor
@@ -185,7 +189,7 @@ class TestPga:
         assert 0.0 < ratio < 1.0
 
     def test_backtrack_failure_on_broken_oracle(self):
-        trace = run_pga(broken_problem(), OptimizerConfig(max_outer=10))
+        trace = run_pga(broken_problem(), OptimizerConfig(max_iters=10))
         assert trace.status == BACKTRACK_FAILURE
 
     def test_backtrack_count_bounded_by_lipschitz(self):
@@ -193,8 +197,8 @@ class TestPga:
         prob = quad_problem(seed=30)
         lips = prob.lipschitz
         for fn, kind in ((run_pga, None), (run_pqna, "lbfgs")):
-            cfg = OptimizerConfig(mu_init=1.0, beta=0.5, tol_rel=1e-7,
-                                  max_outer=3000)
+            cfg = OptimizerConfig(mu_init=1.0, beta=0.5, tol=1e-7,
+                                  max_iters=3000)
             trace = fn(prob, cfg) if kind is None else fn(prob, cfg, kind)
             bound = math.ceil(math.log(2.0 * lips * cfg.mu_init)
                               / math.log(1.0 / cfg.beta)) + 3
@@ -205,7 +209,7 @@ class TestPga:
 class TestApga:
     def test_t_column_tracks_fista_sequence(self):
         prob = quad_problem(seed=8)
-        trace = run_apga(prob, OptimizerConfig(tol_rel=1e-6, max_outer=500))
+        trace = run_apga(prob, OptimizerConfig(tol=1e-6, max_iters=500))
         t = 1.0
         for rec in trace.records[1:]:
             assert rec.t_k == pytest.approx(t, rel=1e-12)
@@ -213,8 +217,8 @@ class TestApga:
 
     def test_mu_nonincreasing(self):
         prob = quad_problem(seed=9)
-        trace = run_apga(prob, OptimizerConfig(mu_init=10.0, tol_rel=1e-6,
-                                               max_outer=2000))
+        trace = run_apga(prob, OptimizerConfig(mu_init=10.0, tol=1e-6,
+                                               max_iters=2000))
         steps = [r.step_scalar for r in trace.records]
         assert all(b <= a + 1e-15 for a, b in zip(steps, steps[1:]))
         assert trace.status == CONVERGED
@@ -226,17 +230,25 @@ class TestApga:
         fstar = prob.f_value(xstar)
         dist0_sq = float(xstar @ xstar)
         mu = 0.9 / quad.lmax
-        trace = run_apga(prob, OptimizerConfig(mu_init=mu, tol_rel=1e-14,
-                                               max_outer=500))
+        trace = run_apga(prob, OptimizerConfig(mu_init=mu, tol=1e-14,
+                                               max_iters=500))
         for rec in trace.records[1:]:
             bound = 2.0 * dist0_sq / (mu * (rec.k + 1) ** 2)
             assert rec.fval - fstar <= bound
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_step_to_an_infinite_value_is_refused(self):
+        """mu = 1e160 is finite, but its first prox step overflows F and
+        the model value alike, and inf <= inf must not accept it."""
+        trace = run_apga(quad_problem(n=5), OptimizerConfig(mu_init=1e160))
+        assert np.all(np.isfinite(trace.fvals()))
+
+
 class TestPqna:
     def test_monotone_decrease_with_cd(self):
         prob = quad_problem(seed=11)
-        trace = run_pqna(prob, OptimizerConfig(tol_rel=1e-7, max_outer=2000,
+        trace = run_pqna(prob, OptimizerConfig(tol=1e-7, max_iters=2000,
                                                seed=3), "lbfgs")
         assert trace.status == CONVERGED
         assert_monotone(trace)
@@ -246,9 +258,9 @@ class TestPqna:
         # 2 mu, so PGA runs at twice the mu (caps pin both in place)
         prob = quad_problem(seed=12)
         cfg_qn = OptimizerConfig(eta=1.0, mu_init=0.05, mu_cap=0.05,
-                                 tol_rel=1e-9, max_outer=400)
+                                 tol=1e-9, max_iters=400)
         cfg_pga = OptimizerConfig(mu_init=0.10, mu_cap=0.10,
-                                  tol_rel=1e-9, max_outer=400)
+                                  tol=1e-9, max_iters=400)
         tr_qn = run_pqna(prob, cfg_qn, "zero")
         tr_pga = run_pga(prob, cfg_pga)
         assert tr_qn.status == tr_pga.status
@@ -261,7 +273,7 @@ class TestPqna:
 
     def test_fixed_mode_freezes_after_warmup(self):
         prob = quad_problem(seed=13)
-        cfg = OptimizerConfig(tol_rel=1e-8, max_outer=2000, warmup_kbar=5,
+        cfg = OptimizerConfig(tol=1e-8, max_iters=2000, warmup=5,
                               seed=1)
         trace = run_pqna(prob, cfg, "fixed")
         assert trace.status == CONVERGED
@@ -269,7 +281,7 @@ class TestPqna:
     def test_linear_rate_bound_single_seed(self):
         quad = synthesize_quadratic(30, 0.1, 10.0, 200)
         prob = quadratic_problem(quad, 0.01)
-        cfg = OptimizerConfig(eta=1.0, tol_rel=1e-6, max_outer=5000,
+        cfg = OptimizerConfig(eta=1.0, tol=1e-6, max_iters=5000,
                               subsolver="exact", exact_tol=1e-11,
                               seed=0, diagnostics=True)
         trace = run_pqna(prob, cfg, "lbfgs")
@@ -285,15 +297,23 @@ class TestPqna:
 class TestApqna:
     def test_relaxed_mode_converges(self):
         prob = quad_problem(seed=14)
-        trace = run_apqna(prob, OptimizerConfig(tol_rel=1e-7, max_outer=3000,
+        trace = run_apqna(prob, OptimizerConfig(tol=1e-7, max_iters=3000,
                                                 seed=2))
         assert trace.status == CONVERGED
         fstar = reference_min(prob)
         assert trace.final().fval - fstar <= 1e-6
 
+    def test_lemma5_margin_of_a_huge_sigma_is_recorded(self):
+        """sigma_1 = 1e308 squares past the float range in the Lemma 5
+        margin, where ``** 2`` raises OverflowError and a product gives
+        inf."""
+        trace = run_apqna(quad_problem(n=5), OptimizerConfig(sigma_init=1e308))
+        assert trace.status == CONVERGED
+        assert len(trace.diagnostics.lemma5) == trace.iterations
+
     def test_strict_mode_momentum_identities(self):
         prob = quad_problem(n=8, seed=15, lam=0.05)
-        cfg = OptimizerConfig(tol_rel=1e-7, max_outer=600, seed=4,
+        cfg = OptimizerConfig(tol=1e-7, max_iters=600, seed=4,
                               domination="strict")
         trace = run_apqna(prob, cfg)
         assert trace.status == CONVERGED
@@ -305,7 +325,7 @@ class TestApqna:
 
     def test_strict_mode_enforces_domination_on_samples(self):
         prob = quad_problem(n=8, seed=16, lam=0.05)
-        cfg = OptimizerConfig(tol_rel=1e-6, max_outer=400, seed=5,
+        cfg = OptimizerConfig(tol=1e-6, max_iters=400, seed=5,
                               domination="strict")
         trace = run_apqna(prob, cfg)
         sigmas = [r.step_scalar for r in trace.records[1:]]
@@ -324,7 +344,7 @@ class TestApqna:
         def factory(k, pairs):
             return models[k % 2]
 
-        cfg = OptimizerConfig(tol_rel=1e-30, max_outer=250, seed=1,
+        cfg = OptimizerConfig(tol=1e-30, max_iters=250, seed=1,
                               domination="strict")
         trace = run_apqna(prob, cfg, model_factory=factory)
         for rec in trace.records[1:]:
@@ -341,7 +361,7 @@ class TestApqna:
 
         with pytest.raises(ValueError, match=r"model_factory .* dimension 9 "
                                              r"at iteration 1, expected 5"):
-            run_apqna(prob, OptimizerConfig(max_outer=50), model_factory=factory)
+            run_apqna(prob, OptimizerConfig(max_iters=50), model_factory=factory)
         assert calls == [1]
 
 
@@ -351,9 +371,9 @@ class TestApqnaFh:
         prob = quadratic_problem(quad, 0.02)
         mu = 0.9 / quad.lmax
         cfg_fh = OptimizerConfig(sigma_init=mu, sigma_growth=1.0,
-                                 warmup_kbar=0, tol_rel=1e-9, max_outer=800,
+                                 warmup=0, tol=1e-9, max_iters=800,
                                  seed=0)
-        cfg_ap = OptimizerConfig(mu_init=mu, tol_rel=1e-9, max_outer=800,
+        cfg_ap = OptimizerConfig(mu_init=mu, tol=1e-9, max_iters=800,
                                  seed=0)
         tr_fh = run_apqna_fh(prob, cfg_fh, base=HessianModel(1.0, prob.n))
         tr_ap = run_apga(prob, cfg_ap)
@@ -364,7 +384,7 @@ class TestApqnaFh:
 
     def test_warmup_handoff_bookkeeping(self):
         prob = quad_problem(seed=18)
-        cfg = OptimizerConfig(tol_rel=1e-8, max_outer=2000, warmup_kbar=4,
+        cfg = OptimizerConfig(tol=1e-8, max_iters=2000, warmup=4,
                               seed=6)
         trace = run_apqna_fh(prob, cfg)
         assert trace.diagnostics.warmup_end == 4
@@ -383,8 +403,8 @@ class TestApqnaFh:
         xstar = np.linalg.solve(quad.dense(), quad.b)
         fstar = prob.f_value(xstar)
         dist0_sq = float(xstar @ xstar)
-        cfg = OptimizerConfig(sigma_init=1.0, warmup_kbar=0, tol_rel=1e-11,
-                              max_outer=600, seed=7)
+        cfg = OptimizerConfig(sigma_init=1.0, warmup=0, tol=1e-11,
+                              max_iters=600, seed=7)
         trace = run_apqna_fh(prob, cfg, base=HessianModel(1.0, prob.n))
         for rec in trace.records[1:]:
             bound = dist0_sq / (2.0 * rec.step_scalar * rec.t_k ** 2)
@@ -392,7 +412,7 @@ class TestApqnaFh:
 
     def test_lemma5_and_lemma6_margins(self):
         prob = quad_problem(n=25, seed=20, lam=0.01)
-        cfg = OptimizerConfig(tol_rel=1e-8, max_outer=2000, warmup_kbar=6,
+        cfg = OptimizerConfig(tol=1e-8, max_iters=2000, warmup=6,
                               seed=8, diagnostics=True)
         trace = run_apqna_fh(prob, cfg)
         assert trace.status == CONVERGED
@@ -415,12 +435,12 @@ class TestApqnaFh:
         counted = replace(prob, value_and_grad=lambda w: evaluated.append(w)
                           or prob.value_and_grad(w))
         with pytest.raises(ValueError, match=r"base has dimension 9, expected 5"):
-            run_apqna_fh(counted, OptimizerConfig(max_outer=50), base=base)
+            run_apqna_fh(counted, OptimizerConfig(max_iters=50), base=base)
         assert evaluated == []
 
     def test_sigma_underflow_raises(self):
         cfg = OptimizerConfig(sigma_init=1e-250, backtrack_cap=5000,
-                              warmup_kbar=0, max_outer=5)
+                              warmup=0, max_iters=5)
         with pytest.raises(SigmaUnderflowError):
             run_apqna_fh(broken_problem(), cfg, base=HessianModel(1.0, 3))
 
@@ -429,14 +449,14 @@ class TestTraceContracts:
     def test_records_strictly_increasing(self):
         prob = quad_problem(seed=21)
         for fn in (run_pga, run_apga):
-            trace = fn(prob, OptimizerConfig(tol_rel=1e-6, max_outer=1000))
+            trace = fn(prob, OptimizerConfig(tol=1e-6, max_iters=1000))
             ks = [r.k for r in trace.records]
             assert ks == sorted(set(ks))
 
     def test_determinism_modulo_elapsed(self):
         prob = quad_problem(seed=22)
-        cfg = OptimizerConfig(tol_rel=1e-7, max_outer=1500, seed=33,
-                              warmup_kbar=4)
+        cfg = OptimizerConfig(tol=1e-7, max_iters=1500, seed=33,
+                              warmup=4)
         a = run_apqna_fh(prob, cfg)
         b = run_apqna_fh(prob, cfg)
         assert len(a.records) == len(b.records)
@@ -449,7 +469,7 @@ class TestTraceContracts:
     def test_all_algorithms_agree_on_minimum(self):
         prob = quad_problem(seed=23)
         fstar = reference_min(prob)
-        cfg = OptimizerConfig(tol_rel=1e-6, max_outer=30000, seed=1)
+        cfg = OptimizerConfig(tol=1e-6, max_iters=30000, seed=1)
         for name, fn in ALGORITHMS.items():
             trace = fn(prob, cfg)
             assert trace.status == CONVERGED, name
@@ -470,8 +490,8 @@ def seeded_runs(draw):
     problem = quadratic_problem(synthesize_quadratic(n, gamma, lmax, seed), lam)
     x0 = np.random.default_rng(seed).standard_normal(n) * draw(
         st.sampled_from([0.0, 1.0, 100.0]))
-    config = OptimizerConfig(tol_rel=1e-6, max_outer=40, seed=seed,
-                             warmup_kbar=draw(st.integers(0, 5)),
+    config = OptimizerConfig(tol=1e-6, max_iters=40, seed=seed,
+                             warmup=draw(st.integers(0, 5)),
                              mu_init=draw(st.sampled_from([1e-2, 1.0, 1e3])),
                              diagnostics=draw(st.booleans()))
     return problem, x0, config
@@ -581,10 +601,10 @@ class TestDriverAgreement:
         """|F_a - F_b| <= max of the two tolerance-induced gaps, with
         gamma taken on the segment between the final points, plus four
         ulps of rounding in F itself.  The bound holds at any final
-        point, so runs that stop at max_outer count too."""
+        point, so runs that stop at max_iters count too."""
         problem, gamma = case
-        config = OptimizerConfig(tol_rel=1e-6, max_outer=5000, seed=3,
-                                 warmup_kbar=4)
+        config = OptimizerConfig(tol=1e-6, max_iters=5000, seed=3,
+                                 warmup=4)
         finals = [_run_to_final_point(driver, problem, config)
                   for driver in ALGORITHMS.values()]
         for (ta, xa), (tb, xb) in combinations(finals, 2):
@@ -605,7 +625,7 @@ def test_oracle_that_ignores_the_memo_gives_the_same_trace(name,
     ignoring = replace(small_logistic,
                        f_value=lambda w, memo=None: small_logistic.f_value(w),
                        f_grad=lambda w, memo=None: small_logistic.f_grad(w))
-    config = OptimizerConfig(tol_rel=1e-7, max_outer=3000, warmup_kbar=4)
+    config = OptimizerConfig(tol=1e-7, max_iters=3000, warmup=4)
     got = ALGORITHMS[name](ignoring, config)
     want = ALGORITHMS[name](small_logistic, config)
     assert got.status == want.status == CONVERGED
@@ -616,7 +636,7 @@ def test_oracle_that_ignores_the_memo_gives_the_same_trace(name,
 def test_positional_x0_is_the_start_point(name):
     prob = quad_problem(seed=24)
     x0 = np.linspace(-0.5, 0.5, prob.n)
-    trace = ALGORITHMS[name](prob, OptimizerConfig(max_outer=3), x0)
+    trace = ALGORITHMS[name](prob, OptimizerConfig(max_iters=3), x0)
     assert trace.records[0].fval == pytest.approx(
         prob.f_value(x0) + l1_value(x0, prob.lam), rel=1e-14)
 

@@ -335,8 +335,8 @@ class TestOracleMemo:
                     name: _counted(calls, name, getattr(small_logistic, name))
                     for name in ("f_value", "f_grad", "value_and_grad")})
                 trace = ALGORITHMS[algorithm](
-                    prob, OptimizerConfig(tol_rel=1e-6, max_outer=300,
-                                          warmup_kbar=3))
+                    prob, OptimizerConfig(tol=1e-6, max_iters=300,
+                                          warmup=3))
             assert trace.iterations > 3
             assert calls["f_grad"] == trace.iterations, backend
             assert (calls["forward"]

@@ -15,11 +15,10 @@ from proxqn.hessian import (
     compile_compact,
     model_value,
 )
+from proxqn.optimizers import OptimizerConfig, budget_for_iteration
 from proxqn.problem import l1_value, min_norm_subgradient
 from proxqn.subsolver import (
     CdWorkspace,
-    SubproblemBudget,
-    budget_for_iteration,
     cd_minimize,
     exact_solve_oracle,
     phi_constant,
@@ -47,21 +46,21 @@ def coordinate_step(a, b, u_j, lam):
 
 class TestBudget:
     def test_floor_binds_early(self):
-        assert budget_for_iteration(3, SubproblemBudget()) == 5
+        assert budget_for_iteration(3, OptimizerConfig()) == 5
 
     def test_cap_binds_late(self):
-        assert budget_for_iteration(3000, SubproblemBudget()) == 1000
+        assert budget_for_iteration(3000, OptimizerConfig()) == 1000
 
     def test_linear_regime(self):
-        assert budget_for_iteration(300, SubproblemBudget()) == 100
+        assert budget_for_iteration(300, OptimizerConfig()) == 100
 
     def test_requires_positive_iteration(self):
         with pytest.raises(ValueError):
-            budget_for_iteration(0, SubproblemBudget())
+            budget_for_iteration(0, OptimizerConfig())
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            SubproblemBudget(cap=3, floor=5)
+            OptimizerConfig(inner_cap=3, inner_floor=5)
 
 
 class TestPhiConstant:
