@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from ._cdkernel import backend
 from .harness import (
     SETTINGS,
     ExperimentSpec,
-    _parse_synthetic,
     build_config,
     build_problem,
     emit_trace_csv,
+    experiment_fields,
     parse_experiment_spec,
     rate_diagnostics,
     read_trace_csv,
@@ -33,16 +34,19 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 
+# The problem-source flags, each named as its spec-file key.  Values
+# stay strings, read by the key's reader exactly as for a spec file.
+SOURCE_KEYS = ("dataset", "positive_class", "n_features", "synthetic", "lambda")
+
+
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", help="LIBSVM text file")
     p.add_argument("--positive-class",
                    help="raw label mapped to +1 (one-vs-rest)")
-    p.add_argument("--n-features", type=int,
-                   help="override the inferred feature count")
+    p.add_argument("--n-features", help="override the inferred feature count")
     p.add_argument("--synthetic", metavar="n=..,gamma=..,L=..,seed=..",
                    help="seeded quadratic instance instead of a dataset")
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-3,
-                   help="l1 weight (default 1e-3)")
+    p.add_argument("--lambda", help="l1 weight (default 1e-3)")
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -53,33 +57,19 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                        metavar=typ.__name__.upper())
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    return {key: getattr(args, key) for key in SETTINGS
-            if getattr(args, key) is not None}
-
-
-def _spec_from_args(args: argparse.Namespace, algorithms: list[str]) -> ExperimentSpec:
-    spec = ExperimentSpec(algorithms=algorithms, lam=args.lam)
-    if args.dataset:
-        spec.dataset_path = args.dataset
-        spec.positive_class = args.positive_class
-        spec.n_features = args.n_features
-    elif args.synthetic:
-        spec.synthetic = _parse_synthetic(args.synthetic)
-    spec.validate()
-    return spec
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        spec = _spec_from_args(args, [args.algorithm])
+        settings = {key: getattr(args, key) for key in SETTINGS
+                    if getattr(args, key) is not None}
+        spec = ExperimentSpec(
+            {args.algorithm: build_config(settings)},
+            **experiment_fields({key: getattr(args, key) for key in SOURCE_KEYS}))
         problem = build_problem(spec)
-        config = build_config(_collect_overrides(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        trace = ALGORITHMS[args.algorithm](problem, config)
+        trace = ALGORITHMS[args.algorithm](problem, spec.configs[args.algorithm])
     except Exception as exc:
         print(f"error: {args.algorithm}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -95,16 +85,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        spec = parse_experiment_spec(args.spec)
-        if args.output_dir:
-            spec.output_dir = args.output_dir
-        if args.checkpoints:
-            spec.checkpoints = [int(c) for c in args.checkpoints.split(",")]
-        spec.validate()
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        spec = replace(parse_experiment_spec(args.spec), **experiment_fields(
+            {"output_dir": args.output_dir, "checkpoints": args.checkpoints}))
         report, _ = run_experiment(spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

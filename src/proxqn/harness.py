@@ -14,7 +14,7 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -140,12 +140,29 @@ class SyntheticSpec:
     l_target: float = 10.0
     seed: int = 0
 
+    @classmethod
+    def parse(cls, text: str) -> SyntheticSpec:
+        """``n=.., gamma=.., L=.., seed=..`` (commas or spaces); ``L`` and
+        ``lmax`` name ``l_target``, and keys left out keep the defaults."""
+        types, out = get_type_hints(cls), {}
+        for item in text.replace(",", " ").split():
+            key, _, raw = item.partition("=")
+            key = {"l": "l_target", "lmax": "l_target"}.get(key.lower(), key.lower())
+            if key not in types:
+                raise ValueError(f"unknown synthetic parameter {key!r}")
+            try:
+                out[key] = types[key](raw)
+            except ValueError:
+                raise ValueError(f"{key} = {raw!r} is not {types[key].__name__}") from None
+        return cls(**out)
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark run: a problem source, algorithms, and overrides."""
+    """One benchmark run: a problem source and each algorithm's config,
+    in run order.  Every check runs once, when the record is built."""
 
-    algorithms: list[str]
+    configs: dict[str, OptimizerConfig]
     lam: float = 1e-3
     dataset_path: str | None = None
     positive_class: str | None = None
@@ -153,90 +170,84 @@ class ExperimentSpec:
     synthetic: SyntheticSpec | None = None
     output_dir: str = "."
     checkpoints: list[int] | None = None
-    common: dict[str, str] = field(default_factory=dict)
-    overrides: dict[str, dict[str, str]] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        if not self.algorithms:
+    def __post_init__(self) -> None:
+        if not self.configs:
             raise ValueError("at least one algorithm is required")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        unknown = [a for a in self.configs if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset/synthetic must be given")
+        for key in ("positive_class", "n_features"):
+            if self.synthetic is not None and getattr(self, key) is not None:
+                raise ValueError(f"{key} applies to a dataset, not to synthetic")
         if self.checkpoints is not None:
             if any(c < 0 for c in self.checkpoints):
                 raise ValueError(f"checkpoints must be nonnegative: {self.checkpoints}")
             if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
-        build_config(self.common)
-        for alg in dict.fromkeys([*self.algorithms, *self.overrides]):
-            try:
-                self.config(alg)
-            except ValueError as exc:
-                raise ValueError(f"[{alg}] {exc}") from None
-
-    def config(self, algorithm: str) -> OptimizerConfig:
-        """The [experiment] settings, then the algorithm's own section."""
-        return build_config(self.overrides.get(algorithm, {}),
-                            build_config(self.common))
 
 
-def _parse_synthetic(text: str) -> SyntheticSpec:
-    """``n=.., gamma=.., L=.., seed=..`` (commas or spaces); keys left
-    out keep the defaults of :class:`SyntheticSpec`."""
+# The keys of an [experiment] section besides ``algorithms`` and the
+# settings, which are also ``proxqn run``'s source flags: key ->
+# (``ExperimentSpec`` field, reader of the value).
+_EXPERIMENT_KEYS = {
+    "lambda": ("lam", float),
+    "dataset": ("dataset_path", str),
+    "positive_class": ("positive_class", str),
+    "n_features": ("n_features", int),
+    "synthetic": ("synthetic", SyntheticSpec.parse),
+    "output_dir": ("output_dir", str),
+    "checkpoints": ("checkpoints", lambda raw: [int(c) for c in raw.split(",")]),
+}
+
+
+def experiment_fields(raw: dict[str, str | None]) -> dict[str, object]:
+    """The ``ExperimentSpec`` fields that experiment keys set, each value
+    read by its key's reader; a key whose value is None sets nothing."""
     out = {}
-    for item in text.replace(",", " ").split():
-        key, _, val = item.partition("=")
-        key = key.strip().lower()
-        if key == "n":
-            out["n"] = int(val)
-        elif key == "gamma":
-            out["gamma"] = float(val)
-        elif key in ("l", "l_target", "lmax"):
-            out["l_target"] = float(val)
-        elif key == "seed":
-            out["seed"] = int(val)
-        else:
-            raise ValueError(f"unknown synthetic parameter {key!r}")
-    return SyntheticSpec(**out)
+    for key, value in raw.items():
+        if value is None:
+            continue
+        name, reader = _EXPERIMENT_KEYS[key]
+        try:
+            out[name] = reader(value)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {value!r}: {exc}") from None
+    return out
 
 
 def parse_experiment_spec(path: str) -> ExperimentSpec:
     """Flat key = value sections: [experiment] plus one optional section
-    per algorithm with config overrides."""
+    per algorithm with config overrides, applied over the experiment's."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read experiment spec {path!r}")
-    if "experiment" not in parser:
+    try:
+        if not parser.read(path):
+            raise ValueError(f"cannot read experiment spec {path!r}")
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
+    exp = sections.pop("experiment", None)
+    if exp is None:
         raise ValueError(f"{path}: missing [experiment] section")
-    exp = dict(parser["experiment"])
-    algorithms = [a.strip() for a in exp.pop("algorithms", "").split(",") if a.strip()]
-    spec = ExperimentSpec(algorithms=algorithms)
-    if "lambda" in exp:
-        spec.lam = float(exp.pop("lambda"))
-    if "dataset" in exp:
-        spec.dataset_path = exp.pop("dataset")
-    if "positive_class" in exp:
-        spec.positive_class = exp.pop("positive_class")
-    if "n_features" in exp:
-        spec.n_features = int(exp.pop("n_features"))
-    if "synthetic" in exp:
-        spec.synthetic = _parse_synthetic(exp.pop("synthetic"))
-    if "output_dir" in exp:
-        spec.output_dir = exp.pop("output_dir")
-    if "checkpoints" in exp:
-        spec.checkpoints = [int(c) for c in exp.pop("checkpoints").split(",")]
-    spec.common = exp
-    for section in parser.sections():
-        if section == "experiment":
-            continue
+    for section in sections:
         if section not in ALGORITHMS:
             raise ValueError(f"{path}: unknown algorithm section [{section}]")
-        spec.overrides[section] = dict(parser[section])
-    spec.validate()
-    return spec
+    algorithms = [a.strip() for a in exp.pop("algorithms", "").split(",") if a.strip()]
+    for alg in algorithms:
+        if algorithms.count(alg) > 1:
+            raise ValueError(f"algorithms lists {alg} more than once")
+    fields = experiment_fields({key: exp.pop(key) for key in list(exp)
+                                if key in _EXPERIMENT_KEYS})
+    common = build_config(exp)
+    configs = {}
+    for alg in dict.fromkeys([*algorithms, *sections]):
+        try:
+            configs[alg] = build_config(sections.get(alg, {}), common)
+        except ValueError as exc:
+            raise ValueError(f"[{alg}] {exc}") from None
+    return ExperimentSpec({alg: configs[alg] for alg in algorithms}, **fields)
 
 
 def build_problem(spec: ExperimentSpec) -> CompositeProblem:
@@ -321,13 +332,12 @@ def assemble_report(traces: list[Trace],
 def run_experiment(spec: ExperimentSpec) -> tuple[ComparisonReport, dict[str, Trace]]:
     """Run every algorithm in the spec from the zero start and write
     trace CSVs plus the text/CSV report into the output directory."""
-    spec.validate()
     problem = build_problem(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
     traces: dict[str, Trace] = {}
-    for alg in spec.algorithms:
+    for alg, config in spec.configs.items():
         try:
-            trace = ALGORITHMS[alg](problem, spec.config(alg))
+            trace = ALGORITHMS[alg](problem, config)
         except Exception as exc:
             raise RuntimeError(f"{alg}: {exc}") from exc
         if trace.status == BACKTRACK_FAILURE:

@@ -87,8 +87,8 @@ MONOTONE_SLACK = 8 * np.finfo(float).eps
 
 def _accepts(f_new: float, f_old: float, q_val: float, eta: float,
              monotone: bool = False) -> bool:
-    # An infinite trial value would pass against an infinite model value.
-    if not math.isfinite(f_new):
+    # Against an infinite model value any trial value would pass.
+    if not (math.isfinite(f_new) and math.isfinite(q_val)):
         return False
     scale = max(1.0, abs(f_old))
     if monotone and f_new > f_old + MONOTONE_SLACK * scale:

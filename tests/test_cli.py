@@ -6,7 +6,7 @@ import pytest
 
 from proxqn.cli import main
 from proxqn.dataset import write_libsvm
-from proxqn.harness import SETTINGS, read_trace_csv
+from proxqn.harness import SETTINGS, parse_experiment_spec, read_trace_csv
 from proxqn.optimizers import OptimizerConfig
 
 from conftest import make_dataset
@@ -190,6 +190,10 @@ def test_run_takes_every_setting_as_a_flag(capsys):
     ("--sigma-growth", "inf", "sigma_growth"),
     ("--tol", "inf", "tol"),
     ("--max-iters", "0", "max_iters"),
+    # the problem-source flags, read as their spec-file keys
+    ("--lambda", "x", "lambda"),
+    ("--n-features", "abc", "n_features"),
+    ("--synthetic", "n=abc", "synthetic"),
 ])
 def test_run_bad_setting_value_exits_one(capsys, flag, value, named):
     code = main(["run", "--algorithm", "pqna-lbfgs", "--subsolver", "exact",
@@ -220,6 +224,76 @@ output_dir = {out_dir}
     assert main(["compare", str(spec)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("synthetic = n=5\n[experiment]\nalgorithms = pga\n",
+     "no section headers"),
+    ("[experiment]\nsynthetic = n=5\nalgorithms = pga\ngarbage\n",
+     "parsing errors"),
+    ("[experiment]\nsynthetic = n=5\nalgorithms = pga\ntol = 1e-3\ntol = 1e-4\n",
+     "option 'tol' in section 'experiment' already exists"),
+], ids=["no-section-header", "line-without-equals", "duplicated-key"])
+def test_compare_names_a_malformed_spec_file(tmp_path, capsys, text, cause):
+    spec = tmp_path / "exp.ini"
+    spec.write_text(text)
+    assert main(["compare", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and cause in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("experiment, argv, named", [
+    ("lambda = x", [], "lambda"),
+    ("n_features = abc", [], "n_features"),
+    ("checkpoints = 1,x", [], "checkpoints"),
+    ("synthetic = n=abc", [], "synthetic"),
+    ("", ["--checkpoints", "1,y"], "checkpoints"),
+], ids=["lambda", "n_features", "checkpoints", "synthetic", "--checkpoints"])
+def test_compare_bad_experiment_value_names_its_key(tmp_path, capsys,
+                                                    experiment, argv, named):
+    out_dir = tmp_path / "results"
+    spec = tmp_path / "exp.ini"
+    spec.write_text(f"""
+[experiment]
+algorithms = pga
+output_dir = {out_dir}
+{experiment or "synthetic = n=10"}
+""")
+    assert main(["compare", str(spec), *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named} ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--dataset", "DATASET", "dataset"),
+    ("--positive-class", "3", "positive_class"),
+    ("--n-features", "9", "n_features"),
+])
+def test_run_refuses_a_source_flag_a_synthetic_run_would_drop(tmp_path, capsys,
+                                                              flag, value, named):
+    ds_path = tmp_path / "toy.libsvm"
+    write_libsvm(make_dataset([[(0, 1.0)], [(1, 2.0)]], np.array([1.0, -1.0])),
+                 str(ds_path))
+    code = main(["run", "--algorithm", "pga", "--synthetic", "n=5",
+                 flag, str(ds_path) if value == "DATASET" else value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+def test_compare_refuses_an_algorithm_listed_twice(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    spec = tmp_path / "exp.ini"
+    spec.write_text(f"""
+[experiment]
+synthetic = n=10
+algorithms = pga, apga, pga
+output_dir = {out_dir}
+""")
+    assert main(["compare", str(spec)]) == 1
+    assert capsys.readouterr().err.startswith("error: algorithms lists pga ")
     assert not out_dir.exists()
 
 
@@ -260,3 +334,18 @@ def test_readme_flag_table_lists_every_setting_with_its_domain():
                 if f.name in SETTINGS}
     assert len(rows) == len(table) == len(SETTINGS)
     assert table == declared
+
+
+def test_readme_compare_spec_parses(tmp_path):
+    """The README's ``compare`` spec file is one that parses, to the
+    record its text describes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "experiment.ini"
+    path.write_text(readme.split("```ini\n")[1].split("```")[0])
+    spec = parse_experiment_spec(str(path))
+    assert list(spec.configs) == ["apga", "apqna-fh"]
+    assert (spec.dataset_path, spec.lam) == ("data/a9a", 1e-3)
+    assert (spec.output_dir, spec.checkpoints) == ("results/a9a", [40, 80])
+    assert spec.configs["apga"] == OptimizerConfig(tol=1e-5)
+    assert spec.configs["apqna-fh"] == OptimizerConfig(tol=1e-5, warmup=8,
+                                                       sigma_growth=1.015)

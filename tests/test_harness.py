@@ -129,10 +129,12 @@ mu_init = 0.5
         path = tmp_path / "exp.ini"
         path.write_text(spec_text.format(out=tmp_path / "out"))
         spec = parse_experiment_spec(str(path))
-        assert spec.algorithms == ["pga", "apga"]
+        assert list(spec.configs) == ["pga", "apga"]
         assert spec.lam == 0.01
         assert spec.checkpoints == [10, 20]
-        assert spec.overrides["apga"]["mu_init"] == "0.5"
+        assert spec.configs["apga"].mu_init == 0.5
+        assert spec.configs["apga"].tol == spec.configs["pga"].tol == 1e-6
+        assert spec.configs["pga"].mu_init == OptimizerConfig().mu_init
 
     def test_empty_algorithms_rejected(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -148,10 +150,9 @@ mu_init = 0.5
             parse_experiment_spec(str(path))
 
     def test_checkpoints_must_increase(self):
-        spec = ExperimentSpec(algorithms=["pga"], synthetic=SyntheticSpec(n=5),
-                              checkpoints=[10, 10])
         with pytest.raises(ValueError, match="increasing"):
-            spec.validate()
+            ExperimentSpec({"pga": OptimizerConfig()}, synthetic=SyntheticSpec(n=5),
+                           checkpoints=[10, 10])
 
     def test_synthetic_parses_to_a_spec(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -165,24 +166,23 @@ mu_init = 0.5
             parse_experiment_spec(str(path))
 
     def test_needs_exactly_one_source(self):
-        spec = ExperimentSpec(algorithms=["pga"])
         with pytest.raises(ValueError, match="dataset/synthetic"):
-            spec.validate()
+            ExperimentSpec({"pga": OptimizerConfig()})
 
 
 class TestRunExperiment:
     def test_synthetic_all_algorithms_agree(self, tmp_path):
         spec = ExperimentSpec(
-            algorithms=["pga", "apga", "pqna-lbfgs", "apqna-fh"],
+            dict.fromkeys(["pga", "apga", "pqna-lbfgs", "apqna-fh"],
+                          OptimizerConfig(tol=1e-7, max_iters=20000)),
             lam=0.01,
             synthetic=SyntheticSpec(n=20, gamma=0.3, l_target=6.0, seed=4),
             output_dir=str(tmp_path / "out"),
-            common={"tol": "1e-7", "max_iters": "20000"},
         )
         report, _ = run_experiment(spec)
         finals = [row.final_fval for row in report.rows]
         assert max(finals) - min(finals) <= 1e-4
-        for alg in spec.algorithms:
+        for alg in spec.configs:
             assert os.path.exists(os.path.join(spec.output_dir,
                                                f"{alg}.trace.csv"))
         assert os.path.exists(os.path.join(spec.output_dir, "report.txt"))
@@ -195,16 +195,15 @@ class TestRunExperiment:
 
     def test_report_regenerates_from_stored_csvs(self, tmp_path):
         spec = ExperimentSpec(
-            algorithms=["pga", "apqna-fh"],
+            dict.fromkeys(["pga", "apqna-fh"], OptimizerConfig(tol=1e-6)),
             lam=0.01,
             synthetic=SyntheticSpec(n=15, gamma=0.3, l_target=5.0, seed=9),
             output_dir=str(tmp_path / "out"),
-            common={"tol": "1e-6"},
         )
         report, traces = run_experiment(spec)
         reloaded = [read_trace_csv(os.path.join(spec.output_dir,
                                                 f"{alg}.trace.csv"), alg)
-                    for alg in spec.algorithms]
+                    for alg in spec.configs]
         regenerated = assemble_report(reloaded)
         assert regenerated.to_text() == report.to_text()
         assert regenerated.to_csv_text() == report.to_csv_text()
@@ -217,8 +216,8 @@ class TestRunExperiment:
         ds_path = str(tmp_path / "toy.libsvm")
         write_libsvm(make_dataset(rows, labels), ds_path)
         spec = ExperimentSpec(
-            algorithms=["pqna-lbfgs"], lam=1e-3, dataset_path=ds_path,
-            output_dir=str(tmp_path / "out"), common={"tol": "1e-5"},
+            {"pqna-lbfgs": OptimizerConfig(tol=1e-5)}, lam=1e-3, dataset_path=ds_path,
+            output_dir=str(tmp_path / "out"),
         )
         report, traces = run_experiment(spec)
         assert traces["pqna-lbfgs"].status == "converged"

@@ -91,6 +91,10 @@ class TestScalarOps:
         # inf <= inf: an overflowed model value would pass an overflowed F.
         assert not _accepts(math.inf, 0.0, math.inf, 1.0)
 
+    def test_infinite_model_value_is_rejected(self):
+        # F - F_old <= eta (inf - F_old) holds for every finite F.
+        assert not _accepts(6e307, 0.0, math.inf, 1.0)
+
     def test_t_next_golden_ratio(self):
         assert t_next(1.0, 1.0) == pytest.approx(GOLDEN, abs=1e-12)
 
@@ -243,6 +247,15 @@ class TestApga:
         the model value alike, and inf <= inf must not accept it."""
         trace = run_apga(quad_problem(n=5), OptimizerConfig(mu_init=1e160))
         assert np.all(np.isfinite(trace.fvals()))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_step_against_an_infinite_model_value_is_refused(self):
+        """On this quadratic mu = 1e160 overflows the model value but not
+        F (about 6e307): no row may lie above F(x0)."""
+        prob = quadratic_problem(synthesize_quadratic(5, 0.1, 10.0, 0), 1e-3)
+        trace = run_apga(prob, OptimizerConfig(mu_init=1e160))
+        f0 = prob.f_value(np.zeros(5))
+        assert all(f <= f0 for f in trace.fvals()), trace.fvals()
 
 
 class TestPqna:
