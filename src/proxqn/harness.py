@@ -177,6 +177,8 @@ class ExperimentSpec:
         unknown = [a for a in self.configs if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must lie in [0, inf), got {self.lam}")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset/synthetic must be given")
         for key in ("positive_class", "n_features"):
@@ -190,8 +192,9 @@ class ExperimentSpec:
 
 
 # The keys of an [experiment] section besides ``algorithms`` and the
-# settings, which are also ``proxqn run``'s source flags: key ->
-# (``ExperimentSpec`` field, reader of the value).
+# settings: key -> (``ExperimentSpec`` field, reader of the value).
+# ``run``'s source flags and ``compare``'s --output-dir and --checkpoints
+# are read by the same table.
 _EXPERIMENT_KEYS = {
     "lambda": ("lam", float),
     "dataset": ("dataset_path", str),

@@ -192,6 +192,7 @@ def test_run_takes_every_setting_as_a_flag(capsys):
     ("--max-iters", "0", "max_iters"),
     # the problem-source flags, read as their spec-file keys
     ("--lambda", "x", "lambda"),
+    ("--lambda", "-1", "lambda"),
     ("--n-features", "abc", "n_features"),
     ("--synthetic", "n=abc", "synthetic"),
 ])
