@@ -150,10 +150,11 @@ class SyntheticSpec:
             key = {"l": "l_target", "lmax": "l_target"}.get(key.lower(), key.lower())
             if key not in types:
                 raise ValueError(f"unknown synthetic parameter {key!r}")
+            typ = types[key]
             try:
-                out[key] = types[key](raw)
+                out[key] = typ(raw)
             except ValueError:
-                raise ValueError(f"{key} = {raw!r} is not {types[key].__name__}") from None
+                raise ValueError(f"{key} = {raw!r} is not {typ.__name__}") from None
         return cls(**out)
 
 
