@@ -10,7 +10,8 @@ domination, the exact subsolver, a custom ``model_factory``, the
 logistic oracles on valued and on binary data, the fixed base after
 warm-ups of 8, 6 and 0 iterations, an explicit base, a run stopped
 inside the warm-up, the three ``run_pqna`` Hessian modes, and a
-backtracking failure.
+backtracking failure in the monotone loop (pga, pqna) and in the
+accelerated one (apqna-lbfgs, apqna-fh).
 
 Every case runs twice: on the active backend (the compiled kernel
 wherever it builds, for the coordinate-descent loops and the logistic
@@ -154,6 +155,9 @@ CASES = {
         base=HessianModel(1.0, 3)),
     "apqna-backtrack-failure": lambda: run_apqna(
         _broken(), _cfg(backtrack_cap=5)),
+    "pga-backtrack-failure": lambda: run_pga(_broken(), _cfg(backtrack_cap=5)),
+    "pqna-backtrack-failure": lambda: run_pqna(
+        _broken(), _cfg(backtrack_cap=5), "lbfgs"),
 }
 
 
