@@ -681,3 +681,46 @@ class TestConfigValidation:
     def test_domination_values(self):
         with pytest.raises(ValueError):
             OptimizerConfig(domination="loose")
+
+
+def _counting(problem):
+    """``problem`` with each oracle counting its calls in ``calls``."""
+    calls = dict.fromkeys(("f_value", "f_grad", "value_and_grad"), 0)
+
+    def counted(name):
+        oracle = getattr(problem, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return oracle(*args, **kwargs)
+        return call
+    return replace(problem, **{name: counted(name) for name in calls}), calls
+
+
+@pytest.mark.parametrize("max_iters", [20000, 3])
+@pytest.mark.parametrize("name", [*sorted(ALGORITHMS), "apqna-lbfgs-strict"])
+def test_oracle_calls_are_a_function_of_the_trace(name, max_iters):
+    """One f_value per trial and one f_grad per accepted point; one
+    value_and_grad at x0 and, in an accelerated phase, one at each
+    momentum point after a row that does not stop the run, plus at most
+    one per backtrack where the momentum point moves with sigma."""
+    problem, calls = _counting(quad_problem())
+    domination = "strict" if name.endswith("strict") else "relaxed"
+    config = OptimizerConfig(max_iters=max_iters, domination=domination)
+    trace = ALGORITHMS[name.removesuffix("-strict")](problem, config)
+    assert trace.status == (CONVERGED if max_iters > 3 else MAX_ITER)
+    backtracks = sum(r.backtracks for r in trace.records)
+    assert calls["f_value"] == trace.iterations + backtracks
+    assert calls["f_grad"] == trace.iterations
+    if not name.startswith("ap"):
+        assert calls["value_and_grad"] == 1
+        return
+    warmup_end = trace.diagnostics.warmup_end
+    accelerated = trace.iterations - (
+        warmup_end if warmup_end is not None
+        else trace.iterations if name == "apqna-fh" else 0)
+    least = 1 + accelerated - (trace.status == CONVERGED)
+    if name in ("apga", "apqna-lbfgs"):
+        assert calls["value_and_grad"] == least
+    else:
+        assert least <= calls["value_and_grad"] <= least + backtracks
