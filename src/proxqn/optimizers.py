@@ -17,16 +17,19 @@ subgradient):
                    H_k = (1/sigma_k) H, where the domination condition
                    holds automatically
 
-The drivers run on two loops, each driven by a small step rule.
-``_pqna_engine`` is the monotone loop: it backtracks over mu, regrows
-mu after each accepted step and never increases F.  pga gives it the
-prox rule (H = I/mu, judged by Q_mu with eta = 1) and the pqna drivers
-the model rule (H = G_k + I/(2 mu), eta from the config).
-``_accelerate`` is the FISTA loop: the clock t_k, the momentum point
-y_k and backtracking.  Its policy forms the trial step and moves the
-step scalar: apga's prox steps with a nonincreasing mu, apqna-lbfgs's
-variable models or apqna-fh's fixed base.  Its iterates need not
-decrease F.
+All six run on one loop, ``_iterate``, each driven by a step rule.
+The loop backtracks around the rule's trial step, evaluates the
+gradient at the accepted point, appends its row and tests for
+convergence; for a rule with momentum it also keeps the FISTA clock
+t_k, theta_k and the momentum point y_k.  A rule without momentum
+takes its step at x_k and never increases F: pga's prox step (H = I/mu,
+judged by Q_mu with eta = 1) and the pqna drivers' model step (H = G_k
++ I/(2 mu), eta from the config), both backtracking over mu and
+regrowing it after each row.  A rule with momentum takes its step at
+y_k and its iterates need not decrease F: apga's prox steps with a
+nonincreasing mu, apqna-lbfgs's variable models or apqna-fh's fixed
+base.  apqna-fh runs the pqna-lbfgs rule for its warm-up, then hands
+the warm iterate to its own rule.
 
 All randomness flows through one seeded PCG64 generator per run, so
 traces are reproducible bit-for-bit apart from the elapsed-time column.
@@ -265,17 +268,6 @@ def _subgrad_inf(grad: np.ndarray, x: np.ndarray, lam: float) -> float:
     return float(np.abs(min_norm_subgradient(grad, x, lam)).max())
 
 
-def _prox_rule(lam: float):
-    """Trial rule of pga and apga: u = prox(v - mu g), judged by
-    Q_mu(u) = f(v) + g'(u - v) + ||u - v||^2/(2 mu) + lam ||u||_1."""
-    def trial(k, mu, v, f_v, g):
-        u = prox_l1_scaled_identity(v - mu * g, mu, lam)
-        u_l1 = l1_value(u, lam)
-        d = u - v
-        return u, u_l1, f_v + float(g @ d) + float(d @ d) / (2.0 * mu) + u_l1, 0
-    return trial
-
-
 def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, rng):
     """Trial step of a quadratic model at v: a scaled identity has the
     soft threshold as its exact minimizer; coupled models go through
@@ -294,8 +286,8 @@ def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, rng):
 @dataclass
 class _QnState:
     """One run from its start point: the trace, its clock start and the
-    initial subgradient norm, and the current point, advanced in place by
-    the monotone loop and handed from apqna-fh's warm-up to its
+    initial subgradient norm, and the last accepted point, advanced in
+    place by the loop and handed from apqna-fh's warm-up to its
     acceleration."""
 
     trace: Trace
@@ -305,12 +297,10 @@ class _QnState:
     fsm: float
     fval: float
     grad: np.ndarray
-    mu: float
     last_k: int = 0
 
 
-def _first_row(problem: CompositeProblem, config: OptimizerConfig,
-               algorithm: str, step_scalar: float,
+def _first_row(problem: CompositeProblem, algorithm: str, step_scalar: float,
                x0: np.ndarray | None) -> _QnState:
     """The state at x0, its trace holding row 0 (already converged if x0
     is stationary)."""
@@ -324,79 +314,173 @@ def _first_row(problem: CompositeProblem, config: OptimizerConfig,
                                      time.perf_counter() - t0))
     if norm0 == 0.0:
         trace.status = CONVERGED
-    return _QnState(trace, t0, norm0, x, fsm, fval, grad, config.mu_init)
+    return _QnState(trace, t0, norm0, x, fsm, fval, grad)
 
 
-def _pqna_engine(problem, config, trial, eta, state: _QnState, max_iters,
-                 after_row=None) -> None:
-    """The monotone loop of pga and the pqna drivers, up to ``max_iters``.
+def _checked_sigma(sigma: float, k: int) -> float:
+    if sigma < SIGMA_UNDERFLOW:
+        raise SigmaUnderflowError(f"sigma={sigma:.3e} at iteration {k}")
+    return sigma
 
-    ``trial(k, mu, x, f(x), grad) -> (u, lam ||u||_1, Q(u), inner steps)``;
-    u is accepted on an ``eta`` fraction of the model decrease and no
-    rise in F, else mu shrinks by beta.  mu regrows by 1/beta (capped)
-    after each accepted row, which ``after_row(state, x_old, grad_old)``
-    sees first.  Mutates ``state`` and its trace in place.
+
+class _StepRule:
+    """A step rule of :func:`_iterate`, and the defaults of its hooks.
+
+    ``trial(k, step, v, f(v), grad f(v)) -> (u, lam ||u||_1, Q(u), inner
+    steps)`` forms the trial step at v, which is x_k, or the momentum
+    point y_k when the rule has ``momentum``; u is accepted on an
+    ``eta`` fraction of the model decrease, and without momentum also
+    on no rise in F.  ``backtrack(step, step_prev)`` gives the step
+    scalar after a rejection and whether theta, t_k and y_k follow it.
+    ``after_row(state, x_old, grad_old, theta_k)`` sees each accepted
+    row before the stop test and ``advance(state, step, x_old,
+    grad_old)`` gives (step_{k+1}, theta_k) after it.  The defaults
+    make the monotone rule: a backtrack shrinks mu by beta, and mu
+    regrows by 1/beta, capped at ``mu_cap``, after each row.
     """
-    trace = state.trace
+
+    eta = 1.0
+    momentum = False
+
+    def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
+                 rng: np.random.Generator | None = None):
+        self.lam, self.n, self.config, self.rng = problem.lam, problem.n, config, rng
+
+    def backtrack(self, step: float, step_prev: float) -> tuple[float, bool]:
+        return step * self.config.beta, False
+
+    def after_row(self, state: _QnState, x_old: np.ndarray,
+                  grad_old: np.ndarray, theta: float) -> None:
+        pass
+
+    def advance(self, state: _QnState, step: float, x_old: np.ndarray,
+                grad_old: np.ndarray) -> tuple[float, float]:
+        return min(step / self.config.beta, self.config.mu_cap), 1.0
+
+
+def _iterate(problem: CompositeProblem, config: OptimizerConfig,
+             policy: _StepRule, state: _QnState, step: float,
+             max_iters: int) -> None:
+    """The outer loop of all six drivers, from ``state`` with step scalar
+    ``step`` up to iteration ``max_iters``: backtracking around the
+    policy's trial step and, for a policy with momentum, the FISTA clock
+    (t_k, theta_k, y_k and x_{k-1}).  Advances ``state`` to each
+    accepted point and appends its row to ``state.trace``."""
+    lam, trace, momentum = problem.lam, state.trace, policy.momentum
+    # Accelerated clock: t_0 = 0 and x_{-1} = x_0 make the generic
+    # recomputation formulas produce t_1 = 1 and y_1 = x_0.
+    t_km1, t_k, theta = 0.0, 1.0, 1.0
+    x_km2, step_prev = state.x, step
+    v, f_v, g_v, fval_v = state.x, state.fsm, state.grad, state.fval
     memo = Memo()
     for k in range(state.last_k + 1, max_iters + 1):
         backtracks = inner = 0
         while True:
-            u, u_l1, qval, steps = trial(k, state.mu, state.x, state.fsm, state.grad)
+            u, u_l1, qval, steps = policy.trial(k, step, v, f_v, g_v)
             inner += steps
             u_f = problem.f_value(u, memo)
             u_fval = u_f + u_l1
-            if _accepts(u_fval, state.fval, qval, eta, monotone=True):
+            if _accepts(u_fval, fval_v, qval, policy.eta, not momentum):
                 break
-            state.mu *= config.beta
             backtracks += 1
             if backtracks > config.backtrack_cap:
                 trace.status = BACKTRACK_FAILURE
                 return
+            step, y_moves = policy.backtrack(step, step_prev)
+            if not y_moves:
+                continue
+            step = _checked_sigma(step, k)
+            theta = step_prev / step
+            t_k = t_next(t_km1, theta)
+            y = momentum_point(state.x, x_km2, t_km1, t_k)
+            # sigma only shrinks here, so y_k can only repeat the last y.
+            # Bytewise, so that -0.0 and 0.0 count as different points.
+            if y.tobytes() != v.tobytes():
+                v = y
+                f_v, g_v = problem.value_and_grad(v)
+                fval_v = f_v + l1_value(v, lam)
         x_old, grad_old = state.x, state.grad
         state.x, state.fsm, state.fval = u, u_f, u_fval
         state.grad = problem.f_grad(u, memo)
         state.last_k = k
-        norm = _subgrad_inf(state.grad, u, problem.lam)
+        norm = _subgrad_inf(state.grad, u, lam)
         trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
-                                         state.mu, 1.0,
+                                         step, t_k,
                                          time.perf_counter() - state.t0))
-        if after_row is not None:
-            after_row(state, x_old, grad_old)
+        policy.after_row(state, x_old, grad_old, theta)
         if norm <= config.tol * state.norm0:
             trace.status = CONVERGED
             return
-        state.mu = min(state.mu / config.beta, config.mu_cap)
+        step_prev = step
+        step, theta = policy.advance(state, step, x_old, grad_old)
+        if not momentum:
+            v, f_v, g_v, fval_v = u, u_f, state.grad, u_fval
+            continue
+        t_new = t_next(t_k, theta)
+        v = momentum_point(u, x_old, t_k, t_new)
+        f_v, g_v = problem.value_and_grad(v)
+        fval_v = f_v + l1_value(v, lam)
+        x_km2, t_km1, t_k = x_old, t_k, t_new
 
 
-def _run_monotone(problem, config, algorithm, trial, eta, x0,
-                  after_row=None) -> Trace:
-    state = _first_row(problem, config, algorithm, config.mu_init, x0)
+def _run(problem: CompositeProblem, config: OptimizerConfig, algorithm: str,
+         policy: _StepRule, x0: np.ndarray | None) -> Trace:
+    """Row 0 at x0, then the loop from mu_init unless x0 is stationary."""
+    state = _first_row(problem, algorithm, config.mu_init, x0)
     if state.trace.status != CONVERGED:
-        _pqna_engine(problem, config, trial, eta, state, config.max_iters,
-                     after_row)
+        _iterate(problem, config, policy, state, config.mu_init,
+                 config.max_iters)
     return state.trace
+
+
+class _ProxSteps(_StepRule):
+    """Trial rule of pga and apga: u = prox(v - mu g), judged by
+    Q_mu(u) = f(v) + g'(u - v) + ||u - v||^2/(2 mu) + lam ||u||_1."""
+
+    def trial(self, k, mu, v, f_v, g):
+        u = prox_l1_scaled_identity(v - mu * g, mu, self.lam)
+        u_l1 = l1_value(u, self.lam)
+        d = u - v
+        return u, u_l1, f_v + float(g @ d) + float(d @ d) / (2.0 * mu) + u_l1, 0
+
+
+class _FistaSteps(_ProxSteps):
+    """Step rule of apga: prox steps at the momentum point.  A backtrack
+    shrinks mu by beta and keeps the momentum point; mu never regrows
+    and theta stays 1."""
+
+    momentum = True
+
+    def advance(self, state, mu, x_old, grad_old) -> tuple[float, float]:
+        return mu, 1.0
 
 
 def run_pga(problem: CompositeProblem, config: OptimizerConfig,
             x0: np.ndarray | None = None) -> Trace:
-    """Proximal gradient: the monotone loop with H = I/mu and eta = 1;
+    """Proximal gradient: the monotone rule with H = I/mu and eta = 1;
     the step may grow again after each iteration (mu_{k+1}^0 =
     min(mu_k/beta, mu_cap))."""
-    return _run_monotone(problem, config, "pga", _prox_rule(problem.lam),
-                         1.0, x0)
+    return _run(problem, config, "pga", _ProxSteps(problem, config), x0)
 
 
-class _ModelRule:
-    """Trial rule of the pqna drivers, H = G_k + I/(2 mu): G_k is
-    compact L-BFGS ("lbfgs"), the same frozen after ``warmup`` steps
-    ("fixed") or zero ("zero"), compiled once per k while its pairs
-    change.  ``after_row`` adds the accepted step's pair and, with
-    ``config.diagnostics``, the accepted model's extreme eigenvalues."""
+def run_apga(problem: CompositeProblem, config: OptimizerConfig,
+             x0: np.ndarray | None = None) -> Trace:
+    """FISTA: prox steps at the momentum point and a nonincreasing mu."""
+    return _run(problem, config, "apga", _FistaSteps(problem, config), x0)
+
+
+class _ModelRule(_StepRule):
+    """Monotone rule of the pqna drivers, H = G_k + I/(2 mu), judged
+    with ``config.eta``: G_k is compact L-BFGS ("lbfgs"), the same
+    frozen after ``warmup`` steps ("fixed") or zero ("zero"), compiled
+    once per k while its pairs change.  ``after_row`` adds the accepted
+    step's pair and, with ``config.diagnostics``, the accepted model's
+    extreme eigenvalues."""
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
                  hessian_mode: str, rng: np.random.Generator):
-        self.lam, self.n, self.config, self.rng = problem.lam, problem.n, config, rng
+        super().__init__(problem, config, rng)
+        self.eta = config.eta
         self.pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
         # The last iteration whose step enters the pairs.
         self.learn_until = {"lbfgs": math.inf, "fixed": config.warmup,
@@ -404,7 +488,7 @@ class _ModelRule:
         self.k = 0
         self.compact = self.model = None
 
-    def __call__(self, k, mu, v, f_v, g):
+    def trial(self, k, mu, v, f_v, g):
         if k != self.k:
             self.k = k
             if k <= self.learn_until + 1:
@@ -416,8 +500,7 @@ class _ModelRule:
         return _model_trial(self.model, k, v, f_v, g, self.lam, self.config,
                             self.rng)
 
-    def after_row(self, state: _QnState, x_old: np.ndarray,
-                  grad_old: np.ndarray) -> None:
+    def after_row(self, state, x_old, grad_old, theta) -> None:
         k = state.last_k
         if k <= self.learn_until:
             self.pairs.update(state.x - x_old, state.grad - grad_old)
@@ -443,50 +526,50 @@ def run_pqna(problem: CompositeProblem, config: OptimizerConfig,
     name = {"lbfgs": "pqna-lbfgs", "fixed": "pqna-fh", "zero": "pqna-zero"}
     rule = _ModelRule(problem, config, hessian_mode,
                       np.random.default_rng(config.seed))
-    return _run_monotone(problem, config, name[hessian_mode], rule,
-                         config.eta, x0, rule.after_row)
-
-
-def _checked_sigma(sigma: float, k: int) -> float:
-    if sigma < SIGMA_UNDERFLOW:
-        raise SigmaUnderflowError(f"sigma={sigma:.3e} at iteration {k}")
-    return sigma
+    return _run(problem, config, name[hessian_mode], rule, x0)
 
 
 def _lbfgs_model(k: int, pairs: CorrectionPairs) -> HessianModel:
     return compile_compact(pairs)
 
 
-class _ProxSteps:
-    """Step rule of apga: prox steps with mu = sigma.  A backtrack
-    shrinks mu by beta and keeps the momentum point; mu never regrows
-    and theta stays 1."""
-
-    def __init__(self, problem: CompositeProblem, config: OptimizerConfig):
-        self.trial = _prox_rule(problem.lam)
-        self.beta = config.beta
-
-    def backtrack(self, sigma: float, sigma_prev: float) -> tuple[float, bool]:
-        return sigma * self.beta, False
-
-    def advance(self, k, sigma, x, x_prev, grad_x) -> tuple[float, float]:
-        return sigma, 1.0
-
-
-class _ModelSteps:
-    """Trial step of the apqna drivers: the composite model
+class _ModelSteps(_StepRule):
+    """Step rule of the apqna drivers: the composite model
     ``model(sigma)`` solved at the momentum point.  ``kind`` names the
-    policy in the ``initial_model`` diagnostic."""
+    policy in the ``initial_model`` diagnostic.  ``after_row`` records,
+    from each row and its theta_k, the Lemma 5 margin sigma_k t_k^2 -
+    (sum_i sqrt(sigma_i)/2)^2, the Lemma 6 margin sigma_k - beta m/L
+    (when the policy has that bound), and AS1's sigma_{k-1} t_{k-1}^2
+    against sigma_k t_k (t_k - 1) with its premise theta_k <=
+    sigma_{k-1}/sigma_k."""
 
+    momentum = True
     lemma6_bound = None
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
                  rng: np.random.Generator):
-        self.lam, self.config, self.rng = problem.lam, config, rng
+        super().__init__(problem, config, rng)
+        self.sum_sqrt_sigma, self.prev = 0.0, None
 
     def trial(self, k, sigma, y, fy, gy):
         return _model_trial(self.model(sigma), k, y, fy, gy, self.lam,
                             self.config, self.rng)
+
+    def after_row(self, state, x_old, grad_old, theta) -> None:
+        diag, row, prev = state.trace.diagnostics, state.trace.records[-1], self.prev
+        sigma, t_k = row.step_scalar, row.t_k
+        self.sum_sqrt_sigma += math.sqrt(sigma)
+        # A product: x ** 2 raises OverflowError where x * x gives inf.
+        half = self.sum_sqrt_sigma / 2.0
+        diag.lemma5.append((row.k, sigma * t_k * t_k - half * half))
+        if self.lemma6_bound is not None:
+            diag.lemma6.append((row.k, sigma - self.lemma6_bound))
+        if prev is not None:
+            diag.as1.append((
+                row.k, prev.step_scalar * prev.t_k * prev.t_k,
+                sigma * t_k * (t_k - 1.0),
+                theta <= prev.step_scalar / sigma * (1.0 + 1e-12)))
+        self.prev = row
 
 
 class _VariableModels(_ModelSteps):
@@ -502,14 +585,13 @@ class _VariableModels(_ModelSteps):
     kind = "lbfgs_compact"
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
-                 rng: np.random.Generator, grad: np.ndarray, model_factory):
+                 rng: np.random.Generator, model_factory):
         super().__init__(problem, config, rng)
         self.strict = config.domination == "strict"
         self.pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
         self.factory = model_factory
         self.current = self._factory_model(1)
         self.accepted = self.current
-        self.grad_prev = grad
 
     def _factory_model(self, k: int) -> HessianModel:
         model = self.factory(k, self.pairs)
@@ -528,9 +610,9 @@ class _VariableModels(_ModelSteps):
         feasible = enforce_domination(self.current, sigma_prev, self.accepted)
         return min(sigma, feasible), True
 
-    def advance(self, k, sigma, x, x_prev, grad_x) -> tuple[float, float]:
-        self.pairs.update(x - x_prev, grad_x - self.grad_prev)
-        self.grad_prev = grad_x
+    def advance(self, state, sigma, x_old, grad_old) -> tuple[float, float]:
+        k = state.last_k
+        self.pairs.update(state.x - x_old, state.grad - grad_old)
         self.accepted = self.current
         self.current = self._factory_model(k + 1)
         sigma_next = self.config.sigma_growth * sigma
@@ -561,121 +643,21 @@ class _FixedBase(_ModelSteps):
     def backtrack(self, sigma: float, sigma_prev: float) -> tuple[float, bool]:
         return sigma * self.config.beta, True
 
-    def advance(self, k, sigma, x, x_prev, grad_x) -> tuple[float, float]:
+    def advance(self, state, sigma, x_old, grad_old) -> tuple[float, float]:
         sigma_next = self.config.sigma_growth * sigma
         return sigma_next, sigma / sigma_next
 
 
-def _accelerate(problem: CompositeProblem, config: OptimizerConfig, policy,
-                state: _QnState, sigma: float) -> list[float]:
-    """The accelerated loop from ``state`` with step scalar ``sigma``:
-    the FISTA clock (t_k, y_k, x_{k-1}, x_{k-2}) and backtracking.
-
-    ``policy.trial(k, sigma, y, f(y), grad)`` forms the trial step as a
-    monotone rule does; ``backtrack`` gives sigma after a rejection and
-    whether theta, t_k and y_k follow it; ``advance`` gives (sigma_{k+1},
-    theta_k).  Appends to ``state.trace`` and leaves the rest of
-    ``state`` at the start point; returns the theta_k of each row.
-    """
-    lam, trace = problem.lam, state.trace
-    # Accelerated clock: t_0 = 0 and x_{-1} = x_0 make the generic
-    # recomputation formulas produce t_1 = 1 and y_1 = x_0.
-    t_km1, t_k = 0.0, 1.0
-    x_km2 = state.x.copy()
-    x_km1 = state.x.copy()
-    sigma_prev = sigma
-    theta = 1.0
-    thetas: list[float] = []
-    y = state.x.copy()
-    fy, gy = state.fsm, state.grad
-    y_fval = fy + l1_value(y, lam)
-    memo = Memo()
-    for k in range(state.last_k + 1, config.max_iters + 1):
-        backtracks = inner = 0
-        while True:
-            u, u_l1, qval, steps = policy.trial(k, sigma, y, fy, gy)
-            inner += steps
-            u_fval = problem.f_value(u, memo) + u_l1
-            if _accepts(u_fval, y_fval, qval, 1.0):
-                break
-            backtracks += 1
-            if backtracks > config.backtrack_cap:
-                trace.status = BACKTRACK_FAILURE
-                return thetas
-            sigma, y_moves = policy.backtrack(sigma, sigma_prev)
-            if not y_moves:
-                continue
-            sigma = _checked_sigma(sigma, k)
-            theta = sigma_prev / sigma
-            t_k = t_next(t_km1, theta)
-            y_new = momentum_point(x_km1, x_km2, t_km1, t_k)
-            # sigma only shrinks here, so y_k can only repeat the last y.
-            # Bytewise, so that -0.0 and 0.0 count as different points.
-            if y_new.tobytes() != y.tobytes():
-                y = y_new
-                fy, gy = problem.value_and_grad(y)
-                y_fval = fy + l1_value(y, lam)
-        x = u
-        grad_x = problem.f_grad(x, memo)
-        norm = _subgrad_inf(grad_x, x, lam)
-        trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
-                                         sigma, t_k,
-                                         time.perf_counter() - state.t0))
-        thetas.append(theta)
-        if norm <= config.tol * state.norm0:
-            trace.status = CONVERGED
-            return thetas
-        sigma_prev = sigma
-        sigma, theta = policy.advance(k, sigma, x, x_km1, grad_x)
-        t_new = t_next(t_k, theta)
-        y = momentum_point(x, x_km1, t_k, t_new)
-        fy, gy = problem.value_and_grad(y)
-        y_fval = fy + l1_value(y, lam)
-        x_km2, x_km1 = x_km1, x
-        t_km1, t_k = t_k, t_new
-    return thetas
-
-
-def run_apga(problem: CompositeProblem, config: OptimizerConfig,
-             x0: np.ndarray | None = None) -> Trace:
-    """FISTA: the accelerated loop with prox steps at the momentum
-    point and a nonincreasing mu."""
-    state = _first_row(problem, config, "apga", config.mu_init, x0)
-    if state.trace.status != CONVERGED:
-        _accelerate(problem, config, _ProxSteps(problem, config), state,
-                    config.mu_init)
-    return state.trace
-
-
 def _accelerate_models(problem, config, policy: _ModelSteps,
                        state: _QnState) -> Trace:
-    """The accelerated loop of the apqna drivers, with the first model
-    and, from the accelerated rows and their theta_k: the Lemma 5 margin
-    sigma_k t_k^2 - (sum_i sqrt(sigma_i)/2)^2, the Lemma 6 margin
-    sigma_k - beta m/L (when the policy has that bound), and AS1's
-    sigma_{k-1} t_{k-1}^2 against sigma_k t_k (t_k - 1) with its premise
-    theta_k <= sigma_{k-1}/sigma_k."""
-    trace, diag = state.trace, state.trace.diagnostics
+    """The loop of the apqna drivers from sigma_init, with the first
+    model recorded."""
     model = policy.model(config.sigma_init)
-    diag.initial_model = (config.sigma_init, policy.kind, model.delta, model.p)
-    thetas = _accelerate(problem, config, policy, state, config.sigma_init)
-    rows = trace.records[len(trace.records) - len(thetas):]
-    sum_sqrt_sigma, prev = 0.0, None
-    for row, theta in zip(rows, thetas):
-        sigma, t_k = row.step_scalar, row.t_k
-        sum_sqrt_sigma += math.sqrt(sigma)
-        # A product: x ** 2 raises OverflowError where x * x gives inf.
-        half = sum_sqrt_sigma / 2.0
-        diag.lemma5.append((row.k, sigma * t_k * t_k - half * half))
-        if policy.lemma6_bound is not None:
-            diag.lemma6.append((row.k, sigma - policy.lemma6_bound))
-        if prev is not None:
-            diag.as1.append((
-                row.k, prev.step_scalar * prev.t_k * prev.t_k,
-                sigma * t_k * (t_k - 1.0),
-                theta <= prev.step_scalar / sigma * (1.0 + 1e-12)))
-        prev = row
-    return trace
+    state.trace.diagnostics.initial_model = (config.sigma_init, policy.kind,
+                                             model.delta, model.p)
+    _iterate(problem, config, policy, state, config.sigma_init,
+             config.max_iters)
+    return state.trace
 
 
 def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
@@ -696,11 +678,11 @@ def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
     to study adversarial Hessian sequences such as alternating axis
     scalings).
     """
-    state = _first_row(problem, config, "apqna-lbfgs", config.sigma_init, x0)
+    state = _first_row(problem, "apqna-lbfgs", config.sigma_init, x0)
     if state.trace.status == CONVERGED:
         return state.trace
     policy = _VariableModels(problem, config,
-                             np.random.default_rng(config.seed), state.grad,
+                             np.random.default_rng(config.seed),
                              model_factory or _lbfgs_model)
     return _accelerate_models(problem, config, policy, state)
 
@@ -711,9 +693,9 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     """Accelerated proximal quasi-Newton with a frozen base matrix.
 
     Without an explicit ``base`` the first ``warmup`` iterations run
-    the L-BFGS quasi-Newton loop to collect correction pairs; the
-    compact matrix built from them is then frozen and the accelerated
-    phase continues from the warm iterate with H_k = (1/sigma_k) base.
+    the pqna-lbfgs rule to collect correction pairs; the compact matrix
+    built from them is then frozen and the accelerated phase continues
+    from the warm iterate with H_k = (1/sigma_k) base.
     sigma backtracks by beta (recomputing theta, t_k, y_k) and regrows
     by sigma_growth after each acceptance; sigma_k H_k = base for all k,
     so the domination condition holds with equality.
@@ -724,7 +706,7 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     """
     if base is not None and base.n != problem.n:
         raise ValueError(f"base has dimension {base.n}, expected {problem.n}")
-    state = _first_row(problem, config, "apqna-fh", config.sigma_init, x0)
+    state = _first_row(problem, "apqna-fh", config.sigma_init, x0)
     trace = state.trace
     if trace.status == CONVERGED:
         return trace
@@ -732,9 +714,8 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     if base is None:
         warmup = _ModelRule(problem, config, "lbfgs", rng)
         if config.warmup > 0:
-            _pqna_engine(problem, config, warmup, config.eta, state,
-                         min(config.warmup, config.max_iters),
-                         warmup.after_row)
+            _iterate(problem, config, warmup, state, config.mu_init,
+                     min(config.warmup, config.max_iters))
             if trace.status != MAX_ITER:
                 return trace
         base = compile_compact(warmup.pairs)

@@ -10,7 +10,7 @@ domination, the exact subsolver, a custom ``model_factory``, the
 logistic oracles on valued and on binary data, the fixed base after
 warm-ups of 8, 6 and 0 iterations, an explicit base, a run stopped
 inside the warm-up, the three ``run_pqna`` Hessian modes, and a
-backtracking failure in the monotone loop (pga, pqna) and in the
+backtracking failure under a monotone rule (pga, pqna) and under an
 accelerated one (apqna-lbfgs, apqna-fh).
 
 Every case runs twice: on the active backend (the compiled kernel
