@@ -157,6 +157,20 @@ class SyntheticSpec:
                 raise ValueError(f"{key} = {raw!r} is not {typ.__name__}") from None
         return cls(**out)
 
+    def __post_init__(self) -> None:
+        if not self.n >= 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 < self.l_target < math.inf:
+            raise ValueError(f"l_target must lie in (0, inf), got {self.l_target}")
+        if not 0 < self.gamma <= self.l_target:
+            raise ValueError(f"gamma must lie in (0, l_target = {self.l_target}], "
+                             f"got {self.gamma}")
+        if self.n == 1 and self.gamma != self.l_target:
+            raise ValueError(f"n = 1 needs gamma = l_target, got {self.gamma} "
+                             f"and {self.l_target}")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:

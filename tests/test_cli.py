@@ -195,6 +195,14 @@ def test_run_takes_every_setting_as_a_flag(capsys):
     ("--lambda", "-1", "lambda"),
     ("--n-features", "abc", "n_features"),
     ("--synthetic", "n=abc", "synthetic"),
+    # a synthetic field out of range, named after the key
+    ("--synthetic", "seed=-1", "synthetic = 'seed=-1': seed"),
+    ("--synthetic", "n=0", "synthetic = 'n=0': n"),
+    ("--synthetic", "n=1", "synthetic = 'n=1': n"),
+    ("--synthetic", "gamma=0", "synthetic = 'gamma=0': gamma"),
+    ("--synthetic", "L=inf", "synthetic = 'L=inf': l_target"),
+    ("--synthetic", "L=nan", "synthetic = 'L=nan': l_target"),
+    ("--synthetic", "gamma=2,L=1", "synthetic = 'gamma=2,L=1': gamma"),
 ])
 def test_run_bad_setting_value_exits_one(capsys, flag, value, named):
     code = main(["run", "--algorithm", "pqna-lbfgs", "--subsolver", "exact",
