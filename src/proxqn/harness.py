@@ -239,7 +239,8 @@ def experiment_fields(raw: dict[str, str | None]) -> dict[str, object]:
 def parse_experiment_spec(path: str) -> ExperimentSpec:
     """Flat key = value sections: [experiment] plus one optional section
     per algorithm with config overrides, applied over the experiment's."""
-    parser = configparser.ConfigParser()
+    # Values are taken as written: no %-interpolation.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
             raise ValueError(f"cannot read experiment spec {path!r}")

@@ -165,6 +165,13 @@ mu_init = 0.5
         with pytest.raises(ValueError, match="unknown synthetic parameter 'mu'"):
             parse_experiment_spec(str(path))
 
+    def test_spec_values_are_read_as_written(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        for out in ("results/100%", "out_%(tol)s"):
+            path.write_text("[experiment]\nsynthetic = n=5\nalgorithms = pga\n"
+                            f"tol = 1e-4\noutput_dir = {out}\n")
+            assert parse_experiment_spec(str(path)).output_dir == out
+
     def test_needs_exactly_one_source(self):
         with pytest.raises(ValueError, match="dataset/synthetic"):
             ExperimentSpec({"pga": OptimizerConfig()})
