@@ -715,10 +715,7 @@ def test_oracle_calls_are_a_function_of_the_trace(name, max_iters):
     if not name.startswith("ap"):
         assert calls["value_and_grad"] == 1
         return
-    warmup_end = trace.diagnostics.warmup_end
-    accelerated = trace.iterations - (
-        warmup_end if warmup_end is not None
-        else trace.iterations if name == "apqna-fh" else 0)
+    accelerated = trace.iterations - (trace.diagnostics.warmup_end or 0)
     least = 1 + accelerated - (trace.status == CONVERGED)
     if name in ("apga", "apqna-lbfgs"):
         assert calls["value_and_grad"] == least
