@@ -1,10 +1,12 @@
-/* Coordinate-descent loops of proxqn.subsolver and the passes of the
- * logistic oracle of proxqn.problem in C.
+/* Coordinate-descent loops of proxqn.subsolver, the stop test of
+ * proxqn.optimizers and the passes of the logistic oracle of
+ * proxqn.problem in C.
  *
  * Each function repeats its Python reference (CdWorkspace.step, the
- * loops of cd_minimize and exact_solve_oracle, and the numpy/scipy
- * expressions of the logistic oracle) operation for operation, so the
- * results are bit-identical to it.  This holds because:
+ * loops of cd_minimize and exact_solve_oracle, the subgradient norm of
+ * the stop test, and the numpy/scipy expressions of the logistic
+ * oracle) operation for operation, so the results are bit-identical
+ * to it.  This holds because:
  *  - every product numpy forms with `@` is formed here by the same BLAS
  *    routine with the same arguments (cd_bind_blas receives numpy's own
  *    ddot and dgemv);
@@ -118,6 +120,27 @@ static double max_nan(double acc, double x)
     return (isnan(x) || x > acc) ? x : acc;
 }
 
+/* max |min_norm_subgradient(g, u, lam)| over the n elements, as np.max
+ * forms it over np.abs of that vector: a nan wins.  The stop test of
+ * the drivers and the certificate of cd_exact. */
+double subgrad_inf(int64_t n, const double *g, const double *u, double lam)
+{
+    double norm = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double gi = g[i], ui = u[i], s;
+        if (ui == 0.0) {
+            double m = fabs(gi) - lam;
+            if (!isnan(m) && !(m > 0.0))
+                m = 0.0;
+            s = sign(gi) * m;
+        } else {
+            s = gi + lam * sign(ui);
+        }
+        norm = max_nan(norm, fabs(s));
+    }
+    return norm;
+}
+
 /* The loop of exact_solve_oracle; scratch holds 2n doubles.  Returns
  * the steps taken, -1 on a nonpositive diagonal, or -2 once more than
  * max_steps steps are taken. */
@@ -126,7 +149,7 @@ int64_t cd_exact(workspace *w, double tol, int64_t max_steps, double *scratch)
     int64_t n = w->n, steps = 0;
     double *g = scratch, *hq = scratch + n;
     for (;;) {
-        /* min_norm_subgradient(smooth_gradient(), u, lam), inf-norm */
+        /* smooth_gradient() */
         for (int64_t i = 0; i < n; i++)
             g[i] = w->grad_v[i] + w->eff_delta * w->d[i];
         if (w->p > 0) {
@@ -139,22 +162,11 @@ int64_t cd_exact(workspace *w, double tol, int64_t max_steps, double *scratch)
             for (int64_t i = 0; i < n; i++)
                 g[i] = g[i] + hq[i];
         }
-        double norm = 0.0, umax = 0.0;
-        for (int64_t i = 0; i < n; i++) {
-            double gi = g[i], ui = w->u[i], s;
-            if (ui == 0.0) {
-                double m = fabs(gi) - w->lam;
-                if (!isnan(m) && !(m > 0.0))
-                    m = 0.0;
-                s = sign(gi) * m;
-            } else {
-                s = gi + w->lam * sign(ui);
-            }
-            norm = max_nan(norm, fabs(s));
-            umax = max_nan(umax, fabs(ui));
-        }
-        if (norm <= tol)
+        if (subgrad_inf(n, g, w->u, w->lam) <= tol)
             return steps;
+        double umax = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            umax = max_nan(umax, fabs(w->u[i]));
         double floor = 1e-16 * (1.0 + umax);
         double biggest = 0.0;
         for (int64_t j = 0; j < n; j++) {

@@ -1,6 +1,7 @@
 """Build and load the compiled kernel (``_cdkernel.c``): the
-coordinate-descent loops of :mod:`proxqn.subsolver` and the forward and
-gradient passes of the logistic oracle of :mod:`proxqn.problem`.
+coordinate-descent loops of :mod:`proxqn.subsolver`, the stop test of
+:mod:`proxqn.optimizers` and the forward and gradient passes of the
+logistic oracle of :mod:`proxqn.problem`.
 
 The C file is compiled with the system ``cc`` into a temporary
 directory and loaded with ctypes when this module is imported.  It
@@ -14,8 +15,9 @@ more without the flag and those passes run serially, with the same bits.
 
 ``KERNEL`` is the loaded kernel, or ``None`` with the reason in
 ``FALLBACK`` (no C compiler, or numpy's BLAS or loops not bound), in
-which case the subsolver and the logistic oracle run their numpy/scipy
-code.  Setting ``KERNEL`` to ``None`` switches both off.
+which case the subsolver, the stop test and the logistic oracle run
+their numpy/scipy code.  Setting ``KERNEL`` to ``None`` switches all
+three off.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ _LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
 
 class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
-    and the logistic oracle's forward and gradient passes.
+    the stop test's subgradient norm, and the logistic oracle's forward
+    and gradient passes.
 
     The loops raise the errors the Python loops raise, and ``exact``
     returns the number of coordinate steps it took.  A logistic pass
@@ -99,6 +102,9 @@ class Kernel:
         self._gradient = lib.lg_gradient
         self._gradient.argtypes = [i64, i64] + [ptr] * 9
         self._gradient.restype = None
+        self._subgrad_inf = lib.subgrad_inf
+        self._subgrad_inf.argtypes = [i64, ptr, ptr, ctypes.c_double]
+        self._subgrad_inf.restype = ctypes.c_double
         self._threads = lib.lg_threads
         self._threads.argtypes = []
         self._threads.restype = ctypes.c_int
@@ -138,6 +144,18 @@ class Kernel:
                 f"exact subproblem solve exceeded {max_steps} coordinate steps"
             )
         return steps
+
+    def subgrad_inf(self, grad: np.ndarray, x: np.ndarray, lam: float) -> float:
+        """``np.abs(min_norm_subgradient(grad, x, lam)).max()`` in one
+        pass, with the same bits (nan included) and the same refusal of
+        arrays of two shapes or of none."""
+        grad = np.ascontiguousarray(grad, dtype=np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if grad.shape != x.shape:
+            raise ValueError(f"shape mismatch: {grad.shape} vs {x.shape}")
+        if x.size == 0:
+            raise ValueError("no subgradient norm of an empty vector")
+        return self._subgrad_inf(x.size, grad.ctypes.data, x.ctypes.data, lam)
 
     @staticmethod
     def takes(matrix) -> bool:
@@ -332,6 +350,7 @@ def backend() -> str:
 
 
 # The compiled kernel, or None and the reason the Python code runs
-# instead.  The subsolver and the logistic oracle read KERNEL on every
-# call, so setting it to None switches both to their Python code.
+# instead.  The subsolver, the stop test and the logistic oracle read
+# KERNEL on every call, so setting it to None switches all three to their
+# Python code.
 KERNEL, FALLBACK = load()

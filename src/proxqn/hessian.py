@@ -9,8 +9,19 @@ single optimizer run.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import scipy.linalg
+
+# A middle matrix of the compact form counts as singular past this
+# 2-norm condition number (as np.linalg.cond forms it, from an SVD).
+COND_LIMIT = 1e14
+# ||M||_F ||inv(M)||_F bounds the 2-norm condition number from above,
+# so a bound this far under COND_LIMIT accepts M without the SVD: the
+# factor of ten covers the rounding of inv and of the SVD.
+BOUND_LIMIT = 1e13
 
 
 class SingularCompactForm(RuntimeError):
@@ -31,22 +42,35 @@ class HessianModel:
     def __init__(self, delta: float, n: int, q: np.ndarray | None = None,
                  w: np.ndarray | None = None, scale: float = 1.0):
         self.n = int(n)
-        # qw caches Q W for O(p) coordinate work in the subsolver, and
-        # low_rank_diag the diagonal of Q W Q'.
         if q is None or q.shape[1] == 0:
-            self.q = self.qw = np.zeros((n, 0))
-            self.w = np.zeros((0, 0))
-            self.low_rank_diag = np.zeros(n)
+            self._keep(np.zeros((n, 0)), np.zeros((0, 0)))
         else:
             if q.shape[0] != n:
                 raise ValueError("factor rows must match dimension")
-            self.q = np.array(q, dtype=np.float64)
-            self.w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
-            self.qw = self.q @ self.w
-            self.low_rank_diag = np.einsum("ij,ij->i", self.qw, self.q)
+            self._keep(np.array(q, dtype=np.float64), w)
+        self._set_scalars(delta, scale)
+
+    @classmethod
+    def _of_fresh(cls, delta: float, q: np.ndarray, w: np.ndarray) -> "HessianModel":
+        """The model delta*I + Q W Q' of a float64 Q that no one else
+        holds, which it keeps without a copy."""
+        out = object.__new__(cls)
+        out.n = q.shape[0]
+        out._keep(q, w)
+        out._set_scalars(delta, 1.0)
+        return out
+
+    def _keep(self, q: np.ndarray, w: np.ndarray) -> None:
+        """Freeze q, the symmetric part of w, and the caches built on
+        them."""
+        self.q = q
+        self.w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
+        # qw caches Q W for O(p) coordinate work in the subsolver, and
+        # low_rank_diag the diagonal of Q W Q'.
+        self.qw = q @ self.w
+        self.low_rank_diag = np.einsum("ij,ij->i", self.qw, q)
         for array in (self.q, self.w, self.qw, self.low_rank_diag):
             array.setflags(write=False)
-        self._set_scalars(delta, scale)
 
     def _set_scalars(self, delta: float, scale: float) -> None:
         if delta < 0:
@@ -129,7 +153,9 @@ class CorrectionPairs:
         if s.shape != (self.n,) or y.shape != (self.n,):
             raise ValueError("correction pair dimension mismatch")
         sy = float(s @ y)
-        if sy <= self.curvature_eps * np.linalg.norm(s) * np.linalg.norm(y):
+        # The norms as np.linalg.norm forms them for a real vector.
+        norm_s, norm_y = math.sqrt(float(s @ s)), math.sqrt(float(y @ y))
+        if sy <= self.curvature_eps * norm_s * norm_y:
             return False
         if self._len == self.memory:
             self.drop_oldest()
@@ -174,24 +200,20 @@ def compile_compact(pairs: CorrectionPairs) -> HessianModel:
         delta = float(y_mat[:, -1] @ y_mat[:, -1]) / sy_newest
         sty = s_mat.T @ y_mat
         m = sty.shape[0]
-        lower = np.tril(sty, k=-1)
-        middle = np.empty((2 * m, 2 * m))
-        middle[:m, :m] = delta * (s_mat.T @ s_mat)
-        middle[:m, m:] = lower
-        middle[m:, :m] = lower.T
-        # Negating the whole diagonal matrix keeps the -0.0 off-diagonal
-        # entries that np.block used to receive.
-        middle[m:, m:] = -np.diag(np.diag(sty))
-        try:
-            w = -np.linalg.inv(middle)
-            if not np.isfinite(w).all():
-                raise np.linalg.LinAlgError
-            # The 2-norm condition number, as np.linalg.cond forms it;
-            # a zero smallest singular value counts as singular.
-            sv = np.linalg.svd(middle, compute_uv=False)
-            if not (sv[-1] > 0 and sv[0] / sv[-1] <= 1e14):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
+        middle = np.zeros((2 * m, 2 * m))
+        np.multiply(delta, s_mat.T @ s_mat, out=middle[:m, :m])
+        np.copyto(middle[:m, m:], sty, where=_strict_lower(m))
+        middle[m:, :m] = middle[:m, m:].T
+        # -D, with the -0.0 off its diagonal that -np.diag(np.diag(sty))
+        # has: D's diagonal goes to every (2m + 1)-th entry of the flat
+        # matrix from 2m*m + m on, then the whole block is negated.
+        # (numpy 2.4's np.negative reads the wrong entries from an input
+        # of 64-byte stride into a strided output, such as sty's diagonal
+        # at m = 7, so the diagonal is not negated on its own.)
+        middle.reshape(-1)[2 * m * m + m::2 * m + 1] = sty.reshape(-1)[::m + 1]
+        np.negative(middle[m:, m:], out=middle[m:, m:])
+        w = _negated_inverse(middle)
+        if w is None:
             if len(pairs) == 1:
                 raise SingularCompactForm(
                     "single correction pair yields a singular compact form"
@@ -199,7 +221,47 @@ def compile_compact(pairs: CorrectionPairs) -> HessianModel:
             pairs.drop_oldest()
             continue
         q = np.hstack([delta * s_mat, y_mat])
-        return HessianModel(delta, pairs.n, q, w)
+        return HessianModel._of_fresh(delta, q, w)
+
+
+@functools.cache
+def _strict_lower(m: int) -> np.ndarray:
+    """The (read-only) mask of the strictly lower triangle of an m x m
+    matrix, as np.tril(a, -1) keeps it."""
+    mask = np.tri(m, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _negated_inverse(middle: np.ndarray) -> np.ndarray | None:
+    """-inv(middle), or None where middle counts as singular: inv fails
+    or has an entry that is not finite, or ``_svd_conditioned`` fails.
+    The SVD runs only where the bound ||M||_F ||inv(M)||_F does not
+    settle it (see BOUND_LIMIT).  Squares lost to underflow do not
+    shrink the bound by a measurable share: the bound is at least 1, so
+    with both squared norms finite neither is below 5e-309."""
+    try:
+        w = np.linalg.inv(middle)
+    except np.linalg.LinAlgError:
+        return None
+    # vdot, unlike @, does not warn when a square overflows.  A finite
+    # sq_w also shows that every entry of w is finite.
+    sq_m, sq_w = float(np.vdot(middle, middle)), float(np.vdot(w, w))
+    if not (math.sqrt(sq_m) * math.sqrt(sq_w) <= BOUND_LIMIT
+            or np.isfinite(w).all() and _svd_conditioned(middle)):
+        return None
+    return np.negative(w, out=w)
+
+
+def _svd_conditioned(middle: np.ndarray) -> bool:
+    """Whether middle's 2-norm condition number, as np.linalg.cond forms
+    it from an SVD, is at most COND_LIMIT; a zero smallest singular
+    value, or an SVD that does not converge, counts as singular."""
+    try:
+        sv = np.linalg.svd(middle, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(sv[-1] > 0 and sv[0] / sv[-1] <= COND_LIMIT)
 
 
 def model_value(

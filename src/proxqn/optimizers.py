@@ -44,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _cdkernel
 from .hessian import (
     CorrectionPairs,
     HessianModel,
@@ -265,7 +266,12 @@ def _start_point(problem: CompositeProblem, x0: np.ndarray | None) -> np.ndarray
 
 
 def _subgrad_inf(grad: np.ndarray, x: np.ndarray, lam: float) -> float:
-    return float(np.abs(min_norm_subgradient(grad, x, lam)).max())
+    """The stop test's max |min_norm_subgradient(grad, x, lam)|, in one
+    compiled pass when the kernel is loaded."""
+    kernel = _cdkernel.KERNEL
+    if kernel is None:
+        return float(np.abs(min_norm_subgradient(grad, x, lam)).max())
+    return kernel.subgrad_inf(grad, x, lam)
 
 
 def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, rng):
@@ -365,7 +371,10 @@ def _iterate(problem: CompositeProblem, config: OptimizerConfig,
     ``step`` up to iteration ``max_iters``: backtracking around the
     policy's trial step and, for a policy with momentum, the FISTA clock
     (t_k, theta_k, y_k and x_{k-1}).  Advances ``state`` to each
-    accepted point and appends its row to ``state.trace``."""
+    accepted point and appends its row to ``state.trace``.  The last
+    row, converged or at ``max_iters``, ends the loop before the policy
+    advances, so no model or momentum point is formed for a step that
+    is never taken."""
     lam, trace, momentum = problem.lam, state.trace, policy.momentum
     # Accelerated clock: t_0 = 0 and x_{-1} = x_0 make the generic
     # recomputation formulas produce t_1 = 1 and y_1 = x_0.
@@ -410,6 +419,8 @@ def _iterate(problem: CompositeProblem, config: OptimizerConfig,
         policy.after_row(state, x_old, grad_old, theta)
         if norm <= config.tol * state.norm0:
             trace.status = CONVERGED
+            return
+        if k == max_iters:
             return
         step_prev = step
         step, theta = policy.advance(state, step, x_old, grad_old)

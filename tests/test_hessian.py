@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proxqn import hessian
 from proxqn._oracles import dense_bfgs_matrix
 from proxqn.dataset import synthesize_quadratic
 from proxqn.hessian import (
@@ -58,6 +59,39 @@ class TestCorrectionPairs:
         pairs = CorrectionPairs(3)
         with pytest.raises(ValueError):
             pairs.update(np.ones(2), np.ones(2))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           ulps=st.integers(-3, 3), length=st.integers(1, 16))
+    def test_curvature_test_matches_linalg_norm(self, n, seed, ulps, length):
+        """The curvature test takes the decisions, and keeps the rows, of
+        the list buffer's np.linalg.norm form.  curvature_eps sits within
+        three ulps of the cosine of a first pair, and the stream repeats
+        that pair rescaled and perturbed in its last bits, so most
+        decisions rest on the last bits of the norms; zero, infinite
+        and NaN pairs come in between."""
+        rng = np.random.default_rng(seed)
+        s0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+        y0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+        if s0 @ y0 < 0:
+            y0 = -y0
+        eps = float(s0 @ y0) / (np.linalg.norm(s0) * np.linalg.norm(y0))
+        eps = float(eps + ulps * np.spacing(eps))
+        ring, ref = CorrectionPairs(n, 3, eps), ListPairs(n, 3, eps)
+        specials = [np.zeros(n), np.full(n, np.inf), np.full(n, np.nan)]
+        for kind in rng.integers(0, 8, size=length):
+            if kind < 3:
+                s, y = specials[kind], y0
+            else:
+                wobble = 1.0 + 1e-15 * rng.standard_normal(n)
+                s = s0 * wobble * 10.0 ** rng.uniform(-3, 3)
+                y = y0 * 10.0 ** rng.uniform(-3, 3)
+            with np.errstate(invalid="ignore"):  # inf * 0 in s'y
+                assert ring.update(s, y) == ref.update(s, y)
+            assert len(ring) == len(ref)
+            if len(ref):
+                for got, want in zip(ring.pairs(), ref.pairs()):
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestCompileCompact:
@@ -399,9 +433,21 @@ class ListPairs:
         return np.array(self._s).T, np.array(self._y).T
 
 
+def reference_singular(middle):
+    """The plain singular test of a compact form's middle matrix: inv
+    fails, -inv has an entry that is not finite, or np.linalg.cond (an
+    SVD every time) exceeds 1e14."""
+    try:
+        w = -np.linalg.inv(middle)
+        return not np.all(np.isfinite(w)) or np.linalg.cond(middle) > 1e14
+    except np.linalg.LinAlgError:
+        return True
+
+
 def reference_compile(pairs):
     """compile_compact as it was before the ring buffer: the middle
-    matrix from np.block and the singular test from np.linalg.cond."""
+    matrix from np.block, the singular test of ``reference_singular``
+    and a model built by the public constructor."""
     while True:
         if len(pairs) == 0:
             return HessianModel(1.0, pairs.n)
@@ -414,17 +460,13 @@ def reference_compile(pairs):
             [delta * (s_mat.T @ s_mat), lower],
             [lower.T, -np.diag(np.diag(sty))],
         ])
-        try:
-            w = -np.linalg.inv(middle)
-            if not np.all(np.isfinite(w)) or np.linalg.cond(middle) > 1e14:
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
+        if reference_singular(middle):
             if len(pairs) == 1:
                 raise SingularCompactForm("single pair")
             pairs.drop_oldest()
             continue
         q = np.hstack([delta * s_mat, y_mat])
-        return HessianModel(delta, pairs.n, q, w)
+        return HessianModel(delta, pairs.n, q, -np.linalg.inv(middle))
 
 
 MODEL_FIELDS = ("q", "w", "qw", "low_rank_diag")
@@ -468,13 +510,13 @@ def pair_stream(seed, n, length):
 
 
 class TestRingBufferCompile:
-    """The ring buffer, the slice-filled compile with one SVD, and the
-    shared low-rank products of ``shifted`` and ``rescaled`` give the
-    bytes of the list buffer, np.block, np.linalg.cond and a freshly
-    built model."""
+    """The ring buffer, the slice-filled compile with its bound test in
+    front of the SVD, and the shared low-rank products of ``shifted``
+    and ``rescaled`` give the bytes of the list buffer, np.block,
+    np.linalg.cond and a freshly built model."""
 
     @settings(max_examples=150, deadline=None, database=None)
-    @given(memory=st.integers(1, 10), n=st.integers(1, 40),
+    @given(memory=st.integers(1, 10), n=st.integers(1, 50),
            length=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            compile_every=st.integers(1, 4))
     @example(memory=3, n=5, length=30, seed=4, compile_every=1)
@@ -523,6 +565,36 @@ class TestRingBufferCompile:
                     continue
                 dropped += before - len(ring)
         assert dropped > 0
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(size=st.integers(1, 20), log_cond=st.floats(9.0, 17.0),
+           log_scale=st.floats(-305.0, 307.5), seed=st.integers(0, 2**32 - 1),
+           singular=st.sampled_from(["no", "zero", "twin"]))
+    @example(size=4, log_cond=13.5, log_scale=0.0, seed=0, singular="no")
+    @example(size=6, log_cond=16.0, log_scale=307.5, seed=1, singular="no")
+    @example(size=6, log_cond=10.0, log_scale=-305.0, seed=2, singular="no")
+    @example(size=5, log_cond=9.0, log_scale=0.0, seed=3, singular="twin")
+    def test_bound_test_takes_the_svd_decision(self, size, log_cond, log_scale,
+                                              seed, singular):
+        """On symmetric indefinite matrices with condition numbers from
+        1e9 to 1e17, scaled from near underflow to near overflow, and on
+        exactly singular ones (a zero row and column, or two equal rows
+        and columns), the bound test in front of the SVD refuses exactly
+        what the SVD test refuses, and gives the bytes of -inv."""
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        eig = np.logspace(0.0, -log_cond, size) * rng.choice([-1.0, 1.0], size)
+        middle = (basis * eig) @ basis.T
+        middle = 0.5 * (middle + middle.T) * 10.0 ** log_scale
+        if singular == "zero":
+            middle[0] = middle[:, 0] = 0.0
+        elif singular == "twin" and size > 1:
+            middle[1] = middle[0]
+            middle[:, 1] = middle[:, 0]
+        w = hessian._negated_inverse(middle)
+        assert (w is None) == reference_singular(middle)
+        if w is not None:
+            assert w.tobytes() == (-np.linalg.inv(middle)).tobytes()
 
     def test_single_nearly_orthogonal_pair_is_singular(self):
         # cos(s, y) = 3e-8 passes the 1e-8 curvature test, yet the middle
