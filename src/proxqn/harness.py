@@ -77,8 +77,10 @@ def emit_trace_csv(trace: Trace, path: str) -> None:
             )
 
 
-def read_trace_csv(path: str, algorithm: str = "") -> Trace:
-    trace = Trace(algorithm=algorithm or os.path.basename(path).split(".")[0])
+def read_trace_csv(path: str) -> Trace:
+    """Read a trace written by ``emit_trace_csv``; the algorithm name is
+    the file name up to its first dot."""
+    trace = Trace(algorithm=os.path.basename(path).split(".")[0])
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
@@ -115,6 +117,14 @@ SETTINGS = {name: typ for name, typ in get_type_hints(OptimizerConfig).items()
             if name != "diagnostics"}
 
 
+def _typed(key: str, raw: str, typ: type):
+    """``typ(raw)``, refused with a message that names the key."""
+    try:
+        return typ(raw)
+    except ValueError:
+        raise ValueError(f"{key} = {raw!r} is not {typ.__name__}") from None
+
+
 def build_config(overrides: dict[str, str],
                  base: OptimizerConfig | None = None) -> OptimizerConfig:
     """Apply flat key=value overrides (CLI/spec-file names) to a config."""
@@ -123,11 +133,7 @@ def build_config(overrides: dict[str, str],
         key = key.replace("-", "_")
         if key not in SETTINGS:
             raise ValueError(f"unknown configuration key {key!r}")
-        typ = SETTINGS[key]
-        try:
-            kwargs[key] = typ(raw)
-        except ValueError:
-            raise ValueError(f"{key} = {raw!r} is not {typ.__name__}") from None
+        kwargs[key] = _typed(key, raw, SETTINGS[key])
     return replace(base or OptimizerConfig(), **kwargs)
 
 
@@ -150,11 +156,7 @@ class SyntheticSpec:
             key = {"l": "l_target", "lmax": "l_target"}.get(key.lower(), key.lower())
             if key not in types:
                 raise ValueError(f"unknown synthetic parameter {key!r}")
-            typ = types[key]
-            try:
-                out[key] = typ(raw)
-            except ValueError:
-                raise ValueError(f"{key} = {raw!r} is not {typ.__name__}") from None
+            out[key] = _typed(key, raw, types[key])
         return cls(**out)
 
     def __post_init__(self) -> None:
@@ -406,11 +408,22 @@ def rate_diagnostics(trace: Trace, reference_fstar: float,
     ``dist0_sq`` = ||x_0 - x*||^2 enables both the fixed-Hessian bound
     dist0_sq / (2 sigma_k t_k^2) (sigma, t read from the trace) and the
     1/k^2 envelope 2 dist0_sq / (mu_k (k+1)^2).  ``skip`` ignores the
-    first rows (e.g. a warmup phase).
+    first rows (e.g. a warmup phase).  A non-finite F*, a constant
+    outside its domain, or a skip that leaves no row is refused, since
+    a bound checked against NaN gaps or on no row would read as held.
     """
+    if not math.isfinite(reference_fstar):
+        raise ValueError(f"reference_fstar must be finite, got {reference_fstar}")
+    if rho is not None and not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    if dist0_sq is not None and not 0.0 <= dist0_sq < math.inf:
+        raise ValueError(f"dist0_sq must lie in [0, inf), got {dist0_sq}")
     records = trace.records
     if len(records) < 10:
         raise ValueError("trace too short for rate fitting (need >= 10 rows)")
+    if not 0 <= skip < records[-1].k:
+        raise ValueError(f"skip must lie in [0, {records[-1].k}), below the "
+                         f"trace's last k, got {skip}")
     if reference_fstar > min(r.fval for r in records) + 1e-12:
         raise ValueError("reference F* exceeds the best trace value")
     gaps = np.array([r.fval - reference_fstar for r in records])

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from proxqn.cli import main
 from proxqn.dataset import write_libsvm
 from proxqn.harness import SETTINGS, parse_experiment_spec, read_trace_csv
-from proxqn.optimizers import OptimizerConfig
+from proxqn.optimizers import CONVERGED, OptimizerConfig
 
 from conftest import make_dataset
 
@@ -133,6 +134,51 @@ def test_diagnose_trace(tmp_path, capsys):
 
 def test_diagnose_missing_file(capsys):
     assert main(["diagnose", "/nonexistent.csv", "--fstar", "0"]) == 1
+
+
+@pytest.fixture(scope="module")
+def converged_trace(tmp_path_factory):
+    trace_path = str(tmp_path_factory.mktemp("diagnose") / "t.csv")
+    assert main(["run", "--algorithm", "pqna-lbfgs", "--synthetic", "n=10",
+                 "--trace-out", trace_path]) == 0
+    return trace_path
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--fstar", "nan", "--rho", "0.5"], "reference_fstar"),
+    (["--fstar", "nan", "--dist0-sq", "1"], "reference_fstar"),
+    (["--fstar", "inf"], "reference_fstar"),
+    (["--fstar", "-10", "--rho", "0"], "rho"),
+    (["--fstar", "-10", "--rho", "1.5"], "rho"),
+    (["--fstar", "-10", "--rho", "nan"], "rho"),
+    (["--fstar", "-10", "--dist0-sq", "-1"], "dist0_sq"),
+    (["--fstar", "-10", "--dist0-sq", "inf"], "dist0_sq"),
+    (["--fstar", "-10", "--dist0-sq", "nan"], "dist0_sq"),
+    (["--fstar", "-10", "--skip", "-1"], "skip"),
+])
+def test_diagnose_refuses_a_bad_constant(converged_trace, capsys, flags, named):
+    """Each comparison with a NaN gap is false, so a NaN F* or rho would
+    read as a satisfied bound; every such constant is refused by name."""
+    capsys.readouterr()
+    assert main(["diagnose", converged_trace, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {named} ") and "satisfied" not in out
+
+
+def test_diagnose_accepts_the_ends_of_each_domain(converged_trace, capsys):
+    assert main(["diagnose", converged_trace, "--fstar", "-10", "--rho", "1",
+                 "--dist0-sq", "0", "--skip", "0"]) == 0
+
+
+def test_diagnose_refuses_a_skip_that_leaves_no_row(converged_trace, capsys):
+    """A bound checked on no row would read as satisfied."""
+    last = read_trace_csv(converged_trace).final().k
+    flags = ["diagnose", converged_trace, "--fstar", "-10", "--rho", "0.5"]
+    capsys.readouterr()
+    assert main([*flags, "--skip", str(last)]) == 1
+    assert capsys.readouterr().err.startswith("error: skip ")
+    assert main([*flags, "--skip", str(last - 1)]) == 0
+    assert f"VIOLATED at k=[{last}]" in capsys.readouterr().out
 
 
 def test_compare_explicit_checkpoints(tmp_path, capsys):
@@ -343,6 +389,18 @@ def test_readme_flag_table_lists_every_setting_with_its_domain():
                 if f.name in SETTINGS}
     assert len(rows) == len(table) == len(SETTINGS)
     assert table == declared
+
+
+def test_readme_python_example_runs():
+    """The README's Python example reaches a driver through ``ALGORITHMS``
+    and converges after the number of iterations its comment states."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n")[1].split("```")[0]
+    stated = int(re.search(r"converged after (\d+) iterations", block)[1])
+    scope = {}
+    exec(block, scope)
+    trace = scope["trace"]
+    assert (trace.status, trace.final().k) == (CONVERGED, stated)
 
 
 def test_readme_compare_spec_parses(tmp_path):

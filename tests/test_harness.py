@@ -209,7 +209,7 @@ class TestRunExperiment:
         )
         report, traces = run_experiment(spec)
         reloaded = [read_trace_csv(os.path.join(spec.output_dir,
-                                                f"{alg}.trace.csv"), alg)
+                                                f"{alg}.trace.csv"))
                     for alg in spec.configs]
         regenerated = assemble_report(reloaded)
         assert regenerated.to_text() == report.to_text()
