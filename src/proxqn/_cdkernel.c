@@ -57,12 +57,13 @@ void cd_bind_blas(void *dot, void *gemv)
     dgemv = (dgemv_fn)gemv;
 }
 
-/* The arrays of one CdWorkspace: q and qw are C-contiguous (n, p). */
+/* The arrays of one CdWorkspace: q and qw are C-contiguous (n, p), and
+ * scratch holds the 2n doubles of cd_exact. */
 typedef struct {
     int64_t n, p;
     double eff_delta, lam;
     const double *q, *qw, *diag, *grad_v;
-    double *u, *d, *qcache;
+    double *u, *d, *qcache, *scratch;
     int64_t bad; /* set to the coordinate of a nonpositive diagonal */
 } workspace;
 
@@ -141,13 +142,13 @@ double subgrad_inf(int64_t n, const double *g, const double *u, double lam)
     return norm;
 }
 
-/* The loop of exact_solve_oracle; scratch holds 2n doubles.  Returns
- * the steps taken, -1 on a nonpositive diagonal, or -2 once more than
- * max_steps steps are taken. */
-int64_t cd_exact(workspace *w, double tol, int64_t max_steps, double *scratch)
+/* The loop of exact_solve_oracle.  Returns the steps taken, -1 on a
+ * nonpositive diagonal, or -2 once more than max_steps steps are
+ * taken. */
+int64_t cd_exact(workspace *w, double tol, int64_t max_steps)
 {
     int64_t n = w->n, steps = 0;
-    double *g = scratch, *hq = scratch + n;
+    double *g = w->scratch, *hq = w->scratch + n;
     for (;;) {
         /* smooth_gradient() */
         for (int64_t i = 0; i < n; i++)

@@ -50,7 +50,8 @@ class _Workspace(ctypes.Structure):
         ("q", ctypes.c_void_p), ("qw", ctypes.c_void_p),
         ("diag", ctypes.c_void_p), ("grad_v", ctypes.c_void_p),
         ("u", ctypes.c_void_p), ("d", ctypes.c_void_p),
-        ("qcache", ctypes.c_void_p), ("bad", ctypes.c_int64),
+        ("qcache", ctypes.c_void_p), ("scratch", ctypes.c_void_p),
+        ("bad", ctypes.c_int64),
     ]
 
 
@@ -78,7 +79,8 @@ _LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
 class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
     the stop test's subgradient norm, and the logistic oracle's forward
-    and gradient passes.
+    and gradient passes.  A driver run keeps one workspace for all its
+    solves, and the loops reuse its struct of pointers.
 
     The loops raise the errors the Python loops raise, and ``exact``
     returns the number of coordinate steps it took.  A logistic pass
@@ -93,7 +95,7 @@ class Kernel:
         self._random.argtypes = [ws, ctypes.c_void_p, ctypes.c_int64]
         self._random.restype = ctypes.c_int
         self._exact = lib.cd_exact
-        self._exact.argtypes = [ws, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
+        self._exact.argtypes = [ws, ctypes.c_double, ctypes.c_int64]
         self._exact.restype = ctypes.c_int64
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self._forward = lib.lg_forward
@@ -126,17 +128,20 @@ class Kernel:
         """One coordinate step at each of ``indices`` (int64, in
         [0, n)), in order: exactly as many steps as indices."""
         indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.random_at(ws, indices.ctypes.data, indices.shape[0])
+
+    def random_at(self, ws, address: int, r: int) -> None:
+        """:meth:`random` at the r int64 indices that start at
+        ``address``, an address the caller keeps valid."""
         arrays = _arrays(ws)
-        if self._random(ctypes.byref(arrays), indices.ctypes.data, indices.shape[0]):
+        if self._random(ctypes.byref(arrays), address, r):
             raise ValueError(f"nonpositive model diagonal at coordinate {arrays.bad}")
 
     def exact(self, ws, tol: float, max_steps: int) -> int:
         """Cyclic sweeps until the min-norm subgradient's inf-norm is at
         most ``tol`` or a sweep's moves reach the rounding floor."""
-        scratch = np.empty(2 * ws.v.shape[0])
         arrays = _arrays(ws)
-        steps = self._exact(ctypes.byref(arrays), tol,
-                            min(max_steps, 2**63 - 1), scratch.ctypes.data)
+        steps = self._exact(ctypes.byref(arrays), tol, min(max_steps, 2**63 - 1))
         if steps == -1:
             raise ValueError(f"nonpositive model diagonal at coordinate {arrays.bad}")
         if steps == -2:
@@ -205,9 +210,16 @@ def _csr(matrix, binary: bool) -> tuple[int, int, int | None]:
 
 
 def _arrays(ws) -> _Workspace:
-    """Pointers into ``ws``, whose block outlives the call."""
-    return _Workspace(ws.v.shape[0], ws.qcache.shape[0], ws.eff_delta, ws.lam,
-                      *ws.addresses(), 0)
+    """The struct of pointers into ``ws``, built at the first call and
+    kept as ``ws.struct`` (the block outlives it), with the workspace's
+    eff_delta and lam of this call."""
+    arrays = ws.struct
+    if arrays is None:
+        arrays = ws.struct = _Workspace(ws.v.shape[0], ws.qcache.shape[0],
+                                        0.0, 0.0, *ws.addresses(), 0)
+    arrays.eff_delta = ws.eff_delta
+    arrays.lam = ws.lam
+    return arrays
 
 
 def _numpy_blas() -> tuple[ctypes.c_void_p, ctypes.c_void_p] | str:

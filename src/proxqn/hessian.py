@@ -155,7 +155,8 @@ class CorrectionPairs:
         sy = float(s @ y)
         # The norms as np.linalg.norm forms them for a real vector.
         norm_s, norm_y = math.sqrt(float(s @ s)), math.sqrt(float(y @ y))
-        if sy <= self.curvature_eps * norm_s * norm_y:
+        # In positive form, so that a NaN s'y refuses the pair.
+        if not sy > self.curvature_eps * norm_s * norm_y:
             return False
         if self._len == self.memory:
             self.drop_oldest()

@@ -31,8 +31,9 @@ nonincreasing mu, apqna-lbfgs's variable models or apqna-fh's fixed
 base.  apqna-fh runs the pqna-lbfgs rule for its warm-up, then hands
 the warm iterate to its own rule.
 
-All randomness flows through one seeded PCG64 generator per run, so
-traces are reproducible bit-for-bit apart from the elapsed-time column.
+All randomness flows through one seeded PCG64 generator per run, held
+with the run's coordinate-descent workspace in one ``CdRun``, so traces
+are reproducible bit-for-bit apart from the elapsed-time column.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .problem import (
     prox_l1_scaled_identity,
 )
 from .subsolver import (
+    CdRun,
     cd_minimize,
     exact_solve_oracle,
     solve_scaled_identity,
@@ -274,17 +276,18 @@ def _subgrad_inf(grad: np.ndarray, x: np.ndarray, lam: float) -> float:
     return kernel.subgrad_inf(grad, x, lam)
 
 
-def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, rng):
+def _model_trial(model: HessianModel, k, v, f_v, g, lam, config, cd):
     """Trial step of a quadratic model at v: a scaled identity has the
     soft threshold as its exact minimizer; coupled models go through
     coordinate descent, or the cyclic oracle when so configured."""
     if model.p == 0:
         u, steps = solve_scaled_identity(model, g, v, lam), 0
     elif config.subsolver == "exact":
-        u, steps = exact_solve_oracle(model, g, v, lam, config.exact_tol)
+        u, steps = exact_solve_oracle(model, g, v, lam, config.exact_tol,
+                                      run=cd)
     else:
         u, steps = cd_minimize(model, g, v, lam,
-                               budget_for_iteration(k, config), rng)
+                               budget_for_iteration(k, config), cd)
     u_l1 = l1_value(u, lam)
     return u, u_l1, model_value(model, u, v, f_v, g, u_l1), steps
 
@@ -349,8 +352,8 @@ class _StepRule:
     momentum = False
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
-                 rng: np.random.Generator | None = None):
-        self.lam, self.n, self.config, self.rng = problem.lam, problem.n, config, rng
+                 cd: CdRun | None = None):
+        self.lam, self.n, self.config, self.cd = problem.lam, problem.n, config, cd
 
     def backtrack(self, step: float, step_prev: float) -> tuple[float, bool]:
         return step * self.config.beta, False
@@ -489,8 +492,8 @@ class _ModelRule(_StepRule):
     extreme eigenvalues."""
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
-                 hessian_mode: str, rng: np.random.Generator):
-        super().__init__(problem, config, rng)
+                 hessian_mode: str, cd: CdRun):
+        super().__init__(problem, config, cd)
         self.eta = config.eta
         self.pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
         # The last iteration whose step enters the pairs.
@@ -509,7 +512,7 @@ class _ModelRule(_StepRule):
                       if self.compact is None
                       else self.compact.shifted(shift))
         return _model_trial(self.model, k, v, f_v, g, self.lam, self.config,
-                            self.rng)
+                            self.cd)
 
     def after_row(self, state, x_old, grad_old, theta) -> None:
         k = state.last_k
@@ -536,7 +539,7 @@ def run_pqna(problem: CompositeProblem, config: OptimizerConfig,
         raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
     name = {"lbfgs": "pqna-lbfgs", "fixed": "pqna-fh", "zero": "pqna-zero"}
     rule = _ModelRule(problem, config, hessian_mode,
-                      np.random.default_rng(config.seed))
+                      CdRun(config.seed, problem.n))
     return _run(problem, config, name[hessian_mode], rule, x0)
 
 
@@ -558,13 +561,13 @@ class _ModelSteps(_StepRule):
     lemma6_bound = None
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
-                 rng: np.random.Generator):
-        super().__init__(problem, config, rng)
+                 cd: CdRun):
+        super().__init__(problem, config, cd)
         self.sum_sqrt_sigma, self.prev = 0.0, None
 
     def trial(self, k, sigma, y, fy, gy):
         return _model_trial(self.model(sigma), k, y, fy, gy, self.lam,
-                            self.config, self.rng)
+                            self.config, self.cd)
 
     def after_row(self, state, x_old, grad_old, theta) -> None:
         diag, row, prev = state.trace.diagnostics, state.trace.records[-1], self.prev
@@ -596,8 +599,8 @@ class _VariableModels(_ModelSteps):
     kind = "lbfgs_compact"
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
-                 rng: np.random.Generator, model_factory):
-        super().__init__(problem, config, rng)
+                 cd: CdRun, model_factory):
+        super().__init__(problem, config, cd)
         self.strict = config.domination == "strict"
         self.pairs = CorrectionPairs(problem.n, config.memory, config.curvature_eps)
         self.factory = model_factory
@@ -642,9 +645,9 @@ class _FixedBase(_ModelSteps):
     kind = "scaled_fixed"
 
     def __init__(self, problem: CompositeProblem, config: OptimizerConfig,
-                 rng: np.random.Generator, base: HessianModel,
+                 cd: CdRun, base: HessianModel,
                  lemma6_bound: float | None):
-        super().__init__(problem, config, rng)
+        super().__init__(problem, config, cd)
         self.base = base
         self.lemma6_bound = lemma6_bound
 
@@ -693,7 +696,7 @@ def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
     if state.trace.status == CONVERGED:
         return state.trace
     policy = _VariableModels(problem, config,
-                             np.random.default_rng(config.seed),
+                             CdRun(config.seed, problem.n),
                              model_factory or _lbfgs_model)
     return _accelerate_models(problem, config, policy, state)
 
@@ -721,9 +724,9 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     trace = state.trace
     if trace.status == CONVERGED:
         return trace
-    rng = np.random.default_rng(config.seed)
+    cd = CdRun(config.seed, problem.n)
     if base is None:
-        warmup = _ModelRule(problem, config, "lbfgs", rng)
+        warmup = _ModelRule(problem, config, "lbfgs", cd)
         if config.warmup > 0:
             _iterate(problem, config, warmup, state, config.mu_init,
                      min(config.warmup, config.max_iters))
@@ -736,7 +739,7 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
     if config.diagnostics and problem.lipschitz:
         m_min, _ = extreme_eigenvalues(base)
         lemma6_bound = config.beta * m_min / problem.lipschitz
-    policy = _FixedBase(problem, config, rng, base, lemma6_bound)
+    policy = _FixedBase(problem, config, cd, base, lemma6_bound)
     return _accelerate_models(problem, config, policy, state)
 
 

@@ -11,6 +11,10 @@ module is imported; without a C compiler or numpy's BLAS symbols, or
 with ``_cdkernel.KERNEL`` set to None, they run in Python.  Both
 backends give bit-identical results, and :meth:`CdWorkspace.step`
 stays the reference they are checked against.
+
+A driver run holds one :class:`CdRun`: one workspace per run, not per
+solve, and coordinates drawn a block at a time, which gives each solve
+the indices a draw of its own would.
 """
 
 from __future__ import annotations
@@ -33,54 +37,81 @@ def phi_constant(m: float, M: float) -> float:
 
 
 class CdWorkspace:
-    """Mutable state of one coordinate-descent solve.
+    """Mutable state of coordinate-descent solves of one shape (n, p).
 
     Tracks the iterate ``u``, the displacement d = u - v, and the
     low-rank projection q = Q'd (``qcache``), so the j-th smooth-model
     gradient component grad_v[j] + [H(u-v)]_j is available in O(p).
-    Single-owner: one workspace per solve.  Its eight arrays, of shape
-    (n,), (n, p) or (p,), are C-contiguous float64 views of one block,
-    ``block``, in the order of ``LAYOUT``; the compiled kernel finds
-    them all from the block's address (``addresses``), so it does not
-    see an attribute that is rebound to another array.
+    Single-owner: one workspace per run, which :meth:`load` readies for
+    each solve.  Its nine arrays, of shape (n,), (n, p), (p,) or (2n,),
+    are C-contiguous float64 views of one block, ``block``, in the order
+    of ``LAYOUT``; the compiled kernel finds them all from the block's
+    address (``addresses``), so it does not see an attribute that is
+    rebound to another array.  ``scratch`` is the compiled cyclic
+    solve's; the Python loops do not use it.
     """
 
-    LAYOUT = ("q", "qw_scaled", "qcache", "diag", "grad_v", "v", "u", "d")
+    LAYOUT = ("q", "qw_scaled", "qcache", "diag", "grad_v", "v", "u", "d",
+              "scratch")
 
     def __init__(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
                  lam: float):
         n = model.n
         if n < 1:
             raise ValueError("model dimension must be at least 1")
-        grad_v = _vector(grad_v, n, "grad_v")
-        v = _vector(v, n, "v")
         p = model.p
-        self.eff_delta = model.scale * model.delta
-        self.lam = float(lam)
-        self.block = np.zeros(2 * n * p + p + 5 * n)
+        self.block = np.zeros(2 * n * p + p + 7 * n)
         self.q = self.block[:n * p].reshape(n, p)
         self.qw_scaled = self.block[n * p:2 * n * p].reshape(n, p)
         self.qcache = self.block[2 * n * p:2 * n * p + p]
-        rows = self.block[2 * n * p + p:].reshape(5, n)
-        self.diag, self.grad_v, self.v, self.u, self.d = rows
-        self.q[...] = model.q
-        np.multiply(model.scale, model.qw, out=self.qw_scaled)
-        np.add(model.delta, model.low_rank_diag, out=self.diag)
-        self.diag *= model.scale
+        self._rows = self.block[2 * n * p + p:2 * n * p + p + 5 * n].reshape(5, n)
+        self.diag, self.grad_v, self.v, self.u, self.d = self._rows
+        self.scratch = self.block[2 * n * p + p + 5 * n:]
+        # The compiled kernel's view of the block, built at its first use.
+        self.struct = None
+        self.model = None
+        self.load(model, grad_v, v, lam)
+
+    def load(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
+             lam: float) -> None:
+        """Ready the workspace for a solve from u = v of ``model``, of
+        this workspace's n and p: the model rows that differ from the
+        last model's are rewritten, grad_v and v copied in, and d and
+        qcache zeroed."""
+        n = self.v.shape[0]
+        grad_v = _vector(grad_v, n, "grad_v")
+        v = _vector(v, n, "v")
+        last = self.model
+        if last is not model:
+            if last is None or last.q is not model.q:
+                self.q[...] = model.q
+            scale_moved = last is None or last.scale != model.scale
+            if scale_moved or last.qw is not model.qw:
+                np.multiply(model.scale, model.qw, out=self.qw_scaled)
+            # A delta of -0.0 against 0.0 can only change the sign of a
+            # zero diagonal, which a step refuses either way.
+            if (scale_moved or last.delta != model.delta
+                    or last.low_rank_diag is not model.low_rank_diag):
+                np.add(model.delta, model.low_rank_diag, out=self.diag)
+                self.diag *= model.scale
+            self.eff_delta = model.scale * model.delta
+            self.model = model
+        self.lam = float(lam)
         self.grad_v[...] = grad_v
-        rows[2:4] = v  # v and u
-        self.model = model
+        self._rows[2:4] = v  # v and u
+        self.d.fill(0.0)
+        self.qcache.fill(0.0)
 
     def addresses(self) -> tuple[int, ...]:
-        """Addresses of q, qw_scaled, diag, grad_v, u, d and qcache, the
-        arrays the compiled kernel works on, from one read of the
-        block's: they sit at the offsets of ``LAYOUT``."""
+        """Addresses of q, qw_scaled, diag, grad_v, u, d, qcache and
+        scratch, the arrays the compiled kernel works on, from one read
+        of the block's: they sit at the offsets of ``LAYOUT``."""
         n, p = self.v.shape[0], self.qcache.shape[0]
         q = self.block.ctypes.data
         qcache = q + 16 * n * p
         diag = qcache + 8 * p
         return (q, q + 8 * n * p, diag, diag + 8 * n, diag + 24 * n,
-                diag + 32 * n, qcache)
+                diag + 32 * n, qcache, diag + 40 * n)
 
     def step(self, j: int) -> float:
         """Exact minimization over coordinate j; returns the move z*."""
@@ -121,34 +152,97 @@ class CdWorkspace:
         return float(np.max(np.abs(self.smooth_gradient() - direct)))
 
 
+# Coordinates a driver's run draws at a time.  numpy's bounded int64
+# draws below 2**32 concatenate: draws of r1, r2, ... indices give the
+# indices of one draw of r1 + r2 + ... and leave the generator in the
+# same state, so drawing ahead moves no bit of any solve.
+BLOCK = 4096
+
+
+class CdRun:
+    """Coordinate-descent state of one driver run over dimension n: its
+    seeded generator, the coordinates drawn from it and not yet used,
+    and one :class:`CdWorkspace`, rebuilt only when a solve's p differs
+    from the last one's.
+
+    A run draws coordinates ``block`` at a time (at least as many as a
+    solve needs); with ``block`` 0 it draws each solve's r and no more,
+    so a caller's generator is left where r draws leave it.
+    """
+
+    def __init__(self, seed: int | np.random.Generator, n: int,
+                 block: int = BLOCK):
+        self.rng = (seed if isinstance(seed, np.random.Generator)
+                    else np.random.default_rng(seed))
+        self.n = n
+        self.block = block
+        self.indices = np.empty(0, dtype=np.int64)
+        self.used = 0
+        self._address = self.indices.ctypes.data
+        self.ws: CdWorkspace | None = None
+
+    def workspace(self, model: HessianModel, grad_v: np.ndarray,
+                  v: np.ndarray, lam: float) -> CdWorkspace:
+        """The run's workspace, loaded for a solve of ``model`` from v."""
+        if model.n != self.n:
+            raise ValueError(f"model has dimension {model.n}, "
+                             f"the run {self.n}")
+        ws = self.ws
+        if ws is None or ws.qcache.shape[0] != model.p:
+            ws = self.ws = CdWorkspace(model, grad_v, v, lam)
+        else:
+            ws.load(model, grad_v, v, lam)
+        return ws
+
+    def take(self, r: int) -> int:
+        """Offset in ``indices`` of the next r coordinates of the stream,
+        which the call marks as used."""
+        start, left = self.used, self.indices.shape[0] - self.used
+        if left < r:
+            fresh = self.rng.integers(0, self.n, size=max(self.block, r - left))
+            self.indices = np.concatenate((self.indices[start:], fresh))
+            self._address = self.indices.ctypes.data
+            start = 0
+        self.used = start + r
+        return start
+
+    def minimize(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
+                 lam: float, r: int) -> np.ndarray:
+        """r steps of randomized coordinate descent from u_0 = v; returns
+        a copy of the final iterate."""
+        ws = self.workspace(model, grad_v, v, lam)
+        if r > 0:
+            start = self.take(r)
+            kernel = _cdkernel.KERNEL
+            if kernel is not None:
+                kernel.random_at(ws, self._address + 8 * start, r)
+            else:
+                random_loop(ws, self.indices[start:start + r])
+        return ws.u.copy()
+
+
 def cd_minimize(
     model: HessianModel,
     grad_v: np.ndarray,
     v: np.ndarray,
     lam: float,
     r: int,
-    seed: int | np.random.Generator = 0,
+    seed: int | np.random.Generator | CdRun = 0,
 ) -> tuple[np.ndarray, int]:
     """Randomized coordinate descent from u_0 = v; returns the iterate
     and r, the number of steps taken: a solve always takes exactly r.
 
     Coordinates are drawn uniformly from a seeded PCG64 generator
     (numpy's default_rng) using unbiased bounded sampling, so traces are
-    bit-reproducible across platforms.  Q_H(u, v) never increases along
-    the steps.
+    bit-reproducible across platforms.  ``seed`` is a seed, a generator,
+    which gets exactly r draws, or a driver's :class:`CdRun`, whose
+    stream and workspace the solve continues.  Q_H(u, v) never increases
+    along the steps.
     """
     if r < 0:
         raise ValueError("step count must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    ws = CdWorkspace(model, grad_v, v, lam)
-    if r > 0:
-        indices = rng.integers(0, ws.v.shape[0], size=r)
-        kernel = _cdkernel.KERNEL
-        if kernel is not None:
-            kernel.random(ws, indices)
-        else:
-            random_loop(ws, indices)
-    return ws.u.copy(), r
+    run = seed if isinstance(seed, CdRun) else CdRun(seed, model.n, block=0)
+    return run.minimize(model, grad_v, v, lam, r), r
 
 
 def random_loop(ws: CdWorkspace, indices: np.ndarray) -> None:
@@ -165,11 +259,13 @@ def exact_solve_oracle(
     lam: float,
     tol: float,
     max_steps: int = 10**7,
+    run: CdRun | None = None,
 ) -> tuple[np.ndarray, int]:
     """Cyclic coordinate descent until the subproblem's min-norm
     subgradient has inf-norm at most tol; returns the iterate and the
     number of steps taken.  Ground truth for epsilon-minimizer checks;
-    raises past ``max_steps`` coordinate steps.
+    raises past ``max_steps`` coordinate steps.  A driver passes its
+    :class:`CdRun`, whose workspace the solve reuses.
 
     A sweep whose largest move falls below the 1e-16 step floor cannot
     improve the certificate any further in double precision, so the
@@ -178,7 +274,8 @@ def exact_solve_oracle(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ws = CdWorkspace(model, grad_v, v, lam)
+    ws = (CdWorkspace(model, grad_v, v, lam) if run is None
+          else run.workspace(model, grad_v, v, lam))
     kernel = _cdkernel.KERNEL
     if kernel is not None:
         steps = kernel.exact(ws, tol, max_steps)

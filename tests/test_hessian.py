@@ -47,6 +47,19 @@ class TestCorrectionPairs:
         assert not pairs.update(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert len(pairs) == 0
 
+    @pytest.mark.parametrize("y", [[1.0, np.inf, 0.0], [1.0, np.nan, 0.0],
+                                   [-np.inf, np.inf, 0.0]])
+    def test_rejects_a_nan_curvature(self, y):
+        """s'y = nan (0 * inf, or inf - inf) refuses the pair and leaves
+        the buffer as it was."""
+        pairs = CorrectionPairs(3, memory=2)
+        pairs.update(np.array([1.0, 0, 0]), np.array([2.0, 0, 0]))
+        before = [m.tobytes() for m in pairs.pairs()]
+        with np.errstate(invalid="ignore"):
+            assert not pairs.update(np.array([1.0, 0, 0]), np.array(y))
+        assert len(pairs) == 1
+        assert [m.tobytes() for m in pairs.pairs()] == before
+
     def test_ring_eviction(self):
         pairs = CorrectionPairs(2, memory=2)
         for c in (1.0, 2.0, 3.0):
@@ -416,7 +429,7 @@ class ListPairs:
         s = np.asarray(s, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         sy = float(s @ y)
-        if sy <= self.curvature_eps * np.linalg.norm(s) * np.linalg.norm(y):
+        if not sy > self.curvature_eps * np.linalg.norm(s) * np.linalg.norm(y):
             return False
         self._s.append(s.copy())
         self._y.append(y.copy())

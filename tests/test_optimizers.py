@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import proxqn.optimizers as optimizers
-from proxqn import _cdkernel
+from proxqn import _cdkernel, subsolver
 from proxqn.dataset import Dataset, synthesize_quadratic
 from proxqn.harness import tolerance_induced_gap
 from proxqn.hessian import HessianModel
@@ -768,3 +768,68 @@ def test_oracle_calls_are_a_function_of_the_trace(name, max_iters):
         assert calls["value_and_grad"] == least
     else:
         assert least <= calls["value_and_grad"] <= least + backtracks
+
+
+@pytest.mark.parametrize("name, status, iterations", [
+    ("pqna-lbfgs", BACKTRACK_FAILURE, 21),
+    ("apqna-lbfgs", MAX_ITER, 60),
+])
+def test_an_infinite_gradient_leaves_the_pairs_alone(name, status, iterations):
+    """From its 21st call f_grad has an infinite entry, so s'y is nan:
+    the pair is refused, and no compact form of it is compiled."""
+    problem = quadratic_problem(synthesize_quadratic(10, 0.1, 10, 0), 0.1)
+    calls = [0]
+
+    def f_grad(x, memo=None):
+        calls[0] += 1
+        grad = problem.f_grad(x, memo)
+        if calls[0] > 20:
+            grad = grad.copy()
+            grad[1] = np.inf
+        return grad
+
+    with np.errstate(invalid="ignore"):
+        trace = ALGORITHMS[name](replace(problem, f_grad=f_grad),
+                                 OptimizerConfig(max_iters=60))
+    assert (trace.status, trace.iterations) == (status, iterations)
+
+
+def test_a_run_builds_one_workspace_per_p_and_draws_in_blocks(monkeypatch):
+    """pqna-lbfgs builds a coordinate-descent workspace only when p
+    changes and draws its coordinates a block at a time, not once per
+    solve, and its trace is the one it gives without the counters."""
+    counts = {"workspaces": 0, "draws": 0, "solves": 0, "steps": 0}
+    ps = set()
+
+    class Workspace(subsolver.CdWorkspace):
+        def __init__(self, *args):
+            counts["workspaces"] += 1
+            super().__init__(*args)
+
+    class Generator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, *args, **kwargs):
+            counts["draws"] += 1
+            return self.rng.integers(*args, **kwargs)
+
+    def solve(model, *args):
+        ps.add(model.p)
+        u, steps = cd_minimize(model, *args)
+        counts["solves"] += 1
+        counts["steps"] += steps
+        return u, steps
+
+    problem, config = quad_problem(n=30), OptimizerConfig(tol=1e-8)
+    plain = run_pqna(problem, config)
+    cd_minimize, default_rng = optimizers.cd_minimize, np.random.default_rng
+    monkeypatch.setattr(subsolver, "CdWorkspace", Workspace)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: Generator(default_rng(seed)))
+    monkeypatch.setattr(optimizers, "cd_minimize", solve)
+    trace = run_pqna(problem, config)
+    assert _without_elapsed(trace) == _without_elapsed(plain)
+    assert counts["solves"] > 10 * len(ps)
+    assert counts["workspaces"] <= len(ps)
+    assert counts["draws"] <= math.ceil(counts["steps"] / subsolver.BLOCK) + 1

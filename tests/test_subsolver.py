@@ -18,6 +18,8 @@ from proxqn.hessian import (
 from proxqn.optimizers import OptimizerConfig, budget_for_iteration
 from proxqn.problem import l1_value, min_norm_subgradient
 from proxqn.subsolver import (
+    BLOCK,
+    CdRun,
     CdWorkspace,
     cd_minimize,
     exact_solve_oracle,
@@ -485,7 +487,8 @@ class TestWorkspaceInput:
                                        HessianModel(1.0, 3, scale=2.0)])
     def test_kernel_addresses_are_the_arrays(self, model):
         ws = CdWorkspace(model, np.ones(model.n), np.zeros(model.n), 0.1)
-        names = ("q", "qw_scaled", "diag", "grad_v", "u", "d", "qcache")
+        names = ("q", "qw_scaled", "diag", "grad_v", "u", "d", "qcache",
+                 "scratch")
         assert ws.addresses() == tuple(getattr(ws, name).ctypes.data
                                        for name in names)
 
@@ -505,3 +508,112 @@ class TestWorkspaceInput:
         assert ws.qw_scaled.tobytes() == (model.scale * model.qw).tobytes()
         assert ws.q.tobytes() == model.q.tobytes()
         assert ws.eff_delta == model.scale * model.delta
+
+
+def low_rank_model(rng, n, p, delta=0.5):
+    """delta*I + Q W Q' with random Q of p columns and a PSD W."""
+    if p == 0:
+        return HessianModel(delta, n, scale=float(rng.uniform(0.5, 2.0)))
+    root = rng.standard_normal((p, p))
+    return HessianModel(delta, n, rng.standard_normal((n, p)) / p,
+                        root @ root.T / p)
+
+
+def model_sequence(n):
+    """Models whose p runs 0, 2, 20, 4 and back to 0: views of one
+    model that share its Q, the same model twice, and at p = 4 a model
+    whose diagonal is negative at coordinate n - 1 between two good
+    ones."""
+    rng = np.random.default_rng(n)
+    p20 = low_rank_model(rng, n, 20)
+    q = np.zeros((n, 4))
+    q[n - 1, 0] = 1.0
+    bad = HessianModel(1.0, n, q, np.diag([-2.0, 1.0, 1.0, 1.0]))
+    p4 = low_rank_model(rng, n, 4)
+    return [low_rank_model(rng, n, 0), low_rank_model(rng, n, 2), p20,
+            p20.shifted(0.3), p20.rescaled(2.0), p20.shifted(0.3).rescaled(0.5),
+            p20, p20, bad, p4, p4.shifted(1.0), p4.shifted(1.0),
+            low_rank_model(rng, n, 0)]
+
+
+class TestCdRun:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(1, 500), seed=st.integers(0, 2**32 - 1),
+           budgets=st.lists(st.one_of(st.integers(0, 60),
+                                      st.integers(BLOCK - 5, 3 * BLOCK)),
+                            max_size=8))
+    @example(n=1, seed=0, budgets=[0, 5, BLOCK + 1, 0])
+    @example(n=30, seed=3, budgets=[BLOCK - 1, 2, BLOCK, 0, 2 * BLOCK + 7])
+    def test_stream_is_the_per_solve_draws(self, n, seed, budgets):
+        """A run's coordinates, drawn ahead in blocks, are the draws of
+        size r that a generator of its seed gives solve by solve; with
+        no block the run leaves its generator where those draws do."""
+        run, ahead = CdRun(seed, n, block=0), CdRun(seed, n)
+        g = np.random.default_rng(seed)
+        for r in budgets:
+            want = g.integers(0, n, size=r)
+            for stream in (run, ahead):
+                start = stream.take(r)
+                assert stream.indices[start:start + r].tobytes() == want.tobytes()
+        assert run.rng.bit_generator.state == g.bit_generator.state
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(1, 500), seed=st.integers(0, 2**32 - 1),
+           r=st.one_of(st.integers(0, 60), st.integers(BLOCK - 5, 3 * BLOCK)))
+    @example(n=1, seed=0, r=0)
+    def test_a_callers_generator_gets_r_draws(self, n, seed, r):
+        g, h = np.random.default_rng(seed), np.random.default_rng(seed)
+        cd_minimize(HessianModel(1.0, n), np.ones(n), np.zeros(n), 0.1, r,
+                    seed=g)
+        h.integers(0, n, size=r)
+        assert g.bit_generator.state == h.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_reused_workspace_gives_fresh_results(self, cd_backend, n):
+        """One run over solves whose p, model, lam and budget change
+        gives, solve by solve, the bytes of a one-shot solve on the same
+        coordinates, holds the model rows a fresh workspace holds, and
+        recovers from a model it refuses."""
+        run, g = CdRun(7, n), np.random.default_rng(7)
+        rng = np.random.default_rng(100 + n)
+        # The refused model, ninth, gets 500 steps, which visit n - 1.
+        budgets = [0, 5, 35, BLOCK + 3, 1, 200, 7, 0, 500, 35, BLOCK, 3, 9]
+        refused, workspaces = [], []
+        for i, (model, r) in enumerate(zip(model_sequence(n), budgets)):
+            grad_v, v = rng.standard_normal(n), rng.standard_normal(n)
+            lam = [0.0, 0.01, 0.3, 3.0][i % 4]
+            got = outcome(cd_minimize, model, grad_v, v, lam, r, run)
+            assert got == outcome(cd_minimize, model, grad_v, v, lam, r, g), i
+            if isinstance(got, str):
+                refused.append(got)
+            fresh = CdWorkspace(model, grad_v, v, lam)
+            for name in ("q", "qw_scaled", "diag", "grad_v", "v"):
+                assert (getattr(run.ws, name).tobytes()
+                        == getattr(fresh, name).tobytes()), (i, name)
+            assert (run.ws.eff_delta, run.ws.lam) == (fresh.eff_delta, fresh.lam)
+            if not workspaces or workspaces[-1] is not run.ws:
+                workspaces.append(run.ws)
+        assert refused == [
+            f"ValueError: nonpositive model diagonal at coordinate {n - 1}"]
+        assert [ws.qcache.shape[0] for ws in workspaces] == [0, 2, 20, 4, 0]
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_reused_workspace_gives_fresh_exact_solves(self, cd_backend, n):
+        run = CdRun(0, n)
+        rng = np.random.default_rng(200 + n)
+        refused = []
+        for i, model in enumerate(model_sequence(n)):
+            grad_v, v = rng.standard_normal(n), rng.standard_normal(n)
+            lam = [0.0, 0.01, 0.3, 3.0][i % 4]
+            args = (model, grad_v, v, lam, 1e-10, 20_000)
+            got = outcome(exact_solve_oracle, *args, run=run)
+            assert got == outcome(exact_solve_oracle, *args), i
+            if isinstance(got, str):
+                refused.append(got)
+        assert refused == [
+            f"ValueError: nonpositive model diagonal at coordinate {n - 1}"]
+
+    def test_a_model_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="dimension 3, the run 4"):
+            cd_minimize(HessianModel(1.0, 3), np.ones(3), np.ones(3), 0.1, 5,
+                        CdRun(0, 4))
