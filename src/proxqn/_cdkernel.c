@@ -359,19 +359,31 @@ static inline double max_zero(double z)
  * has in numpy's one call over the whole array, and gets the same bits. */
 #define BLOCK 1024
 
-/* The forward pass of the logistic oracle for X in CSR form with m rows:
- * the margins z = -y * (X w), e = exp(-|z|) and the loss terms
- * t = max(z, 0) + log1p(e), as margins_reference, exp_neg_abs and
- * softplus form them.  Each row is summed from 0.0 in index order, as
- * scipy's csr_matvec does, four rows at a time; data is NULL when every
- * stored value of X is 1.0.  exp, log1p and the add are numpy's own
- * loops, called on each block in place of np.exp(e, out=e), np.log1p(e)
- * and np.add(max, t, out=t) over the whole array. */
-void lg_forward(int64_t m, const int32_t *indptr, const int32_t *indices,
-                const double *data, const double *y, const double *w,
-                double *z, double *e, double *t)
+/* The arrays of one Dataset, bound once: X (m x n) and X' (n x m) in CSR
+ * form with 32-bit indices, their data NULL when every stored value is
+ * 1.0, the features by nonincreasing nonzero count and the labels. */
+typedef struct {
+    int64_t m, n;
+    const int32_t *x_indptr, *x_indices;
+    const double *x_data;
+    const int32_t *xt_indptr, *xt_indices;
+    const double *xt_data;
+    const int64_t *order;
+    const double *y;
+} dataset;
+
+/* The forward pass of the logistic oracle: the margins z = -y * (X w),
+ * e = exp(-|z|) and the loss terms t = max(z, 0) + log1p(e), as
+ * margins_reference, exp_neg_abs and softplus form them.  Each row is
+ * summed from 0.0 in index order, as scipy's csr_matvec does, four rows
+ * at a time.  exp, log1p and the add are numpy's own loops, called on
+ * each block in place of np.exp(e, out=e), np.log1p(e) and
+ * np.add(max, t, out=t) over the whole array. */
+static void forward(const dataset *d, const double *w, double *z, double *e,
+                    double *t)
 {
-    int64_t blocks = m < BLOCK ? 1 : m / BLOCK;
+    int64_t m = d->m, blocks = m < BLOCK ? 1 : m / BLOCK;
+    const int32_t *indptr = d->x_indptr;
     OMP(omp parallel for schedule(static) if (!forked && indptr[m] >= PARALLEL_NNZ))
     for (int64_t b = 0; b < blocks; b++) {
         int64_t lo = b * BLOCK, hi = b == blocks - 1 ? m : lo + BLOCK;
@@ -380,9 +392,9 @@ void lg_forward(int64_t m, const int32_t *indptr, const int32_t *indices,
             int64_t r[4] = {i, i + 1, i + 2, i + 3};
             int count = hi - i < 4 ? (int)(hi - i) : 4;
             double s[4];
-            sum_rows(indptr, indices, data, w, r, count, s);
+            sum_rows(indptr, d->x_indices, d->x_data, w, r, count, s);
             for (int q = 0; q < count; q++) {
-                double zi = -y[i + q] * s[q];
+                double zi = -d->y[i + q] * s[q];
                 z[i + q] = zi;
                 e[i + q] = -fabs(zi);
                 max0[i + q - lo] = max_zero(zi);
@@ -394,38 +406,82 @@ void lg_forward(int64_t m, const int32_t *indptr, const int32_t *indices,
     }
 }
 
+/* np.mean(t) over the m loss terms: numpy's add loop in reduce mode
+ * (strides 0 for the accumulator), called once over all m terms from
+ * 0.0 as np.add.reduce calls it on a contiguous array, then divided by
+ * m as np.mean divides the sum. */
+static double mean(const double *t, int64_t m)
+{
+    double acc = 0.0;
+    char *args[3] = {(char *)&acc, (char *)t, (char *)&acc};
+    intptr_t n = m, steps[3] = {0, sizeof(double), 0};
+    add_loop(args, &n, steps, add_data);
+    return acc / (double)m;
+}
+
 /* grad = (X' c) / m with the coefficients c = -y * (s / (1 + e)) stored
  * in coeff, from the margins z and e = exp(-|z|): s is 1 where z >= 0 and
  * e elsewhere, so s / (1 + e) is expit(z) with the exponent kept
  * nonpositive.  The sign of z is random, so s is a select, not a branch.
- * X' is in CSR form with n rows (the features); data is NULL when every
- * stored value is 1.0.  Each feature gathers its nonzeros in increasing
+ * Each feature, a row of X', gathers its nonzeros in increasing
  * data-point order, the order in which scipy's csc_matvec scatters them
- * for X' held as CSC.  order lists the features by nonincreasing nonzero
- * count, so each group of four that is summed side by side has rows of
- * similar length; groups still differ widely, hence the dynamic
- * schedule. */
-void lg_gradient(int64_t m, int64_t n, const int32_t *indptr,
-                 const int32_t *indices, const double *data,
-                 const int64_t *order, const double *y, const double *z,
-                 const double *e, double *coeff, double *grad)
+ * for X' held as CSC.  The features are taken in the bound order, by
+ * nonincreasing nonzero count, so each group of four that is summed side
+ * by side has rows of similar length; groups still differ widely, hence
+ * the dynamic schedule. */
+static void gradient(const dataset *d, const double *z, const double *e,
+                     double *coeff, double *grad)
 {
-    OMP(omp parallel if (!forked && indptr[n] >= PARALLEL_NNZ))
+    int64_t m = d->m, n = d->n;
+    OMP(omp parallel if (!forked && d->xt_indptr[n] >= PARALLEL_NNZ))
     {
         OMP(omp for schedule(static))
         for (int64_t i = 0; i < m; i++) {
             double ei = e[i];
             double s = z[i] >= 0.0 ? 1.0 : ei;
-            coeff[i] = -y[i] * (s / (1.0 + ei));
+            coeff[i] = -d->y[i] * (s / (1.0 + ei));
         }
         OMP(omp for schedule(dynamic, 1))
         for (int64_t g = 0; g < (n + 3) / 4; g++) {
-            const int64_t *r = order + 4 * g;
+            const int64_t *r = d->order + 4 * g;
             int count = n - 4 * g < 4 ? (int)(n - 4 * g) : 4;
             double s[4];
-            sum_rows(indptr, indices, data, coeff, r, count, s);
+            sum_rows(d->xt_indptr, d->xt_indices, d->xt_data, coeff, r, count,
+                     s);
             for (int q = 0; q < count; q++)
                 grad[r[q]] = s[q] / (double)m;
         }
     }
+}
+
+/* Each oracle call works in one buffer of 2n + 3m doubles, fresh from
+ * the caller: w[n], which the caller writes, then grad[n], and the
+ * margins z[m], e[m] = exp(-|z|) and the loss terms t[m].  The
+ * gradient's coefficients take the place of the loss terms, which the
+ * mean has consumed. */
+
+/* f(w): the forward pass at the buffer's w and the mean of its loss
+ * terms.  z and e stay in the buffer for lg_grad. */
+double lg_value(const dataset *d, double *buf)
+{
+    double *z = buf + 2 * d->n, *e = z + d->m, *t = e + d->m;
+    forward(d, buf, z, e, t);
+    return mean(t, d->m);
+}
+
+/* grad f into the buffer's grad, from the z and e that lg_value left
+ * in it. */
+void lg_grad(const dataset *d, double *buf)
+{
+    double *z = buf + 2 * d->n, *e = z + d->m, *coeff = e + d->m;
+    gradient(d, z, e, coeff, buf + d->n);
+}
+
+/* f(w) and grad f at the buffer's w: one forward pass, its mean, and the
+ * gradient from the same z and e. */
+double lg_value_and_grad(const dataset *d, double *buf)
+{
+    double value = lg_value(d, buf);
+    lg_grad(d, buf);
+    return value;
 }

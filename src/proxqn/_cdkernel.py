@@ -41,6 +41,10 @@ DGEMV = "scipy_cblas_dgemv64_"
 # The ufuncs whose float64 inner loops the forward pass calls, in the
 # order lg_bind_loops takes them.
 UFUNCS = (np.exp, np.log1p, np.add)
+# The lengths on which the add loop's reduce mode, the mean of the loss
+# terms, is checked: past numpy's pairwise blocks of 8 and 128 terms and
+# its buffer of 8192 elements, and a9a's 32561 points.
+SUM_LENGTHS = (*range(1, 40), 8191, 8192, 8193, 32561)
 
 
 class _Workspace(ctypes.Structure):
@@ -98,12 +102,15 @@ class Kernel:
         self._exact.argtypes = [ws, ctypes.c_double, ctypes.c_int64]
         self._exact.restype = ctypes.c_int64
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-        self._forward = lib.lg_forward
-        self._forward.argtypes = [i64] + [ptr] * 8
-        self._forward.restype = None
-        self._gradient = lib.lg_gradient
-        self._gradient.argtypes = [i64, i64] + [ptr] * 9
-        self._gradient.restype = None
+        self._value = lib.lg_value
+        self._value.argtypes = [ptr, ptr]
+        self._value.restype = ctypes.c_double
+        self._grad = lib.lg_grad
+        self._grad.argtypes = [ptr, ptr]
+        self._grad.restype = None
+        self._value_and_grad = lib.lg_value_and_grad
+        self._value_and_grad.argtypes = [ptr, ptr]
+        self._value_and_grad.restype = ctypes.c_double
         self._subgrad_inf = lib.subgrad_inf
         self._subgrad_inf.argtypes = [i64, ptr, ptr, ctypes.c_double]
         self._subgrad_inf.restype = ctypes.c_double
@@ -168,38 +175,84 @@ class Kernel:
         32-bit index arrays, which scipy uses below 2**31 nonzeros."""
         return matrix.indptr.dtype == np.int32 and matrix.indices.dtype == np.int32
 
-    def forward(self, dataset, w: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The margins ``z = -labels * (matrix @ w)``, ``e = exp(-|z|)``
-        and the loss terms ``max(z, 0) + log1p(e)`` of a Dataset whose
-        ``matrix`` :meth:`takes` accepts, for float64 ``w`` of its
-        feature count: one pass over the rows, with numpy's own exp,
-        log1p and add loops."""
-        matrix = dataset.matrix
-        w = np.ascontiguousarray(w)
-        m = matrix.shape[0]
-        z, e, t = np.empty(m), np.empty(m), np.empty(m)
-        self._forward(m, *_csr(matrix, dataset.binary),
-                      dataset.labels.ctypes.data, w.ctypes.data,
-                      z.ctypes.data, e.ctypes.data, t.ctypes.data)
-        return z, e, t
+    @classmethod
+    def bind(cls, dataset) -> Bound | None:
+        """The :class:`Bound` view of a Dataset, made at its first
+        compiled oracle call and kept on the data set, or None when the
+        passes cannot read its ``matrix`` or ``matrix_t``."""
+        bound = dataset._bound
+        if bound is None:
+            ok = cls.takes(dataset.matrix) and cls.takes(dataset.matrix_t)
+            bound = dataset._bound = Bound(dataset) if ok else False
+        return bound or None
 
-    def gradient(self, dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """``(matrix_t @ c) / m`` with the coefficients ``c = -labels *
-        (where(z >= 0, 1, e) / (1 + e))`` of a Dataset whose ``matrix_t``
-        :meth:`takes` accepts, for float64 margins ``z`` of its point count
-        and ``e = exp(-|z|)`` as the loss formed it.  Where z < 0 the
-        coefficient's sigmoid is e / (1 + e), so it needs no exp of its own
-        and no exponent ever overflows."""
-        matrix_t = dataset.matrix_t
-        n, m = matrix_t.shape
-        coeff = np.empty(m)
-        grad = np.empty(n)
-        self._gradient(m, n, *_csr(matrix_t, dataset.binary),
-                       dataset._feature_order.ctypes.data,
-                       dataset.labels.ctypes.data, z.ctypes.data, e.ctypes.data,
-                       coeff.ctypes.data, grad.ctypes.data)
-        return grad
+    def value(self, bound: Bound, w: np.ndarray) -> tuple[float, np.ndarray, int]:
+        """f(w) for float64 ``w`` of the data set's feature count, with
+        the buffer that holds its margins and exp(-|z|) and the buffer's
+        address, which :meth:`grad` takes."""
+        buf = np.empty(bound.size)
+        buf[:bound.n] = w
+        address = buf.ctypes.data
+        return self._value(bound.address, address), buf, address
+
+    def grad(self, bound: Bound, buf: np.ndarray, address: int) -> np.ndarray:
+        """grad f at the w of a buffer that :meth:`value` filled, from
+        its margins and exp(-|z|): no forward pass."""
+        self._grad(bound.address, address)
+        return buf[bound.n:2 * bound.n].copy()
+
+    def value_and_grad(self, bound: Bound, w: np.ndarray
+                       ) -> tuple[float, np.ndarray]:
+        """f(w) and grad f(w) in one call, from one forward pass."""
+        buf = np.empty(bound.size)
+        buf[:bound.n] = w
+        value = self._value_and_grad(bound.address, buf.ctypes.data)
+        return value, buf[bound.n:2 * bound.n].copy()
+
+
+class _Dataset(ctypes.Structure):
+    """The ``dataset`` struct of _cdkernel.c."""
+
+    _fields_ = [
+        ("m", ctypes.c_int64), ("n", ctypes.c_int64),
+        ("x_indptr", ctypes.c_void_p), ("x_indices", ctypes.c_void_p),
+        ("x_data", ctypes.c_void_p),
+        ("xt_indptr", ctypes.c_void_p), ("xt_indices", ctypes.c_void_p),
+        ("xt_data", ctypes.c_void_p),
+        ("order", ctypes.c_void_p), ("y", ctypes.c_void_p),
+    ]
+
+
+class Bound:
+    """A Dataset as the logistic entry points take it: the addresses of
+    X's and X''s indptr, indices and data (NULL for the data of a binary
+    data set, whose stored values are all 1.0), of the feature order and
+    of the labels, in one struct, read once.  The data set owns those
+    read-only arrays and keeps this object, so the addresses stay valid.
+
+    An oracle call works in one buffer of ``size`` = 2n + 3m doubles,
+    which :meth:`parts` splits into w, grad, the margins z, e =
+    exp(-|z|), and the loss terms t, which the gradient's coefficients
+    replace."""
+
+    __slots__ = ("struct", "address", "n", "size")
+
+    def __init__(self, dataset):
+        x, xt = dataset.matrix, dataset.matrix_t
+        m, n = x.shape
+        self.struct = _Dataset(m, n, *_csr(x, dataset.binary),
+                               *_csr(xt, dataset.binary),
+                               dataset._feature_order.ctypes.data,
+                               dataset.labels.ctypes.data)
+        self.address = ctypes.addressof(self.struct)
+        self.n = n
+        self.size = 2 * n + 3 * m
+
+    def parts(self, buf: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of ``buf``'s w, grad, z, e and t."""
+        n, m = self.n, self.struct.m
+        return (buf[:n], buf[n:2 * n], buf[2 * n:2 * n + m],
+                buf[2 * n + m:2 * n + 2 * m], buf[2 * n + 2 * m:])
 
 
 def _csr(matrix, binary: bool) -> tuple[int, int, int | None]:
@@ -291,6 +344,31 @@ def _same_bytes(ufunc: np.ufunc, fn: int, data: int | None) -> bool:
     return True
 
 
+def _same_sum(fn: int, data: int | None) -> bool:
+    """Whether the add loop at ``fn``, called in reduce mode as the
+    compiled mean calls it (once over all terms, from 0.0, with strides
+    0 for the accumulator), gives the bytes of ``np.add.reduce`` on every
+    length in ``SUM_LENGTHS``: on terms of mixed signs and magnitudes,
+    whose sum depends on the order of the adds, and on the same terms
+    with an infinity and with NaNs of both signs."""
+    loop = _LOOP(fn)
+    acc = np.zeros(1)
+    for n in SUM_LENGTHS:
+        k = np.arange(n)
+        terms = np.sin(k + 1.0) * 10.0 ** (k % 17 - 8)
+        inf, nan = terms.copy(), terms.copy()
+        inf[n // 2] = np.inf
+        nan[::7], nan[3::11] = np.nan, -np.nan
+        for x in (terms, inf, nan):
+            acc[0] = 0.0
+            ptrs = (acc.ctypes.data, x.ctypes.data, acc.ctypes.data)
+            loop((ctypes.c_void_p * 3)(*ptrs), (ctypes.c_ssize_t * 1)(n),
+                 (ctypes.c_ssize_t * 3)(0, 8, 0), data)
+            if acc.tobytes() != np.add.reduce(x).tobytes():
+                return False
+    return True
+
+
 def _numpy_loops() -> list[int | None] | str:
     """Addresses of numpy's float64 exp, log1p and add loops and of
     their data, each checked against its ufunc, or why they were not
@@ -303,6 +381,9 @@ def _numpy_loops() -> list[int | None] | str:
         if not _same_bytes(ufunc, *loop):
             return (f"numpy's exp, log1p and add loops not bound: the float64 "
                     f"loop of np.{ufunc.__name__} differs from the ufunc")
+        if ufunc is np.add and not _same_sum(*loop):
+            return ("numpy's exp, log1p and add loops not bound: the float64 "
+                    "loop of np.add in reduce mode differs from np.add.reduce")
         found.extend(loop)
     return found
 

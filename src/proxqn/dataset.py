@@ -38,7 +38,9 @@ class Dataset:
     nonzero with 32-bit indices), built on first use.  Each row of
     ``matrix_t`` lists a
     feature's nonzeros in increasing data-point order, so ``matrix_t @
-    c`` sums in the order of the CSC scatter over X's own arrays.
+    c`` sums in the order of the CSC scatter over X's own arrays.  The
+    compiled logistic oracle keeps the addresses of these arrays in
+    ``_bound``, made at its first call.
     """
 
     def __init__(self, matrix: sp.csr_matrix, labels: np.ndarray):
@@ -81,6 +83,7 @@ class Dataset:
         self._binary = bool(np.all(matrix.data == 1.0))
         self._XT = None
         self._order = None
+        self._bound = None
         self._y = labels
         self._y.setflags(write=False)
 

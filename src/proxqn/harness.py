@@ -47,7 +47,10 @@ from .problem import (
     forward_reference,
     gradient_reference,
     l1_value,
+    logistic_gradient,
     logistic_problem,
+    logistic_value,
+    logistic_value_and_gradient,
     min_norm_subgradient,
     prox_l1_scaled_identity,
     quadratic_problem,
@@ -742,19 +745,30 @@ def _check_logistic_kernel(level, rng):
         ds = _random_sparse_dataset(rng, m=m, n=n, density=density,
                                     binary=case % 4 >= 2)
         largest = max(largest, ds.nnz)
+        bound = kernel.bind(ds)
         for scale in (1e-3, 1.0, 10.0, 800.0):
             w = rng.standard_normal(ds.n_features) * scale
-            z, e, t = kernel.forward(ds, w)
             where = f"m={m}, nnz={ds.nnz}, binary={ds.binary}"
+            z, e, t = forward_reference(ds, w)
+            _, _, *passes = bound.parts(kernel.value(bound, w)[1])
             for name, got, want in zip(("margins", "exp(-|z|)", "loss terms"),
-                                       (z, e, t), forward_reference(ds, w)):
+                                       passes, (z, e, t)):
                 if got.tobytes() != want.tobytes():
                     return False, f"{where}: {name} differ"
-            if (kernel.gradient(ds, z, e).tobytes()
-                    != gradient_reference(ds, z, e).tobytes()):
-                return False, f"{where}: gradients differ"
+            value, grad = float(np.mean(t)), gradient_reference(ds, z, e)
+            memo = Memo()
+            pair = logistic_value_and_gradient(ds, w)
+            for name, got, want in (
+                    ("f_value", logistic_value(ds, w, memo), value),
+                    ("f_grad", logistic_gradient(ds, w, memo), grad),
+                    ("f_grad without the memo", logistic_gradient(ds, w), grad),
+                    ("value_and_grad's value", pair[0], value),
+                    ("value_and_grad's gradient", pair[1], grad)):
+                if np.asarray(got).tobytes() != np.asarray(want).tobytes():
+                    return False, f"{where}: {name} differs"
     return True, (f"{cases} datasets, half of them binary (nnz <= {largest}): "
-                  f"forward passes and gradients bit-identical")
+                  f"forward passes, f_value, f_grad and value_and_grad "
+                  f"bit-identical")
 
 
 def _check_cd_rate(level, rng):

@@ -41,11 +41,14 @@ class Memo:
     """One-slot store of an oracle's intermediate at one point.
 
     ``f_value(w, memo)`` stores the bytes of w as ``key`` and the
-    intermediate it formed (the logistic margins -y*(Xw), the quadratic
-    product Aw) as ``value``, with what it derived from it as ``derived``
-    (the logistic exp(-|z|), None for the quadratic); ``f_grad(w, memo)``
-    reuses both only when the bytes of its w match ``key``.  A driver run
-    owns its memo, so problems stay pure and shareable.
+    intermediate it formed as ``value``, with what it derived from it as
+    ``derived``: the quadratic product Aw and None; the logistic margins
+    -y*(Xw) and exp(-|z|) from the Python code; the compiled logistic
+    oracle's buffer, which holds both, and its address.  ``f_grad(w,
+    memo)`` reuses them only when the bytes of its w match ``key``, and
+    on the backend that stored them: switch ``_cdkernel.KERNEL`` between
+    runs, not inside one.  A driver run owns its memo, so problems stay
+    pure and shareable.
     """
 
     __slots__ = ("key", "value", "derived")
@@ -61,25 +64,6 @@ class Memo:
         return self.value if self.key == w.tobytes() else None
 
 
-def _forward(dataset: Dataset, w: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one forward pass of every logistic oracle: the margins
-    z = -y * (Xw), e = exp(-|z|) and the loss terms softplus(z)."""
-    kernel = _cdkernel.KERNEL
-    if kernel is not None and kernel.takes(dataset.matrix):
-        return kernel.forward(dataset, w)
-    return forward_reference(dataset, w)
-
-
-def _gradient(dataset: Dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """(1/m) X'c with c = -y * sigmoid(z), from the margins z and
-    e = exp(-|z|): one pass over the coefficients and one transpose pass."""
-    kernel = _cdkernel.KERNEL
-    if kernel is not None and kernel.takes(dataset.matrix_t):
-        return kernel.gradient(dataset, z, e)
-    return gradient_reference(dataset, z, e)
-
-
 def margins_reference(dataset: Dataset, w: np.ndarray) -> np.ndarray:
     """The margins z = -y * (Xw) in numpy and scipy."""
     return -dataset.labels * (dataset.matrix @ w)
@@ -87,8 +71,9 @@ def margins_reference(dataset: Dataset, w: np.ndarray) -> np.ndarray:
 
 def forward_reference(dataset: Dataset, w: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_forward` in numpy and scipy; the reference for
-    ``Kernel.forward``."""
+    """The one forward pass of every logistic oracle in numpy and scipy:
+    the margins z = -y * (Xw), e = exp(-|z|) and the loss terms
+    softplus(z).  The reference for the compiled forward pass."""
     z = margins_reference(dataset, w)
     e = exp_neg_abs(z)
     return z, e, softplus(z, e)
@@ -101,31 +86,51 @@ def coefficients(labels: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray
 
 
 def gradient_reference(dataset: Dataset, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """:func:`_gradient` in numpy and scipy; the reference for
-    ``Kernel.gradient``."""
+    """(1/m) X'c with c = -y * sigmoid(z), from the margins z and
+    e = exp(-|z|), in numpy and scipy: one pass over the coefficients and
+    one transpose pass.  The reference for the compiled gradient."""
     coeff = coefficients(dataset.labels, z, e)
     return (dataset.matrix_t @ coeff) / dataset.n_points
+
+
+def _compiled(dataset: Dataset):
+    """The loaded kernel and the data set's binding to it, or
+    ``(None, None)`` when the logistic oracle runs its numpy/scipy code."""
+    kernel = _cdkernel.KERNEL
+    bound = None if kernel is None else kernel.bind(dataset)
+    return (None, None) if bound is None else (kernel, bound)
 
 
 def logistic_value(dataset: Dataset, w: np.ndarray,
                    memo: Memo | None = None) -> float:
     """Average logistic loss (1/m) sum_i log(1 + exp(-y_i w'x_i))."""
     w = _check_dim(dataset.n_features, w)
-    z, e, t = _forward(dataset, w)
+    kernel, bound = _compiled(dataset)
+    if kernel is None:
+        z, e, t = forward_reference(dataset, w)
+        value, margins, derived = float(np.mean(t)), z, e
+    else:
+        value, margins, derived = kernel.value(bound, w)
     if memo is not None:
-        memo.store(w, z, e)
-    return float(np.mean(t))
+        memo.store(w, margins, derived)
+    return value
 
 
 def logistic_gradient(dataset: Dataset, w: np.ndarray,
                       memo: Memo | None = None) -> np.ndarray:
     """Gradient -(1/m) sum_i y_i sigmoid(-y_i w'x_i) x_i."""
     w = _check_dim(dataset.n_features, w)
-    z = None if memo is None else memo.recall(w)
-    if z is not None:
-        return _gradient(dataset, z, memo.derived)
-    z, e, _ = _forward(dataset, w)
-    return _gradient(dataset, z, e)
+    kernel, bound = _compiled(dataset)
+    margins = None if memo is None else memo.recall(w)
+    if kernel is None:
+        if margins is None:
+            margins, e, _ = forward_reference(dataset, w)
+        else:
+            e = memo.derived
+        return gradient_reference(dataset, margins, e)
+    if margins is None:
+        return kernel.value_and_grad(bound, w)[1]
+    return kernel.grad(bound, margins, memo.derived)
 
 
 def logistic_value_and_gradient(
@@ -133,8 +138,11 @@ def logistic_value_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Loss and gradient sharing one pass over the margins and one exp."""
     w = _check_dim(dataset.n_features, w)
-    z, e, t = _forward(dataset, w)
-    return float(np.mean(t)), _gradient(dataset, z, e)
+    kernel, bound = _compiled(dataset)
+    if kernel is None:
+        z, e, t = forward_reference(dataset, w)
+        return float(np.mean(t)), gradient_reference(dataset, z, e)
+    return kernel.value_and_grad(bound, w)
 
 
 def _check_dim(n: int, w: np.ndarray) -> np.ndarray:

@@ -307,8 +307,7 @@ class TestOracleMemo:
             with pytest.MonkeyPatch.context() as mp:
                 if backend == "python":
                     mp.setattr(_cdkernel, "KERNEL", None)
-                mp.setattr(proxqn.problem, "_forward",
-                           _counted(calls, "forward", proxqn.problem._forward))
+                _count_forward_passes(mp, calls)
                 mp.setattr(proxqn.problem, "exp_neg_abs",
                            _counted(calls, "exp", proxqn.problem.exp_neg_abs))
                 memo = Memo()
@@ -329,8 +328,7 @@ class TestOracleMemo:
             with pytest.MonkeyPatch.context() as mp:
                 if backend == "python":
                     mp.setattr(_cdkernel, "KERNEL", None)
-                mp.setattr(proxqn.problem, "_forward",
-                           _counted(calls, "forward", proxqn.problem._forward))
+                _count_forward_passes(mp, calls)
                 prob = replace(small_logistic, **{
                     name: _counted(calls, name, getattr(small_logistic, name))
                     for name in ("f_value", "f_grad", "value_and_grad")})
@@ -349,6 +347,20 @@ def _counted(calls, name, fn):
         calls[name] += 1
         return fn(*args, **kwargs)
     return wrapper
+
+
+def _count_forward_passes(mp, calls):
+    """Count in calls["forward"] the logistic oracle's forward passes on
+    the active backend: each call of the Python code's forward_reference,
+    and of the kernel's lg_value and lg_value_and_grad, which make one
+    each (its lg_grad reads the margins lg_value left)."""
+    mp.setattr(proxqn.problem, "forward_reference",
+               _counted(calls, "forward", proxqn.problem.forward_reference))
+    kernel = _cdkernel.KERNEL
+    if kernel is not None:
+        for entry in ("_value", "_value_and_grad"):
+            mp.setattr(kernel, entry,
+                       _counted(calls, "forward", getattr(kernel, entry)))
 
 
 def _logistic_dataset(rng, m, n, density):
@@ -384,11 +396,20 @@ def _logistic_point(rng, ds, scale):
     return w * (800.0 / top) if top > 0 else w
 
 
+def forward_passes(ds, w):
+    """The forward pass's margins, exp(-|z|) and loss terms at w on the
+    active backend: from the kernel's buffer, or from the Python code."""
+    kernel, bound = proxqn.problem._compiled(ds)
+    if kernel is None:
+        return proxqn.problem.forward_reference(ds, w)
+    return bound.parts(kernel.value(bound, w)[1])[2:]
+
+
 def forward_bytes(ds, w):
     """Bytes of the forward pass's margins, exp(-|z|) and loss terms,
     and of f_value, at w."""
-    z, e, t = proxqn.problem._forward(ds, w)
-    return _bytes(z), _bytes(e), _bytes(t), logistic_value(ds, w).hex()
+    z, e, t = forward_passes(ds, w)
+    return _bytes(z), _bytes(e), _bytes(t), _bytes(logistic_value(ds, w))
 
 
 def logistic_oracle_bytes(ds, w):
@@ -400,8 +421,8 @@ def logistic_oracle_bytes(ds, w):
     value = logistic_value(ds, w, memo)
     with_memo = logistic_gradient(ds, w, memo)
     pair = logistic_value_and_gradient(ds, w)
-    return (*forward_bytes(ds, w), value.hex(), _bytes(with_memo),
-            _bytes(logistic_gradient(ds, w)), pair[0].hex(), _bytes(pair[1]))
+    return (*forward_bytes(ds, w), _bytes(value), _bytes(with_memo),
+            _bytes(logistic_gradient(ds, w)), _bytes(pair[0]), _bytes(pair[1]))
 
 
 def _margin_dataset(z, binary):
@@ -507,7 +528,7 @@ class TestCompiledLogisticOracle:
                             [-710.0, 746.0, np.nextafter(-710.0, 0.0),
                              np.nextafter(746.0, 0.0), -7000.0, 7000.0]])
         ds, w = _margin_dataset(z, binary)
-        assert _bytes(proxqn.problem._forward(ds, w)[0]) == _bytes(z)
+        assert _bytes(forward_passes(ds, w)[0]) == _bytes(z)
         assert logistic_value(ds, w) == on_python_code(logistic_value, ds, w)
         same = (logistic_oracle_bytes(ds, w)
                 == on_python_code(logistic_oracle_bytes, ds, w))
@@ -516,22 +537,26 @@ class TestCompiledLogisticOracle:
     @needs_kernel
     @pytest.mark.parametrize("m", EDGES)
     @pytest.mark.parametrize("binary", [True, False])
-    def test_forward_matches_python_at_block_edges(self, m, binary):
+    def test_oracles_match_python_at_block_edges(self, m, binary):
+        """The forward pass, f_value (the mean of the loss terms), f_grad
+        from the memo and value_and_grad."""
         ds, w = _margin_dataset(_special_margins(np.random.default_rng(m), m),
                                 binary)
-        same = forward_bytes(ds, w) == on_python_code(forward_bytes, ds, w)
+        same = (logistic_oracle_bytes(ds, w)
+                == on_python_code(logistic_oracle_bytes, ds, w))
         assert same
 
     @needs_kernel
     @pytest.mark.parametrize("binary", [True, False])
-    def test_threaded_forward_matches_python(self, binary):
+    def test_threaded_oracles_match_python(self, binary):
         """Forty blocks and one row, past PARALLEL_NNZ, so that the
         blocks split over threads and the last one holds BLOCK + 1 rows."""
         m = 40 * BLOCK + 1
         ds, w = _margin_dataset(_special_margins(np.random.default_rng(17), m),
                                 binary)
         assert ds.nnz >= _cdkernel.KERNEL.parallel_nnz
-        same = forward_bytes(ds, w) == on_python_code(forward_bytes, ds, w)
+        same = (logistic_oracle_bytes(ds, w)
+                == on_python_code(logistic_oracle_bytes, ds, w))
         assert same
 
     @needs_kernel
