@@ -26,7 +26,7 @@ from .harness import (
     run_experiment,
     verify_suite,
 )
-from .optimizers import ALGORITHMS, BACKTRACK_FAILURE
+from .optimizers import ALGORITHMS, BACKTRACK_FAILURE, NON_FINITE
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,6 +80,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         emit_trace_csv(trace, args.trace_out)
         print(f"trace written to {args.trace_out}")
+    if trace.status == NON_FINITE:
+        print(f"error: {args.algorithm}: {NON_FINITE}: the problem gave a NaN "
+              f"objective or a non-finite gradient after {final.k} iteration(s)",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK if trace.status != BACKTRACK_FAILURE else EXIT_RUNTIME
 
 

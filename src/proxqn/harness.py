@@ -32,6 +32,7 @@ from .hessian import (
 from .optimizers import (
     ALGORITHMS,
     BACKTRACK_FAILURE,
+    NON_FINITE,
     OptimizerConfig,
     Trace,
     TraceRecord,
@@ -366,6 +367,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple[ComparisonReport, dict[str, Tr
             raise RuntimeError(f"{alg}: {exc}") from exc
         if trace.status == BACKTRACK_FAILURE:
             raise RuntimeError(f"{alg}: backtracking failed (broken oracle?)")
+        if trace.status == NON_FINITE:
+            raise RuntimeError(f"{alg}: {NON_FINITE}: NaN objective or "
+                               f"non-finite gradient after "
+                               f"{trace.iterations} iteration(s)")
         traces[alg] = trace
         emit_trace_csv(trace, os.path.join(spec.output_dir, f"{alg}.trace.csv"))
     report = assemble_report(list(traces.values()), spec.checkpoints)

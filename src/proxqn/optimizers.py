@@ -71,6 +71,10 @@ from .subsolver import (
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
 BACKTRACK_FAILURE = "backtrack_failure"
+# A NaN F at a trial point or at the point it is judged against, or a
+# gradient with an infinite or NaN entry at an accepted point (the start
+# point included): no step size cures either.
+NON_FINITE = "non_finite"
 
 SIGMA_UNDERFLOW = 1e-300
 
@@ -311,8 +315,9 @@ class _QnState:
 
 def _first_row(problem: CompositeProblem, algorithm: str, step_scalar: float,
                x0: np.ndarray | None) -> _QnState:
-    """The state at x0, its trace holding row 0 (already converged if x0
-    is stationary)."""
+    """The state at x0, its trace holding row 0: already converged if x0
+    is stationary, ended ``non_finite`` if its gradient is not finite,
+    and ``max_iter`` until the loop runs."""
     t0 = time.perf_counter()
     x = _start_point(problem, x0)
     fsm, grad = problem.value_and_grad(x)
@@ -323,6 +328,8 @@ def _first_row(problem: CompositeProblem, algorithm: str, step_scalar: float,
                                      time.perf_counter() - t0))
     if norm0 == 0.0:
         trace.status = CONVERGED
+    elif not math.isfinite(norm0):
+        trace.status = NON_FINITE
     return _QnState(trace, t0, norm0, x, fsm, fval, grad)
 
 
@@ -377,7 +384,10 @@ def _iterate(problem: CompositeProblem, config: OptimizerConfig,
     accepted point and appends its row to ``state.trace``.  The last
     row, converged or at ``max_iters``, ends the loop before the policy
     advances, so no model or momentum point is formed for a step that
-    is never taken."""
+    is never taken.  A NaN F, at the trial point or at the point v it
+    is judged against, or an accepted row whose gradient is not finite,
+    ends the loop at once with status ``non_finite``; a trial F of +inf
+    stays a rejection, which a shorter step can cure."""
     lam, trace, momentum = problem.lam, state.trace, policy.momentum
     # Accelerated clock: t_0 = 0 and x_{-1} = x_0 make the generic
     # recomputation formulas produce t_1 = 1 and y_1 = x_0.
@@ -394,6 +404,10 @@ def _iterate(problem: CompositeProblem, config: OptimizerConfig,
             u_fval = u_f + u_l1
             if _accepts(u_fval, fval_v, qval, policy.eta, not momentum):
                 break
+            # Rejected, as every trial is against a NaN F(v).
+            if math.isnan(u_fval) or math.isnan(fval_v):
+                trace.status = NON_FINITE
+                return
             backtracks += 1
             if backtracks > config.backtrack_cap:
                 trace.status = BACKTRACK_FAILURE
@@ -419,6 +433,9 @@ def _iterate(problem: CompositeProblem, config: OptimizerConfig,
         trace.records.append(TraceRecord(k, u_fval, norm, backtracks, inner,
                                          step, t_k,
                                          time.perf_counter() - state.t0))
+        if not math.isfinite(norm):
+            trace.status = NON_FINITE
+            return
         policy.after_row(state, x_old, grad_old, theta)
         if norm <= config.tol * state.norm0:
             trace.status = CONVERGED
@@ -439,9 +456,10 @@ def _iterate(problem: CompositeProblem, config: OptimizerConfig,
 
 def _run(problem: CompositeProblem, config: OptimizerConfig, algorithm: str,
          policy: _StepRule, x0: np.ndarray | None) -> Trace:
-    """Row 0 at x0, then the loop from mu_init unless x0 is stationary."""
+    """Row 0 at x0, then the loop from mu_init unless row 0 ended the run
+    (x0 stationary, or its gradient not finite)."""
     state = _first_row(problem, algorithm, config.mu_init, x0)
-    if state.trace.status != CONVERGED:
+    if state.trace.status == MAX_ITER:
         _iterate(problem, config, policy, state, config.mu_init,
                  config.max_iters)
     return state.trace
@@ -693,7 +711,7 @@ def run_apqna(problem: CompositeProblem, config: OptimizerConfig,
     scalings).
     """
     state = _first_row(problem, "apqna-lbfgs", config.sigma_init, x0)
-    if state.trace.status == CONVERGED:
+    if state.trace.status != MAX_ITER:
         return state.trace
     policy = _VariableModels(problem, config,
                              CdRun(config.seed, problem.n),
@@ -722,7 +740,7 @@ def run_apqna_fh(problem: CompositeProblem, config: OptimizerConfig,
         raise ValueError(f"base has dimension {base.n}, expected {problem.n}")
     state = _first_row(problem, "apqna-fh", config.sigma_init, x0)
     trace = state.trace
-    if trace.status == CONVERGED:
+    if trace.status != MAX_ITER:
         return trace
     cd = CdRun(config.seed, problem.n)
     if base is None:

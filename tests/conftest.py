@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,6 +21,15 @@ def make_dataset(rows, labels, n_features=None):
         indptr.append(len(indices))
     mat = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_features))
     return Dataset(mat, np.asarray(labels, dtype=float))
+
+
+def infinite_gradient(problem):
+    """``problem`` with +inf in the first entry of every f_grad."""
+    def grad(w, memo=None):
+        g = problem.f_grad(w, memo).copy()
+        g[0] = np.inf
+        return g
+    return replace(problem, f_grad=grad)
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import proxqn.cli
 from proxqn.cli import main
 from proxqn.dataset import write_libsvm
 from proxqn.harness import SETTINGS, parse_experiment_spec, read_trace_csv
 from proxqn.optimizers import CONVERGED, OptimizerConfig
 
-from conftest import make_dataset
+from conftest import infinite_gradient, make_dataset
 
 
 def test_run_synthetic_writes_trace(tmp_path, capsys):
@@ -43,6 +44,20 @@ def test_run_validation_error_exit_code(capsys):
     code = main(["run", "--algorithm", "pga"])  # no problem source
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_run_names_a_non_finite_gradient(monkeypatch, capsys):
+    """A run whose gradient turns infinite ends at that row, status
+    non_finite, and exits 1 naming it."""
+    build = proxqn.cli.build_problem
+    monkeypatch.setattr(proxqn.cli, "build_problem",
+                        lambda spec: infinite_gradient(build(spec)))
+    code = main(["run", "--algorithm", "apga",
+                 "--synthetic", "n=10,gamma=0.1,L=10,seed=0", "--lambda", "0.1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "apga: status=non_finite iterations=1 " in captured.out
+    assert captured.err.startswith("error: apga: non_finite: ")
 
 
 @pytest.mark.parametrize("lam", ["inf", "nan"])

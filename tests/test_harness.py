@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import proxqn.harness
 from proxqn.dataset import synthesize_quadratic, write_libsvm
 from proxqn.harness import (
     SETTINGS,
@@ -26,7 +27,7 @@ from proxqn.optimizers import (
 )
 from proxqn.problem import quadratic_problem
 
-from conftest import make_dataset
+from conftest import infinite_gradient, make_dataset
 
 
 def toy_trace(n_records=20, algorithm="toy", ratio=0.9, base=1.0):
@@ -199,6 +200,17 @@ class TestRunExperiment:
             if row.algorithm in ("pga", "pqna-lbfgs"):
                 assert all(row.final_fval <= fv + 1e-12
                            for _, fv in row.values)
+
+    def test_non_finite_gradient_raises(self, tmp_path, monkeypatch):
+        build = proxqn.harness.build_problem
+        monkeypatch.setattr(proxqn.harness, "build_problem",
+                            lambda spec: infinite_gradient(build(spec)))
+        spec = ExperimentSpec(
+            {"apqna-fh": OptimizerConfig()}, lam=0.1,
+            synthetic=SyntheticSpec(n=10, gamma=0.1, l_target=10.0, seed=0),
+            output_dir=str(tmp_path / "out"))
+        with pytest.raises(RuntimeError, match=r"^apqna-fh: non_finite: "):
+            run_experiment(spec)
 
     def test_report_regenerates_from_stored_csvs(self, tmp_path):
         spec = ExperimentSpec(

@@ -19,6 +19,7 @@ from proxqn.optimizers import (
     BACKTRACK_FAILURE,
     CONVERGED,
     MAX_ITER,
+    NON_FINITE,
     OptimizerConfig,
     SigmaUnderflowError,
     _accepts,
@@ -72,6 +73,32 @@ def broken_problem():
         f_grad=lambda w, memo=None: np.ones(3),
         value_and_grad=lambda w: (value(w), np.ones(3)),
     )
+
+
+def turning_problem(kind, after):
+    """synthesize_quadratic(10, 0.1, 10, 0) with lam 0.1, whose oracle
+    calls, counted together, turn bad after the first ``after``: from
+    then on kind "nan" gives a NaN F (f_value and value_and_grad), and
+    kind "inf" a gradient whose first entry is +inf (f_grad and
+    value_and_grad)."""
+    base = quadratic_problem(synthesize_quadratic(10, 0.1, 10.0, 0), 0.1)
+    calls = [0]
+
+    def spoil(value, grad):
+        calls[0] += 1
+        if calls[0] > after:
+            if kind == "nan":
+                value = math.nan
+            elif grad is not None:
+                grad = grad.copy()
+                grad[0] = math.inf
+        return value, grad
+
+    return replace(
+        base,
+        f_value=lambda w, memo=None: spoil(base.f_value(w, memo), None)[0],
+        f_grad=lambda w, memo=None: spoil(0.0, base.f_grad(w, memo))[1],
+        value_and_grad=lambda w: spoil(*base.value_and_grad(w)))
 
 
 def reference_min(problem, tol=1e-12):
@@ -254,6 +281,29 @@ class TestPga:
                               / math.log(1.0 / cfg.beta)) + 3
             worst = max(r.backtracks for r in trace.records)
             assert worst <= bound, (kind, worst, bound)
+
+
+class TestNonFinite:
+    """A NaN F or a non-finite gradient ends every driver at once with
+    status non_finite; an infinite F stays a rejection (see
+    test_backtrack_failure_on_broken_oracle)."""
+
+    @pytest.mark.parametrize("kind", ["nan", "inf"])
+    @pytest.mark.parametrize("after", [0, 1, 20])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_run_ends_at_once(self, name, after, kind):
+        trace = ALGORITHMS[name](turning_problem(kind, after), OptimizerConfig())
+        assert trace.status == NON_FINITE
+        # Each row takes at least one oracle call.
+        assert trace.iterations <= after
+        fvals = [math.isfinite(r.fval) for r in trace.records]
+        norms = [math.isfinite(r.subgrad_inf) for r in trace.records]
+        if kind == "nan":
+            assert fvals == [after > 0] + fvals[1:] and all(fvals[1:])
+            assert all(norms)
+        else:
+            assert all(fvals)
+            assert norms == [True] * (len(norms) - 1) + [False]
 
 
 class TestApga:
@@ -770,13 +820,12 @@ def test_oracle_calls_are_a_function_of_the_trace(name, max_iters):
         assert least <= calls["value_and_grad"] <= least + backtracks
 
 
-@pytest.mark.parametrize("name, status, iterations", [
-    ("pqna-lbfgs", BACKTRACK_FAILURE, 21),
-    ("apqna-lbfgs", MAX_ITER, 60),
-])
-def test_an_infinite_gradient_leaves_the_pairs_alone(name, status, iterations):
-    """From its 21st call f_grad has an infinite entry, so s'y is nan:
-    the pair is refused, and no compact form of it is compiled."""
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_an_infinite_gradient_ends_the_run(name):
+    """From its 21st call f_grad, which the loop calls once per accepted
+    row, has an infinite entry: the run ends at row 21, non_finite,
+    before the row's pair (whose s'y is nan) is offered to the L-BFGS
+    pairs.  apga and apqna-fh used to run on to max_iters."""
     problem = quadratic_problem(synthesize_quadratic(10, 0.1, 10, 0), 0.1)
     calls = [0]
 
@@ -788,10 +837,10 @@ def test_an_infinite_gradient_leaves_the_pairs_alone(name, status, iterations):
             grad[1] = np.inf
         return grad
 
-    with np.errstate(invalid="ignore"):
-        trace = ALGORITHMS[name](replace(problem, f_grad=f_grad),
-                                 OptimizerConfig(max_iters=60))
-    assert (trace.status, trace.iterations) == (status, iterations)
+    trace = ALGORITHMS[name](replace(problem, f_grad=f_grad),
+                             OptimizerConfig(max_iters=60))
+    assert (trace.status, trace.iterations) == (NON_FINITE, 21)
+    assert trace.records[-1].subgrad_inf == np.inf
 
 
 def test_a_run_builds_one_workspace_per_p_and_draws_in_blocks(monkeypatch):

@@ -621,6 +621,35 @@ class TestCompiledLogisticOracle:
         w = _logistic_point(rng, ds, 1.0)
         same = logistic_oracle_bytes(ds64, w) == logistic_oracle_bytes(ds, w)
         assert same
+        assert _cdkernel.Kernel.bind(ds64) is None
+
+    @needs_kernel
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_binding_is_made_at_the_first_oracle_call_and_kept(self, binary):
+        """Building the problem binds nothing; the first oracle call binds
+        the data set's arrays, by address, and later calls reuse them."""
+        rng = np.random.default_rng(19)
+        ds = (_binary_dataset if binary else _logistic_dataset)(rng, 30, 8, 0.5)
+        prob = logistic_problem(ds, 1e-3)
+        assert ds._bound is None and ds._XT is None
+        w = _logistic_point(rng, ds, 1.0)
+        memo = Memo()
+        prob.f_value(w, memo)
+        bound = ds._bound
+        x, xt = ds.matrix, ds.matrix_t
+        data = (None, None) if binary else (x.data.ctypes.data,
+                                            xt.data.ctypes.data)
+        assert ((bound.struct.m, bound.struct.n, bound.struct.x_indptr,
+                 bound.struct.x_indices, bound.struct.x_data,
+                 bound.struct.xt_indptr, bound.struct.xt_indices,
+                 bound.struct.xt_data, bound.struct.order, bound.struct.y)
+                == (30, 8, x.indptr.ctypes.data, x.indices.ctypes.data,
+                    data[0], xt.indptr.ctypes.data, xt.indices.ctypes.data,
+                    data[1], ds._feature_order.ctypes.data,
+                    ds.labels.ctypes.data))
+        prob.f_grad(w, memo)
+        prob.value_and_grad(w)
+        assert ds._bound is bound
 
     def test_transpose_is_a_lazy_csr_copy(self):
         ds = _logistic_dataset(np.random.default_rng(14), 20, 6, 0.5)

@@ -1,3 +1,4 @@
+import ctypes
 import shutil
 import subprocess
 
@@ -361,6 +362,37 @@ class TestBackends:
         monkeypatch.setattr(_cdkernel, "FALLBACK", reason)
         assert _cdkernel.backend() == f"python ({reason})"
 
+    def test_load_reports_an_add_loop_that_sums_otherwise(self, monkeypatch):
+        """An add loop that gives np.add's bytes element by element but
+        not np.add.reduce's sum in reduce mode, the mode of the compiled
+        mean, is not bound, and the fallback reason names it."""
+        loops = {ufunc: _cdkernel._float64_loop(ufunc)
+                 for ufunc in _cdkernel.UFUNCS}
+        for loop in loops.values():
+            if isinstance(loop, str):
+                pytest.skip(loop)
+        fn, data = loops[np.add]
+        add = _cdkernel._LOOP(fn)
+
+        def one_ulp_off_in_reduce_mode(args, dims, steps, extra):
+            add(args, dims, steps, extra)
+            if steps[0] == 0:
+                acc = ctypes.cast(args[0], ctypes.POINTER(ctypes.c_double))
+                acc[0] = np.nextafter(acc[0], np.inf)
+
+        spoiled = _cdkernel._LOOP(one_ulp_off_in_reduce_mode)
+        loops[np.add] = (ctypes.cast(spoiled, ctypes.c_void_p).value, data)
+        assert _cdkernel._same_bytes(np.add, *loops[np.add])
+        monkeypatch.setattr(_cdkernel, "_float64_loop", loops.__getitem__)
+        kernel, reason = _cdkernel.load()
+        assert kernel is None
+        assert reason == ("numpy's exp, log1p and add loops not bound: the "
+                          "float64 loop of np.add in reduce mode differs from "
+                          "np.add.reduce")
+        monkeypatch.setattr(_cdkernel, "KERNEL", None)
+        monkeypatch.setattr(_cdkernel, "FALLBACK", reason)
+        assert _cdkernel.backend() == f"python ({reason})"
+
     def test_float64_loops_are_read_from_the_ufuncs(self):
         assert _cdkernel._float64_loop(np.isnan) == "np.isnan has no d->d loop"
         for ufunc in _cdkernel.UFUNCS:
@@ -368,6 +400,7 @@ class TestBackends:
             if isinstance(loop, str):
                 pytest.skip(loop)
             assert loop[0] and _cdkernel._same_bytes(ufunc, *loop)
+        assert _cdkernel._same_sum(*_cdkernel._float64_loop(np.add))
 
     def test_load_reports_compile_error(self, monkeypatch, tmp_path):
         if not _buildable():
