@@ -1,6 +1,5 @@
 /* Coordinate-descent loops of proxqn.subsolver, the stop test of
- * proxqn.optimizers and the passes of the logistic oracle of
- * proxqn.problem in C.
+ * proxqn.optimizers and the logistic oracle of proxqn.problem in C.
  *
  * Each function repeats its Python reference (CdWorkspace.step, the
  * loops of cd_minimize and exact_solve_oracle, the subgradient norm of
@@ -17,19 +16,27 @@
  *    (lg_bind_loops receives them from the ufuncs), and the gradient's
  *    coefficients take that e = exp(-|z|), so no pass here calls libm's
  *    exp or log1p;
+ *  - the loss is the mean of the loss terms as np.mean forms it: numpy's
+ *    add loop in reduce mode over all of them, from 0.0, divided by m;
  *  - all other arithmetic is plain double arithmetic in the Python
  *    order, built with -ffp-contract=off so no multiply-add is fused.
+ *
+ * Each logistic oracle is one call, lg_value, lg_grad or
+ * lg_value_and_grad, which takes a data set's arrays bound once in a
+ * dataset struct and one buffer that holds the call's point, gradient
+ * and intermediates.
  *
  * The logistic passes split their output elements over OpenMP threads
  * when built with -fopenmp.  Each element is still formed by one thread
  * in the serial order, so the thread count does not change a bit.  The
  * passes also go faster than one add after another, with the same bits:
  *  - they sum four output elements side by side (four rows of X in
- *    lg_forward, four features of X' in lg_gradient).  Each element
- *    keeps its own accumulator and adds its terms in index order, so
- *    the four chains only overlap in time; the features are taken in
- *    groups of similar length, by nonincreasing nonzero count, so that
- *    the chains of a group run side by side for most of their length;
+ *    the forward pass, four features of X' in the gradient).  Each
+ *    element keeps its own accumulator and adds its terms in index
+ *    order, so the four chains only overlap in time; the features are
+ *    taken in groups of similar length, by nonincreasing nonzero count,
+ *    so that the chains of a group run side by side for most of their
+ *    length;
  *  - on a binary matrix, whose every stored value is 1.0, they read no
  *    values: 1.0 * x == x bit for bit, NaN and -0.0 included, so the
  *    term x[j] is the term data[k] * x[j].

@@ -1,17 +1,29 @@
 """Build and load the compiled kernel (``_cdkernel.c``): the
 coordinate-descent loops of :mod:`proxqn.subsolver`, the stop test of
-:mod:`proxqn.optimizers` and the forward and gradient passes of the
-logistic oracle of :mod:`proxqn.problem`.
+:mod:`proxqn.optimizers` and the logistic oracle of
+:mod:`proxqn.problem`.
 
 The C file is compiled with the system ``cc`` into a temporary
 directory and loaded with ctypes when this module is imported.  It
 calls numpy's own BLAS for the products that the Python reference forms
 with ``@`` and numpy's own float64 ``exp``, ``log1p`` and ``add`` loops
 for the loss, and sums every sparse product in scipy's order, so both paths
-give the same bits.  It is built with ``-fopenmp`` so that the
+give the same bits.  The loss's mean runs numpy's ``add`` loop in reduce
+mode, once over all terms from 0.0 and then divided by m, which gives
+``np.mean``'s bits; the loader checks that mode against
+``np.add.reduce`` as it checks each loop against its ufunc.  It is
+built with ``-fopenmp`` so that the
 logistic passes split over OpenMP's default thread count (the standard
 ``OMP_NUM_THREADS`` sets it); where that build fails it is built once
 more without the flag and those passes run serially, with the same bits.
+
+Each logistic oracle is one prepared call.  A Dataset is bound once, at
+its first compiled oracle call: :class:`Bound` holds its point and
+feature counts and the addresses of its arrays in one ctypes struct,
+kept on the data set.  ``f_value``, ``f_grad`` and ``value_and_grad``
+then each pass that struct and one fresh buffer, which holds the point,
+the gradient and the forward pass's margins, to ``lg_value``,
+``lg_grad`` or ``lg_value_and_grad``.
 
 ``KERNEL`` is the loaded kernel, or ``None`` with the reason in
 ``FALLBACK`` (no C compiler, or numpy's BLAS or loops not bound), in
@@ -82,9 +94,9 @@ _LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
 
 class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
-    the stop test's subgradient norm, and the logistic oracle's forward
-    and gradient passes.  A driver run keeps one workspace for all its
-    solves, and the loops reuse its struct of pointers.
+    the stop test's subgradient norm, and the three logistic oracles.  A
+    driver run keeps one workspace for all its solves, and the loops
+    reuse its struct of pointers; a data set keeps its :class:`Bound`.
 
     The loops raise the errors the Python loops raise, and ``exact``
     returns the number of coordinate steps it took.  A logistic pass
