@@ -120,16 +120,12 @@ def logistic_gradient(dataset: Dataset, w: np.ndarray,
                       memo: Memo | None = None) -> np.ndarray:
     """Gradient -(1/m) sum_i y_i sigmoid(-y_i w'x_i) x_i."""
     w = _check_dim(dataset.n_features, w)
-    kernel, bound = _compiled(dataset)
     margins = None if memo is None else memo.recall(w)
-    if kernel is None:
-        if margins is None:
-            margins, e, _ = forward_reference(dataset, w)
-        else:
-            e = memo.derived
-        return gradient_reference(dataset, margins, e)
     if margins is None:
-        return kernel.value_and_grad(bound, w)[1]
+        return logistic_value_and_gradient(dataset, w)[1]
+    kernel, bound = _compiled(dataset)
+    if kernel is None:
+        return gradient_reference(dataset, margins, memo.derived)
     return kernel.grad(bound, margins, memo.derived)
 
 
