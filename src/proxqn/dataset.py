@@ -87,6 +87,11 @@ class Dataset:
         self._y = labels
         self._y.setflags(write=False)
 
+    def __getstate__(self) -> dict:
+        # The binding holds the addresses of this object's arrays, which a
+        # copy or an unpickled object does not share; it binds its own.
+        return {**self.__dict__, "_bound": None}
+
     @property
     def matrix(self) -> sp.csr_matrix:
         return self._X

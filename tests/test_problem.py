@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -650,6 +652,20 @@ class TestCompiledLogisticOracle:
         prob.f_grad(w, memo)
         prob.value_and_grad(w)
         assert ds._bound is bound
+
+    @needs_kernel
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_a_copy_of_a_bound_dataset_binds_its_own_arrays(self, how):
+        rng = np.random.default_rng(20)
+        ds = _logistic_dataset(rng, 30, 8, 0.5)
+        w = _logistic_point(rng, ds, 1.0)
+        want = logistic_oracle_bytes(ds, w)
+        copied = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                  "pickle": lambda d: pickle.loads(pickle.dumps(d))}[how](ds)
+        assert copied._bound is None
+        same = logistic_oracle_bytes(copied, w) == want
+        assert same
+        assert copied._bound.struct.y == copied.labels.ctypes.data
 
     def test_transpose_is_a_lazy_csr_copy(self):
         ds = _logistic_dataset(np.random.default_rng(14), 20, 6, 0.5)
