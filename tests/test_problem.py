@@ -541,7 +541,8 @@ class TestCompiledLogisticOracle:
     @pytest.mark.parametrize("binary", [True, False])
     def test_oracles_match_python_at_block_edges(self, m, binary):
         """The forward pass, f_value (the mean of the loss terms), f_grad
-        from the memo and value_and_grad."""
+        with and without the memo, and value_and_grad give the bytes of
+        the Python code."""
         ds, w = _margin_dataset(_special_margins(np.random.default_rng(m), m),
                                 binary)
         same = (logistic_oracle_bytes(ds, w)
