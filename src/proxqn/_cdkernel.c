@@ -53,15 +53,29 @@ typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *,
 typedef void (*dgemv_fn)(int, int, int64_t, int64_t, double, const double *,
                          int64_t, const double *, int64_t, double, double *,
                          int64_t);
-enum { COL_MAJOR = 102, TRANS = 112 };
+typedef void (*dgemm_fn)(int, int, int, int64_t, int64_t, int64_t, double,
+                         const double *, int64_t, const double *, int64_t,
+                         double, double *, int64_t);
+typedef void (*dsyrk_fn)(int, int, int, int64_t, int64_t, double,
+                         const double *, int64_t, double, double *, int64_t);
+typedef void (*dgesv_fn)(int64_t *, int64_t *, double *, int64_t *, int64_t *,
+                         double *, int64_t *, int64_t *);
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112,
+       UPPER = 121 };
 
 static ddot_fn ddot;
 static dgemv_fn dgemv;
+static dgemm_fn dgemm;
+static dsyrk_fn dsyrk;
+static dgesv_fn dgesv;
 
-void cd_bind_blas(void *dot, void *gemv)
+void cd_bind_blas(void *dot, void *gemv, void *gemm, void *syrk, void *gesv)
 {
     ddot = (ddot_fn)dot;
     dgemv = (dgemv_fn)gemv;
+    dgemm = (dgemm_fn)gemm;
+    dsyrk = (dsyrk_fn)syrk;
+    dgesv = (dgesv_fn)gesv;
 }
 
 /* The arrays of one CdWorkspace: q and qw are C-contiguous (n, p), and
@@ -190,6 +204,150 @@ int64_t cd_exact(workspace *w, double tol, int64_t max_steps)
         if (steps > max_steps)
             return -2;
     }
+}
+
+/* The compact L-BFGS build of hessian.compile_compact.  Each product is
+ * formed by the routine numpy's matmul, vdot and linalg.inv call for it,
+ * with their arguments. */
+
+/* np.vdot(a, b) over count doubles, and a (1, count) @ (count, 1)
+ * product: DOUBLE_dot's 0.0 plus ddot. */
+static double dot(int64_t count, const double *a, const double *b)
+{
+    return 0.0 + ddot(count, a, 1, b, 1);
+}
+
+/* out (r x r) = a @ b.T for the r rows of n doubles at a and at b, as
+ * numpy's matmul forms s_mat.T @ y_mat on views of the rows: ddot for
+ * one row, its plain loop for one column, syrk on the upper triangle and
+ * a mirror when a is b, and gemm otherwise. */
+static void rows_product(int64_t r, int64_t n, const double *a,
+                         const double *b, double *out)
+{
+    if (r == 1) {
+        out[0] = dot(n, a, b);
+    } else if (n == 1) {
+        for (int64_t i = 0; i < r; i++)
+            for (int64_t j = 0; j < r; j++)
+                out[i * r + j] = 0.0 + a[i] * b[j];
+    } else if (a == b) {
+        dsyrk(ROW_MAJOR, UPPER, NO_TRANS, r, n, 1.0, a, n, 0.0, out, r);
+        for (int64_t i = 0; i < r; i++)
+            for (int64_t j = i + 1; j < r; j++)
+                out[j * r + i] = out[i * r + j];
+    } else {
+        dgemm(ROW_MAJOR, NO_TRANS, TRANS, r, r, n, 1.0, a, n, b, n, 0.0, out,
+              r);
+    }
+}
+
+/* w = -inv(a) for the k x k C-order matrix a, as np.linalg.inv forms the
+ * inverse: dgesv on a's Fortran-order copy and an identity right-hand
+ * side, the solution copied back to C order.  sq gets np.vdot(a, a) and
+ * np.vdot of the inverse with itself.  Scratch takes 2k^2 + k doubles.
+ * Returns dgesv's info: 0, or the place of an exactly zero pivot, where
+ * np.linalg.inv raises LinAlgError (w is then not written). */
+static int64_t negated_inverse(int64_t k, const double *a, double *w,
+                               double *sq, double *scratch)
+{
+    double *lu = scratch, *x = scratch + k * k;
+    int64_t *ipiv = (int64_t *)(x + k * k);
+    for (int64_t i = 0; i < k; i++)
+        for (int64_t j = 0; j < k; j++) {
+            lu[i * k + j] = a[j * k + i];
+            x[i * k + j] = i == j ? 1.0 : 0.0;
+        }
+    int64_t order = k, nrhs = k, lda = k, ldb = k, info = 0;
+    dgesv(&order, &nrhs, lu, &lda, ipiv, x, &ldb, &info);
+    if (info)
+        return info;
+    for (int64_t i = 0; i < k; i++)
+        for (int64_t j = 0; j < k; j++)
+            w[j * k + i] = x[i * k + j];
+    sq[0] = dot(k * k, a, a);
+    sq[1] = dot(k * k, w, w);
+    for (int64_t t = 0; t < k * k; t++)
+        w[t] = -w[t];
+    return 0;
+}
+
+/* negated_inverse of the k x k matrix a into a block of 2 + 3k^2 + k
+ * doubles: sq_m and sq_w, -inv(a) from 2 on, then scratch. */
+int64_t cc_inverse(int64_t k, const double *a, double *block)
+{
+    double *w = block + 2;
+    return negated_inverse(k, a, w, block, w + k * k);
+}
+
+/* The layout of a cc_build block for m pairs of n entries, k = 2m, which
+ * COMPACT_HEAD and Kernel.compact in _cdkernel.py repeat: delta, sq_m
+ * and sq_w, then from COMPACT_HEAD on the middle matrix M (k x k),
+ * -inv(M) (k x k), its symmetric part (k x k), Q (n x k, in np.hstack's
+ * order) and QW (n x k), the others in C order, and 2k^2 + k + 2m^2
+ * doubles of scratch.  k^2 is a multiple of 4 and nk of 2, so every part
+ * is as 16-byte aligned as the block, which numpy allocates as it does a
+ * fresh array. */
+#define COMPACT_HEAD 8
+
+/* compile_compact's build from the m oldest-first pairs that are the
+ * rows of n doubles at s and at y: delta = y'y / s'y of the newest pair;
+ * S'S and S'Y; M = [[delta S'S, L], [L', -D]] with L the strict lower
+ * part of S'Y and D its diagonal, with the 0.0 and -0.0 entries that
+ * compile_compact's slices leave in it; W = -inv(M) and the two squared
+ * norms of the bound test; Q = [delta S, Y], W's symmetric part
+ * 0.5 (W + W') and Q times it, into a block of the layout above.
+ * Returns dgesv's info; on a nonzero info only delta and M are
+ * written. */
+int64_t cc_build(int64_t n, int64_t m, const double *s, const double *y,
+                 double *block)
+{
+    int64_t k = 2 * m;
+    double *mid = block + COMPACT_HEAD, *w = mid + k * k, *sym = w + k * k;
+    double *q = sym + k * k, *qw = q + n * k;
+    double *scratch = qw + n * k, *ss = scratch + 2 * k * k + k;
+    double *sty = ss + m * m;
+    const double *s_new = s + (m - 1) * n, *y_new = y + (m - 1) * n;
+    double delta = dot(n, y_new, y_new) / dot(n, s_new, y_new);
+    block[0] = delta;
+    rows_product(m, n, s, s, ss);
+    rows_product(m, n, s, y, sty);
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t j = 0; j < m; j++) {
+            mid[i * k + j] = delta * ss[i * m + j];
+            mid[i * k + m + j] = i > j ? sty[i * m + j] : 0.0;
+            mid[(m + i) * k + j] = j > i ? sty[j * m + i] : 0.0;
+            mid[(m + i) * k + m + j] = i == j ? -sty[i * m + i] : -0.0;
+        }
+    int64_t info = negated_inverse(k, mid, w, block + 1, scratch);
+    if (info)
+        return info;
+    /* np.hstack's layout: C order for one pair, where it interleaves
+     * delta s and y, and Fortran order (delta S's rows, then Y's) for
+     * more, which for n = 1 is C order too. */
+    if (m == 1) {
+        for (int64_t i = 0; i < n; i++) {
+            q[2 * i] = delta * s[i];
+            q[2 * i + 1] = y[i];
+        }
+    } else {
+        for (int64_t t = 0; t < m * n; t++) {
+            q[t] = delta * s[t];
+            q[m * n + t] = y[t];
+        }
+    }
+    for (int64_t i = 0; i < k; i++)
+        for (int64_t j = 0; j < k; j++)
+            sym[i * k + j] = 0.5 * (w[i * k + j] + w[j * k + i]);
+    /* numpy's matmul takes a (1, k) @ (k, k) product to gemv */
+    if (n == 1)
+        dgemv(ROW_MAJOR, TRANS, k, k, 1.0, sym, k, q, 1, 0.0, qw, 1);
+    else if (m == 1)
+        dgemm(ROW_MAJOR, NO_TRANS, NO_TRANS, n, k, k, 1.0, q, k, sym, k, 0.0,
+              qw, k);
+    else
+        dgemm(ROW_MAJOR, TRANS, NO_TRANS, n, k, k, 1.0, q, n, sym, k, 0.0,
+              qw, k);
+    return 0;
 }
 
 /* Below this many nonzeros in X a logistic pass runs on the calling

@@ -50,6 +50,10 @@ OPENMP = "-fopenmp"
 BLAS_GLOB = "libscipy_openblas64_*.so"
 DDOT = "scipy_cblas_ddot64_"
 DGEMV = "scipy_cblas_dgemv64_"
+DGEMM = "scipy_cblas_dgemm64_"
+DSYRK = "scipy_cblas_dsyrk64_"
+# numpy's linalg calls LAPACK's Fortran entry points from the same file.
+DGESV = "scipy_dgesv_64_"
 # The ufuncs whose float64 inner loops the forward pass calls, in the
 # order lg_bind_loops takes them.
 UFUNCS = (np.exp, np.log1p, np.add)
@@ -57,6 +61,10 @@ UFUNCS = (np.exp, np.log1p, np.add)
 # terms, is checked: past numpy's pairwise blocks of 8 and 128 terms and
 # its buffer of 8192 elements, and a9a's 32561 points.
 SUM_LENGTHS = (*range(1, 40), 8191, 8192, 8193, 32561)
+# Doubles in front of the middle matrix in a compact build's block
+# (COMPACT_HEAD in _cdkernel.c): delta, sq_m and sq_w, and padding that
+# keeps every part 16-byte aligned.
+COMPACT_HEAD = 8
 
 
 class _Workspace(ctypes.Structure):
@@ -126,6 +134,12 @@ class Kernel:
         self._subgrad_inf = lib.subgrad_inf
         self._subgrad_inf.argtypes = [i64, ptr, ptr, ctypes.c_double]
         self._subgrad_inf.restype = ctypes.c_double
+        self._build = lib.cc_build
+        self._build.argtypes = [i64, i64, ptr, ptr, ptr]
+        self._build.restype = i64
+        self._inverse = lib.cc_inverse
+        self._inverse.argtypes = [i64, ptr, ptr]
+        self._inverse.restype = i64
         self._threads = lib.lg_threads
         self._threads.argtypes = []
         self._threads.restype = ctypes.c_int
@@ -179,7 +193,47 @@ class Kernel:
             raise ValueError(f"shape mismatch: {grad.shape} vs {x.shape}")
         if x.size == 0:
             raise ValueError("no subgradient norm of an empty vector")
-        return self._subgrad_inf(x.size, grad.ctypes.data, x.ctypes.data, lam)
+        return self._subgrad_inf(x.size, _address(grad), _address(x), lam)
+
+    def compact(self, pairs) -> tuple[int, float, float, float, np.ndarray,
+                                       np.ndarray, np.ndarray]:
+        """The compact build of ``hessian.compile_compact`` from the rows
+        of a ``CorrectionPairs``, in one fresh block: dgesv's info
+        (nonzero where ``np.linalg.inv`` raises), delta, the squared
+        norms of M and of inv(M), the views M, -inv(M) and its symmetric
+        part W of one (3, k, k) array, Q in the layout of ``np.hstack``
+        (Fortran order from two pairs and two entries on) and QW, for
+        k = 2 len(pairs).  The buffer's row addresses are read once and
+        kept on it."""
+        rows = pairs._rows
+        if rows is None:
+            rows = pairs._rows = (pairs._s.ctypes.data, pairs._y.ctypes.data)
+        n, m = pairs.n, len(pairs)
+        k = 2 * m
+        square = COMPACT_HEAD + 3 * k * k
+        qw = square + n * k
+        block = np.empty(qw + n * k + 2 * k * k + k + 2 * m * m)
+        info = self._build(n, m, *rows, _address(block))
+        delta, sq_m, sq_w = block[:3].tolist()
+        q = block[square:qw]
+        return (info, delta, sq_m, sq_w,
+                block[COMPACT_HEAD:square].reshape(3, k, k),
+                q.reshape(k, n).T if m > 1 and n > 1 else q.reshape(n, k),
+                block[qw:qw + n * k].reshape(n, k))
+
+    def negated_inverse(self, middle: np.ndarray
+                        ) -> tuple[np.ndarray | None, float, float]:
+        """-inv(middle) as the compact build forms it, with np.vdot(middle,
+        middle) and np.vdot(inv, inv); None in place of -inv where
+        ``np.linalg.inv`` raises."""
+        middle = np.ascontiguousarray(middle, dtype=np.float64)
+        k = middle.shape[0]
+        if middle.shape != (k, k) or k == 0:
+            raise ValueError(f"not a nonempty square matrix: {middle.shape}")
+        block = np.empty(2 + 3 * k * k + k)
+        info = self._inverse(k, middle.ctypes.data, block.ctypes.data)
+        w = None if info else block[2:2 + k * k].reshape(k, k)
+        return w, float(block[0]), float(block[1])
 
     @staticmethod
     def takes(matrix) -> bool:
@@ -274,6 +328,15 @@ def _csr(matrix, binary: bool) -> tuple[int, int, int | None]:
             None if binary else matrix.data.ctypes.data)
 
 
+def _address(array: np.ndarray) -> ctypes.c_void_p | int:
+    """The address of a C-contiguous array's data, as a ctypes argument:
+    through ``from_buffer``, which is cheaper than ``ndarray.ctypes``
+    but refuses read-only arrays, which take ``ctypes.data``."""
+    if array.flags.writeable:
+        return ctypes.byref(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
+
+
 def _arrays(ws) -> _Workspace:
     """The struct of pointers into ``ws``, built at the first call and
     kept as ``ws.struct`` (the block outlives it), with the workspace's
@@ -287,8 +350,9 @@ def _arrays(ws) -> _Workspace:
     return arrays
 
 
-def _numpy_blas() -> tuple[ctypes.c_void_p, ctypes.c_void_p] | str:
-    """Addresses of numpy's ddot and dgemv, or why they were not found."""
+def _numpy_blas() -> list[ctypes.c_void_p] | str:
+    """Addresses of numpy's ddot, dgemv, dgemm, dsyrk and dgesv, or why
+    they were not found."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     found = sorted(glob.glob(os.path.join(libs, BLAS_GLOB)))
     if len(found) != 1:
@@ -296,10 +360,15 @@ def _numpy_blas() -> tuple[ctypes.c_void_p, ctypes.c_void_p] | str:
     try:
         # numpy has loaded this file already, so dlopen returns that copy.
         blas = ctypes.CDLL(found[0])
-        return (ctypes.cast(getattr(blas, DDOT), ctypes.c_void_p),
-                ctypes.cast(getattr(blas, DGEMV), ctypes.c_void_p))
-    except (OSError, AttributeError) as exc:
-        return f"{DDOT} and {DGEMV} not loadable from {found[0]}: {exc}"
+    except OSError as exc:
+        return f"numpy's BLAS not loadable from {found[0]}: {exc}"
+    symbols = []
+    for name in (DDOT, DGEMV, DGEMM, DSYRK, DGESV):
+        try:
+            symbols.append(ctypes.cast(getattr(blas, name), ctypes.c_void_p))
+        except AttributeError as exc:
+            return f"{name} not loadable from {found[0]}: {exc}"
+    return symbols
 
 
 def _float64_loop(ufunc: np.ufunc) -> tuple[int, int | None] | str:
@@ -428,7 +497,7 @@ def load() -> tuple[Kernel | None, str]:
             return None, f"cc failed: {exc.stderr.strip()[:200]}"
         except (OSError, subprocess.TimeoutExpired) as exc:
             return None, f"kernel build failed: {exc}"
-    lib.cd_bind_blas.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    lib.cd_bind_blas.argtypes = [ctypes.c_void_p] * len(blas)
     lib.cd_bind_blas.restype = None
     lib.cd_bind_blas(*blas)
     lib.lg_bind_loops.argtypes = [ctypes.c_void_p] * 6

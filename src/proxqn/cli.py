@@ -12,6 +12,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from ._cdkernel import backend
 from .harness import (
     SETTINGS,
@@ -173,7 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     p_diag.set_defaults(fn=cmd_diagnose)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # An extreme setting can overflow numpy's arithmetic mid-run; the
+    # run's status says what came of it, so numpy's warnings stay off for
+    # the whole command rather than being switched per oracle call.
+    with np.errstate(all="ignore"):
+        return args.fn(args)
 
 
 if __name__ == "__main__":

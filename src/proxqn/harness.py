@@ -24,6 +24,7 @@ from .dataset import read_libsvm, synthesize_quadratic
 from .hessian import (
     CorrectionPairs,
     HessianModel,
+    SingularCompactForm,
     compile_compact,
     enforce_domination,
     extreme_eigenvalues,
@@ -776,6 +777,66 @@ def _check_logistic_kernel(level, rng):
                   f"bit-identical")
 
 
+def _compact_outcome(pairs: CorrectionPairs) -> tuple:
+    """compile_compact's model as bytes and layout, or "singular", with
+    the number of pairs the buffer kept."""
+    try:
+        model = compile_compact(pairs)
+    except SingularCompactForm:
+        return "singular", len(pairs)
+    parts = [float(model.delta).hex(), model.n]
+    for array in (model.q, model.w, model.qw, model.low_rank_diag):
+        parts += [array.shape, array.strides, array.tobytes()]
+    return parts, len(pairs)
+
+
+def _check_compact_kernel(level, rng):
+    kernel = _cdkernel.KERNEL
+    if kernel is None:
+        return True, f"backend {_cdkernel.backend()}: no kernel to compare"
+    streams = 24 if level == "full" else 6
+    builds = dropped = singular = 0
+    for _ in range(streams):
+        n = int(rng.choice([1, 2, 3, 7, 30, 123]))
+        memory = int(rng.integers(1, 11))
+        a = rng.standard_normal((n, n))
+        spd = a @ a.T / n + 0.1 * np.eye(n)
+        compiled, python = CorrectionPairs(n, memory), CorrectionPairs(n, memory)
+        s = rng.standard_normal(n)
+        for kind in rng.integers(0, 4, size=30):
+            # New directions, near-repeats that make the middle matrix
+            # ill-conditioned (the oldest pairs are dropped), exact
+            # repeats, and nearly orthogonal y (a single such pair is
+            # singular).
+            if kind == 0:
+                s = rng.standard_normal(n) * 10.0 ** float(rng.integers(-2, 2))
+            elif kind == 1:
+                s = s + 10.0 ** -float(rng.integers(5, 13)) * rng.standard_normal(n)
+            y = spd @ s
+            if kind == 3 and n > 1:
+                y = rng.standard_normal(n)
+                y -= (y @ s) / (s @ s) * s
+                y = y / np.linalg.norm(y) + 10.0 ** -7.5 * s / np.linalg.norm(s)
+            if not compiled.update(s, y) | python.update(s, y):
+                continue
+            before = len(python)
+            got = _compact_outcome(compiled)
+            _cdkernel.KERNEL = None
+            try:
+                want = _compact_outcome(python)
+            finally:
+                _cdkernel.KERNEL = kernel
+            if got != want:
+                return False, (f"n={n}, memory={memory}, {before} pairs: the "
+                               f"compiled and Python builds differ")
+            builds += 1
+            dropped += before - want[1]
+            singular += want[0] == "singular"
+    return True, (f"{builds} builds over {streams} pair streams (n <= 123, "
+                  f"{dropped} pairs dropped, {singular} singular): models "
+                  f"bit-identical")
+
+
 def _check_cd_rate(level, rng):
     n = 20
     if level == "full":
@@ -978,6 +1039,7 @@ _CHECKS = [
     ("cd_vs_exact_subproblem_oracle", _check_cd_vs_exact, ("fast", "full")),
     ("cd_kernel_vs_python_step", _check_cd_kernel, ("fast", "full")),
     ("logistic_kernel_vs_python", _check_logistic_kernel, ("fast", "full")),
+    ("compact_kernel_vs_python", _check_compact_kernel, ("fast", "full")),
     ("cd_contraction_vs_phi_rate", _check_cd_rate, ("fast", "full")),
     ("extreme_eigenvalues_vs_dense", _check_extreme_eigenvalues, ("fast", "full")),
     ("domination_scaling_and_pathology", _check_domination, ("fast", "full")),

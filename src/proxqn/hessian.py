@@ -15,6 +15,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from . import _cdkernel
+
 # A middle matrix of the compact form counts as singular past this
 # 2-norm condition number (as np.linalg.cond forms it, from an SVD).
 COND_LIMIT = 1e14
@@ -60,16 +62,30 @@ class HessianModel:
         out._set_scalars(delta, 1.0)
         return out
 
+    @classmethod
+    def _of_built(cls, delta: float, q: np.ndarray, w: np.ndarray,
+                  qw: np.ndarray) -> "HessianModel":
+        """The model delta*I + Q W Q' of a float64 Q, a symmetric W and
+        their product QW that no one else holds, which it keeps without
+        a copy."""
+        out = object.__new__(cls)
+        out.n = q.shape[0]
+        out._freeze(q, w, qw)
+        out._set_scalars(delta, 1.0)
+        return out
+
     def _keep(self, q: np.ndarray, w: np.ndarray) -> None:
         """Freeze q, the symmetric part of w, and the caches built on
         them."""
-        self.q = q
-        self.w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
+        w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
+        self._freeze(q, w, q @ w)
+
+    def _freeze(self, q: np.ndarray, w: np.ndarray, qw: np.ndarray) -> None:
         # qw caches Q W for O(p) coordinate work in the subsolver, and
         # low_rank_diag the diagonal of Q W Q'.
-        self.qw = q @ self.w
-        self.low_rank_diag = np.einsum("ij,ij->i", self.qw, q)
-        for array in (self.q, self.w, self.qw, self.low_rank_diag):
+        self.q, self.w, self.qw = q, w, qw
+        self.low_rank_diag = np.einsum("ij,ij->i", qw, q)
+        for array in (q, w, qw, self.low_rank_diag):
             array.setflags(write=False)
 
     def _set_scalars(self, delta: float, scale: float) -> None:
@@ -142,6 +158,13 @@ class CorrectionPairs:
         self._s = np.empty((self.memory, self.n))
         self._y = np.empty((self.memory, self.n))
         self._len = 0
+        # The addresses of _s and _y, which the compiled build reads at
+        # its first call and keeps here.
+        self._rows = None
+
+    def __getstate__(self) -> dict:
+        # A copy or an unpickled buffer has rows of its own.
+        return {**self.__dict__, "_rows": None}
 
     def __len__(self) -> int:
         return self._len
@@ -191,38 +214,60 @@ def compile_compact(pairs: CorrectionPairs) -> HessianModel:
     the strictly lower part of S'Y and D its diagonal.  Equals the
     classical BFGS recursion started from delta*I.  A numerically
     singular middle matrix drops the oldest pair and retries; with no
-    pairs the identity (delta = 1) is returned.
+    pairs the identity (delta = 1) is returned.  The compiled kernel,
+    when loaded, makes each try in one call (``_kernel_build``) with the
+    bytes of the numpy code (``_numpy_build``).
     """
     while True:
         if len(pairs) == 0:
             return HessianModel(1.0, pairs.n)
-        s_mat, y_mat = pairs.pairs()
-        sy_newest = float(s_mat[:, -1] @ y_mat[:, -1])
-        delta = float(y_mat[:, -1] @ y_mat[:, -1]) / sy_newest
-        sty = s_mat.T @ y_mat
-        m = sty.shape[0]
-        middle = np.zeros((2 * m, 2 * m))
-        np.multiply(delta, s_mat.T @ s_mat, out=middle[:m, :m])
-        np.copyto(middle[:m, m:], sty, where=_strict_lower(m))
-        middle[m:, :m] = middle[:m, m:].T
-        # -D, with the -0.0 off its diagonal that -np.diag(np.diag(sty))
-        # has: D's diagonal goes to every (2m + 1)-th entry of the flat
-        # matrix from 2m*m + m on, then the whole block is negated.
-        # (numpy 2.4's np.negative reads the wrong entries from an input
-        # of 64-byte stride into a strided output, such as sty's diagonal
-        # at m = 7, so the diagonal is not negated on its own.)
-        middle.reshape(-1)[2 * m * m + m::2 * m + 1] = sty.reshape(-1)[::m + 1]
-        np.negative(middle[m:, m:], out=middle[m:, m:])
-        w = _negated_inverse(middle)
-        if w is None:
-            if len(pairs) == 1:
-                raise SingularCompactForm(
-                    "single correction pair yields a singular compact form"
-                )
-            pairs.drop_oldest()
-            continue
-        q = np.hstack([delta * s_mat, y_mat])
-        return HessianModel._of_fresh(delta, q, w)
+        kernel = _cdkernel.KERNEL
+        model = (_numpy_build(pairs) if kernel is None
+                 else _kernel_build(kernel, pairs))
+        if model is not None:
+            return model
+        if len(pairs) == 1:
+            raise SingularCompactForm(
+                "single correction pair yields a singular compact form"
+            )
+        pairs.drop_oldest()
+
+
+def _numpy_build(pairs: CorrectionPairs) -> HessianModel | None:
+    """The compact model of the stored pairs, or None where its middle
+    matrix counts as singular."""
+    s_mat, y_mat = pairs.pairs()
+    sy_newest = float(s_mat[:, -1] @ y_mat[:, -1])
+    delta = float(y_mat[:, -1] @ y_mat[:, -1]) / sy_newest
+    sty = s_mat.T @ y_mat
+    m = sty.shape[0]
+    middle = np.zeros((2 * m, 2 * m))
+    np.multiply(delta, s_mat.T @ s_mat, out=middle[:m, :m])
+    np.copyto(middle[:m, m:], sty, where=_strict_lower(m))
+    middle[m:, :m] = middle[:m, m:].T
+    # -D, with the -0.0 off its diagonal that -np.diag(np.diag(sty))
+    # has: D's diagonal goes to every (2m + 1)-th entry of the flat
+    # matrix from 2m*m + m on, then the whole block is negated.
+    # (numpy 2.4's np.negative reads the wrong entries from an input
+    # of 64-byte stride into a strided output, such as sty's diagonal
+    # at m = 7, so the diagonal is not negated on its own.)
+    middle.reshape(-1)[2 * m * m + m::2 * m + 1] = sty.reshape(-1)[::m + 1]
+    np.negative(middle[m:, m:], out=middle[m:, m:])
+    w = _negated_inverse(middle)
+    if w is None:
+        return None
+    q = np.hstack([delta * s_mat, y_mat])
+    return HessianModel._of_fresh(delta, q, w)
+
+
+def _kernel_build(kernel, pairs: CorrectionPairs) -> HessianModel | None:
+    """``_numpy_build`` in the kernel's one call; the decision on its
+    middle matrix stays here.  Q, W and QW are read-only views of the
+    call's block."""
+    info, delta, sq_m, sq_w, square, q, qw = kernel.compact(pairs)
+    if info or not _conditioned(square[0], square[1], sq_m, sq_w):
+        return None
+    return HessianModel._of_built(delta, q, square[2], qw)
 
 
 @functools.cache
@@ -236,22 +281,37 @@ def _strict_lower(m: int) -> np.ndarray:
 
 def _negated_inverse(middle: np.ndarray) -> np.ndarray | None:
     """-inv(middle), or None where middle counts as singular: inv fails
-    or has an entry that is not finite, or ``_svd_conditioned`` fails.
-    The SVD runs only where the bound ||M||_F ||inv(M)||_F does not
-    settle it (see BOUND_LIMIT).  Squares lost to underflow do not
-    shrink the bound by a measurable share: the bound is at least 1, so
-    with both squared norms finite neither is below 5e-309."""
+    or ``_conditioned`` refuses it.  With the kernel loaded it inverts by
+    the routine and arguments of the kernel's build, which takes the
+    same decision on the same numbers; ``_numpy_build`` runs only
+    without it."""
+    kernel = _cdkernel.KERNEL
+    if kernel is not None:
+        w, sq_m, sq_w = kernel.negated_inverse(middle)
+        return w if w is not None and _conditioned(middle, w, sq_m, sq_w) else None
     try:
         w = np.linalg.inv(middle)
     except np.linalg.LinAlgError:
         return None
-    # vdot, unlike @, does not warn when a square overflows.  A finite
-    # sq_w also shows that every entry of w is finite.
+    # vdot, unlike @, does not warn when a square overflows.
     sq_m, sq_w = float(np.vdot(middle, middle)), float(np.vdot(w, w))
-    if not (math.sqrt(sq_m) * math.sqrt(sq_w) <= BOUND_LIMIT
-            or np.isfinite(w).all() and _svd_conditioned(middle)):
+    if not _conditioned(middle, w, sq_m, sq_w):
         return None
     return np.negative(w, out=w)
+
+
+def _conditioned(middle: np.ndarray, w: np.ndarray, sq_m: float,
+                 sq_w: float) -> bool:
+    """Whether middle, whose inverse is +-w, counts as nonsingular, from
+    the squared Frobenius norms sq_m of middle and sq_w of w.  The bound
+    ||M||_F ||inv(M)||_F settles it where it is at most BOUND_LIMIT;
+    past that, w must be finite and ``_svd_conditioned`` decides.  A
+    finite sq_w also shows that every entry of w is finite.  Squares
+    lost to underflow do not shrink the bound by a measurable share: the
+    bound is at least 1, so with both squared norms finite neither is
+    below 5e-309."""
+    return (math.sqrt(sq_m) * math.sqrt(sq_w) <= BOUND_LIMIT
+            or bool(np.isfinite(w).all()) and _svd_conditioned(middle))
 
 
 def _svd_conditioned(middle: np.ndarray) -> bool:

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -44,6 +45,26 @@ def test_run_validation_error_exit_code(capsys):
     code = main(["run", "--algorithm", "pga"])  # no problem source
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, status, code", [
+    (["--algorithm", "pga", "--mu-init", "1e160"],
+     "pga: status=backtrack_failure iterations=0 ", 2),
+    (["--algorithm", "apqna-fh", "--sigma-init", "1e308", "--mu-init", "1e308"],
+     "apqna-fh: status=non_finite iterations=8 ", 1),
+])
+def test_run_prints_no_numpy_warning(flags, status, code, capsys):
+    """Steps that overflow numpy's arithmetic give the run's status line
+    and exit code, and no RuntimeWarning: none is issued, even where
+    every warning is kept, and none reaches stderr."""
+    with warnings.catch_warnings(record=True) as issued:
+        warnings.simplefilter("always")
+        got = main(["run", *flags, "--synthetic", "n=5,gamma=0.1,L=10,seed=0"])
+    captured = capsys.readouterr()
+    assert got == code
+    assert status in captured.out
+    assert [str(w.message) for w in issued] == []
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_run_names_a_non_finite_gradient(monkeypatch, capsys):

@@ -1,10 +1,14 @@
+import contextlib
+import copy
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proxqn import hessian
+from proxqn import _cdkernel, hessian
 from proxqn._oracles import dense_bfgs_matrix
 from proxqn.dataset import synthesize_quadratic
 from proxqn.hessian import (
@@ -29,6 +33,21 @@ def admissible_pairs(rng, n, count, memory=10, scale=0.3):
         s = rng.standard_normal(n) * scale
         pairs.update(s, quad.matvec(s))
     return pairs
+
+
+BACKENDS = ["c", "python"]
+
+
+@contextlib.contextmanager
+def on_backend(name):
+    """The compiled kernel, skipped where it did not load, or with
+    ``KERNEL = None`` the Python code."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "python":
+            mp.setattr(_cdkernel, "KERNEL", None)
+        elif _cdkernel.KERNEL is None:
+            pytest.skip(_cdkernel.backend())
+        yield
 
 
 def cd_diag(model):
@@ -528,13 +547,20 @@ class TestRingBufferCompile:
     and ``rescaled`` give the bytes of the list buffer, np.block,
     np.linalg.cond and a freshly built model."""
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=150, deadline=None, database=None)
     @given(memory=st.integers(1, 10), n=st.integers(1, 50),
            length=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            compile_every=st.integers(1, 4))
     @example(memory=3, n=5, length=30, seed=4, compile_every=1)
     def test_matches_list_buffer_and_reference_compile(
-            self, memory, n, length, seed, compile_every):
+            self, backend, memory, n, length, seed, compile_every):
+        with on_backend(backend):
+            self.check_against_list_buffer(memory, n, length, seed,
+                                           compile_every)
+
+    @staticmethod
+    def check_against_list_buffer(memory, n, length, seed, compile_every):
         ring = CorrectionPairs(n, memory=memory)
         ref = ListPairs(n, memory)
         for i, (s, y) in enumerate(pair_stream(seed, n, length)):
@@ -564,8 +590,14 @@ class TestRingBufferCompile:
                 fresh = HessianModel(got.delta, n, got.q, got.w, scale=factor)
                 assert model_bytes(got.rescaled(factor)) == model_bytes(fresh)
 
-    def test_near_parallel_pairs_drop_the_oldest(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_near_parallel_pairs_drop_the_oldest(self, backend):
         # The stream's near-repeats must reach the drop-oldest retry.
+        with on_backend(backend):
+            self.check_drops()
+
+    @staticmethod
+    def check_drops():
         dropped = 0
         for seed in range(20):
             ring = CorrectionPairs(6, memory=4)
@@ -579,6 +611,7 @@ class TestRingBufferCompile:
                 dropped += before - len(ring)
         assert dropped > 0
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=200, deadline=None, database=None)
     @given(size=st.integers(1, 20), log_cond=st.floats(9.0, 17.0),
            log_scale=st.floats(-305.0, 307.5), seed=st.integers(0, 2**32 - 1),
@@ -587,13 +620,14 @@ class TestRingBufferCompile:
     @example(size=6, log_cond=16.0, log_scale=307.5, seed=1, singular="no")
     @example(size=6, log_cond=10.0, log_scale=-305.0, seed=2, singular="no")
     @example(size=5, log_cond=9.0, log_scale=0.0, seed=3, singular="twin")
-    def test_bound_test_takes_the_svd_decision(self, size, log_cond, log_scale,
-                                              seed, singular):
+    def test_bound_test_takes_the_svd_decision(self, backend, size, log_cond,
+                                              log_scale, seed, singular):
         """On symmetric indefinite matrices with condition numbers from
         1e9 to 1e17, scaled from near underflow to near overflow, and on
         exactly singular ones (a zero row and column, or two equal rows
         and columns), the bound test in front of the SVD refuses exactly
-        what the SVD test refuses, and gives the bytes of -inv."""
+        what the SVD test refuses, and gives the bytes of -inv, on the
+        kernel's dgesv and on np.linalg.inv."""
         rng = np.random.default_rng(seed)
         basis = np.linalg.qr(rng.standard_normal((size, size)))[0]
         eig = np.logspace(0.0, -log_cond, size) * rng.choice([-1.0, 1.0], size)
@@ -604,20 +638,24 @@ class TestRingBufferCompile:
         elif singular == "twin" and size > 1:
             middle[1] = middle[0]
             middle[:, 1] = middle[:, 0]
-        w = hessian._negated_inverse(middle)
+        with on_backend(backend):
+            w = hessian._negated_inverse(middle)
         assert (w is None) == reference_singular(middle)
         if w is not None:
             assert w.tobytes() == (-np.linalg.inv(middle)).tobytes()
 
-    def test_single_nearly_orthogonal_pair_is_singular(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_single_nearly_orthogonal_pair_is_singular(self, backend):
         # cos(s, y) = 3e-8 passes the 1e-8 curvature test, yet the middle
         # matrix's condition number is about 1/cos^2 > 1e14.
         s, y = np.array([1.0, 0.0]), np.array([3e-8, 1.0])
-        for buffer, compile_fn in ((CorrectionPairs(2, memory=3), compile_compact),
-                                   (ListPairs(2, 3), reference_compile)):
-            assert buffer.update(s, y)
-            with pytest.raises(SingularCompactForm):
-                compile_fn(buffer)
+        with on_backend(backend):
+            for buffer, compile_fn in ((CorrectionPairs(2, memory=3),
+                                        compile_compact),
+                                       (ListPairs(2, 3), reference_compile)):
+                assert buffer.update(s, y)
+                with pytest.raises(SingularCompactForm):
+                    compile_fn(buffer)
 
     def test_shifted_identity_core(self):
         model = HessianModel(1.0, 4)
@@ -626,3 +664,87 @@ class TestRingBufferCompile:
                 == model_bytes(HessianModel(1.0, 4, scale=3.0)))
         with pytest.raises(ValueError, match="nonnegative"):
             model.shifted(-2.0)
+
+
+def compile_outcome(pairs):
+    """compile_compact's model as ``model_bytes`` with the pairs it kept,
+    or "singular"."""
+    try:
+        model = compile_compact(pairs)
+    except SingularCompactForm:
+        return "singular", len(pairs)
+    for name in MODEL_FIELDS:
+        assert not getattr(model, name).flags.writeable
+    return model_bytes(model), len(pairs)
+
+
+@pytest.mark.skipif(_cdkernel.KERNEL is None, reason=_cdkernel.backend())
+class TestCompiledBuild:
+    """The kernel's one-call build against the Python build, each on its
+    own copy of the same pair stream."""
+
+    def test_matches_the_python_build_over_pair_streams(self, monkeypatch):
+        """Streams at n = 1, 2, 3, 7, 30 and 123 and every memory from 1
+        to 10 compile to the same bytes, drop the same pairs and refuse
+        the same single pairs.  Each try decides on the same middle
+        matrix (the -0.0 of -D included), -inv and squared norms on both
+        backends, and the SVD runs, and accepts and refuses, on both."""
+        tries = {"c": [], "python": []}
+        svd_decisions = set()
+        conditioned, svd = hessian._conditioned, hessian._svd_conditioned
+        backend = "c"
+
+        def logged(middle, w, sq_m, sq_w):
+            negated = w if backend == "c" else -w
+            accepted = conditioned(middle, w, sq_m, sq_w)
+            tries[backend].append((middle.tobytes(), negated.tobytes(),
+                                   sq_m, sq_w, accepted))
+            return accepted
+
+        def logged_svd(middle):
+            svd_decisions.add(svd(middle))
+            return svd(middle)
+
+        monkeypatch.setattr(hessian, "_conditioned", logged)
+        monkeypatch.setattr(hessian, "_svd_conditioned", logged_svd)
+        seen, dropped, singular = set(), 0, 0
+        for n in (1, 2, 3, 7, 30, 123):
+            for memory in range(1, 11):
+                for seed in range(3):
+                    kernel_pairs = CorrectionPairs(n, memory)
+                    python_pairs = CorrectionPairs(n, memory)
+                    for s, y in pair_stream(seed, n, 24):
+                        kernel_pairs.update(s, y)
+                        if not python_pairs.update(s, y) or not len(python_pairs):
+                            continue
+                        before = len(python_pairs)
+                        backend = "c"
+                        got = compile_outcome(kernel_pairs)
+                        backend = "python"
+                        with on_backend("python"):
+                            want = compile_outcome(python_pairs)
+                        assert got == want, (n, memory, seed, before)
+                        seen.add((memory, before))
+                        dropped += before > want[1]
+                        singular += want[0] == "singular"
+        assert seen == {(memory, m) for memory in range(1, 11)
+                        for m in range(1, memory + 1)}
+        assert dropped and singular
+        assert tries["c"] == tries["python"]
+        assert svd_decisions == {True, False}
+
+    @pytest.mark.parametrize("clone", ["copy", "deepcopy", "pickle"])
+    def test_a_copy_of_a_bound_buffer_reads_its_own_rows(self, clone):
+        rng = np.random.default_rng(3)
+        pairs = admissible_pairs(rng, 7, 4, memory=3)
+        compile_compact(pairs)
+        assert pairs._rows == (pairs._s.ctypes.data, pairs._y.ctypes.data)
+        other = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                 "pickle": lambda p: pickle.loads(pickle.dumps(p))}[clone](pairs)
+        assert other._rows is None
+        if clone != "copy":
+            other.update(*next(pair_stream(5, 7, 1)))
+        want = compile_outcome(other)
+        with on_backend("python"):
+            assert compile_outcome(copy.deepcopy(other)) == want
+        assert other._rows == (other._s.ctypes.data, other._y.ctypes.data)

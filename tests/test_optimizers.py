@@ -231,11 +231,43 @@ class TestTermination:
         assert np.float64(got).tobytes() == want.tobytes()
 
     @needs_kernel
+    @pytest.mark.parametrize("writable", [(True, True), (True, False),
+                                          (False, True), (False, False)])
+    def test_read_only_arrays_give_the_same_bits(self, writable):
+        """The kernel reads a writable array's address through
+        ``from_buffer`` and a read-only one's through ``ctypes.data``:
+        every mix gives numpy's bytes, on NaN, -0.0 and infinite
+        entries."""
+        g = np.tile(self.SPECIAL, 9)
+        x = np.repeat(self.SPECIAL, 9)
+        for array, keep in zip((g, x), writable):
+            array.setflags(write=keep)
+        for lam in (0.0, 5e-324, 0.5, math.inf):
+            with np.errstate(invalid="ignore"):  # inf - inf in numpy's form
+                want = np.abs(min_norm_subgradient(g, x, lam)).max()
+            got = _cdkernel.KERNEL.subgrad_inf(g, x, lam)
+            assert np.float64(got).tobytes() == want.tobytes()
+            for k in range(g.size):
+                with np.errstate(invalid="ignore"):
+                    want = np.abs(min_norm_subgradient(g[k:k + 1], x[k:k + 1],
+                                                       lam)).max()
+                got = _cdkernel.KERNEL.subgrad_inf(g[k:k + 1], x[k:k + 1], lam)
+                assert np.float64(got).tobytes() == want.tobytes()
+        assert g.flags.writeable == writable[0]
+        assert x.flags.writeable == writable[1]
+
+    @needs_kernel
     def test_compiled_norm_refuses_what_numpy_refuses(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             _subgrad_inf(np.ones(3), np.ones(2), 0.1)
         with pytest.raises(ValueError):
             _subgrad_inf(np.ones(0), np.ones(0), 0.1)
+        read_only = np.ones(3)
+        read_only.setflags(write=False)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            _subgrad_inf(read_only, np.ones(2), 0.1)
+        with pytest.raises(ValueError, match="empty"):
+            _subgrad_inf(read_only[:0], np.ones(0), 0.1)
 
 
 class TestPga:

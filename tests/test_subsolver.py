@@ -347,6 +347,22 @@ class TestBackends:
         assert kernel is None
         assert "no_such_ddot" in reason or "numpy's BLAS" in reason
 
+    @pytest.mark.parametrize("name", ["DGEMV", "DGEMM", "DSYRK", "DGESV"])
+    def test_load_names_a_missing_blas_or_lapack_routine(self, monkeypatch,
+                                                        name):
+        """A BLAS or LAPACK routine that numpy's BLAS file lacks leaves
+        the kernel unloaded, and the fallback reason names it."""
+        if isinstance(_cdkernel._numpy_blas(), str):
+            pytest.skip(_cdkernel._numpy_blas())
+        missing = f"no_such_{name.lower()}"
+        monkeypatch.setattr(_cdkernel, name, missing)
+        kernel, reason = _cdkernel.load()
+        assert kernel is None
+        assert reason.startswith(f"{missing} not loadable from ")
+        monkeypatch.setattr(_cdkernel, "KERNEL", None)
+        monkeypatch.setattr(_cdkernel, "FALLBACK", reason)
+        assert _cdkernel.backend() == f"python ({reason})"
+
     def test_load_reports_unbound_numpy_loops(self, monkeypatch):
         """A loop that does not give its ufunc's bytes is not bound, and
         the fallback reason names the loops."""
