@@ -1,14 +1,19 @@
 /* Coordinate-descent loops of proxqn.subsolver, the stop test of
- * proxqn.optimizers and the logistic oracle of proxqn.problem in C.
+ * proxqn.optimizers, the compact L-BFGS build of proxqn.hessian and the
+ * logistic oracle of proxqn.problem in C.
  *
  * Each function repeats its Python reference (CdWorkspace.step, the
  * loops of cd_minimize and exact_solve_oracle, the subgradient norm of
- * the stop test, and the numpy/scipy expressions of the logistic
- * oracle) operation for operation, so the results are bit-identical
- * to it.  This holds because:
- *  - every product numpy forms with `@` is formed here by the same BLAS
- *    routine with the same arguments (cd_bind_blas receives numpy's own
- *    ddot and dgemv);
+ * the stop test, hessian._numpy_build, and the numpy/scipy expressions
+ * of the logistic oracle) operation for operation, so the results are
+ * bit-identical to it.  This holds because:
+ *  - every product numpy forms with `@`, np.vdot or np.linalg.inv is
+ *    formed here by the same BLAS or LAPACK routine with the same
+ *    arguments (cd_bind_blas receives numpy's own ddot, dgemv, dgemm,
+ *    dsyrk and dgesv): ddot for a dot product, dsyrk and a mirror for a
+ *    matrix times its own transpose, dgemm or dgemv for other products
+ *    as numpy's matmul chooses, and dgesv with an identity right-hand
+ *    side for an inverse;
  *  - every sparse product sums each output element from 0.0 in the
  *    order scipy's csr_matvec and csc_matvec do;
  *  - the forward pass forms exp(-|z|), its log1p and the loss terms'
@@ -24,7 +29,10 @@
  * Each logistic oracle is one call, lg_value, lg_grad or
  * lg_value_and_grad, which takes a data set's arrays bound once in a
  * dataset struct and one buffer that holds the call's point, gradient
- * and intermediates.
+ * and intermediates.  Each try of compile_compact is one call, cc_build,
+ * which takes the pair buffer's two row arrays and fills one fresh block
+ * with the middle matrix, -inv of it, the bound test's squared norms and
+ * the model's Q, W and QW.
  *
  * The logistic passes split their output elements over OpenMP threads
  * when built with -fopenmp.  Each element is still formed by one thread
@@ -283,10 +291,10 @@ int64_t cc_inverse(int64_t k, const double *a, double *block)
  * COMPACT_HEAD and Kernel.compact in _cdkernel.py repeat: delta, sq_m
  * and sq_w, then from COMPACT_HEAD on the middle matrix M (k x k),
  * -inv(M) (k x k), its symmetric part (k x k), Q (n x k, in np.hstack's
- * order) and QW (n x k), the others in C order, and 2k^2 + k + 2m^2
- * doubles of scratch.  k^2 is a multiple of 4 and nk of 2, so every part
- * is as 16-byte aligned as the block, which numpy allocates as it does a
- * fresh array. */
+ * order), QW (n x k) and the diagonal of Q W Q' (n), the others in C
+ * order, and 2k^2 + k + 2m^2 doubles of scratch.  k^2 is a multiple of 4
+ * and nk of 2, so every part up to the diagonal is as 16-byte aligned as
+ * the block, which numpy allocates as it does a fresh array. */
 #define COMPACT_HEAD 8
 
 /* compile_compact's build from the m oldest-first pairs that are the
@@ -295,7 +303,8 @@ int64_t cc_inverse(int64_t k, const double *a, double *block)
  * part of S'Y and D its diagonal, with the 0.0 and -0.0 entries that
  * compile_compact's slices leave in it; W = -inv(M) and the two squared
  * norms of the bound test; Q = [delta S, Y], W's symmetric part
- * 0.5 (W + W') and Q times it, into a block of the layout above.
+ * 0.5 (W + W'), Q times it and the diagonal of Q W Q', into a block of
+ * the layout above.
  * Returns dgesv's info; on a nonzero info only delta and M are
  * written. */
 int64_t cc_build(int64_t n, int64_t m, const double *s, const double *y,
@@ -303,8 +312,8 @@ int64_t cc_build(int64_t n, int64_t m, const double *s, const double *y,
 {
     int64_t k = 2 * m;
     double *mid = block + COMPACT_HEAD, *w = mid + k * k, *sym = w + k * k;
-    double *q = sym + k * k, *qw = q + n * k;
-    double *scratch = qw + n * k, *ss = scratch + 2 * k * k + k;
+    double *q = sym + k * k, *qw = q + n * k, *diag = qw + n * k;
+    double *scratch = diag + n, *ss = scratch + 2 * k * k + k;
     double *sty = ss + m * m;
     const double *s_new = s + (m - 1) * n, *y_new = y + (m - 1) * n;
     double delta = dot(n, y_new, y_new) / dot(n, s_new, y_new);
@@ -347,6 +356,16 @@ int64_t cc_build(int64_t n, int64_t m, const double *s, const double *y,
     else
         dgemm(ROW_MAJOR, TRANS, NO_TRANS, n, k, k, 1.0, q, n, sym, k, 0.0,
               qw, k);
+    /* np.einsum("ij,ij->i", qw, q) sums each row in order from 0.0 where
+     * n > 1 (Q in Fortran order, or two columns); at n = 1 its contiguous
+     * loop sums in vector lanes, and the caller calls it. */
+    if (n > 1)
+        for (int64_t i = 0; i < n; i++) {
+            double acc = 0.0;
+            for (int64_t j = 0; j < k; j++)
+                acc += qw[i * k + j] * (m == 1 ? q[2 * i + j] : q[j * n + i]);
+            diag[i] = acc;
+        }
     return 0;
 }
 

@@ -1,7 +1,7 @@
 """Build and load the compiled kernel (``_cdkernel.c``): the
 coordinate-descent loops of :mod:`proxqn.subsolver`, the stop test of
-:mod:`proxqn.optimizers` and the logistic oracle of
-:mod:`proxqn.problem`.
+:mod:`proxqn.optimizers`, the compact L-BFGS build of
+:mod:`proxqn.hessian` and the logistic oracle of :mod:`proxqn.problem`.
 
 The C file is compiled with the system ``cc`` into a temporary
 directory and loaded with ctypes when this module is imported.  It
@@ -25,11 +25,20 @@ then each pass that struct and one fresh buffer, which holds the point,
 the gradient and the forward pass's margins, to ``lg_value``,
 ``lg_grad`` or ``lg_value_and_grad``.
 
+Each try of ``compile_compact`` is one call too, ``cc_build``, on the
+addresses of the pair buffer's two row arrays, read once and kept on
+the buffer, and one fresh block, of which the model keeps read-only
+views.  It calls the routines numpy calls for the same products, with
+numpy's arguments, all from numpy's OpenBLAS: ``ddot`` for s'y, y'y and
+the two ``np.vdot`` norms, ``dsyrk`` and a mirror for S'S, ``dgemm`` for
+S'Y and QW (``dgemv`` at n = 1), and LAPACK's ``dgesv`` on the middle
+matrix's Fortran-order copy and an identity right-hand side for inv.
+
 ``KERNEL`` is the loaded kernel, or ``None`` with the reason in
-``FALLBACK`` (no C compiler, or numpy's BLAS or loops not bound), in
-which case the subsolver, the stop test and the logistic oracle run
-their numpy/scipy code.  Setting ``KERNEL`` to ``None`` switches all
-three off.
+``FALLBACK`` (no C compiler, or numpy's BLAS, LAPACK or loops not
+bound), in which case the subsolver, the stop test, the compact build
+and the logistic oracle run their numpy/scipy code.  Setting ``KERNEL``
+to ``None`` switches all four off.
 """
 
 from __future__ import annotations
@@ -102,9 +111,10 @@ _LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
 
 class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
-    the stop test's subgradient norm, and the three logistic oracles.  A
-    driver run keeps one workspace for all its solves, and the loops
-    reuse its struct of pointers; a data set keeps its :class:`Bound`.
+    the stop test's subgradient norm, the compact build, and the three
+    logistic oracles.  A driver run keeps one workspace for all its
+    solves, and the loops reuse its struct of pointers; a data set keeps
+    its :class:`Bound`, and a pair buffer its rows' addresses.
 
     The loops raise the errors the Python loops raise, and ``exact``
     returns the number of coordinate steps it took.  A logistic pass
@@ -196,15 +206,17 @@ class Kernel:
         return self._subgrad_inf(x.size, _address(grad), _address(x), lam)
 
     def compact(self, pairs) -> tuple[int, float, float, float, np.ndarray,
-                                       np.ndarray, np.ndarray]:
+                                       np.ndarray, np.ndarray,
+                                       np.ndarray | None]:
         """The compact build of ``hessian.compile_compact`` from the rows
-        of a ``CorrectionPairs``, in one fresh block: dgesv's info
-        (nonzero where ``np.linalg.inv`` raises), delta, the squared
-        norms of M and of inv(M), the views M, -inv(M) and its symmetric
-        part W of one (3, k, k) array, Q in the layout of ``np.hstack``
-        (Fortran order from two pairs and two entries on) and QW, for
-        k = 2 len(pairs).  The buffer's row addresses are read once and
-        kept on it."""
+        of a ``CorrectionPairs``, in one fresh block that is read-only
+        once written: dgesv's info (nonzero where ``np.linalg.inv``
+        raises), delta, the squared norms of M and of inv(M), the views
+        M, -inv(M) and its symmetric part W of one (3, k, k) array, Q in
+        the layout of ``np.hstack`` (Fortran order from two pairs and two
+        entries on), QW, and the diagonal of Q W Q' (None at n = 1, where
+        only ``np.einsum`` gives einsum's bytes), for k = 2 len(pairs).
+        The buffer's row addresses are read once and kept on it."""
         rows = pairs._rows
         if rows is None:
             rows = pairs._rows = (pairs._s.ctypes.data, pairs._y.ctypes.data)
@@ -212,14 +224,17 @@ class Kernel:
         k = 2 * m
         square = COMPACT_HEAD + 3 * k * k
         qw = square + n * k
-        block = np.empty(qw + n * k + 2 * k * k + k + 2 * m * m)
+        diag = qw + n * k
+        block = np.empty(diag + n + 2 * k * k + k + 2 * m * m)
         info = self._build(n, m, *rows, _address(block))
+        block.setflags(write=False)
         delta, sq_m, sq_w = block[:3].tolist()
         q = block[square:qw]
         return (info, delta, sq_m, sq_w,
                 block[COMPACT_HEAD:square].reshape(3, k, k),
                 q.reshape(k, n).T if m > 1 and n > 1 else q.reshape(n, k),
-                block[qw:qw + n * k].reshape(n, k))
+                block[qw:diag].reshape(n, k),
+                block[diag:diag + n] if n > 1 else None)
 
     def negated_inverse(self, middle: np.ndarray
                         ) -> tuple[np.ndarray | None, float, float]:
@@ -471,8 +486,9 @@ def _numpy_loops() -> list[int | None] | str:
 
 def load() -> tuple[Kernel | None, str]:
     """Compile and load the kernel: ``(kernel, "")``, or ``(None, reason)``
-    when there is no C compiler, numpy's BLAS symbols are missing, or
-    numpy's float64 exp, log1p and add loops cannot be bound.  A compiler
+    when there is no C compiler, numpy's BLAS or LAPACK symbols are
+    missing, or numpy's float64 exp, log1p and add loops cannot be
+    bound.  A compiler
     that cannot build with OpenMP gets one more try without it."""
     blas = _numpy_blas()
     if isinstance(blas, str):
@@ -524,7 +540,7 @@ def backend() -> str:
 
 
 # The compiled kernel, or None and the reason the Python code runs
-# instead.  The subsolver, the stop test and the logistic oracle read
-# KERNEL on every call, so setting it to None switches all three to their
-# Python code.
+# instead.  The subsolver, the stop test, the compact build and the
+# logistic oracle read KERNEL on every call, so setting it to None
+# switches all four to their Python code.
 KERNEL, FALLBACK = load()

@@ -64,28 +64,27 @@ class HessianModel:
 
     @classmethod
     def _of_built(cls, delta: float, q: np.ndarray, w: np.ndarray,
-                  qw: np.ndarray) -> "HessianModel":
-        """The model delta*I + Q W Q' of a float64 Q, a symmetric W and
-        their product QW that no one else holds, which it keeps without
-        a copy."""
+                  qw: np.ndarray, low_rank_diag: np.ndarray) -> "HessianModel":
+        """The model delta*I + Q W Q' of read-only float64 arrays that no
+        one else holds: Q, a symmetric W, their product QW and the
+        diagonal of Q W Q', which it keeps without a copy."""
         out = object.__new__(cls)
         out.n = q.shape[0]
-        out._freeze(q, w, qw)
+        out.q, out.w, out.qw = q, w, qw
+        out.low_rank_diag = low_rank_diag
         out._set_scalars(delta, 1.0)
         return out
 
     def _keep(self, q: np.ndarray, w: np.ndarray) -> None:
         """Freeze q, the symmetric part of w, and the caches built on
         them."""
-        w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
-        self._freeze(q, w, q @ w)
-
-    def _freeze(self, q: np.ndarray, w: np.ndarray, qw: np.ndarray) -> None:
+        self.q = q
+        self.w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
         # qw caches Q W for O(p) coordinate work in the subsolver, and
         # low_rank_diag the diagonal of Q W Q'.
-        self.q, self.w, self.qw = q, w, qw
-        self.low_rank_diag = np.einsum("ij,ij->i", qw, q)
-        for array in (q, w, qw, self.low_rank_diag):
+        self.qw = q @ self.w
+        self.low_rank_diag = _low_rank_diag(self.qw, q)
+        for array in (self.q, self.w, self.qw):
             array.setflags(write=False)
 
     def _set_scalars(self, delta: float, scale: float) -> None:
@@ -137,6 +136,13 @@ class HessianModel:
         if self.p:
             a += self.qw @ self.q.T
         return self.scale * a
+
+
+def _low_rank_diag(qw: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The diagonal of Q W Q' from QW and Q, read-only."""
+    diag = np.einsum("ij,ij->i", qw, q)
+    diag.setflags(write=False)
+    return diag
 
 
 class CorrectionPairs:
@@ -262,12 +268,14 @@ def _numpy_build(pairs: CorrectionPairs) -> HessianModel | None:
 
 def _kernel_build(kernel, pairs: CorrectionPairs) -> HessianModel | None:
     """``_numpy_build`` in the kernel's one call; the decision on its
-    middle matrix stays here.  Q, W and QW are read-only views of the
-    call's block."""
-    info, delta, sq_m, sq_w, square, q, qw = kernel.compact(pairs)
+    middle matrix stays here.  The model's arrays are read-only views of
+    the call's block."""
+    info, delta, sq_m, sq_w, square, q, qw, diag = kernel.compact(pairs)
     if info or not _conditioned(square[0], square[1], sq_m, sq_w):
         return None
-    return HessianModel._of_built(delta, q, square[2], qw)
+    if diag is None:
+        diag = _low_rank_diag(qw, q)
+    return HessianModel._of_built(delta, q, square[2], qw, diag)
 
 
 @functools.cache
