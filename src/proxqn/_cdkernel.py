@@ -33,6 +33,8 @@ numpy's arguments, all from numpy's OpenBLAS: ``ddot`` for s'y, y'y and
 the two ``np.vdot`` norms, ``dsyrk`` and a mirror for S'S, ``dgemm`` for
 S'Y and QW (``dgemv`` at n = 1), and LAPACK's ``dgesv`` on the middle
 matrix's Fortran-order copy and an identity right-hand side for inv.
+The diagonal of Q W Q' is ``np.einsum``'s row sum in order, except at
+n = 1, where einsum sums in vector lanes and still forms it.
 
 ``KERNEL`` is the loaded kernel, or ``None`` with the reason in
 ``FALLBACK`` (no C compiler, or numpy's BLAS, LAPACK or loops not
@@ -242,9 +244,9 @@ class Kernel:
         middle) and np.vdot(inv, inv); None in place of -inv where
         ``np.linalg.inv`` raises."""
         middle = np.ascontiguousarray(middle, dtype=np.float64)
-        k = middle.shape[0]
-        if middle.shape != (k, k) or k == 0:
+        if middle.ndim != 2 or middle.shape[0] != middle.shape[1] or not middle.size:
             raise ValueError(f"not a nonempty square matrix: {middle.shape}")
+        k = middle.shape[0]
         block = np.empty(2 + 3 * k * k + k)
         info = self._inverse(k, middle.ctypes.data, block.ctypes.data)
         w = None if info else block[2:2 + k * k].reshape(k, k)
@@ -343,7 +345,7 @@ def _csr(matrix, binary: bool) -> tuple[int, int, int | None]:
             None if binary else matrix.data.ctypes.data)
 
 
-def _address(array: np.ndarray) -> ctypes.c_void_p | int:
+def _address(array: np.ndarray) -> object:
     """The address of a C-contiguous array's data, as a ctypes argument:
     through ``from_buffer``, which is cheaper than ``ndarray.ctypes``
     but refuses read-only arrays, which take ``ctypes.data``."""

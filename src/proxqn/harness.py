@@ -817,7 +817,8 @@ def _check_compact_kernel(level, rng):
                 y = rng.standard_normal(n)
                 y -= (y @ s) / (s @ s) * s
                 y = y / np.linalg.norm(y) + 10.0 ** -7.5 * s / np.linalg.norm(s)
-            if not compiled.update(s, y) | python.update(s, y):
+            compiled.update(s, y)
+            if not python.update(s, y):
                 continue
             before = len(python)
             got = _compact_outcome(compiled)

@@ -545,7 +545,8 @@ class TestRingBufferCompile:
     """The ring buffer, the slice-filled compile with its bound test in
     front of the SVD, and the shared low-rank products of ``shifted``
     and ``rescaled`` give the bytes of the list buffer, np.block,
-    np.linalg.cond and a freshly built model."""
+    np.linalg.cond and a freshly built model, on the kernel's one-call
+    build and on the numpy build."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=150, deadline=None, database=None)
@@ -556,60 +557,51 @@ class TestRingBufferCompile:
     def test_matches_list_buffer_and_reference_compile(
             self, backend, memory, n, length, seed, compile_every):
         with on_backend(backend):
-            self.check_against_list_buffer(memory, n, length, seed,
-                                           compile_every)
-
-    @staticmethod
-    def check_against_list_buffer(memory, n, length, seed, compile_every):
-        ring = CorrectionPairs(n, memory=memory)
-        ref = ListPairs(n, memory)
-        for i, (s, y) in enumerate(pair_stream(seed, n, length)):
-            assert ring.update(s, y) == ref.update(s, y)
-            assert len(ring) == len(ref)
-            if len(ref):
-                for got, want in zip(ring.pairs(), ref.pairs()):
-                    assert got.strides == want.strides
-                    assert got.tobytes() == want.tobytes()
-            if i % compile_every:
-                continue
-            try:
-                want = reference_compile(ref)
-            except SingularCompactForm:
-                with pytest.raises(SingularCompactForm):
-                    compile_compact(ring)
-                continue
-            got = compile_compact(ring)
-            assert len(ring) == len(ref)
-            assert model_bytes(got) == model_bytes(want)
-            assert not np.shares_memory(got.q, ring._s)
-            assert not np.shares_memory(got.q, ring._y)
-            for shift in (0.0, 1e-3, 2.5):
-                fresh = HessianModel(got.delta + shift, n, got.q, got.w)
-                assert model_bytes(got.shifted(shift)) == model_bytes(fresh)
-            for factor in (1.0, 1.0 / 1.7, 2.0):
-                fresh = HessianModel(got.delta, n, got.q, got.w, scale=factor)
-                assert model_bytes(got.rescaled(factor)) == model_bytes(fresh)
+            ring = CorrectionPairs(n, memory=memory)
+            ref = ListPairs(n, memory)
+            for i, (s, y) in enumerate(pair_stream(seed, n, length)):
+                assert ring.update(s, y) == ref.update(s, y)
+                assert len(ring) == len(ref)
+                if len(ref):
+                    for got, want in zip(ring.pairs(), ref.pairs()):
+                        assert got.strides == want.strides
+                        assert got.tobytes() == want.tobytes()
+                if i % compile_every:
+                    continue
+                try:
+                    want = reference_compile(ref)
+                except SingularCompactForm:
+                    with pytest.raises(SingularCompactForm):
+                        compile_compact(ring)
+                    continue
+                got = compile_compact(ring)
+                assert len(ring) == len(ref)
+                assert model_bytes(got) == model_bytes(want)
+                assert not np.shares_memory(got.q, ring._s)
+                assert not np.shares_memory(got.q, ring._y)
+                for shift in (0.0, 1e-3, 2.5):
+                    fresh = HessianModel(got.delta + shift, n, got.q, got.w)
+                    assert model_bytes(got.shifted(shift)) == model_bytes(fresh)
+                for factor in (1.0, 1.0 / 1.7, 2.0):
+                    fresh = HessianModel(got.delta, n, got.q, got.w, scale=factor)
+                    assert model_bytes(got.rescaled(factor)) == model_bytes(fresh)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_near_parallel_pairs_drop_the_oldest(self, backend):
         # The stream's near-repeats must reach the drop-oldest retry.
         with on_backend(backend):
-            self.check_drops()
-
-    @staticmethod
-    def check_drops():
-        dropped = 0
-        for seed in range(20):
-            ring = CorrectionPairs(6, memory=4)
-            for s, y in pair_stream(seed, 6, 30):
-                ring.update(s, y)
-                before = len(ring)
-                try:
-                    compile_compact(ring)
-                except SingularCompactForm:
-                    continue
-                dropped += before - len(ring)
-        assert dropped > 0
+            dropped = 0
+            for seed in range(20):
+                ring = CorrectionPairs(6, memory=4)
+                for s, y in pair_stream(seed, 6, 30):
+                    ring.update(s, y)
+                    before = len(ring)
+                    try:
+                        compile_compact(ring)
+                    except SingularCompactForm:
+                        continue
+                    dropped += before - len(ring)
+            assert dropped > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=200, deadline=None, database=None)
