@@ -32,7 +32,9 @@
  * and intermediates.  Each try of compile_compact is one call, cc_build,
  * which takes the pair buffer's two row arrays and fills one fresh block
  * with the middle matrix, -inv of it, the bound test's squared norms and
- * the model's Q, W and QW.
+ * the model's Q, W and QW.  Its middle matrix has the signed zeros that
+ * np.block leaves in hessian._numpy_build's: 0.0 in the zero parts of
+ * L and L', and -0.0 off the diagonal of -D, which -np.diag negates.
  *
  * The logistic passes split their output elements over OpenMP threads
  * when built with -fopenmp.  Each element is still formed by one thread
@@ -279,14 +281,6 @@ static int64_t negated_inverse(int64_t k, const double *a, double *w,
     return 0;
 }
 
-/* negated_inverse of the k x k matrix a into a block of 2 + 3k^2 + k
- * doubles: sq_m and sq_w, -inv(a) from 2 on, then scratch. */
-int64_t cc_inverse(int64_t k, const double *a, double *block)
-{
-    double *w = block + 2;
-    return negated_inverse(k, a, w, block, w + k * k);
-}
-
 /* The layout of a cc_build block for m pairs of n entries, k = 2m, which
  * COMPACT_HEAD and Kernel.compact in _cdkernel.py repeat: delta, sq_m
  * and sq_w, then from COMPACT_HEAD on the middle matrix M (k x k),
@@ -300,8 +294,8 @@ int64_t cc_inverse(int64_t k, const double *a, double *block)
 /* compile_compact's build from the m oldest-first pairs that are the
  * rows of n doubles at s and at y: delta = y'y / s'y of the newest pair;
  * S'S and S'Y; M = [[delta S'S, L], [L', -D]] with L the strict lower
- * part of S'Y and D its diagonal, with the 0.0 and -0.0 entries that
- * compile_compact's slices leave in it; W = -inv(M) and the two squared
+ * part of S'Y and D its diagonal, with np.block's signed zeros (0.0 in
+ * L and L', -0.0 off the diagonal of -D); W = -inv(M) and the two squared
  * norms of the bound test; Q = [delta S, Y], W's symmetric part
  * 0.5 (W + W'), Q times it and the diagonal of Q W Q', into a block of
  * the layout above.

@@ -113,10 +113,11 @@ _LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
 
 class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
-    the stop test's subgradient norm, the compact build, and the three
-    logistic oracles.  A driver run keeps one workspace for all its
-    solves, and the loops reuse its struct of pointers; a data set keeps
-    its :class:`Bound`, and a pair buffer its rows' addresses.
+    the stop test's subgradient norm, one try of the compact build with
+    the bytes of ``hessian._numpy_build``, and the three logistic
+    oracles.  A driver run keeps one workspace for all its solves, and
+    the loops reuse its struct of pointers; a data set keeps its
+    :class:`Bound`, and a pair buffer its rows' addresses.
 
     The loops raise the errors the Python loops raise, and ``exact``
     returns the number of coordinate steps it took.  A logistic pass
@@ -149,9 +150,6 @@ class Kernel:
         self._build = lib.cc_build
         self._build.argtypes = [i64, i64, ptr, ptr, ptr]
         self._build.restype = i64
-        self._inverse = lib.cc_inverse
-        self._inverse.argtypes = [i64, ptr, ptr]
-        self._inverse.restype = i64
         self._threads = lib.lg_threads
         self._threads.argtypes = []
         self._threads.restype = ctypes.c_int
@@ -210,12 +208,13 @@ class Kernel:
     def compact(self, pairs) -> tuple[int, float, float, float, np.ndarray,
                                        np.ndarray, np.ndarray,
                                        np.ndarray | None]:
-        """The compact build of ``hessian.compile_compact`` from the rows
-        of a ``CorrectionPairs``, in one fresh block that is read-only
-        once written: dgesv's info (nonzero where ``np.linalg.inv``
-        raises), delta, the squared norms of M and of inv(M), the views
-        M, -inv(M) and its symmetric part W of one (3, k, k) array, Q in
-        the layout of ``np.hstack`` (Fortran order from two pairs and two
+        """One try of ``hessian.compile_compact`` from the rows of a
+        ``CorrectionPairs``: the tuple of ``hessian._numpy_build``, with
+        its bytes, in one fresh block that is read-only once written.
+        That is dgesv's info (nonzero where ``np.linalg.inv`` raises),
+        delta, the squared norms of M and of -inv(M), the views M,
+        -inv(M) and its symmetric part W of one (3, k, k) array, Q in the
+        layout of ``np.hstack`` (Fortran order from two pairs and two
         entries on), QW, and the diagonal of Q W Q' (None at n = 1, where
         only ``np.einsum`` gives einsum's bytes), for k = 2 len(pairs).
         The buffer's row addresses are read once and kept on it."""
@@ -237,20 +236,6 @@ class Kernel:
                 q.reshape(k, n).T if m > 1 and n > 1 else q.reshape(n, k),
                 block[qw:diag].reshape(n, k),
                 block[diag:diag + n] if n > 1 else None)
-
-    def negated_inverse(self, middle: np.ndarray
-                        ) -> tuple[np.ndarray | None, float, float]:
-        """-inv(middle) as the compact build forms it, with np.vdot(middle,
-        middle) and np.vdot(inv, inv); None in place of -inv where
-        ``np.linalg.inv`` raises."""
-        middle = np.ascontiguousarray(middle, dtype=np.float64)
-        if middle.ndim != 2 or middle.shape[0] != middle.shape[1] or not middle.size:
-            raise ValueError(f"not a nonempty square matrix: {middle.shape}")
-        k = middle.shape[0]
-        block = np.empty(2 + 3 * k * k + k)
-        info = self._inverse(k, middle.ctypes.data, block.ctypes.data)
-        w = None if info else block[2:2 + k * k].reshape(k, k)
-        return w, float(block[0]), float(block[1])
 
     @staticmethod
     def takes(matrix) -> bool:

@@ -801,7 +801,7 @@ def _check_compact_kernel(level, rng):
         memory = int(rng.integers(1, 11))
         a = rng.standard_normal((n, n))
         spd = a @ a.T / n + 0.1 * np.eye(n)
-        compiled, python = CorrectionPairs(n, memory), CorrectionPairs(n, memory)
+        stream = []
         s = rng.standard_normal(n)
         for kind in rng.integers(0, 4, size=30):
             # New directions, near-repeats that make the middle matrix
@@ -817,25 +817,34 @@ def _check_compact_kernel(level, rng):
                 y = rng.standard_normal(n)
                 y -= (y @ s) / (s @ s) * s
                 y = y / np.linalg.norm(y) + 10.0 ** -7.5 * s / np.linalg.norm(s)
-            compiled.update(s, y)
-            if not python.update(s, y):
-                continue
-            before = len(python)
-            got = _compact_outcome(compiled)
-            _cdkernel.KERNEL = None
-            try:
-                want = _compact_outcome(python)
-            finally:
-                _cdkernel.KERNEL = kernel
-            if got != want:
-                return False, (f"n={n}, memory={memory}, {before} pairs: the "
-                               f"compiled and Python builds differ")
-            builds += 1
-            dropped += before - want[1]
-            singular += want[0] == "singular"
-    return True, (f"{builds} builds over {streams} pair streams (n <= 123, "
-                  f"{dropped} pairs dropped, {singular} singular): models "
-                  f"bit-identical")
+            stream.append((s, y))
+        # y times a power of two scales the middle matrix exactly, out to
+        # where its squared norms underflow or overflow.
+        for power in (-500, -480, -300, 0, 300, 480, 500):
+            compiled, python = (CorrectionPairs(n, memory),
+                                CorrectionPairs(n, memory))
+            for s, y in stream:
+                y = np.ldexp(y, power)
+                compiled.update(s, y)
+                if not python.update(s, y):
+                    continue
+                before = len(python)
+                got = _compact_outcome(compiled)
+                _cdkernel.KERNEL = None
+                try:
+                    want = _compact_outcome(python)
+                finally:
+                    _cdkernel.KERNEL = kernel
+                if got != want:
+                    return False, (f"n={n}, memory={memory}, y scaled by "
+                                   f"2^{power}, {before} pairs: the compiled "
+                                   f"and Python builds differ")
+                builds += 1
+                dropped += before - want[1]
+                singular += want[0] == "singular"
+    return True, (f"{builds} builds over {streams} pair streams (n <= 123, y "
+                  f"scaled by 2^-500 to 2^500, {dropped} pairs dropped, "
+                  f"{singular} singular): models bit-identical")
 
 
 def _check_cd_rate(level, rng):

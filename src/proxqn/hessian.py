@@ -9,7 +9,6 @@ single optimizer run.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -49,18 +48,13 @@ class HessianModel:
         else:
             if q.shape[0] != n:
                 raise ValueError("factor rows must match dimension")
+            square = (q.shape[1],) * 2
+            if w is None or np.shape(w) != square:
+                got = "none" if w is None else f"shape {np.shape(w)}"
+                raise ValueError(f"Q of shape {q.shape} needs a W of shape "
+                                 f"{square}, got {got}")
             self._keep(np.array(q, dtype=np.float64), w)
         self._set_scalars(delta, scale)
-
-    @classmethod
-    def _of_fresh(cls, delta: float, q: np.ndarray, w: np.ndarray) -> "HessianModel":
-        """The model delta*I + Q W Q' of a float64 Q that no one else
-        holds, which it keeps without a copy."""
-        out = object.__new__(cls)
-        out.n = q.shape[0]
-        out._keep(q, w)
-        out._set_scalars(delta, 1.0)
-        return out
 
     @classmethod
     def _of_built(cls, delta: float, q: np.ndarray, w: np.ndarray,
@@ -220,18 +214,21 @@ def compile_compact(pairs: CorrectionPairs) -> HessianModel:
     the strictly lower part of S'Y and D its diagonal.  Equals the
     classical BFGS recursion started from delta*I.  A numerically
     singular middle matrix drops the oldest pair and retries; with no
-    pairs the identity (delta = 1) is returned.  The compiled kernel,
-    when loaded, makes each try in one call (``_kernel_build``) with the
-    bytes of the numpy code (``_numpy_build``).
+    pairs the identity (delta = 1) is returned.  Each try is one call of
+    the compiled kernel's ``compact`` when it is loaded, else of
+    ``_numpy_build``, which give the same bytes; ``_conditioned`` decides
+    on the middle matrix either call formed.
     """
     while True:
         if len(pairs) == 0:
             return HessianModel(1.0, pairs.n)
         kernel = _cdkernel.KERNEL
-        model = (_numpy_build(pairs) if kernel is None
-                 else _kernel_build(kernel, pairs))
-        if model is not None:
-            return model
+        info, delta, sq_m, sq_w, square, q, qw, diag = (
+            _numpy_build(pairs) if kernel is None else kernel.compact(pairs))
+        if not info and _conditioned(square[0], square[1], sq_m, sq_w):
+            if diag is None:
+                diag = _low_rank_diag(qw, q)
+            return HessianModel._of_built(delta, q, square[2], qw, diag)
         if len(pairs) == 1:
             raise SingularCompactForm(
                 "single correction pair yields a singular compact form"
@@ -239,78 +236,32 @@ def compile_compact(pairs: CorrectionPairs) -> HessianModel:
         pairs.drop_oldest()
 
 
-def _numpy_build(pairs: CorrectionPairs) -> HessianModel | None:
-    """The compact model of the stored pairs, or None where its middle
-    matrix counts as singular."""
+def _numpy_build(pairs: CorrectionPairs) -> tuple:
+    """``Kernel.compact``'s tuple in numpy: a nonzero info where
+    ``np.linalg.inv`` refuses the middle matrix M, delta, the squared
+    norms of M and of -inv(M), (M, -inv(M), W), and the Q, QW and
+    diagonal of Q W Q' of the model ``HessianModel`` builds."""
     s_mat, y_mat = pairs.pairs()
     sy_newest = float(s_mat[:, -1] @ y_mat[:, -1])
     delta = float(y_mat[:, -1] @ y_mat[:, -1]) / sy_newest
     sty = s_mat.T @ y_mat
-    m = sty.shape[0]
-    middle = np.zeros((2 * m, 2 * m))
-    np.multiply(delta, s_mat.T @ s_mat, out=middle[:m, :m])
-    np.copyto(middle[:m, m:], sty, where=_strict_lower(m))
-    middle[m:, :m] = middle[:m, m:].T
-    # -D, with the -0.0 off its diagonal that -np.diag(np.diag(sty))
-    # has: D's diagonal goes to every (2m + 1)-th entry of the flat
-    # matrix from 2m*m + m on, then the whole block is negated.
-    # (numpy 2.4's np.negative reads the wrong entries from an input
-    # of 64-byte stride into a strided output, such as sty's diagonal
-    # at m = 7, so the diagonal is not negated on its own.)
-    middle.reshape(-1)[2 * m * m + m::2 * m + 1] = sty.reshape(-1)[::m + 1]
-    np.negative(middle[m:, m:], out=middle[m:, m:])
-    w = _negated_inverse(middle)
-    if w is None:
-        return None
-    q = np.hstack([delta * s_mat, y_mat])
-    return HessianModel._of_fresh(delta, q, w)
-
-
-def _kernel_build(kernel, pairs: CorrectionPairs) -> HessianModel | None:
-    """``_numpy_build`` in the kernel's one call; the decision on its
-    middle matrix stays here.  The model's arrays are read-only views of
-    the call's block."""
-    info, delta, sq_m, sq_w, square, q, qw, diag = kernel.compact(pairs)
-    if info or not _conditioned(square[0], square[1], sq_m, sq_w):
-        return None
-    if diag is None:
-        diag = _low_rank_diag(qw, q)
-    return HessianModel._of_built(delta, q, square[2], qw, diag)
-
-
-@functools.cache
-def _strict_lower(m: int) -> np.ndarray:
-    """The (read-only) mask of the strictly lower triangle of an m x m
-    matrix, as np.tril(a, -1) keeps it."""
-    mask = np.tri(m, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-def _negated_inverse(middle: np.ndarray) -> np.ndarray | None:
-    """-inv(middle), or None where middle counts as singular: inv fails
-    or ``_conditioned`` refuses it.  With the kernel loaded it inverts by
-    the routine and arguments of the kernel's build, which takes the
-    same decision on the same numbers; ``_numpy_build`` runs only
-    without it."""
-    kernel = _cdkernel.KERNEL
-    if kernel is not None:
-        w, sq_m, sq_w = kernel.negated_inverse(middle)
-        return w if w is not None and _conditioned(middle, w, sq_m, sq_w) else None
+    lower = np.tril(sty, k=-1)
+    middle = np.block([[delta * (s_mat.T @ s_mat), lower],
+                       [lower.T, -np.diag(np.diag(sty))]])
     try:
-        w = np.linalg.inv(middle)
+        w = -np.linalg.inv(middle)
     except np.linalg.LinAlgError:
-        return None
+        return 1, delta, 0.0, 0.0, (middle,), None, None, None
+    q = np.hstack([delta * s_mat, y_mat])
+    model = HessianModel(delta, pairs.n, q, w)
     # vdot, unlike @, does not warn when a square overflows.
-    sq_m, sq_w = float(np.vdot(middle, middle)), float(np.vdot(w, w))
-    if not _conditioned(middle, w, sq_m, sq_w):
-        return None
-    return np.negative(w, out=w)
+    return (0, delta, float(np.vdot(middle, middle)), float(np.vdot(w, w)),
+            (middle, w, model.w), model.q, model.qw, model.low_rank_diag)
 
 
 def _conditioned(middle: np.ndarray, w: np.ndarray, sq_m: float,
                  sq_w: float) -> bool:
-    """Whether middle, whose inverse is +-w, counts as nonsingular, from
+    """Whether middle, whose inverse is -w, counts as nonsingular, from
     the squared Frobenius norms sq_m of middle and sq_w of w.  The bound
     ||M||_F ||inv(M)||_F settles it where it is at most BOUND_LIMIT;
     past that, w must be finite and ``_svd_conditioned`` decides.  A

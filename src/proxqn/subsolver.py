@@ -60,7 +60,14 @@ class CdWorkspace:
         if n < 1:
             raise ValueError("model dimension must be at least 1")
         p = model.p
-        self.block = np.zeros(2 * n * p + p + 7 * n)
+        self._view(np.zeros(2 * n * p + p + 7 * n), n, p)
+        self.model = None
+        self.load(model, grad_v, v, lam)
+
+    def _view(self, block: np.ndarray, n: int, p: int) -> None:
+        """Make ``block`` this workspace's, with the arrays of ``LAYOUT``
+        its views."""
+        self.block = block
         self.q = self.block[:n * p].reshape(n, p)
         self.qw_scaled = self.block[n * p:2 * n * p].reshape(n, p)
         self.qcache = self.block[2 * n * p:2 * n * p + p]
@@ -69,8 +76,18 @@ class CdWorkspace:
         self.scratch = self.block[2 * n * p + p + 5 * n:]
         # The compiled kernel's view of the block, built at its first use.
         self.struct = None
-        self.model = None
-        self.load(model, grad_v, v, lam)
+
+    def __getstate__(self) -> dict:
+        # A copy or an unpickled workspace views its own block, and
+        # builds its own struct of that block's addresses.
+        views = {*self.LAYOUT, "_rows", "struct"}
+        state = {k: v for k, v in self.__dict__.items() if k not in views}
+        return {**state, "shape": self.q.shape}
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        self._view(state.pop("block"), *state.pop("shape"))
+        self.__dict__.update(state)
 
     def load(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
              lam: float) -> None:
@@ -180,6 +197,11 @@ class CdRun:
         self.used = 0
         self._address = self.indices.ctypes.data
         self.ws: CdWorkspace | None = None
+
+    def __setstate__(self, state: dict) -> None:
+        # A copy or an unpickled run reads the address of its own indices.
+        self.__dict__.update(state)
+        self._address = self.indices.ctypes.data
 
     def workspace(self, model: HessianModel, grad_v: np.ndarray,
                   v: np.ndarray, lam: float) -> CdWorkspace:

@@ -1,9 +1,11 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from proxqn import _cdkernel
 from proxqn.dataset import Dataset, SyntheticQuadratic, synthesize_quadratic
 from proxqn.problem import logistic_problem, quadratic_problem
 
@@ -21,6 +23,20 @@ def make_dataset(rows, labels, n_features=None):
         indptr.append(len(indices))
     mat = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_features))
     return Dataset(mat, np.asarray(labels, dtype=float))
+
+
+@contextlib.contextmanager
+def on_backend(name):
+    """A context on the Python code with ``KERNEL = None`` ("python"),
+    on the compiled kernel, skipped where it did not load ("c"), or on
+    the backend the import chose ("active"); it yields its MonkeyPatch,
+    which undoes the switch and any other patch on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "python":
+            mp.setattr(_cdkernel, "KERNEL", None)
+        elif name == "c" and _cdkernel.KERNEL is None:
+            pytest.skip(_cdkernel.backend())
+        yield mp
 
 
 def infinite_gradient(problem):

@@ -53,7 +53,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxqn import _cdkernel
 from proxqn.dataset import Dataset, synthesize_quadratic
 from proxqn.hessian import HessianModel
 from proxqn.optimizers import (
@@ -67,6 +66,8 @@ from proxqn.optimizers import (
     run_pqna,
 )
 from proxqn.problem import CompositeProblem, logistic_problem, quadratic_problem
+
+from conftest import on_backend
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "golden_traces.json")
@@ -219,9 +220,9 @@ def test_trace_matches_golden(case, golden):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_trace_matches_golden_on_python_loops(case, golden, monkeypatch):
-    monkeypatch.setattr(_cdkernel, "KERNEL", None)
-    check_case(case, golden)
+def test_trace_matches_golden_on_python_loops(case, golden):
+    with on_backend("python"):
+        check_case(case, golden)
 
 
 def test_golden_file_has_every_case(golden):

@@ -1,5 +1,5 @@
-import contextlib
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -24,6 +24,8 @@ from proxqn.optimizers import CONVERGED, MAX_ITER, OptimizerConfig, run_apqna
 from proxqn.problem import quadratic_problem
 from proxqn.subsolver import CdWorkspace
 
+from conftest import on_backend
+
 
 def admissible_pairs(rng, n, count, memory=10, scale=0.3):
     """Pairs sampled from a random SPD quadratic so s'y > 0 always."""
@@ -36,18 +38,10 @@ def admissible_pairs(rng, n, count, memory=10, scale=0.3):
 
 
 BACKENDS = ["c", "python"]
-
-
-@contextlib.contextmanager
-def on_backend(name):
-    """The compiled kernel, skipped where it did not load, or with
-    ``KERNEL = None`` the Python code."""
-    with pytest.MonkeyPatch.context() as mp:
-        if name == "python":
-            mp.setattr(_cdkernel, "KERNEL", None)
-        elif _cdkernel.KERNEL is None:
-            pytest.skip(_cdkernel.backend())
-        yield
+# Powers of two by which the compiled-build streams scale y: each scales
+# the middle matrix exactly, down to near underflow and up to near
+# overflow of its squared norm.
+SCALE_POWERS = (-500, -480, -300, 0, 300, 480, 500)
 
 
 def cd_diag(model):
@@ -224,6 +218,14 @@ class TestModelOps:
         # With n columns delta = 0 stays allowed, as in the constructor.
         full = HessianModel(1.0, 2, np.eye(2), np.diag([2.0, 3.0]))
         assert full.shifted(-1.0).delta == 0.0
+
+    @pytest.mark.parametrize("w, got", [
+        (None, "none"), (np.eye(3), r"shape \(3, 3\)"),
+        (np.ones((2, 3)), r"shape \(2, 3\)"), (np.ones(2), r"shape \(2,\)")])
+    def test_a_missing_or_misshapen_w_is_named(self, w, got):
+        with pytest.raises(ValueError, match=(r"Q of shape \(4, 2\) needs a W "
+                                              rf"of shape \(2, 2\), got {got}$")):
+            HessianModel(1.0, 4, np.ones((4, 2)), w)
 
     def test_compact_apply_matches_dense(self):
         rng = np.random.default_rng(4)
@@ -542,11 +544,11 @@ def pair_stream(seed, n, length):
 
 
 class TestRingBufferCompile:
-    """The ring buffer, the slice-filled compile with its bound test in
-    front of the SVD, and the shared low-rank products of ``shifted``
-    and ``rescaled`` give the bytes of the list buffer, np.block,
-    np.linalg.cond and a freshly built model, on the kernel's one-call
-    build and on the numpy build."""
+    """The ring buffer, the compile with its bound test in front of the
+    SVD, and the shared low-rank products of ``shifted`` and
+    ``rescaled`` give the bytes of the list buffer, np.linalg.cond and a
+    freshly built model, on the kernel's one-call build and on the numpy
+    build."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=150, deadline=None, database=None)
@@ -603,7 +605,6 @@ class TestRingBufferCompile:
                     dropped += before - len(ring)
             assert dropped > 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=200, deadline=None, database=None)
     @given(size=st.integers(1, 20), log_cond=st.floats(9.0, 17.0),
            log_scale=st.floats(-305.0, 307.5), seed=st.integers(0, 2**32 - 1),
@@ -612,14 +613,15 @@ class TestRingBufferCompile:
     @example(size=6, log_cond=16.0, log_scale=307.5, seed=1, singular="no")
     @example(size=6, log_cond=10.0, log_scale=-305.0, seed=2, singular="no")
     @example(size=5, log_cond=9.0, log_scale=0.0, seed=3, singular="twin")
-    def test_bound_test_takes_the_svd_decision(self, backend, size, log_cond,
+    def test_bound_test_takes_the_svd_decision(self, size, log_cond,
                                               log_scale, seed, singular):
         """On symmetric indefinite matrices with condition numbers from
         1e9 to 1e17, scaled from near underflow to near overflow, and on
         exactly singular ones (a zero row and column, or two equal rows
-        and columns), the bound test in front of the SVD refuses exactly
-        what the SVD test refuses, and gives the bytes of -inv, on the
-        kernel's dgesv and on np.linalg.inv."""
+        and columns), np.linalg.inv and the bound test in front of the
+        SVD refuse exactly what the SVD test refuses.  The compiled
+        build's dgesv is held to np.linalg.inv's bytes and decisions by
+        the scaled pair streams of ``TestCompiledBuild``."""
         rng = np.random.default_rng(seed)
         basis = np.linalg.qr(rng.standard_normal((size, size)))[0]
         eig = np.logspace(0.0, -log_cond, size) * rng.choice([-1.0, 1.0], size)
@@ -630,11 +632,15 @@ class TestRingBufferCompile:
         elif singular == "twin" and size > 1:
             middle[1] = middle[0]
             middle[:, 1] = middle[:, 0]
-        with on_backend(backend):
-            w = hessian._negated_inverse(middle)
-        assert (w is None) == reference_singular(middle)
-        if w is not None:
-            assert w.tobytes() == (-np.linalg.inv(middle)).tobytes()
+        try:
+            w = -np.linalg.inv(middle)
+        except np.linalg.LinAlgError:
+            accepted = False
+        else:
+            accepted = hessian._conditioned(middle, w,
+                                            float(np.vdot(middle, middle)),
+                                            float(np.vdot(w, w)))
+        assert accepted != reference_singular(middle)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_nearly_orthogonal_pair_is_singular(self, backend):
@@ -677,19 +683,20 @@ class TestCompiledBuild:
 
     def test_matches_the_python_build_over_pair_streams(self, monkeypatch):
         """Streams at n = 1, 2, 3, 7, 30 and 123 and every memory from 1
-        to 10 compile to the same bytes, drop the same pairs and refuse
-        the same single pairs.  Each try decides on the same middle
-        matrix (the -0.0 of -D included), -inv and squared norms on both
-        backends, and the SVD runs, and accepts and refuses, on both."""
+        to 10, each also with y scaled by powers of two from 2^-500 to
+        2^500 (which scale M by the same factor), compile to the same
+        bytes, drop the same pairs and refuse the same single pairs.
+        Each try decides on the same middle matrix (the -0.0 of -D
+        included), -inv and squared norms on both backends, and the SVD
+        runs, and accepts and refuses, on both."""
         tries = {"c": [], "python": []}
         svd_decisions = set()
         conditioned, svd = hessian._conditioned, hessian._svd_conditioned
         backend = "c"
 
         def logged(middle, w, sq_m, sq_w):
-            negated = w if backend == "c" else -w
             accepted = conditioned(middle, w, sq_m, sq_w)
-            tries[backend].append((middle.tobytes(), negated.tobytes(),
+            tries[backend].append((middle.tobytes(), w.tobytes(),
                                    sq_m, sq_w, accepted))
             return accepted
 
@@ -700,25 +707,25 @@ class TestCompiledBuild:
         monkeypatch.setattr(hessian, "_conditioned", logged)
         monkeypatch.setattr(hessian, "_svd_conditioned", logged_svd)
         seen, dropped, singular = set(), 0, 0
-        for n in (1, 2, 3, 7, 30, 123):
-            for memory in range(1, 11):
-                for seed in range(3):
-                    kernel_pairs = CorrectionPairs(n, memory)
-                    python_pairs = CorrectionPairs(n, memory)
-                    for s, y in pair_stream(seed, n, 24):
-                        kernel_pairs.update(s, y)
-                        if not python_pairs.update(s, y) or not len(python_pairs):
-                            continue
-                        before = len(python_pairs)
-                        backend = "c"
-                        got = compile_outcome(kernel_pairs)
-                        backend = "python"
-                        with on_backend("python"):
-                            want = compile_outcome(python_pairs)
-                        assert got == want, (n, memory, seed, before)
-                        seen.add((memory, before))
-                        dropped += before > want[1]
-                        singular += want[0] == "singular"
+        for n, memory, seed, power in itertools.product(
+                (1, 2, 3, 7, 30, 123), range(1, 11), range(3), SCALE_POWERS):
+            kernel_pairs = CorrectionPairs(n, memory)
+            python_pairs = CorrectionPairs(n, memory)
+            for s, y in pair_stream(seed, n, 24):
+                y = np.ldexp(y, power)
+                kernel_pairs.update(s, y)
+                if not python_pairs.update(s, y) or not len(python_pairs):
+                    continue
+                before = len(python_pairs)
+                backend = "c"
+                got = compile_outcome(kernel_pairs)
+                backend = "python"
+                with on_backend("python"):
+                    want = compile_outcome(python_pairs)
+                assert got == want, (n, memory, seed, power, before)
+                seen.add((memory, before))
+                dropped += before > want[1]
+                singular += want[0] == "singular"
         assert seen == {(memory, m) for memory in range(1, 11)
                         for m in range(1, memory + 1)}
         assert dropped and singular

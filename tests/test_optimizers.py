@@ -41,7 +41,7 @@ from proxqn.problem import (
     quadratic_problem,
 )
 
-from conftest import identity_quadratic
+from conftest import identity_quadratic, on_backend
 
 needs_kernel = pytest.mark.skipif(_cdkernel.KERNEL is None,
                                   reason=_cdkernel.backend())
@@ -224,9 +224,7 @@ class TestTermination:
         x = draw(0.3)
         x[rng.random(n) < 0.5] = rng.choice([0.0, -0.0])
         want = np.abs(min_norm_subgradient(g, x, lam)).max()
-        with pytest.MonkeyPatch.context() as mp:
-            if backend == "python":
-                mp.setattr(_cdkernel, "KERNEL", None)
+        with on_backend(backend):
             got = _subgrad_inf(g, x, lam)
         assert np.float64(got).tobytes() == want.tobytes()
 

@@ -36,7 +36,7 @@ from proxqn.problem import (
     softplus,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, on_backend
 
 LOG2 = 0.6931471805599453
 # log(1 + e^-1) and log(1 + e^1), evaluated at 30 decimal digits
@@ -306,9 +306,7 @@ class TestOracleMemo:
         w = np.linspace(-1.0, 1.0, small_logistic.n)
         for backend in ("active", "python"):
             calls = {"forward": 0, "exp": 0}
-            with pytest.MonkeyPatch.context() as mp:
-                if backend == "python":
-                    mp.setattr(_cdkernel, "KERNEL", None)
+            with on_backend(backend) as mp:
                 _count_forward_passes(mp, calls)
                 mp.setattr(proxqn.problem, "exp_neg_abs",
                            _counted(calls, "exp", proxqn.problem.exp_neg_abs))
@@ -327,9 +325,7 @@ class TestOracleMemo:
         for backend in ("active", "python"):
             calls = dict.fromkeys(("f_value", "f_grad", "value_and_grad",
                                    "forward"), 0)
-            with pytest.MonkeyPatch.context() as mp:
-                if backend == "python":
-                    mp.setattr(_cdkernel, "KERNEL", None)
+            with on_backend(backend) as mp:
                 _count_forward_passes(mp, calls)
                 prob = replace(small_logistic, **{
                     name: _counted(calls, name, getattr(small_logistic, name))
@@ -460,8 +456,7 @@ def _special_margins(rng, m):
 
 
 def on_python_code(fn, *args):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_cdkernel, "KERNEL", None)
+    with on_backend("python"):
         return fn(*args)
 
 
@@ -733,13 +728,10 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("backend", ["active", "python"])
     @pytest.mark.parametrize("binary", [True, False])
-    def test_gradient_matches_expit_within_ulps(self, binary, backend,
-                                                 monkeypatch):
+    def test_gradient_matches_expit_within_ulps(self, binary, backend):
         """Margins across [-800, 800] and the special values, on an
         identity of 2**16 points: division by m is exact and the passes
         are long enough to split over threads."""
-        if backend == "python":
-            monkeypatch.setattr(_cdkernel, "KERNEL", None)
         m = 2**16
         z = np.concatenate([np.linspace(-800.0, 800.0, m - 5), self.SPECIAL])
         labels = np.where(np.arange(m) % 3 == 0, 1.0, -1.0)
@@ -749,7 +741,9 @@ class TestCoefficients:
         w = -labels * z / scale
         z = margins_reference(ds, w)
         want = (ds.matrix_t @ (-labels * expit(z))) / m
-        _assert_close_to_expit_based(logistic_gradient(ds, w), want)
+        with on_backend(backend):
+            got = logistic_gradient(ds, w)
+        _assert_close_to_expit_based(got, want)
 
 
 class TestQuadraticInput:

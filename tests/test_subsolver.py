@@ -1,4 +1,7 @@
+import copy
 import ctypes
+import pickle
+import re
 import shutil
 import subprocess
 
@@ -28,6 +31,7 @@ from proxqn.subsolver import (
     solve_scaled_identity,
 )
 
+from conftest import on_backend
 from test_hessian import admissible_pairs
 
 
@@ -274,20 +278,16 @@ class TestScaledIdentityShortcut:
 
 
 @pytest.fixture(params=["c", "python"])
-def cd_backend(request, monkeypatch):
+def cd_backend(request):
     """Runs a test on the compiled kernel and again on the Python code."""
-    if request.param == "python":
-        monkeypatch.setattr(_cdkernel, "KERNEL", None)
-    elif _cdkernel.KERNEL is None:
-        pytest.skip(_cdkernel.backend())
-    return request.param
+    with on_backend(request.param):
+        yield request.param
 
 
 def on_python_loops(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with the compiled kernel switched off;
     returns the result or the message of the error it raised."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_cdkernel, "KERNEL", None)
+    with on_backend("python"):
         return outcome(fn, *args, **kwargs)
 
 
@@ -448,6 +448,24 @@ class TestBackends:
              _cdkernel.SOURCE, "-o", str(tmp_path / "kernel.so")],
             capture_output=True, text=True, timeout=120)
         assert built.returncode == 0, built.stderr
+
+    def test_every_c_export_has_a_python_binding(self, tmp_path):
+        """The non-static functions of _cdkernel.c are exactly the
+        ``lib.<name>`` entry points that _cdkernel.py binds, so an export
+        that loses its last caller fails here."""
+        cc, nm = shutil.which("cc"), shutil.which("nm")
+        if cc is None or nm is None:
+            pytest.skip("no C compiler (cc) or nm on PATH")
+        obj = str(tmp_path / "kernel.o")
+        subprocess.run([cc, "-O2", "-fPIC", "-c", _cdkernel.SOURCE, "-o", obj],
+                       check=True, capture_output=True, timeout=120)
+        symbols = subprocess.run([nm, "-g", "--defined-only", obj], check=True,
+                                 capture_output=True, text=True).stdout
+        exported = {line.split()[2] for line in symbols.splitlines()
+                    if line.split()[1] == "T"}
+        with open(_cdkernel.__file__, encoding="utf-8") as fh:
+            bound = set(re.findall(r"\blib\.(\w+)", fh.read()))
+        assert exported == bound
 
     @needs_kernel
     @settings(max_examples=150, deadline=None, database=None)
@@ -661,6 +679,31 @@ class TestCdRun:
                 refused.append(got)
         assert refused == [
             f"ValueError: nonpositive model diagonal at coordinate {n - 1}"]
+
+    @pytest.mark.parametrize("clone", ["copy", "deepcopy", "pickle"])
+    def test_a_copy_reads_its_own_arrays(self, cd_backend, clone):
+        """A copy of a run and its workspace, made after a solve, solves
+        as an uncopied twin does once its source is spoiled and deleted:
+        it keeps no address of the source's indices or block."""
+        n = 12
+        rng = np.random.default_rng(9)
+        grad_v, v = rng.standard_normal(n), rng.standard_normal(n)
+        models = model_sequence(n)[1:3]
+        run, twin = CdRun(4, n), CdRun(4, n)
+        for solver in (run, twin):
+            cd_minimize(models[0], grad_v, v, 0.1, 30, solver)
+        other = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                 "pickle": lambda x: pickle.loads(pickle.dumps(x))}[clone](run)
+        if clone != "copy":
+            run.indices[:] = n - 1
+            run.ws.block[:] = np.nan
+        del run
+        for model in (models[0], *models):
+            assert (outcome(cd_minimize, model, grad_v, v, 0.1, 30, other)
+                    == outcome(cd_minimize, model, grad_v, v, 0.1, 30, twin))
+            args = (model, grad_v, v, 0.1, 1e-10, 20_000)
+            assert (outcome(exact_solve_oracle, *args, run=other)
+                    == outcome(exact_solve_oracle, *args, run=twin))
 
     def test_a_model_of_another_dimension_is_refused(self):
         with pytest.raises(ValueError, match="dimension 3, the run 4"):
