@@ -26,13 +26,14 @@
  *  - all other arithmetic is plain double arithmetic in the Python
  *    order, built with -ffp-contract=off so no multiply-add is fused.
  *
- * Each logistic oracle is one call, lg_value, lg_grad or
- * lg_value_and_grad, which takes a data set's arrays bound once in a
- * dataset struct and one buffer that holds the call's point, gradient
- * and intermediates.  Each try of compile_compact is one call, cc_build,
- * which takes the pair buffer's two row arrays and fills one fresh block
- * with the middle matrix, -inv of it, the bound test's squared norms and
- * the model's Q, W and QW.  Its middle matrix has the signed zeros that
+ * Each pass of the logistic oracle is one call, lg_value or lg_grad,
+ * which takes a data set's arrays bound once in a dataset struct and one
+ * buffer that holds the call's point, gradient and intermediates;
+ * value_and_grad is lg_value and then lg_grad on the same buffer.  Each
+ * try of compile_compact is one call, cc_build, which takes the pair
+ * buffer's two row arrays and fills one fresh block with the middle
+ * matrix, -inv of it, the bound test's squared norms and the model's Q,
+ * W and QW.  Its middle matrix has the signed zeros that
  * np.block leaves in hessian._numpy_build's: 0.0 in the zero parts of
  * L and L', and -0.0 off the diagonal of -D, which -np.diag negates.
  *
@@ -653,13 +654,4 @@ void lg_grad(const dataset *d, double *buf)
 {
     double *z = buf + 2 * d->n, *e = z + d->m, *coeff = e + d->m;
     gradient(d, z, e, coeff, buf + d->n);
-}
-
-/* f(w) and grad f at the buffer's w: one forward pass, its mean, and the
- * gradient from the same z and e. */
-double lg_value_and_grad(const dataset *d, double *buf)
-{
-    double value = lg_value(d, buf);
-    lg_grad(d, buf);
-    return value;
 }

@@ -17,13 +17,14 @@ logistic passes split over OpenMP's default thread count (the standard
 ``OMP_NUM_THREADS`` sets it); where that build fails it is built once
 more without the flag and those passes run serially, with the same bits.
 
-Each logistic oracle is one prepared call.  A Dataset is bound once, at
-its first compiled oracle call: :class:`Bound` holds its point and
-feature counts and the addresses of its arrays in one ctypes struct,
-kept on the data set.  ``f_value``, ``f_grad`` and ``value_and_grad``
-then each pass that struct and one fresh buffer, which holds the point,
-the gradient and the forward pass's margins, to ``lg_value``,
-``lg_grad`` or ``lg_value_and_grad``.
+Each pass of the logistic oracle is one prepared call.  A Dataset is
+bound once, at its first compiled oracle call: :class:`Bound` holds its
+point and feature counts and the addresses of its arrays in one ctypes
+struct, kept on the data set.  ``f_value`` passes that struct and one
+fresh buffer, which holds the point, the gradient and the forward pass's
+margins, to ``lg_value``; ``f_grad`` passes the struct and the buffer
+that ``f_value`` filled at its point to ``lg_grad``.  ``value_and_grad``
+makes both calls on one buffer.
 
 Each try of ``compile_compact`` is one call too, ``cc_build``, on the
 addresses of the pair buffer's two row arrays, read once and kept on
@@ -114,10 +115,10 @@ _LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
 class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
     the stop test's subgradient norm, one try of the compact build with
-    the bytes of ``hessian._numpy_build``, and the three logistic
-    oracles.  A driver run keeps one workspace for all its solves, and
-    the loops reuse its struct of pointers; a data set keeps its
-    :class:`Bound`, and a pair buffer its rows' addresses.
+    the bytes of ``hessian._numpy_build``, and the logistic oracle's
+    forward pass and gradient.  A driver run keeps one workspace for all
+    its solves, and the loops reuse its struct of pointers; a data set
+    keeps its :class:`Bound`, and a pair buffer its rows' addresses.
 
     The loops raise the errors the Python loops raise, and ``exact``
     returns the number of coordinate steps it took.  A logistic pass
@@ -141,9 +142,6 @@ class Kernel:
         self._grad = lib.lg_grad
         self._grad.argtypes = [ptr, ptr]
         self._grad.restype = None
-        self._value_and_grad = lib.lg_value_and_grad
-        self._value_and_grad.argtypes = [ptr, ptr]
-        self._value_and_grad.restype = ctypes.c_double
         self._subgrad_inf = lib.subgrad_inf
         self._subgrad_inf.argtypes = [i64, ptr, ptr, ctypes.c_double]
         self._subgrad_inf.restype = ctypes.c_double
@@ -167,15 +165,10 @@ class Kernel:
         made by fork, 0 when built without OpenMP."""
         return self._threads()
 
-    def random(self, ws, indices: np.ndarray) -> None:
-        """One coordinate step at each of ``indices`` (int64, in
-        [0, n)), in order: exactly as many steps as indices."""
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.random_at(ws, indices.ctypes.data, indices.shape[0])
-
-    def random_at(self, ws, address: int, r: int) -> None:
-        """:meth:`random` at the r int64 indices that start at
-        ``address``, an address the caller keeps valid."""
+    def random(self, ws, address: int, r: int) -> None:
+        """One coordinate step at each of the r int64 indices (in
+        [0, n)) that start at ``address``, an address the caller keeps
+        valid, in order: exactly r steps."""
         arrays = _arrays(ws)
         if self._random(ctypes.byref(arrays), address, r):
             raise ValueError(f"nonpositive model diagonal at coordinate {arrays.bad}")
@@ -268,14 +261,6 @@ class Kernel:
         its margins and exp(-|z|): no forward pass."""
         self._grad(bound.address, address)
         return buf[bound.n:2 * bound.n].copy()
-
-    def value_and_grad(self, bound: Bound, w: np.ndarray
-                       ) -> tuple[float, np.ndarray]:
-        """f(w) and grad f(w) in one call, from one forward pass."""
-        buf = np.empty(bound.size)
-        buf[:bound.n] = w
-        value = self._value_and_grad(bound.address, buf.ctypes.data)
-        return value, buf[bound.n:2 * bound.n].copy()
 
 
 class _Dataset(ctypes.Structure):

@@ -719,12 +719,14 @@ def _check_cd_kernel(level, rng):
         v = rng.standard_normal(n) * (rng.random(n) < 0.7)
         lam = float(rng.uniform(0.0, 0.5))
         indices = rng.integers(0, n, size=500)
+        address = indices.ctypes.data
         results = []
-        for random_steps, sweeps in ((kernel.random, kernel.exact),
-                                     (random_loop, exact_loop)):
+        for random_steps, sweeps in (
+                (lambda ws: kernel.random(ws, address, 500), kernel.exact),
+                (lambda ws: random_loop(ws, indices), exact_loop)):
             a = CdWorkspace(model, grad_v, v, lam)
             b = CdWorkspace(model, grad_v, v, lam)
-            random_steps(a, indices)
+            random_steps(a)
             results.append((sweeps(b, 1e-10, 10**6),
                             *(x.tobytes() for ws in (a, b)
                               for x in (ws.u, ws.d, ws.qcache))))

@@ -42,19 +42,27 @@ class HessianModel:
 
     def __init__(self, delta: float, n: int, q: np.ndarray | None = None,
                  w: np.ndarray | None = None, scale: float = 1.0):
-        self.n = int(n)
-        if q is None or q.shape[1] == 0:
-            self._keep(np.zeros((n, 0)), np.zeros((0, 0)))
-        else:
-            if q.shape[0] != n:
-                raise ValueError("factor rows must match dimension")
-            square = (q.shape[1],) * 2
-            if w is None or np.shape(w) != square:
-                got = "none" if w is None else f"shape {np.shape(w)}"
-                raise ValueError(f"Q of shape {q.shape} needs a W of shape "
-                                 f"{square}, got {got}")
-            self._keep(np.array(q, dtype=np.float64), w)
-        self._set_scalars(delta, scale)
+        n = int(n)
+        q = np.zeros((n, 0)) if q is None else np.array(q, dtype=np.float64)
+        if q.ndim != 2:
+            raise ValueError(f"Q must be a matrix, got shape {q.shape}")
+        if q.shape[1] == 0:
+            q, w = np.zeros((n, 0)), np.zeros((0, 0))
+        elif q.shape[0] != n:
+            raise ValueError("factor rows must match dimension")
+        square = (q.shape[1],) * 2
+        if w is None or np.shape(w) != square:
+            got = "none" if w is None else f"shape {np.shape(w)}"
+            raise ValueError(f"Q of shape {q.shape} needs a W of shape "
+                             f"{square}, got {got}")
+        # The symmetric part of W; qw caches Q W for O(p) coordinate work
+        # in the subsolver, and the last array is the diagonal of Q W Q'.
+        w = np.asarray(w, dtype=np.float64)
+        w = 0.5 * (w + w.T)
+        qw = q @ w
+        for array in (q, w, qw):
+            array.setflags(write=False)
+        self._set(delta, scale, q, w, qw, _low_rank_diag(qw, q))
 
     @classmethod
     def _of_built(cls, delta: float, q: np.ndarray, w: np.ndarray,
@@ -62,50 +70,36 @@ class HessianModel:
         """The model delta*I + Q W Q' of read-only float64 arrays that no
         one else holds: Q, a symmetric W, their product QW and the
         diagonal of Q W Q', which it keeps without a copy."""
-        out = object.__new__(cls)
-        out.n = q.shape[0]
-        out.q, out.w, out.qw = q, w, qw
-        out.low_rank_diag = low_rank_diag
-        out._set_scalars(delta, 1.0)
-        return out
+        return object.__new__(cls)._set(delta, 1.0, q, w, qw, low_rank_diag)
 
-    def _keep(self, q: np.ndarray, w: np.ndarray) -> None:
-        """Freeze q, the symmetric part of w, and the caches built on
-        them."""
-        self.q = q
-        self.w = 0.5 * (np.asarray(w, dtype=np.float64) + np.asarray(w).T)
-        # qw caches Q W for O(p) coordinate work in the subsolver, and
-        # low_rank_diag the diagonal of Q W Q'.
-        self.qw = q @ self.w
-        self.low_rank_diag = _low_rank_diag(self.qw, q)
-        for array in (self.q, self.w, self.qw):
-            array.setflags(write=False)
-
-    def _set_scalars(self, delta: float, scale: float) -> None:
+    def _set(self, delta: float, scale: float, q: np.ndarray, w: np.ndarray,
+             qw: np.ndarray, low_rank_diag: np.ndarray) -> "HessianModel":
+        """Check the scalars and take the arrays, as they are; returns
+        the model."""
         if delta < 0:
             raise ValueError("diagonal coefficient must be nonnegative")
         if scale <= 0:
             raise ValueError("scale must be positive")
+        self.n = q.shape[0]
         # With fewer than n columns, delta is an eigenvalue of H/scale.
-        if delta <= 0 and self.p < self.n:
+        if delta <= 0 and q.shape[1] < self.n:
             raise ValueError("model must be positive definite")
+        self.q, self.w, self.qw, self.low_rank_diag = q, w, qw, low_rank_diag
         self.delta = float(delta)
         self.scale = float(scale)
-
-    def _with_scalars(self, delta: float, scale: float) -> "HessianModel":
-        out = object.__new__(HessianModel)
-        out.n, out.q, out.w, out.qw = self.n, self.q, self.w, self.qw
-        out.low_rank_diag = self.low_rank_diag
-        out._set_scalars(delta, scale)
-        return out
+        return self
 
     def shifted(self, shift: float) -> "HessianModel":
         """The same model with delta increased by ``shift``."""
-        return self._with_scalars(self.delta + shift, self.scale)
+        return object.__new__(HessianModel)._set(
+            self.delta + shift, self.scale, self.q, self.w, self.qw,
+            self.low_rank_diag)
 
     def rescaled(self, factor: float) -> "HessianModel":
         """The same model with its scale multiplied by ``factor``."""
-        return self._with_scalars(self.delta, self.scale * factor)
+        return object.__new__(HessianModel)._set(
+            self.delta, self.scale * factor, self.q, self.w, self.qw,
+            self.low_rank_diag)
 
     @property
     def p(self) -> int:

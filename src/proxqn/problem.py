@@ -41,25 +41,24 @@ class Memo:
     """One-slot store of an oracle's intermediate at one point.
 
     ``f_value(w, memo)`` stores the bytes of w as ``key`` and the
-    intermediate it formed as ``value``, with what it derived from it as
-    ``derived``: the quadratic product Aw and None; the logistic margins
-    -y*(Xw) and exp(-|z|) from the Python code; the compiled logistic
-    oracle's buffer, which holds both, and its address.  ``f_grad(w,
-    memo)`` reuses them only when the bytes of its w match ``key``, and
-    on the backend that stored them: switch ``_cdkernel.KERNEL`` between
-    runs, not inside one.  A driver run owns its memo, so problems stay
-    pure and shareable.
+    intermediate it formed as ``value``: the quadratic product Aw; the
+    logistic margins -y*(Xw) and exp(-|z|) from the Python code, or the
+    compiled logistic oracle's buffer, which holds both, and its address,
+    as one tuple.  ``f_grad(w, memo)`` reuses it only when the bytes of
+    its w match ``key``, and on the backend that stored it: switch
+    ``_cdkernel.KERNEL`` between runs, not inside one.  A driver run owns
+    its memo, so problems stay pure and shareable.
     """
 
-    __slots__ = ("key", "value", "derived")
+    __slots__ = ("key", "value")
 
     def __init__(self):
-        self.key = self.value = self.derived = None
+        self.key = self.value = None
 
-    def store(self, w: np.ndarray, value: np.ndarray, derived=None) -> None:
-        self.key, self.value, self.derived = w.tobytes(), value, derived
+    def store(self, w: np.ndarray, value) -> None:
+        self.key, self.value = w.tobytes(), value
 
-    def recall(self, w: np.ndarray) -> np.ndarray | None:
+    def recall(self, w: np.ndarray):
         """The stored value if it was formed at these exact bytes of w."""
         return self.value if self.key == w.tobytes() else None
 
@@ -108,11 +107,12 @@ def logistic_value(dataset: Dataset, w: np.ndarray,
     kernel, bound = _compiled(dataset)
     if kernel is None:
         z, e, t = forward_reference(dataset, w)
-        value, margins, derived = float(np.mean(t)), z, e
+        value, forward = float(np.mean(t)), (z, e)
     else:
-        value, margins, derived = kernel.value(bound, w)
+        value, buf, address = kernel.value(bound, w)
+        forward = (buf, address)
     if memo is not None:
-        memo.store(w, margins, derived)
+        memo.store(w, forward)
     return value
 
 
@@ -120,25 +120,24 @@ def logistic_gradient(dataset: Dataset, w: np.ndarray,
                       memo: Memo | None = None) -> np.ndarray:
     """Gradient -(1/m) sum_i y_i sigmoid(-y_i w'x_i) x_i."""
     w = _check_dim(dataset.n_features, w)
-    margins = None if memo is None else memo.recall(w)
-    if margins is None:
+    forward = None if memo is None else memo.recall(w)
+    if forward is None:
         return logistic_value_and_gradient(dataset, w)[1]
     kernel, bound = _compiled(dataset)
     if kernel is None:
-        return gradient_reference(dataset, margins, memo.derived)
-    return kernel.grad(bound, margins, memo.derived)
+        return gradient_reference(dataset, *forward)
+    return kernel.grad(bound, *forward)
 
 
 def logistic_value_and_gradient(
     dataset: Dataset, w: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Loss and gradient sharing one pass over the margins and one exp."""
-    w = _check_dim(dataset.n_features, w)
-    kernel, bound = _compiled(dataset)
-    if kernel is None:
-        z, e, t = forward_reference(dataset, w)
-        return float(np.mean(t)), gradient_reference(dataset, z, e)
-    return kernel.value_and_grad(bound, w)
+    """Loss and gradient sharing one pass over the margins and one exp:
+    :func:`logistic_value` and then :func:`logistic_gradient` on one
+    memo."""
+    memo = Memo()
+    value = logistic_value(dataset, w, memo)
+    return value, logistic_gradient(dataset, w, memo)
 
 
 def _check_dim(n: int, w: np.ndarray) -> np.ndarray:
@@ -227,7 +226,9 @@ def logistic_problem(dataset: Dataset, lam: float) -> CompositeProblem:
         smax = spla.svds(dataset.matrix, k=1, return_singular_vectors=False,
                          rng=np.random.default_rng(0))[0]
         lipschitz = float(smax**2 / (4.0 * dataset.n_points))
-    except Exception:
+    except (ValueError, spla.ArpackError):
+        # svds refuses a matrix with one row or one column (k must be
+        # below min(A.shape)); ARPACK may fail to converge.
         lipschitz = None
     return CompositeProblem(
         n=dataset.n_features,

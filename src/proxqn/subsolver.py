@@ -178,7 +178,8 @@ BLOCK = 4096
 
 class CdRun:
     """Coordinate-descent state of one driver run over dimension n: its
-    seeded generator, the coordinates drawn from it and not yet used,
+    seeded generator, the coordinates drawn from it and not yet used
+    (``indices``, whose data the compiled loop reads at ``address``),
     and one :class:`CdWorkspace`, rebuilt only when a solve's p differs
     from the last one's.
 
@@ -195,13 +196,13 @@ class CdRun:
         self.block = block
         self.indices = np.empty(0, dtype=np.int64)
         self.used = 0
-        self._address = self.indices.ctypes.data
+        self.address = self.indices.ctypes.data
         self.ws: CdWorkspace | None = None
 
     def __setstate__(self, state: dict) -> None:
         # A copy or an unpickled run reads the address of its own indices.
         self.__dict__.update(state)
-        self._address = self.indices.ctypes.data
+        self.address = self.indices.ctypes.data
 
     def workspace(self, model: HessianModel, grad_v: np.ndarray,
                   v: np.ndarray, lam: float) -> CdWorkspace:
@@ -223,24 +224,10 @@ class CdRun:
         if left < r:
             fresh = self.rng.integers(0, self.n, size=max(self.block, r - left))
             self.indices = np.concatenate((self.indices[start:], fresh))
-            self._address = self.indices.ctypes.data
+            self.address = self.indices.ctypes.data
             start = 0
         self.used = start + r
         return start
-
-    def minimize(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
-                 lam: float, r: int) -> np.ndarray:
-        """r steps of randomized coordinate descent from u_0 = v; returns
-        a copy of the final iterate."""
-        ws = self.workspace(model, grad_v, v, lam)
-        if r > 0:
-            start = self.take(r)
-            kernel = _cdkernel.KERNEL
-            if kernel is not None:
-                kernel.random_at(ws, self._address + 8 * start, r)
-            else:
-                random_loop(ws, self.indices[start:start + r])
-        return ws.u.copy()
 
 
 def cd_minimize(
@@ -264,7 +251,15 @@ def cd_minimize(
     if r < 0:
         raise ValueError("step count must be nonnegative")
     run = seed if isinstance(seed, CdRun) else CdRun(seed, model.n, block=0)
-    return run.minimize(model, grad_v, v, lam, r), r
+    ws = run.workspace(model, grad_v, v, lam)
+    if r > 0:
+        start = run.take(r)
+        kernel = _cdkernel.KERNEL
+        if kernel is not None:
+            kernel.random(ws, run.address + 8 * start, r)
+        else:
+            random_loop(ws, run.indices[start:start + r])
+    return ws.u.copy(), r
 
 
 def random_loop(ws: CdWorkspace, indices: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,21 @@ class TestModelOps:
         with pytest.raises(ValueError, match=(r"Q of shape \(4, 2\) needs a W "
                                               rf"of shape \(2, 2\), got {got}$")):
             HessianModel(1.0, 4, np.ones((4, 2)), w)
+
+    @pytest.mark.parametrize("q", [np.ones(4), np.ones((4, 2, 2)), 2.0])
+    def test_a_q_that_is_not_a_matrix_is_named(self, q):
+        shape = re.escape(str(np.shape(q)))
+        with pytest.raises(ValueError, match=f"matrix, got shape {shape}$"):
+            HessianModel(1.0, 4, q, np.eye(2))
+
+    def test_nested_lists_build_the_model_of_the_arrays(self):
+        q, w = [[1.0, 2.0], [0.5, -1.0], [3.0, 0.25]], [[2.0, 0.5], [0.5, 1.0]]
+        got = HessianModel(1.5, 3, q, w, scale=2.0)
+        want = HessianModel(1.5, 3, np.array(q), np.array(w), scale=2.0)
+        for name in ("q", "w", "qw", "low_rank_diag"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+        assert (got.n, got.delta, got.scale) == (want.n, want.delta, want.scale)
 
     def test_compact_apply_matches_dense(self):
         rng = np.random.default_rng(4)

@@ -100,11 +100,23 @@ class TestLogisticGradient:
                 worst = max(worst, abs(fd - grad @ d) / max(1.0, abs(fd)))
         assert worst <= 1e-6
 
-    def test_value_and_gradient_consistent(self, small_logistic):
-        w = np.linspace(-1, 1, small_logistic.n)
-        val, grad = small_logistic.value_and_grad(w)
-        assert val == pytest.approx(small_logistic.f_value(w), rel=1e-15)
-        np.testing.assert_allclose(grad, small_logistic.f_grad(w), rtol=1e-15)
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    @pytest.mark.parametrize("kind", ["logistic", "binary", "quadratic"])
+    def test_value_and_gradient_consistent(self, kind, backend, small_logistic,
+                                           small_quadratic):
+        """value_and_grad is f_value then f_grad on one memo, byte for
+        byte, and its gradient is f_grad's with no memo."""
+        prob = {"logistic": small_logistic, "quadratic": small_quadratic,
+                "binary": logistic_problem(_binary_dataset(
+                    np.random.default_rng(3), 50, 12, 0.4), 1e-3)}[kind]
+        with on_backend(backend):
+            for scale in (1e-3, 1.0, 30.0):
+                w = np.linspace(-1, 1, prob.n) * scale
+                val, grad = prob.value_and_grad(w)
+                memo = Memo()
+                assert _bytes(val) == _bytes(prob.f_value(w, memo))
+                assert _bytes(grad) == _bytes(prob.f_grad(w, memo))
+                assert _bytes(grad) == _bytes(prob.f_grad(w))
 
 
 class TestL1AndProx:
@@ -350,15 +362,13 @@ def _counted(calls, name, fn):
 def _count_forward_passes(mp, calls):
     """Count in calls["forward"] the logistic oracle's forward passes on
     the active backend: each call of the Python code's forward_reference,
-    and of the kernel's lg_value and lg_value_and_grad, which make one
-    each (its lg_grad reads the margins lg_value left)."""
+    and of the kernel's lg_value, which makes one (its lg_grad reads the
+    margins lg_value left)."""
     mp.setattr(proxqn.problem, "forward_reference",
                _counted(calls, "forward", proxqn.problem.forward_reference))
     kernel = _cdkernel.KERNEL
     if kernel is not None:
-        for entry in ("_value", "_value_and_grad"):
-            mp.setattr(kernel, entry,
-                       _counted(calls, "forward", getattr(kernel, entry)))
+        mp.setattr(kernel, "_value", _counted(calls, "forward", kernel._value))
 
 
 def _logistic_dataset(rng, m, n, density):
@@ -773,6 +783,27 @@ def test_lam_must_be_finite_and_nonnegative(lam):
     data = make_dataset([[(0, 1.0)], [(1, 2.0)]], [1.0, -1.0])
     with pytest.raises(ValueError, match="lam must be finite"):
         logistic_problem(data, lam)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
+def test_a_single_row_or_feature_gives_no_lipschitz_bound(shape):
+    """svds refuses k = 1 where min(A.shape) is 1; the problem is built
+    without a bound."""
+    mat = sp.csr_matrix(np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+    labels = np.where(np.arange(shape[0]) % 2, 1.0, -1.0)
+    assert logistic_problem(Dataset(mat, labels), 1e-3).lipschitz is None
+
+
+def test_an_unexpected_svds_error_propagates(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def refuse(*args, **kwargs):
+        raise TypeError("svds() got an unexpected keyword argument 'rng'")
+
+    monkeypatch.setattr(spla, "svds", refuse)
+    ds = _logistic_dataset(np.random.default_rng(21), 30, 8, 0.3)
+    with pytest.raises(TypeError, match="rng"):
+        logistic_problem(ds, 1e-3)
 
 
 def test_lipschitz_is_the_same_bits_on_every_build():
