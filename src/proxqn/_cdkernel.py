@@ -37,6 +37,12 @@ matrix's Fortran-order copy and an identity right-hand side for inv.
 The diagonal of Q W Q' is ``np.einsum``'s row sum in order, except at
 n = 1, where einsum sums in vector lanes and still forms it.
 
+The coordinate-descent loops take a struct of pointers to a
+``CdWorkspace``'s arrays and to a scratch of their own, which
+:func:`_arrays` builds at the workspace's first solve and keeps on it:
+the workspace holds plain arrays and writes them in place, and only
+this module knows how the compiled loops see them.
+
 ``KERNEL`` is the loaded kernel, or ``None`` with the reason in
 ``FALLBACK`` (no C compiler, or numpy's BLAS, LAPACK or loops not
 bound), in which case the subsolver, the stop test, the compact build
@@ -281,21 +287,29 @@ class Bound:
     X's and X''s indptr, indices and data (NULL for the data of a binary
     data set, whose stored values are all 1.0), of the feature order and
     of the labels, in one struct, read once.  The data set owns those
-    read-only arrays and keeps this object, so the addresses stay valid.
+    read-only arrays but the order, which this object holds, and keeps
+    this object, so the addresses stay valid.
+
+    ``order`` is the features by nonincreasing nonzero count, ties in
+    index order (int64, read-only), which the compiled gradient takes in
+    groups of similar length.
 
     An oracle call works in one buffer of ``size`` = 2n + 3m doubles,
     which :meth:`parts` splits into w, grad, the margins z, e =
     exp(-|z|), and the loss terms t, which the gradient's coefficients
     replace."""
 
-    __slots__ = ("struct", "address", "n", "size")
+    __slots__ = ("struct", "address", "n", "size", "order")
 
     def __init__(self, dataset):
         x, xt = dataset.matrix, dataset.matrix_t
         m, n = x.shape
+        counts = np.diff(xt.indptr)
+        self.order = np.argsort(-counts, kind="stable").astype(np.int64)
+        self.order.setflags(write=False)
         self.struct = _Dataset(m, n, *_csr(x, dataset.binary),
                                *_csr(xt, dataset.binary),
-                               dataset._feature_order.ctypes.data,
+                               self.order.ctypes.data,
                                dataset.labels.ctypes.data)
         self.address = ctypes.addressof(self.struct)
         self.n = n
@@ -325,13 +339,21 @@ def _address(array: np.ndarray) -> object:
 
 
 def _arrays(ws) -> _Workspace:
-    """The struct of pointers into ``ws``, built at the first call and
-    kept as ``ws.struct`` (the block outlives it), with the workspace's
-    eff_delta and lam of this call."""
+    """The struct of pointers to ``ws``'s arrays, built at the first call
+    from each array's own address and kept as ``ws.struct``, with the
+    workspace's eff_delta and lam of this call.  The struct also points
+    to the 2n doubles of scratch that only ``cd_exact`` reads, which it
+    holds as its attribute ``scratch_array``."""
     arrays = ws.struct
     if arrays is None:
-        arrays = ws.struct = _Workspace(ws.v.shape[0], ws.qcache.shape[0],
-                                        0.0, 0.0, *ws.addresses(), 0)
+        n = ws.v.shape[0]
+        scratch = np.empty(2 * n)
+        addresses = [a.ctypes.data for a in (ws.q, ws.qw_scaled, ws.diag,
+                                             ws.grad_v, ws.u, ws.d, ws.qcache,
+                                             scratch)]
+        arrays = ws.struct = _Workspace(n, ws.qcache.shape[0], 0.0, 0.0,
+                                        *addresses, 0)
+        arrays.scratch_array = scratch
     arrays.eff_delta = ws.eff_delta
     arrays.lam = ws.lam
     return arrays

@@ -39,8 +39,9 @@ class Dataset:
     ``matrix_t`` lists a
     feature's nonzeros in increasing data-point order, so ``matrix_t @
     c`` sums in the order of the CSC scatter over X's own arrays.  The
-    compiled logistic oracle keeps the addresses of these arrays in
-    ``_bound``, made at its first call.
+    compiled logistic oracle keeps the addresses of these arrays, and
+    the feature order it forms from ``matrix_t``, in ``_bound``, made at
+    its first call.
     """
 
     def __init__(self, matrix: sp.csr_matrix, labels: np.ndarray):
@@ -82,7 +83,6 @@ class Dataset:
         self._X = _read_only(matrix)
         self._binary = bool(np.all(matrix.data == 1.0))
         self._XT = None
-        self._order = None
         self._bound = None
         self._y = labels
         self._y.setflags(write=False)
@@ -106,17 +106,6 @@ class Dataset:
         if self._XT is None:
             self._XT = _read_only(self._X.T.tocsr())
         return self._XT
-
-    @property
-    def _feature_order(self) -> np.ndarray:
-        """The features by nonincreasing nonzero count, ties in index
-        order (int64), which the compiled gradient takes in groups of
-        similar length; built on first use, from ``matrix_t``."""
-        if self._order is None:
-            counts = np.diff(self.matrix_t.indptr)
-            self._order = np.argsort(-counts, kind="stable").astype(np.int64)
-            self._order.setflags(write=False)
-        return self._order
 
     @property
     def labels(self) -> np.ndarray:

@@ -154,13 +154,16 @@ class SyntheticSpec:
     @classmethod
     def parse(cls, text: str) -> SyntheticSpec:
         """``n=.., gamma=.., L=.., seed=..`` (commas or spaces); ``L`` and
-        ``lmax`` name ``l_target``, and keys left out keep the defaults."""
+        ``lmax`` name ``l_target``, keys left out keep the defaults, and
+        a key set twice, under either name, is refused."""
         types, out = get_type_hints(cls), {}
         for item in text.replace(",", " ").split():
             key, _, raw = item.partition("=")
             key = {"l": "l_target", "lmax": "l_target"}.get(key.lower(), key.lower())
             if key not in types:
                 raise ValueError(f"unknown synthetic parameter {key!r}")
+            if key in out:
+                raise ValueError(f"{key} is set twice")
             out[key] = _typed(key, raw, types[key])
         return cls(**out)
 

@@ -43,14 +43,16 @@ class HessianModel:
     def __init__(self, delta: float, n: int, q: np.ndarray | None = None,
                  w: np.ndarray | None = None, scale: float = 1.0):
         n = int(n)
-        q = np.zeros((n, 0)) if q is None else np.array(q, dtype=np.float64)
+        if q is None:
+            q, w = np.zeros((n, 0)), np.zeros((0, 0))
+        q = np.array(q, dtype=np.float64)
         if q.ndim != 2:
             raise ValueError(f"Q must be a matrix, got shape {q.shape}")
-        if q.shape[1] == 0:
-            q, w = np.zeros((n, 0)), np.zeros((0, 0))
-        elif q.shape[0] != n:
+        if q.shape[0] != n:
             raise ValueError("factor rows must match dimension")
         square = (q.shape[1],) * 2
+        if w is None and square == (0, 0):
+            w = np.zeros(square)
         if w is None or np.shape(w) != square:
             got = "none" if w is None else f"shape {np.shape(w)}"
             raise ValueError(f"Q of shape {q.shape} needs a W of shape "

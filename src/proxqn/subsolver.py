@@ -43,16 +43,11 @@ class CdWorkspace:
     low-rank projection q = Q'd (``qcache``), so the j-th smooth-model
     gradient component grad_v[j] + [H(u-v)]_j is available in O(p).
     Single-owner: one workspace per run, which :meth:`load` readies for
-    each solve.  Its nine arrays, of shape (n,), (n, p), (p,) or (2n,),
-    are C-contiguous float64 views of one block, ``block``, in the order
-    of ``LAYOUT``; the compiled kernel finds them all from the block's
-    address (``addresses``), so it does not see an attribute that is
-    rebound to another array.  ``scratch`` is the compiled cyclic
-    solve's; the Python loops do not use it.
+    each solve.  q and qw_scaled (n, p), qcache (p,), and diag, grad_v,
+    v, u and d (n,) are C-contiguous float64 arrays of its own, which
+    :meth:`load` and :meth:`step` write in place: the compiled kernel
+    keeps their addresses in ``struct``, built at its first use.
     """
-
-    LAYOUT = ("q", "qw_scaled", "qcache", "diag", "grad_v", "v", "u", "d",
-              "scratch")
 
     def __init__(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
                  lam: float):
@@ -60,34 +55,18 @@ class CdWorkspace:
         if n < 1:
             raise ValueError("model dimension must be at least 1")
         p = model.p
-        self._view(np.zeros(2 * n * p + p + 7 * n), n, p)
+        self.q, self.qw_scaled = np.zeros((n, p)), np.zeros((n, p))
+        self.qcache = np.zeros(p)
+        self.diag, self.grad_v, self.v, self.u, self.d = (
+            np.zeros(n) for _ in range(5))
+        self.struct = None
         self.model = None
         self.load(model, grad_v, v, lam)
 
-    def _view(self, block: np.ndarray, n: int, p: int) -> None:
-        """Make ``block`` this workspace's, with the arrays of ``LAYOUT``
-        its views."""
-        self.block = block
-        self.q = self.block[:n * p].reshape(n, p)
-        self.qw_scaled = self.block[n * p:2 * n * p].reshape(n, p)
-        self.qcache = self.block[2 * n * p:2 * n * p + p]
-        self._rows = self.block[2 * n * p + p:2 * n * p + p + 5 * n].reshape(5, n)
-        self.diag, self.grad_v, self.v, self.u, self.d = self._rows
-        self.scratch = self.block[2 * n * p + p + 5 * n:]
-        # The compiled kernel's view of the block, built at its first use.
-        self.struct = None
-
     def __getstate__(self) -> dict:
-        # A copy or an unpickled workspace views its own block, and
-        # builds its own struct of that block's addresses.
-        views = {*self.LAYOUT, "_rows", "struct"}
-        state = {k: v for k, v in self.__dict__.items() if k not in views}
-        return {**state, "shape": self.q.shape}
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        self._view(state.pop("block"), *state.pop("shape"))
-        self.__dict__.update(state)
+        # ctypes cannot pickle the kernel's struct, and a copy builds its
+        # own from its own arrays.
+        return {**self.__dict__, "struct": None}
 
     def load(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
              lam: float) -> None:
@@ -115,20 +94,10 @@ class CdWorkspace:
             self.model = model
         self.lam = float(lam)
         self.grad_v[...] = grad_v
-        self._rows[2:4] = v  # v and u
+        self.v[...] = v
+        self.u[...] = v
         self.d.fill(0.0)
         self.qcache.fill(0.0)
-
-    def addresses(self) -> tuple[int, ...]:
-        """Addresses of q, qw_scaled, diag, grad_v, u, d, qcache and
-        scratch, the arrays the compiled kernel works on, from one read
-        of the block's: they sit at the offsets of ``LAYOUT``."""
-        n, p = self.v.shape[0], self.qcache.shape[0]
-        q = self.block.ctypes.data
-        qcache = q + 16 * n * p
-        diag = qcache + 8 * p
-        return (q, q + 8 * n * p, diag, diag + 8 * n, diag + 24 * n,
-                diag + 32 * n, qcache, diag + 40 * n)
 
     def step(self, j: int) -> float:
         """Exact minimization over coordinate j; returns the move z*."""

@@ -10,6 +10,17 @@ from proxqn.dataset import Dataset, SyntheticQuadratic, synthesize_quadratic
 from proxqn.problem import logistic_problem, quadratic_problem
 
 
+def pytest_report_header(config):
+    """Names the backend the suite runs on, and why."""
+    return f"proxqn backend: {_cdkernel.backend()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q drops the header; the summary keeps the backend in the log.
+    if config.option.verbose < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
 def make_dataset(rows, labels, n_features=None):
     """Dataset from a list of [(idx, val), ...] rows."""
     n_features = n_features or (max(i for r in rows for i, _ in r) + 1)

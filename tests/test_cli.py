@@ -285,6 +285,10 @@ def test_run_takes_every_setting_as_a_flag(capsys):
     ("--synthetic", "L=inf", "synthetic = 'L=inf': l_target"),
     ("--synthetic", "L=nan", "synthetic = 'L=nan': l_target"),
     ("--synthetic", "gamma=2,L=1", "synthetic = 'gamma=2,L=1': gamma"),
+    # a key set twice, under one name or two
+    ("--synthetic", "n=5 n=6", "synthetic = 'n=5 n=6': n"),
+    ("--synthetic", "L=3,lmax=4", "synthetic = 'L=3,lmax=4': l_target"),
+    ("--synthetic", "seed=1,SEED=1", "synthetic = 'seed=1,SEED=1': seed"),
 ])
 def test_run_bad_setting_value_exits_one(capsys, flag, value, named):
     code = main(["run", "--algorithm", "pqna-lbfgs", "--subsolver", "exact",

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxqn import dataset
+from proxqn import _cdkernel, dataset
 from proxqn.dataset import (
     Dataset,
     DatasetFormatError,
@@ -370,10 +370,11 @@ class TestDerived:
                           [0.0, 1.0, 0.0, 1.0, 1.0],
                           [1.0, 1.0, 0.0, 1.0, 0.0]])
         ds = Dataset(sp.csr_matrix(dense), np.ones(3))
-        order = ds._feature_order
+        bound = _cdkernel.Bound(ds)
+        order = bound.order
         assert order.dtype == np.int64
         np.testing.assert_array_equal(order, [1, 3, 0, 4, 2])
-        assert ds._feature_order is order
+        assert bound.struct.order == order.ctypes.data
 
     def test_arrays_behind_what_it_derives_are_read_only(self, tmp_path):
         """A write through ds.matrix would leave the binary flag, the
@@ -383,7 +384,8 @@ class TestDerived:
         for ds in (read, built):
             derived = (ds.matrix.data, ds.matrix.indices, ds.matrix.indptr,
                        ds.matrix_t.data, ds.matrix_t.indices,
-                       ds.matrix_t.indptr, ds._feature_order, ds.labels)
+                       ds.matrix_t.indptr, _cdkernel.Bound(ds).order,
+                       ds.labels)
             for array in derived:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 2

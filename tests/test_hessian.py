@@ -228,6 +228,17 @@ class TestModelOps:
                                               rf"of shape \(2, 2\), got {got}$")):
             HessianModel(1.0, 4, np.ones((4, 2)), w)
 
+    @pytest.mark.parametrize("rows, w, match", [
+        (4, "junk", r"\(4, 0\) needs a W of shape \(0, 0\), got shape \(\)$"),
+        (4, np.eye(2), r"\(4, 0\) needs a W of shape \(0, 0\), got shape \(2, 2\)$"),
+        (5, None, "factor rows must match dimension"),
+        (5, np.zeros((0, 0)), "factor rows must match dimension")])
+    def test_a_zero_column_q_needs_n_rows_and_an_empty_w(self, rows, w, match):
+        with pytest.raises(ValueError, match=match):
+            HessianModel(1.0, 4, np.zeros((rows, 0)), w)
+        for empty in (None, np.zeros((0, 0))):
+            assert HessianModel(1.0, 4, np.zeros((4, 0)), empty).p == 0
+
     @pytest.mark.parametrize("q", [np.ones(4), np.ones((4, 2, 2)), 2.0])
     def test_a_q_that_is_not_a_matrix_is_named(self, q):
         shape = re.escape(str(np.shape(q)))

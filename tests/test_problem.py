@@ -653,7 +653,7 @@ class TestCompiledLogisticOracle:
                  bound.struct.xt_data, bound.struct.order, bound.struct.y)
                 == (30, 8, x.indptr.ctypes.data, x.indices.ctypes.data,
                     data[0], xt.indptr.ctypes.data, xt.indices.ctypes.data,
-                    data[1], ds._feature_order.ctypes.data,
+                    data[1], bound.order.ctypes.data,
                     ds.labels.ctypes.data))
         prob.f_grad(w, memo)
         prob.value_and_grad(w)

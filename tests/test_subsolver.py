@@ -51,6 +51,25 @@ def coordinate_step(a, b, u_j, lam):
     return ws.step(0)
 
 
+# A CdWorkspace's arrays; the kernel's struct points at all but v.
+WORKSPACE_ARRAYS = ("q", "qw_scaled", "qcache", "diag", "grad_v", "v", "u", "d")
+
+
+def assert_kernel_sees(ws):
+    """The kernel's struct on ``ws`` points at the workspace's arrays as
+    they are now, carries its n, p, eff_delta and lam, and holds a
+    scratch of at least 2n doubles."""
+    s = ws.struct
+    n, p = ws.v.shape[0], ws.qcache.shape[0]
+    assert (s.n, s.p, s.eff_delta, s.lam) == (n, p, ws.eff_delta, ws.lam)
+    pointed = (s.q, s.qw, s.qcache, s.diag, s.grad_v, s.u, s.d)
+    names = [name for name in WORKSPACE_ARRAYS if name != "v"]
+    assert pointed == tuple(getattr(ws, name).ctypes.data for name in names)
+    scratch = s.scratch_array
+    assert s.scratch == scratch.ctypes.data
+    assert scratch.dtype == np.float64 and scratch.size >= 2 * n
+
+
 class TestBudget:
     def test_floor_binds_early(self):
         assert budget_for_iteration(3, OptimizerConfig()) == 5
@@ -541,10 +560,11 @@ class TestWorkspaceInput:
         grad_v = np.arange(8)[::2]          # int, strided
         v = np.asfortranarray(np.ones(4))
         ws = CdWorkspace(model, grad_v, v, 0.1)
-        for name in CdWorkspace.LAYOUT:
+        for name in WORKSPACE_ARRAYS:
             arr = getattr(ws, name)
             assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
-            assert np.shares_memory(arr, ws.block), name
+            for other in WORKSPACE_ARRAYS[:WORKSPACE_ARRAYS.index(name)]:
+                assert not np.shares_memory(arr, getattr(ws, other)), name
         assert ws.qcache.shape == (model.p,) and not ws.qcache.any()
         assert not np.shares_memory(ws.grad_v, grad_v)
         assert not np.shares_memory(ws.v, v)
@@ -554,10 +574,10 @@ class TestWorkspaceInput:
                                        HessianModel(1.0, 3, scale=2.0)])
     def test_kernel_addresses_are_the_arrays(self, model):
         ws = CdWorkspace(model, np.ones(model.n), np.zeros(model.n), 0.1)
-        names = ("q", "qw_scaled", "diag", "grad_v", "u", "d", "qcache",
-                 "scratch")
-        assert ws.addresses() == tuple(getattr(ws, name).ctypes.data
-                                       for name in names)
+        indices = np.arange(model.n, dtype=np.int64)
+        with on_backend("c"):
+            _cdkernel.KERNEL.random(ws, indices.ctypes.data, model.n)
+        assert_kernel_sees(ws)
 
     @pytest.mark.parametrize("model", [
         HessianModel(1.0, 5, scale=2.5),                     # p = 0
@@ -680,11 +700,28 @@ class TestCdRun:
         assert refused == [
             f"ValueError: nonpositive model diagonal at coordinate {n - 1}"]
 
+    def test_the_kernel_sees_the_arrays_of_every_solve(self):
+        """Over a run whose p changes and whose model is reused, shifted,
+        rescaled and refused, the kernel's struct points, after every
+        randomized and every exact solve, at the arrays that ``load``
+        writes in place."""
+        n = 12
+        run, rng = CdRun(5, n), np.random.default_rng(300)
+        with on_backend("c"):
+            for i, model in enumerate(model_sequence(n)):
+                grad_v, v = rng.standard_normal(n), rng.standard_normal(n)
+                lam = [0.0, 0.01, 0.3, 3.0][i % 4]
+                outcome(cd_minimize, model, grad_v, v, lam, 500, run)
+                assert_kernel_sees(run.ws)
+                outcome(exact_solve_oracle, model, grad_v, v, lam, 1e-10,
+                        20_000, run=run)
+                assert_kernel_sees(run.ws)
+
     @pytest.mark.parametrize("clone", ["copy", "deepcopy", "pickle"])
     def test_a_copy_reads_its_own_arrays(self, cd_backend, clone):
         """A copy of a run and its workspace, made after a solve, solves
         as an uncopied twin does once its source is spoiled and deleted:
-        it keeps no address of the source's indices or block."""
+        it keeps no address of the source's indices or arrays."""
         n = 12
         rng = np.random.default_rng(9)
         grad_v, v = rng.standard_normal(n), rng.standard_normal(n)
@@ -696,7 +733,10 @@ class TestCdRun:
                  "pickle": lambda x: pickle.loads(pickle.dumps(x))}[clone](run)
         if clone != "copy":
             run.indices[:] = n - 1
-            run.ws.block[:] = np.nan
+            for name in WORKSPACE_ARRAYS:
+                getattr(run.ws, name)[...] = np.nan
+            if run.ws.struct is not None:
+                run.ws.struct.scratch_array[:] = np.nan
         del run
         for model in (models[0], *models):
             assert (outcome(cd_minimize, model, grad_v, v, 0.1, 30, other)
