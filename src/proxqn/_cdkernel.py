@@ -17,31 +17,37 @@ logistic passes split over OpenMP's default thread count (the standard
 ``OMP_NUM_THREADS`` sets it); where that build fails it is built once
 more without the flag and those passes run serially, with the same bits.
 
+Every binding to the compiled code lives in this module: the package
+passes arrays to :class:`Kernel`, never addresses, and keeps no ctypes
+object.  A call takes each array's address as it runs.
+
 Each pass of the logistic oracle is one prepared call.  A Dataset is
 bound once, at its first compiled oracle call: :class:`Bound` holds its
 point and feature counts and the addresses of its arrays in one ctypes
-struct, kept on the data set.  ``f_value`` passes that struct and one
-fresh buffer, which holds the point, the gradient and the forward pass's
-margins, to ``lg_value``; ``f_grad`` passes the struct and the buffer
-that ``f_value`` filled at its point to ``lg_grad``.  ``value_and_grad``
-makes both calls on one buffer.
+struct, which this module keeps for as long as the data set lives.
+``f_value`` passes that struct and one fresh buffer, which holds the
+point, the gradient and the forward pass's margins, to ``lg_value``;
+``f_grad`` passes the struct and the buffer that ``f_value`` filled at
+its point to ``lg_grad``.  ``value_and_grad`` makes both calls on one
+buffer.
 
 Each try of ``compile_compact`` is one call too, ``cc_build``, on the
-addresses of the pair buffer's two row arrays, read once and kept on
-the buffer, and one fresh block, of which the model keeps read-only
-views.  It calls the routines numpy calls for the same products, with
-numpy's arguments, all from numpy's OpenBLAS: ``ddot`` for s'y, y'y and
-the two ``np.vdot`` norms, ``dsyrk`` and a mirror for S'S, ``dgemm`` for
-S'Y and QW (``dgemv`` at n = 1), and LAPACK's ``dgesv`` on the middle
-matrix's Fortran-order copy and an identity right-hand side for inv.
-The diagonal of Q W Q' is ``np.einsum``'s row sum in order, except at
-n = 1, where einsum sums in vector lanes and still forms it.
+pair buffer's two row arrays and one fresh block, of which the model
+keeps read-only views.  It calls the routines numpy calls for the same
+products, with numpy's arguments, all from numpy's OpenBLAS: ``ddot``
+for s'y, y'y and the two ``np.vdot`` norms, ``dsyrk`` and a mirror for
+S'S, ``dgemm`` for S'Y and QW (``dgemv`` at n = 1), and LAPACK's
+``dgesv`` on the middle matrix's Fortran-order copy and an identity
+right-hand side for inv.  The diagonal of Q W Q' is ``np.einsum``'s row
+sum in order, except at n = 1, where einsum sums in vector lanes and
+still forms it.
 
 The coordinate-descent loops take a struct of pointers to a
 ``CdWorkspace``'s arrays and to a scratch of their own, which
-:func:`_arrays` builds at the workspace's first solve and keeps on it:
-the workspace holds plain arrays and writes them in place, and only
-this module knows how the compiled loops see them.
+:func:`_arrays` builds at the workspace's first solve and keeps for as
+long as the workspace lives: the workspace holds plain arrays and
+writes them in place, and only this module knows how the compiled loops
+see them.
 
 ``KERNEL`` is the loaded kernel, or ``None`` with the reason in
 ``FALLBACK`` (no C compiler, or numpy's BLAS, LAPACK or loops not
@@ -58,6 +64,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 
 import numpy as np
 
@@ -112,6 +119,14 @@ class _UFuncHead(ctypes.Structure):
     ]
 
 
+# The kernel's structs, keyed by the CdWorkspace or Dataset they point
+# into (a data set's entry is False when the passes cannot read it).
+# Neither class defines __eq__ or __hash__, so a key is the object's
+# identity: a copy is a new key that binds its own struct, and an entry
+# dies with its object.
+_STRUCTS = weakref.WeakKeyDictionary()
+_BOUNDS = weakref.WeakKeyDictionary()
+
 # PyUFuncGenericFunction: (args, dimensions, strides, innerloopdata).
 _LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
                          ctypes.POINTER(ctypes.c_ssize_t),
@@ -122,9 +137,9 @@ class Kernel:
     """The two loops over a ``CdWorkspace``, which they update in place,
     the stop test's subgradient norm, one try of the compact build with
     the bytes of ``hessian._numpy_build``, and the logistic oracle's
-    forward pass and gradient.  A driver run keeps one workspace for all
-    its solves, and the loops reuse its struct of pointers; a data set
-    keeps its :class:`Bound`, and a pair buffer its rows' addresses.
+    forward pass and gradient.  Its methods take arrays and take their
+    addresses as they run; the structs of a workspace and of a data set
+    are built at their first call and kept in this module.
 
     The loops raise the errors the Python loops raise, and ``exact``
     returns the number of coordinate steps it took.  A logistic pass
@@ -171,12 +186,13 @@ class Kernel:
         made by fork, 0 when built without OpenMP."""
         return self._threads()
 
-    def random(self, ws, address: int, r: int) -> None:
-        """One coordinate step at each of the r int64 indices (in
-        [0, n)) that start at ``address``, an address the caller keeps
-        valid, in order: exactly r steps."""
+    def random(self, ws, indices: np.ndarray) -> None:
+        """One coordinate step at each entry of ``indices``, a nonempty
+        C-contiguous int64 array of coordinates in [0, n), in order."""
+        if indices.dtype != np.int64:
+            raise TypeError(f"coordinate indices must be int64, got {indices.dtype}")
         arrays = _arrays(ws)
-        if self._random(ctypes.byref(arrays), address, r):
+        if self._random(ctypes.byref(arrays), _address(indices), indices.shape[0]):
             raise ValueError(f"nonpositive model diagonal at coordinate {arrays.bad}")
 
     def exact(self, ws, tol: float, max_steps: int) -> int:
@@ -204,29 +220,26 @@ class Kernel:
             raise ValueError("no subgradient norm of an empty vector")
         return self._subgrad_inf(x.size, _address(grad), _address(x), lam)
 
-    def compact(self, pairs) -> tuple[int, float, float, float, np.ndarray,
-                                       np.ndarray, np.ndarray,
-                                       np.ndarray | None]:
-        """One try of ``hessian.compile_compact`` from the rows of a
-        ``CorrectionPairs``: the tuple of ``hessian._numpy_build``, with
-        its bytes, in one fresh block that is read-only once written.
+    def compact(self, s: np.ndarray, y: np.ndarray, m: int
+                ) -> tuple[int, float, float, float, np.ndarray, np.ndarray,
+                           np.ndarray, np.ndarray | None]:
+        """One try of ``hessian.compile_compact`` from the first m rows
+        of a ``CorrectionPairs``' C-contiguous (memory, n) arrays s and
+        y: the tuple of ``hessian._numpy_build``, with its bytes, in one
+        fresh block that is read-only once written.
         That is dgesv's info (nonzero where ``np.linalg.inv`` raises),
         delta, the squared norms of M and of -inv(M), the views M,
         -inv(M) and its symmetric part W of one (3, k, k) array, Q in the
         layout of ``np.hstack`` (Fortran order from two pairs and two
         entries on), QW, and the diagonal of Q W Q' (None at n = 1, where
-        only ``np.einsum`` gives einsum's bytes), for k = 2 len(pairs).
-        The buffer's row addresses are read once and kept on it."""
-        rows = pairs._rows
-        if rows is None:
-            rows = pairs._rows = (pairs._s.ctypes.data, pairs._y.ctypes.data)
-        n, m = pairs.n, len(pairs)
+        only ``np.einsum`` gives einsum's bytes), for k = 2 m."""
+        n = s.shape[1]
         k = 2 * m
         square = COMPACT_HEAD + 3 * k * k
         qw = square + n * k
         diag = qw + n * k
         block = np.empty(diag + n + 2 * k * k + k + 2 * m * m)
-        info = self._build(n, m, *rows, _address(block))
+        info = self._build(n, m, _address(s), _address(y), _address(block))
         block.setflags(write=False)
         delta, sq_m, sq_w = block[:3].tolist()
         q = block[square:qw]
@@ -245,27 +258,26 @@ class Kernel:
     @classmethod
     def bind(cls, dataset) -> Bound | None:
         """The :class:`Bound` view of a Dataset, made at its first
-        compiled oracle call and kept on the data set, or None when the
-        passes cannot read its ``matrix`` or ``matrix_t``."""
-        bound = dataset._bound
+        compiled oracle call and kept while the data set lives, or None
+        when the passes cannot read its ``matrix`` or ``matrix_t``."""
+        bound = _BOUNDS.get(dataset)
         if bound is None:
             ok = cls.takes(dataset.matrix) and cls.takes(dataset.matrix_t)
-            bound = dataset._bound = Bound(dataset) if ok else False
+            bound = _BOUNDS[dataset] = Bound(dataset) if ok else False
         return bound or None
 
-    def value(self, bound: Bound, w: np.ndarray) -> tuple[float, np.ndarray, int]:
+    def value(self, bound: Bound, w: np.ndarray) -> tuple[float, np.ndarray]:
         """f(w) for float64 ``w`` of the data set's feature count, with
-        the buffer that holds its margins and exp(-|z|) and the buffer's
-        address, which :meth:`grad` takes."""
+        the buffer that holds its margins and exp(-|z|), which
+        :meth:`grad` takes."""
         buf = np.empty(bound.size)
         buf[:bound.n] = w
-        address = buf.ctypes.data
-        return self._value(bound.address, address), buf, address
+        return self._value(bound.address, _address(buf)), buf
 
-    def grad(self, bound: Bound, buf: np.ndarray, address: int) -> np.ndarray:
+    def grad(self, bound: Bound, buf: np.ndarray) -> np.ndarray:
         """grad f at the w of a buffer that :meth:`value` filled, from
         its margins and exp(-|z|): no forward pass."""
-        self._grad(bound.address, address)
+        self._grad(bound.address, _address(buf))
         return buf[bound.n:2 * bound.n].copy()
 
 
@@ -287,8 +299,9 @@ class Bound:
     X's and X''s indptr, indices and data (NULL for the data of a binary
     data set, whose stored values are all 1.0), of the feature order and
     of the labels, in one struct, read once.  The data set owns those
-    read-only arrays but the order, which this object holds, and keeps
-    this object, so the addresses stay valid.
+    read-only arrays but the order, which this object holds, and
+    :meth:`Kernel.bind` keeps this object only while the data set lives,
+    so the addresses stay valid.
 
     ``order`` is the features by nonincreasing nonzero count, ties in
     index order (int64, read-only), which the compiled gradient takes in
@@ -330,29 +343,33 @@ def _csr(matrix, binary: bool) -> tuple[int, int, int | None]:
 
 
 def _address(array: np.ndarray) -> object:
-    """The address of a C-contiguous array's data, as a ctypes argument:
-    through ``from_buffer``, which is cheaper than ``ndarray.ctypes``
-    but refuses read-only arrays, which take ``ctypes.data``."""
+    """The address of a nonempty C-contiguous array's data, as a ctypes
+    argument: through ``from_buffer``, which is cheaper than
+    ``ndarray.ctypes`` but refuses read-only arrays, which take
+    ``ctypes.data``.  Both refuse an array that is not C-contiguous."""
     if array.flags.writeable:
         return ctypes.byref(ctypes.c_char.from_buffer(array))
+    if not array.flags.c_contiguous:
+        raise TypeError("underlying buffer is not C contiguous")
     return array.ctypes.data
 
 
 def _arrays(ws) -> _Workspace:
     """The struct of pointers to ``ws``'s arrays, built at the first call
-    from each array's own address and kept as ``ws.struct``, with the
-    workspace's eff_delta and lam of this call.  The struct also points
-    to the 2n doubles of scratch that only ``cd_exact`` reads, which it
-    holds as its attribute ``scratch_array``."""
-    arrays = ws.struct
+    from each array's own address and kept in ``_STRUCTS`` while ``ws``
+    lives, with the workspace's eff_delta and lam of this call.  The
+    struct also points to the 2n doubles of scratch that only
+    ``cd_exact`` reads, which it holds as its attribute
+    ``scratch_array``."""
+    arrays = _STRUCTS.get(ws)
     if arrays is None:
         n = ws.v.shape[0]
         scratch = np.empty(2 * n)
         addresses = [a.ctypes.data for a in (ws.q, ws.qw_scaled, ws.diag,
                                              ws.grad_v, ws.u, ws.d, ws.qcache,
                                              scratch)]
-        arrays = ws.struct = _Workspace(n, ws.qcache.shape[0], 0.0, 0.0,
-                                        *addresses, 0)
+        arrays = _STRUCTS[ws] = _Workspace(n, ws.qcache.shape[0], 0.0, 0.0,
+                                           *addresses, 0)
         arrays.scratch_array = scratch
     arrays.eff_delta = ws.eff_delta
     arrays.lam = ws.lam

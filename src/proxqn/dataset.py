@@ -39,9 +39,9 @@ class Dataset:
     ``matrix_t`` lists a
     feature's nonzeros in increasing data-point order, so ``matrix_t @
     c`` sums in the order of the CSC scatter over X's own arrays.  The
-    compiled logistic oracle keeps the addresses of these arrays, and
-    the feature order it forms from ``matrix_t``, in ``_bound``, made at
-    its first call.
+    compiled logistic oracle binds the addresses of these arrays, and
+    the feature order it forms from ``matrix_t``, at its first call,
+    and keeps that binding while the data set lives.
     """
 
     def __init__(self, matrix: sp.csr_matrix, labels: np.ndarray):
@@ -83,14 +83,8 @@ class Dataset:
         self._X = _read_only(matrix)
         self._binary = bool(np.all(matrix.data == 1.0))
         self._XT = None
-        self._bound = None
         self._y = labels
         self._y.setflags(write=False)
-
-    def __getstate__(self) -> dict:
-        # The binding holds the addresses of this object's arrays, which a
-        # copy or an unpickled object does not share; it binds its own.
-        return {**self.__dict__, "_bound": None}
 
     @property
     def matrix(self) -> sp.csr_matrix:

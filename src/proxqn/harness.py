@@ -722,10 +722,9 @@ def _check_cd_kernel(level, rng):
         v = rng.standard_normal(n) * (rng.random(n) < 0.7)
         lam = float(rng.uniform(0.0, 0.5))
         indices = rng.integers(0, n, size=500)
-        address = indices.ctypes.data
         results = []
         for random_steps, sweeps in (
-                (lambda ws: kernel.random(ws, address, 500), kernel.exact),
+                (lambda ws: kernel.random(ws, indices), kernel.exact),
                 (lambda ws: random_loop(ws, indices), exact_loop)):
             a = CdWorkspace(model, grad_v, v, lam)
             b = CdWorkspace(model, grad_v, v, lam)

@@ -44,7 +44,7 @@ class HessianModel:
                  w: np.ndarray | None = None, scale: float = 1.0):
         n = int(n)
         if q is None:
-            q, w = np.zeros((n, 0)), np.zeros((0, 0))
+            q = np.zeros((n, 0))
         q = np.array(q, dtype=np.float64)
         if q.ndim != 2:
             raise ValueError(f"Q must be a matrix, got shape {q.shape}")
@@ -142,7 +142,8 @@ class CorrectionPairs:
     keeps the compiled compact matrix positive definite.  The pairs are
     rows of two preallocated (memory, n) arrays, oldest first; evicting
     the oldest shifts the rest up by one row.  Single-owner mutable
-    state: one buffer per optimizer run.
+    state: one buffer per optimizer run.  The compiled build reads the
+    two arrays in place at each try, and keeps nothing of them.
     """
 
     def __init__(self, n: int, memory: int = 10, curvature_eps: float = 1e-8):
@@ -154,13 +155,6 @@ class CorrectionPairs:
         self._s = np.empty((self.memory, self.n))
         self._y = np.empty((self.memory, self.n))
         self._len = 0
-        # The addresses of _s and _y, which the compiled build reads at
-        # its first call and keeps here.
-        self._rows = None
-
-    def __getstate__(self) -> dict:
-        # A copy or an unpickled buffer has rows of its own.
-        return {**self.__dict__, "_rows": None}
 
     def __len__(self) -> int:
         return self._len
@@ -220,7 +214,8 @@ def compile_compact(pairs: CorrectionPairs) -> HessianModel:
             return HessianModel(1.0, pairs.n)
         kernel = _cdkernel.KERNEL
         info, delta, sq_m, sq_w, square, q, qw, diag = (
-            _numpy_build(pairs) if kernel is None else kernel.compact(pairs))
+            _numpy_build(pairs) if kernel is None
+            else kernel.compact(pairs._s, pairs._y, len(pairs)))
         if not info and _conditioned(square[0], square[1], sq_m, sq_w):
             if diag is None:
                 diag = _low_rank_diag(qw, q)

@@ -57,6 +57,7 @@ from .hessian import (
 from .problem import (
     CompositeProblem,
     Memo,
+    _vector,
     l1_value,
     min_norm_subgradient,
     prox_l1_scaled_identity,
@@ -265,10 +266,7 @@ def theoretical_linear_rate(gamma: float, big_m: float, eta: float) -> float:
 def _start_point(problem: CompositeProblem, x0: np.ndarray | None) -> np.ndarray:
     if x0 is None:
         return np.zeros(problem.n)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (problem.n,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.n},)")
-    return x0.copy()
+    return _vector(x0, problem.n, "x0").copy()
 
 
 def _subgrad_inf(grad: np.ndarray, x: np.ndarray, lam: float) -> float:

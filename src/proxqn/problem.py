@@ -43,8 +43,7 @@ class Memo:
     ``f_value(w, memo)`` stores the bytes of w as ``key`` and the
     intermediate it formed as ``value``: the quadratic product Aw; the
     logistic margins -y*(Xw) and exp(-|z|) from the Python code, or the
-    compiled logistic oracle's buffer, which holds both, and its address,
-    as one tuple.  ``f_grad(w, memo)`` reuses it only when the bytes of
+    compiled logistic oracle's buffer, which holds both.  ``f_grad(w, memo)`` reuses it only when the bytes of
     its w match ``key``, and on the backend that stored it: switch
     ``_cdkernel.KERNEL`` between runs, not inside one.  A driver run owns
     its memo, so problems stay pure and shareable.
@@ -103,14 +102,13 @@ def _compiled(dataset: Dataset):
 def logistic_value(dataset: Dataset, w: np.ndarray,
                    memo: Memo | None = None) -> float:
     """Average logistic loss (1/m) sum_i log(1 + exp(-y_i w'x_i))."""
-    w = _check_dim(dataset.n_features, w)
+    w = _vector(w, dataset.n_features, "w")
     kernel, bound = _compiled(dataset)
     if kernel is None:
         z, e, t = forward_reference(dataset, w)
         value, forward = float(np.mean(t)), (z, e)
     else:
-        value, buf, address = kernel.value(bound, w)
-        forward = (buf, address)
+        value, forward = kernel.value(bound, w)
     if memo is not None:
         memo.store(w, forward)
     return value
@@ -119,14 +117,14 @@ def logistic_value(dataset: Dataset, w: np.ndarray,
 def logistic_gradient(dataset: Dataset, w: np.ndarray,
                       memo: Memo | None = None) -> np.ndarray:
     """Gradient -(1/m) sum_i y_i sigmoid(-y_i w'x_i) x_i."""
-    w = _check_dim(dataset.n_features, w)
+    w = _vector(w, dataset.n_features, "w")
     forward = None if memo is None else memo.recall(w)
     if forward is None:
         return logistic_value_and_gradient(dataset, w)[1]
     kernel, bound = _compiled(dataset)
     if kernel is None:
         return gradient_reference(dataset, *forward)
-    return kernel.grad(bound, *forward)
+    return kernel.grad(bound, forward)
 
 
 def logistic_value_and_gradient(
@@ -140,11 +138,12 @@ def logistic_value_and_gradient(
     return value, logistic_gradient(dataset, w, memo)
 
 
-def _check_dim(n: int, w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError(f"w has shape {w.shape}, expected ({n},)")
-    return w
+def _vector(x, n: int, name: str) -> np.ndarray:
+    """``x`` as float64, which must have shape (n,)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
+    return x
 
 
 def l1_value(w: np.ndarray, lam: float) -> float:
@@ -248,21 +247,21 @@ def quadratic_problem(quad: SyntheticQuadratic, lam: float) -> CompositeProblem:
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
 
     def value(w: np.ndarray, memo: Memo | None = None) -> float:
-        w = _check_dim(quad.n, w)
+        w = _vector(w, quad.n, "w")
         aw = quad.matvec(w)
         if memo is not None:
             memo.store(w, aw)
         return float(0.5 * w @ aw - quad.b @ w)
 
     def grad(w: np.ndarray, memo: Memo | None = None) -> np.ndarray:
-        w = _check_dim(quad.n, w)
+        w = _vector(w, quad.n, "w")
         aw = None if memo is None else memo.recall(w)
         if aw is None:
             aw = quad.matvec(w)
         return aw - quad.b
 
     def value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        w = _check_dim(quad.n, w)
+        w = _vector(w, quad.n, "w")
         aw = quad.matvec(w)
         return float(0.5 * w @ aw - quad.b @ w), aw - quad.b
 

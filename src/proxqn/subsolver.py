@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _cdkernel
 from .hessian import HessianModel
-from .problem import min_norm_subgradient, soft_threshold_vec
+from .problem import _vector, min_norm_subgradient, soft_threshold_vec
 
 
 def phi_constant(m: float, M: float) -> float:
@@ -45,8 +45,9 @@ class CdWorkspace:
     Single-owner: one workspace per run, which :meth:`load` readies for
     each solve.  q and qw_scaled (n, p), qcache (p,), and diag, grad_v,
     v, u and d (n,) are C-contiguous float64 arrays of its own, which
-    :meth:`load` and :meth:`step` write in place: the compiled kernel
-    keeps their addresses in ``struct``, built at its first use.
+    :meth:`load` and :meth:`step` write in place, so the struct of their
+    addresses that the compiled kernel builds at its first use stays
+    valid.
     """
 
     def __init__(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
@@ -59,14 +60,8 @@ class CdWorkspace:
         self.qcache = np.zeros(p)
         self.diag, self.grad_v, self.v, self.u, self.d = (
             np.zeros(n) for _ in range(5))
-        self.struct = None
         self.model = None
         self.load(model, grad_v, v, lam)
-
-    def __getstate__(self) -> dict:
-        # ctypes cannot pickle the kernel's struct, and a copy builds its
-        # own from its own arrays.
-        return {**self.__dict__, "struct": None}
 
     def load(self, model: HessianModel, grad_v: np.ndarray, v: np.ndarray,
              lam: float) -> None:
@@ -148,9 +143,10 @@ BLOCK = 4096
 class CdRun:
     """Coordinate-descent state of one driver run over dimension n: its
     seeded generator, the coordinates drawn from it and not yet used
-    (``indices``, whose data the compiled loop reads at ``address``),
-    and one :class:`CdWorkspace`, rebuilt only when a solve's p differs
-    from the last one's.
+    (``indices``), and one :class:`CdWorkspace`, rebuilt only when a
+    solve's p differs from the last one's.  Each solve hands its slice
+    of ``indices`` to the loop, so a copy or a pickle of a run needs no
+    hook.
 
     A run draws coordinates ``block`` at a time (at least as many as a
     solve needs); with ``block`` 0 it draws each solve's r and no more,
@@ -165,13 +161,7 @@ class CdRun:
         self.block = block
         self.indices = np.empty(0, dtype=np.int64)
         self.used = 0
-        self.address = self.indices.ctypes.data
         self.ws: CdWorkspace | None = None
-
-    def __setstate__(self, state: dict) -> None:
-        # A copy or an unpickled run reads the address of its own indices.
-        self.__dict__.update(state)
-        self.address = self.indices.ctypes.data
 
     def workspace(self, model: HessianModel, grad_v: np.ndarray,
                   v: np.ndarray, lam: float) -> CdWorkspace:
@@ -193,7 +183,6 @@ class CdRun:
         if left < r:
             fresh = self.rng.integers(0, self.n, size=max(self.block, r - left))
             self.indices = np.concatenate((self.indices[start:], fresh))
-            self.address = self.indices.ctypes.data
             start = 0
         self.used = start + r
         return start
@@ -223,11 +212,12 @@ def cd_minimize(
     ws = run.workspace(model, grad_v, v, lam)
     if r > 0:
         start = run.take(r)
+        indices = run.indices[start:start + r]
         kernel = _cdkernel.KERNEL
         if kernel is not None:
-            kernel.random(ws, run.address + 8 * start, r)
+            kernel.random(ws, indices)
         else:
-            random_loop(ws, run.indices[start:start + r])
+            random_loop(ws, indices)
     return ws.u.copy(), r
 
 
@@ -292,14 +282,6 @@ def exact_loop(ws: CdWorkspace, tol: float, max_steps: int) -> int:
             raise RuntimeError(
                 f"exact subproblem solve exceeded {max_steps} coordinate steps"
             )
-
-
-def _vector(x, n: int, name: str) -> np.ndarray:
-    """``x`` as float64, which must have shape (n,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
-    return x
 
 
 def solve_scaled_identity(

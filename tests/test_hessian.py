@@ -239,6 +239,19 @@ class TestModelOps:
         for empty in (None, np.zeros((0, 0))):
             assert HessianModel(1.0, 4, np.zeros((4, 0)), empty).p == 0
 
+    @pytest.mark.parametrize("build, got", [
+        (lambda: HessianModel(1.0, 3, None, "junk"), r"shape \(\)"),
+        (lambda: HessianModel(1.0, 3, w=np.eye(2)), r"shape \(2, 2\)")],
+        ids=["junk_w", "eye_w"])
+    def test_a_missing_q_needs_no_w_or_an_empty_one(self, build, got):
+        """Without a Q the model is the scaled identity, so a W other
+        than None or an empty one is refused, as for a zero-column Q."""
+        with pytest.raises(ValueError, match=(r"Q of shape \(3, 0\) needs a W "
+                                              rf"of shape \(0, 0\), got {got}$")):
+            build()
+        for empty in (None, np.zeros((0, 0))):
+            assert HessianModel(1.0, 3, None, empty).p == 0
+
     @pytest.mark.parametrize("q", [np.ones(4), np.ones((4, 2, 2)), 2.0])
     def test_a_q_that_is_not_a_matrix_is_named(self, q):
         shape = re.escape(str(np.shape(q)))
@@ -764,13 +777,10 @@ class TestCompiledBuild:
         rng = np.random.default_rng(3)
         pairs = admissible_pairs(rng, 7, 4, memory=3)
         compile_compact(pairs)
-        assert pairs._rows == (pairs._s.ctypes.data, pairs._y.ctypes.data)
         other = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                  "pickle": lambda p: pickle.loads(pickle.dumps(p))}[clone](pairs)
-        assert other._rows is None
         if clone != "copy":
             other.update(*next(pair_stream(5, 7, 1)))
         want = compile_outcome(other)
         with on_backend("python"):
             assert compile_outcome(copy.deepcopy(other)) == want
-        assert other._rows == (other._s.ctypes.data, other._y.ctypes.data)

@@ -1,9 +1,11 @@
 import copy
+import gc
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -639,11 +641,11 @@ class TestCompiledLogisticOracle:
         rng = np.random.default_rng(19)
         ds = (_binary_dataset if binary else _logistic_dataset)(rng, 30, 8, 0.5)
         prob = logistic_problem(ds, 1e-3)
-        assert ds._bound is None and ds._XT is None
+        assert ds not in _cdkernel._BOUNDS and ds._XT is None
         w = _logistic_point(rng, ds, 1.0)
         memo = Memo()
         prob.f_value(w, memo)
-        bound = ds._bound
+        bound = _cdkernel._BOUNDS[ds]
         x, xt = ds.matrix, ds.matrix_t
         data = (None, None) if binary else (x.data.ctypes.data,
                                             xt.data.ctypes.data)
@@ -657,7 +659,7 @@ class TestCompiledLogisticOracle:
                     ds.labels.ctypes.data))
         prob.f_grad(w, memo)
         prob.value_and_grad(w)
-        assert ds._bound is bound
+        assert _cdkernel.Kernel.bind(ds) is bound
 
     @needs_kernel
     @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
@@ -668,10 +670,24 @@ class TestCompiledLogisticOracle:
         want = logistic_oracle_bytes(ds, w)
         copied = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                   "pickle": lambda d: pickle.loads(pickle.dumps(d))}[how](ds)
-        assert copied._bound is None
+        assert copied not in _cdkernel._BOUNDS
         same = logistic_oracle_bytes(copied, w) == want
         assert same
-        assert copied._bound.struct.y == copied.labels.ctypes.data
+        bound = _cdkernel.Kernel.bind(copied)
+        assert bound is not _cdkernel.Kernel.bind(ds)
+        assert bound.struct.y == copied.labels.ctypes.data
+
+    @needs_kernel
+    def test_a_binding_dies_with_its_data_set(self):
+        rng = np.random.default_rng(21)
+        ds = _logistic_dataset(rng, 30, 8, 0.5)
+        logistic_value(ds, _logistic_point(rng, ds, 1.0))
+        # The Bound has no weak references; its order array, which only
+        # the Bound holds, does.
+        gone = weakref.ref(_cdkernel._BOUNDS[ds].order)
+        del ds
+        gc.collect()
+        assert gone() is None
 
     def test_transpose_is_a_lazy_csr_copy(self):
         ds = _logistic_dataset(np.random.default_rng(14), 20, 6, 0.5)

@@ -56,10 +56,10 @@ WORKSPACE_ARRAYS = ("q", "qw_scaled", "qcache", "diag", "grad_v", "v", "u", "d")
 
 
 def assert_kernel_sees(ws):
-    """The kernel's struct on ``ws`` points at the workspace's arrays as
+    """The kernel's struct for ``ws`` points at the workspace's arrays as
     they are now, carries its n, p, eff_delta and lam, and holds a
     scratch of at least 2n doubles."""
-    s = ws.struct
+    s = _cdkernel._STRUCTS[ws]
     n, p = ws.v.shape[0], ws.qcache.shape[0]
     assert (s.n, s.p, s.eff_delta, s.lam) == (n, p, ws.eff_delta, ws.lam)
     pointed = (s.q, s.qw, s.qcache, s.diag, s.grad_v, s.u, s.d)
@@ -576,8 +576,27 @@ class TestWorkspaceInput:
         ws = CdWorkspace(model, np.ones(model.n), np.zeros(model.n), 0.1)
         indices = np.arange(model.n, dtype=np.int64)
         with on_backend("c"):
-            _cdkernel.KERNEL.random(ws, indices.ctypes.data, model.n)
+            _cdkernel.KERNEL.random(ws, indices)
         assert_kernel_sees(ws)
+
+    def test_the_kernel_refuses_indices_it_cannot_read_in_place(self):
+        """Kernel.random reads its indices as contiguous int64 memory: an
+        int32 array is refused by name, and a strided one, writable or
+        read-only, is refused too, each before any step."""
+        model = compact_model(3, n=5)
+        ws = CdWorkspace(model, np.ones(model.n), np.zeros(model.n), 0.1)
+        u = ws.u.tobytes()
+        strided = np.arange(8, dtype=np.int64)[::2]
+        frozen = np.arange(8, dtype=np.int64)[::2]
+        frozen.setflags(write=False)
+        with on_backend("c"):
+            kernel = _cdkernel.KERNEL
+            with pytest.raises(TypeError, match="must be int64, got int32$"):
+                kernel.random(ws, np.arange(4, dtype=np.int32))
+            for indices in (strided, frozen):
+                with pytest.raises(TypeError, match="not C contiguous"):
+                    kernel.random(ws, indices)
+        assert ws.u.tobytes() == u
 
     @pytest.mark.parametrize("model", [
         HessianModel(1.0, 5, scale=2.5),                     # p = 0
@@ -735,8 +754,9 @@ class TestCdRun:
             run.indices[:] = n - 1
             for name in WORKSPACE_ARRAYS:
                 getattr(run.ws, name)[...] = np.nan
-            if run.ws.struct is not None:
-                run.ws.struct.scratch_array[:] = np.nan
+            struct = _cdkernel._STRUCTS.get(run.ws)
+            if struct is not None:
+                struct.scratch_array[:] = np.nan
         del run
         for model in (models[0], *models):
             assert (outcome(cd_minimize, model, grad_v, v, 0.1, 30, other)
